@@ -1,8 +1,11 @@
 """Versioned on-disk containers for trained models.
 
-Layout: magic, format version, a JSON header, then raw float64 parameter
-blobs. Writing and reading round-trip bit-exactly; the parameter content
-hash is stored in the header and re-verified on load.
+Layout: magic, format version, the SHA-256 of everything after it, then a
+length-prefixed JSON header and length-prefixed raw float64 parameter blobs.
+Writing and reading round-trip bit-exactly. Any truncation or flipped bit
+fails the digest, and every length prefix is bounds-checked, so a damaged
+file raises ArchiveError. The parameter content hash is also stored in the
+header and re-verified on load.
 """
 
 from __future__ import annotations
@@ -12,25 +15,23 @@ import json
 
 from . import gan as gan_mod
 from . import gbdt, nn
+from .nn import ArchiveError  # defined with the parameter-blob format
 
 MAGIC = b"GANIDS\x00"
-FORMAT_VERSION = 1
-
-
-class ArchiveError(ValueError):
-    pass
+FORMAT_VERSION = 2
+_PREFIX = len(MAGIC) + 2 + 32  # magic, version, body digest
 
 
 def _write(path, header: dict, blobs: list):
-    payload = json.dumps(header, sort_keys=True).encode()
+    body = bytearray()
+    for chunk in [json.dumps(header, sort_keys=True).encode()] + blobs:
+        body += len(chunk).to_bytes(8, "little")
+        body += chunk
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(FORMAT_VERSION.to_bytes(2, "little"))
-        f.write(len(payload).to_bytes(8, "little"))
-        f.write(payload)
-        for blob in blobs:
-            f.write(len(blob).to_bytes(8, "little"))
-            f.write(blob)
+        f.write(hashlib.sha256(body).digest())
+        f.write(body)
 
 
 def _read(path):
@@ -39,20 +40,27 @@ def _read(path):
     if raw[:len(MAGIC)] != MAGIC:
         raise ArchiveError(f"{path}: not a model archive")
     version = int.from_bytes(raw[len(MAGIC):len(MAGIC) + 2], "little")
-    if version != FORMAT_VERSION:
+    if len(raw) < len(MAGIC) + 2 or version != FORMAT_VERSION:
         raise ArchiveError(f"{path}: unsupported format version {version}")
-    off = len(MAGIC) + 2
-    n = int.from_bytes(raw[off:off + 8], "little")
-    off += 8
-    header = json.loads(raw[off:off + n].decode())
-    off += n
-    blobs = []
-    while off < len(raw):
-        m = int.from_bytes(raw[off:off + 8], "little")
-        off += 8
-        blobs.append(raw[off:off + m])
-        off += m
-    return header, blobs
+    body = raw[_PREFIX:]
+    if len(raw) < _PREFIX \
+            or hashlib.sha256(body).digest() != raw[len(MAGIC) + 2:_PREFIX]:
+        raise ArchiveError(f"{path}: truncated or corrupted (digest mismatch)")
+    chunks = []
+    off = 0
+    while off < len(body):
+        n = nn.read_length(body, off, path)
+        chunks.append(body[off + 8:off + 8 + n])
+        off += 8 + n
+    if not chunks:
+        raise ArchiveError(f"{path}: missing header")
+    try:
+        header = json.loads(chunks[0].decode())
+    except ValueError as e:
+        raise ArchiveError(f"{path}: unreadable header: {e}") from e
+    if not isinstance(header, dict):
+        raise ArchiveError(f"{path}: header is not an object")
+    return header, chunks[1:]
 
 
 def file_hash(path):
@@ -78,7 +86,7 @@ def save_gan(path, model: gan_mod.GanModel):
 
 def load_gan(path) -> gan_mod.GanModel:
     header, blobs = _read(path)
-    if header.get("kind") != "gan":
+    if header.get("kind") != "gan" or len(blobs) != 2:
         raise ArchiveError(f"{path}: expected a gan archive")
     g_params = nn.ParamSet.from_bytes(blobs[0])
     d_params = nn.ParamSet.from_bytes(blobs[1])
@@ -102,7 +110,7 @@ def save_ensemble(path, ensemble: gbdt.Ensemble):
 
 def load_ensemble(path) -> gbdt.Ensemble:
     header, blobs = _read(path)
-    if header.get("kind") != "ensemble":
+    if header.get("kind") != "ensemble" or len(blobs) != 1:
         raise ArchiveError(f"{path}: expected an ensemble archive")
     if hashlib.sha256(blobs[0]).hexdigest() != header["hash"]:
         raise ArchiveError(f"{path}: content hash mismatch")

@@ -7,7 +7,7 @@ shadow. Accept/reject decisions come from a two-sided binomial test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
@@ -55,7 +55,7 @@ def boruta_select(train: Dataset, rounds, alpha, boost_params: gbdt.BoostParams,
         both = np.hstack([matrix, shadow])
         ds = Dataset(both, train.labels, train.schema, encoded=True,
                      feature_names=names + [f"shadow_{n}" for n in names])
-        ens = gbdt.fit(ds, _with_seed(boost_params, boost_params.seed + r))
+        ens = gbdt.fit(ds, replace(boost_params, seed=boost_params.seed + r))
         imp = ens.feature_importance()
         shadow_max = imp[m:].max() if m else 0.0
         hits += imp[:m] > shadow_max
@@ -64,12 +64,6 @@ def boruta_select(train: Dataset, rounds, alpha, boost_params: gbdt.BoostParams,
         status[name] = _decide(int(hits[j]), rounds, alpha)
     return FeatureDecision(status, {n: int(h) for n, h in zip(names, hits)},
                            rounds, alpha)
-
-
-def _with_seed(params, seed):
-    d = params.to_dict()
-    d["seed"] = seed
-    return gbdt.BoostParams.from_dict(d)
 
 
 def _decide(h, rounds, alpha):

@@ -9,14 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import archive, imbalance, metrics, pipeline
-from .data import (DatasetSchema, PreprocessPlan, builtin_schema,
-                   load_dataset, preprocess)
-
-
-def _load_schema(spec):
-    if spec.startswith("builtin:"):
-        return builtin_schema(spec.split(":", 1)[1])
-    return DatasetSchema.from_json(spec)
+from .data import PreprocessPlan, load_dataset, load_schema, preprocess
 
 
 def _load_config(args):
@@ -33,7 +26,7 @@ def _load_config(args):
 
 
 def cmd_census(args):
-    schema = _load_schema(args.schema)
+    schema = load_schema(args.schema)
     ds = load_dataset(args.paths, schema)
     census = imbalance.class_census(ds)
     out = {"counts": census.counts, "ratios": census.display_ratios()}
@@ -44,7 +37,7 @@ def cmd_census(args):
 
 
 def cmd_filter(args):
-    schema = _load_schema(args.schema)
+    schema = load_schema(args.schema)
     ds = load_dataset(args.paths, schema)
     result = imbalance.filter_minority(ds, args.gamma)
     print(json.dumps({
@@ -77,7 +70,7 @@ def cmd_ablate(args):
 
 def cmd_evaluate(args):
     ens = archive.load_ensemble(args.model)
-    schema = _load_schema(args.schema)
+    schema = load_schema(args.schema)
     ds = load_dataset(args.paths, schema)
     plan = None
     if args.plan:

@@ -24,15 +24,28 @@ class IoFailure(OSError):
 
 
 class RowArity(ValueError):
-    def __init__(self, line, expected, got):
-        super().__init__(f"line {line}: expected {expected} columns, got {got}")
+    def __init__(self, path, line, expected, got):
+        super().__init__(
+            f"{path}: line {line}: expected {expected} columns, got {got}")
+        self.path = path
         self.line = line
 
 
 class UnknownLabel(ValueError):
-    def __init__(self, line, value):
-        super().__init__(f"line {line}: unknown label {value!r}")
+    def __init__(self, path, line, value):
+        super().__init__(f"{path}: line {line}: unknown label {value!r}")
+        self.path = path
         self.line = line
+        self.value = value
+
+
+class BadNumber(ValueError):
+    def __init__(self, path, line, column, name, value):
+        super().__init__(f"{path}: line {line}, column {column} ({name}): "
+                         f"{value!r} is not a number")
+        self.path = path
+        self.line = line
+        self.column = column  # 1-based, as in the file
         self.value = value
 
 
@@ -119,6 +132,13 @@ def builtin_schema(name):
     return DatasetSchema.from_dict(json.loads(text))
 
 
+def load_schema(spec) -> DatasetSchema:
+    """Schema from a JSON file path, or builtin:<name> for a shipped one."""
+    if spec.startswith("builtin:"):
+        return builtin_schema(spec.split(":", 1)[1])
+    return DatasetSchema.from_json(spec)
+
+
 @dataclass
 class Dataset:
     """Feature matrix plus per-row class ids.
@@ -181,7 +201,6 @@ def load_dataset(paths, schema: DatasetSchema, seed=0) -> Dataset:
     rows, labels = [], []
     counts = {}
     caps = {schema.class_id(k): v for k, v in schema.class_caps.items()}
-    lineno = 0
     for path in paths:
         try:
             f = open(path, newline="")
@@ -190,6 +209,7 @@ def load_dataset(paths, schema: DatasetSchema, seed=0) -> Dataset:
         with f:
             reader = csv.reader(f)
             first = True
+            lineno = 0
             for rec in reader:
                 lineno += 1
                 if not rec:
@@ -199,16 +219,21 @@ def load_dataset(paths, schema: DatasetSchema, seed=0) -> Dataset:
                     continue
                 first = False
                 if len(rec) != len(schema.columns):
-                    raise RowArity(lineno, len(schema.columns), len(rec))
+                    raise RowArity(path, lineno, len(schema.columns), len(rec))
                 cid = None
                 feats = []
                 for col, val in zip(schema.columns, rec):
                     if col.kind == "label":
                         cid = schema.resolve_label(val.strip())
                         if cid is None:
-                            raise UnknownLabel(lineno, val.strip())
+                            raise UnknownLabel(path, lineno, val.strip())
                     elif col.kind == "numeric":
-                        feats.append(float(val))
+                        try:
+                            feats.append(float(val))
+                        except ValueError:
+                            raise BadNumber(
+                                path, lineno, schema.columns.index(col) + 1,
+                                col.name, val) from None
                     elif col.kind == "categorical":
                         feats.append(val.strip())
                 cap = caps.get(cid)

@@ -5,6 +5,26 @@ Multiclass is handled as softmax boosting: one tree per class per round on
 the cross-entropy gradients, second-order leaf values -G/(H + lambda).
 Bundling only accelerates histogram construction; split search always runs
 per original feature, so bundling never changes the fitted trees.
+
+Histogram layout: bundle b owns slots [start_b, start_b + size_b) of one
+slot space, and each row's bundle columns are stored already shifted by
+start_b, so a node's histogram is one bincount each of count, g and h over
+those keys (plus one always-empty slot). A feature's bins 1..nb-1 are
+contiguous slots; its bin 0 is the node total minus those bins.
+
+Split scan: every feature's bins are gathered at once, grouped by bin count
+into (features, nb) blocks; per block one sum fills bin 0 and one cumsum
+gives the left-side count, g and h of every threshold. Sums run over exactly
+the feature's own bins, in the same order as a per-feature loop, so on a
+directly built histogram the gains are the loop's bit for bit. (Padding all
+features to one width would change the summation order of bin 0, and with
+it which of two equal-gain splits wins.) Among candidates within 1e-12 of
+the best gain (and above 0, with min_leaf rows on each side) the lowest
+(feature, bin) wins.
+
+Siblings: the histogram is built for the smaller child only; the larger
+child's is the parent's minus it (LightGBM's histogram subtraction). Counts
+are exact; g and h differ from a direct build only by rounding.
 """
 
 from __future__ import annotations
@@ -154,7 +174,7 @@ class BundleMap:
 
     def bundle_sizes(self):
         sizes = []
-        for bundle, offs in zip(self.bundles, self.offsets):
+        for bundle in self.bundles:
             sizes.append(1 + sum(self.n_bins[f] - 1 for f in bundle))
         return sizes
 
@@ -273,76 +293,119 @@ def split_gain(gl, hl, gr, hr, lam):
 
 
 class _HistContext:
-    """Shared per-fit state: binned columns, bundle columns, weighted g/h."""
+    """Shared per-fit state: binned columns, the histogram slot layout and
+    the gather indexes the split scan reads it through."""
 
     def __init__(self, binned, bundle_map, bundle_cols, params):
         self.binned = binned
-        self.bundle_map = bundle_map
-        self.bundle_cols = bundle_cols
-        self.sizes = bundle_map.bundle_sizes()
         self.params = params
+        sizes = np.asarray(bundle_map.bundle_sizes(), dtype=np.intp)
+        starts = np.cumsum(sizes) - sizes
+        self.n_slots = int(sizes.sum())
+        # bundle columns shifted into one slot space: one bincount per node
+        self.flat = bundle_cols.astype(np.intp) + starts
+        self.n_bundles = self.flat.shape[1]
+        # every splittable feature reads its bins 0..nb-1 from the histogram;
+        # ordered by (nb, feature), the features of one bin count form a
+        # (features, nb) block. Bin 0 reads the empty last slot and is filled
+        # in per node.
+        n_bins = bundle_map.n_bins
+        first = {}  # feature -> global slot of its bin 1
+        for start, bundle, offs in zip(starts, bundle_map.bundles,
+                                       bundle_map.offsets):
+            for f, off in zip(bundle, offs):
+                first[f] = start + off
+        gather, base, self.groups = [], {}, []
+        for nb, f in sorted((n_bins[f], f) for f in first if n_bins[f] >= 2):
+            if not self.groups or self.groups[-1][2] != nb:
+                self.groups.append([len(gather), len(gather), nb])
+            base[f] = len(gather)
+            gather += [self.n_slots] + list(range(first[f], first[f] + nb - 1))
+            self.groups[-1][1] = len(gather)
+        self.gather = np.asarray(gather, dtype=np.intp)
+        # split candidates (go left when bin <= t, t < nb - 1) in
+        # (feature, bin) order, as positions into the gathered bins
+        cand = [(f, t) for f in sorted(base) for t in range(n_bins[f] - 1)]
+        self.cand_feature = np.asarray([f for f, _ in cand], dtype=np.intp)
+        self.cand_bin = np.asarray([t for _, t in cand], dtype=np.intp)
+        self.cand_pos = np.asarray([base[f] + t for f, t in cand],
+                                   dtype=np.intp)
 
-    def best_split(self, rows, g, h):
-        """Best (feature, bin, gain) over all features; histograms are built
-        per bundle and sliced back into per-feature form."""
+    def histogram(self, rows, g, h):
+        """(3, n_slots + 1) array of per-slot count, g sum and h sum; the
+        last slot stays empty."""
+        keys = self.flat[rows].ravel()
+        size = self.n_slots + 1
+        hist = np.empty((3, size))
+        hist[0] = np.bincount(keys, minlength=size)
+        hist[1] = np.bincount(keys, weights=np.repeat(g, self.n_bundles),
+                              minlength=size)
+        hist[2] = np.bincount(keys, weights=np.repeat(h, self.n_bundles),
+                              minlength=size)
+        return hist
+
+    def best_split(self, rows, g, h, hist=None):
+        """Best (gain, feature, bin) over all features, or None. Among
+        candidates within 1e-12 of the best gain the lowest (feature, bin)
+        wins."""
         p = self.params
+        if len(self.cand_pos) == 0:
+            return None
+        if hist is None:
+            hist = self.histogram(rows, g, h)
         n_rows = len(rows)
         g_tot = float(g.sum())
         h_tot = float(h.sum())
-        best = None  # (gain, feature, bin)
-        for bi, (bundle, offs) in enumerate(zip(self.bundle_map.bundles,
-                                                self.bundle_map.offsets)):
-            col = self.bundle_cols[rows, bi]
-            size = self.sizes[bi]
-            cnt = np.bincount(col, minlength=size)
-            gh = np.bincount(col, weights=g, minlength=size)
-            hh = np.bincount(col, weights=h, minlength=size)
-            for f, off in zip(bundle, offs):
-                nb = self.bundle_map.n_bins[f]
-                if nb < 2:
-                    continue
-                c = np.empty(nb)
-                gs = np.empty(nb)
-                hs = np.empty(nb)
-                c[1:] = cnt[off:off + nb - 1]
-                gs[1:] = gh[off:off + nb - 1]
-                hs[1:] = hh[off:off + nb - 1]
-                c[0] = n_rows - c[1:].sum()
-                gs[0] = g_tot - gs[1:].sum()
-                hs[0] = h_tot - hs[1:].sum()
-                cl = np.cumsum(c)[:-1]
-                gll = np.cumsum(gs)[:-1]
-                hll = np.cumsum(hs)[:-1]
-                ok = (cl >= p.min_leaf) & ((n_rows - cl) >= p.min_leaf)
-                if not ok.any():
-                    continue
-                gains = np.where(
-                    ok,
-                    gll * gll / (hll + p.lam_leaf)
-                    + (g_tot - gll) ** 2 / (h_tot - hll + p.lam_leaf)
-                    - g_tot * g_tot / (h_tot + p.lam_leaf),
-                    -np.inf)
-                t = int(np.argmax(gains))
-                gain = float(gains[t])
-                if gain > 0 and (best is None or gain > best[0] + 1e-12
-                                 or (abs(gain - best[0]) <= 1e-12
-                                     and (f, t) < (best[1], best[2]))):
-                    best = (gain, int(f), t)
-        return best
+        tot = np.array([[n_rows], [g_tot], [h_tot]])
+        bins = hist.take(self.gather, axis=1)
+        for lo, hi, nb in self.groups:
+            block = bins[:, lo:hi].reshape(3, -1, nb)
+            # bin 0 is the node total minus the feature's other bins
+            block[:, :, 0] = tot - block[:, :, 1:].sum(axis=2)
+            np.cumsum(block, axis=2, out=block)
+        cl, gll, hll = bins.take(self.cand_pos, axis=1)
+        ok = (cl >= p.min_leaf) & ((n_rows - cl) >= p.min_leaf)
+        gains = np.where(
+            ok,
+            gll * gll / (hll + p.lam_leaf)
+            + (g_tot - gll) ** 2 / (h_tot - hll + p.lam_leaf)
+            - g_tot * g_tot / (h_tot + p.lam_leaf),
+            -np.inf)
+        top = gains.max()
+        if not top > 0:
+            return None
+        i = int(np.argmax((gains >= top - 1e-12) & (gains > 0)))
+        return float(gains[i]), int(self.cand_feature[i]), int(self.cand_bin[i])
 
-    def build_tree(self, rows, g, h, depth=0):
+    def _splittable(self, n_rows, depth):
+        p = self.params
+        return depth < p.max_depth and n_rows >= 2 * p.min_leaf
+
+    def build_tree(self, rows, g, h, depth=0, hist=None):
+        """Grow a tree on rows. hist, when given, is the histogram of rows;
+        only the smaller child's histogram is built, the larger one is the
+        parent's minus it."""
         p = self.params
         node = TreeNode(value=_leaf_value(g.sum(), h.sum(), p.lam_leaf))
-        if depth >= p.max_depth or len(rows) < 2 * p.min_leaf:
+        if not self._splittable(len(rows), depth):
             return node
-        best = self.best_split(rows, g, h)
+        if hist is None:
+            hist = self.histogram(rows, g, h)
+        best = self.best_split(rows, g, h, hist)
         if best is None:
             return node
         gain, f, t = best
         mask = self.binned[rows, f] <= t
         node.feature, node.bin_threshold, node.gain = f, t, gain
-        node.left = self.build_tree(rows[mask], g[mask], h[mask], depth + 1)
-        node.right = self.build_tree(rows[~mask], g[~mask], h[~mask], depth + 1)
+        kids = [(rows[mask], g[mask], h[mask]),
+                (rows[~mask], g[~mask], h[~mask])]
+        hists = [None, None]
+        small = int(len(kids[1][0]) < len(kids[0][0]))
+        if any(self._splittable(len(k[0]), depth + 1) for k in kids):
+            hists[small] = self.histogram(*kids[small])
+            hists[1 - small] = hist - hists[small]
+        node.left = self.build_tree(*kids[0], depth + 1, hists[0])
+        node.right = self.build_tree(*kids[1], depth + 1, hists[1])
         return node
 
 
@@ -459,8 +522,8 @@ def fit(train: Dataset, params: BoostParams) -> Ensemble:
         bundle_map = BundleMap([[j] for j in range(binned.shape[1])],
                                [[1] for _ in range(binned.shape[1])],
                                list(n_bins))
-    bcols = bundle_columns(binned, bundle_map)
-    ctx = _HistContext(binned, bundle_map, bcols, params)
+    ctx = _HistContext(binned, bundle_map,
+                       bundle_columns(binned, bundle_map), params)
 
     priors = np.bincount(y, minlength=k_total).astype(np.float64)
     priors = np.maximum(priors, 1e-12) / n

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,10 @@ from . import autodiff as ad
 from .autodiff import NonFiniteValue, ShapeMismatch, Var, check_finite
 
 
-class InvalidDimension(ValueError):
-    pass
+class ArchiveError(ValueError):
+    """A serialized model (an archive or a parameter blob) is truncated or
+    malformed. Defined here, with the innermost byte format; archive
+    re-exports it."""
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +167,42 @@ class ParamSet:
 
     @staticmethod
     def from_bytes(raw):
-        n = int.from_bytes(raw[:8], "little")
-        header = json.loads(raw[8:8 + n].decode())
+        """Inverse of to_bytes; raises ArchiveError on truncated or
+        malformed input."""
+        n = read_length(raw, 0, "parameter blob")
+        try:
+            header = json.loads(raw[8:8 + n].decode())
+            shapes = {name: [int(d) for d in shape]
+                      for name, shape in header.items()}
+        except (ValueError, TypeError, AttributeError) as e:
+            raise ArchiveError(f"parameter blob: unreadable header: {e}") from e
         off = 8 + n
         tensors = {}
-        for name, shape in header.items():
-            size = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(raw[off:off + size * 8], dtype=np.float64).reshape(shape)
-            tensors[name] = arr.copy()
-            off += size * 8
+        for name, shape in shapes.items():
+            size = 8 * math.prod(shape)
+            if min(shape, default=0) < 0 or size > len(raw) - off:
+                raise ArchiveError(
+                    f"parameter blob: tensor {name} {shape} needs {size} "
+                    f"bytes at byte {off}, {len(raw) - off} left")
+            arr = np.frombuffer(raw[off:off + size], dtype=np.float64)
+            tensors[name] = arr.reshape(shape).copy()
+            off += size
+        if off != len(raw):
+            raise ArchiveError(f"parameter blob: {len(raw) - off} bytes "
+                               "left after the last tensor")
         return ParamSet(tensors)
+
+
+def read_length(buf, off, what):
+    """The 8-byte little-endian length prefix at off, checked to fit in buf
+    after the prefix."""
+    if len(buf) - off < 8:
+        raise ArchiveError(f"{what}: truncated length prefix at byte {off}")
+    n = int.from_bytes(buf[off:off + 8], "little")
+    if n > len(buf) - off - 8:
+        raise ArchiveError(f"{what}: length {n} at byte {off} runs past the "
+                           f"end ({len(buf) - off - 8} bytes left)")
+    return n
 
 
 def init_params(spec: NetworkSpec, seed: int) -> ParamSet:

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import archive, boruta, gbdt, imbalance, metrics
 from . import gan as gan_mod
-from .data import (Dataset, DatasetSchema, builtin_schema, concat,
-                   load_dataset, preprocess, split_stratified)
+from .data import (Dataset, DatasetSchema, concat, load_dataset, load_schema,
+                   preprocess, split_stratified)
 
 
 class ConfigInvalid(ValueError):
@@ -103,9 +103,7 @@ class PipelineConfig:
             raise ConfigInvalid("gamma", "must be positive")
 
     def load_schema(self) -> DatasetSchema:
-        if self.schema.startswith("builtin:"):
-            return builtin_schema(self.schema.split(":", 1)[1])
-        return DatasetSchema.from_json(self.schema)
+        return load_schema(self.schema)
 
     def config_hash(self):
         return hashlib.sha256(
@@ -276,7 +274,8 @@ def run_pipeline(config: PipelineConfig, ablate=False) -> RunArtifacts:
 
     with stage("evaluate"):
         # test-set purity: evaluation rows are real by construction
-        assert not test.synthetic.any()
+        if test.synthetic.any():
+            raise StageError("evaluate", "synthetic rows reached the test set")
         pred = ensemble.predict(project(test).features)
         report = metrics.evaluate(pred, test.labels, len(schema.classes))
         _write_eval(out_dir, "eval", report)

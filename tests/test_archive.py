@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import encoded_dataset
 
-from ganids import archive, gan, gbdt
+from ganids import archive, gan, gbdt, nn
 
 
 def test_gan_roundtrip_bit_exact(tmp_path):
@@ -66,3 +68,47 @@ def test_file_hash_stable(tmp_path):
     archive.save_gan(p1, model)
     archive.save_gan(p2, model)
     assert archive.file_hash(p1) == archive.file_hash(p2)
+
+
+@pytest.fixture(scope="module")
+def archive_bytes(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    model = gan.build_gan(3, gan.GanConfig(seed=5))
+    archive.save_gan(out / "gan.bin", model)
+    rng = np.random.default_rng(1)
+    ds = encoded_dataset(rng.random((40, 2)), rng.integers(0, 2, 40),
+                         ["a", "b"])
+    archive.save_ensemble(out / "ens.bin",
+                          gbdt.fit(ds, gbdt.BoostParams(rounds=2, min_leaf=5)))
+    return {"gan": ((out / "gan.bin").read_bytes(), archive.load_gan),
+            "ensemble": ((out / "ens.bin").read_bytes(),
+                         archive.load_ensemble)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["gan", "ensemble"]), cut=st.floats(0.0, 1.0),
+       flip=st.booleans(), bit=st.integers(0, 7))
+def test_damaged_archive_raises_archive_error(archive_bytes, tmp_path_factory,
+                                              kind, cut, flip, bit):
+    raw, load = archive_bytes[kind]
+    at = min(int(cut * len(raw)), len(raw) - 1)
+    if flip:
+        damaged = bytearray(raw)
+        damaged[at] ^= 1 << bit
+    else:
+        damaged = raw[:at]
+    path = tmp_path_factory.getbasetemp() / "damaged.bin"
+    path.write_bytes(bytes(damaged))
+    with pytest.raises(archive.ArchiveError):
+        load(path)
+
+
+def test_truncated_parameter_blob_raises_archive_error():
+    params = nn.ParamSet({"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3),
+                          "s": np.array(2.0)})
+    raw = params.to_bytes()
+    for at in range(len(raw)):
+        with pytest.raises(archive.ArchiveError):
+            nn.ParamSet.from_bytes(raw[:at])
+    with pytest.raises(archive.ArchiveError):
+        nn.ParamSet.from_bytes(raw + b"\x00")

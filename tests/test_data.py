@@ -46,6 +46,29 @@ def test_load_unknown_label_names_line_and_value(tmp_path):
     assert e.value.value == "mystery"
 
 
+def test_load_bad_number_names_file_line_and_column(tmp_path):
+    p = write_csv(tmp_path, "d.csv", ["1,tcp,normal", "2,udp,attack",
+                                      "x7,tcp,normal"])
+    with pytest.raises(dio.BadNumber) as e:
+        dio.load_dataset(p, simple_schema())
+    assert (e.value.path, e.value.line, e.value.column) == (p, 3, 1)
+    assert e.value.value == "x7"
+    assert str(p) in str(e.value) and "line 3, column 1 (a)" in str(e.value)
+
+
+def test_load_line_numbers_restart_in_each_file(tmp_path):
+    a = write_csv(tmp_path, "a.csv", ["1,tcp,normal", "2,udp,attack",
+                                      "3,tcp,normal"])
+    b = write_csv(tmp_path, "b.csv", ["1,tcp,normal", "2,udp"])
+    with pytest.raises(dio.RowArity) as e:
+        dio.load_dataset([a, b], simple_schema())
+    assert (e.value.path, e.value.line) == (b, 2)
+    c = write_csv(tmp_path, "c.csv", ["oops,tcp,normal"])
+    with pytest.raises(dio.BadNumber) as e:
+        dio.load_dataset([a, c], simple_schema())
+    assert (e.value.path, e.value.line) == (c, 1)
+
+
 def test_load_label_map(tmp_path):
     p = write_csv(tmp_path, "d.csv", ["1,tcp,neptune", "2,udp,normal"])
     ds = dio.load_dataset(p, simple_schema(label_map={"neptune": "attack"}))
@@ -220,3 +243,13 @@ def test_schema_json_roundtrip(tmp_path):
     p.write_text(json.dumps(schema.to_dict()))
     clone = dio.DatasetSchema.from_json(p)
     assert clone.to_dict() == schema.to_dict()
+
+
+def test_load_schema_reads_paths_and_builtins(tmp_path):
+    import json
+    schema = simple_schema()
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(schema.to_dict()))
+    assert dio.load_schema(str(p)).to_dict() == schema.to_dict()
+    assert dio.load_schema("builtin:nslkdd").to_dict() \
+        == dio.builtin_schema("nslkdd").to_dict()

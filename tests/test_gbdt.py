@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import encoded_dataset
 
@@ -184,6 +186,163 @@ def _runner_up_gain(binned, n_bins, g, h, params, best):
             if second is None or gain > second:
                 second = gain
     return second
+
+
+def _reference_best_split(bundle_map, bundle_cols, params, rows, g, h):
+    """Per-bundle histograms sliced into per-feature bins, one feature at a
+    time: the loop the vectorized scan replaced, kept as its reference."""
+    p = params
+    sizes = bundle_map.bundle_sizes()
+    n_rows = len(rows)
+    g_tot = float(g.sum())
+    h_tot = float(h.sum())
+    best = None  # (gain, feature, bin)
+    for bi, (bundle, offs) in enumerate(zip(bundle_map.bundles,
+                                            bundle_map.offsets)):
+        col = bundle_cols[rows, bi]
+        cnt = np.bincount(col, minlength=sizes[bi])
+        gh = np.bincount(col, weights=g, minlength=sizes[bi])
+        hh = np.bincount(col, weights=h, minlength=sizes[bi])
+        for f, off in zip(bundle, offs):
+            nb = bundle_map.n_bins[f]
+            if nb < 2:
+                continue
+            c, gs, hs = np.empty(nb), np.empty(nb), np.empty(nb)
+            c[1:] = cnt[off:off + nb - 1]
+            gs[1:] = gh[off:off + nb - 1]
+            hs[1:] = hh[off:off + nb - 1]
+            c[0] = n_rows - c[1:].sum()
+            gs[0] = g_tot - gs[1:].sum()
+            hs[0] = h_tot - hs[1:].sum()
+            cl = np.cumsum(c)[:-1]
+            gll = np.cumsum(gs)[:-1]
+            hll = np.cumsum(hs)[:-1]
+            ok = (cl >= p.min_leaf) & ((n_rows - cl) >= p.min_leaf)
+            if not ok.any():
+                continue
+            gains = np.where(
+                ok,
+                gll * gll / (hll + p.lam_leaf)
+                + (g_tot - gll) ** 2 / (h_tot - hll + p.lam_leaf)
+                - g_tot * g_tot / (h_tot + p.lam_leaf),
+                -np.inf)
+            t = int(np.argmax(gains))
+            gain = float(gains[t])
+            if gain > 0 and (best is None or gain > best[0] + 1e-12
+                             or (abs(gain - best[0]) <= 1e-12
+                                 and (f, t) < (best[1], best[2]))):
+                best = (gain, int(f), t)
+    return best
+
+
+def _layout(draw):
+    """A binned matrix with dense numerics, exclusive one-hot blocks, sparse
+    numerics on disjoint rows (multi-bin members of one EFB bundle),
+    duplicated columns (exact ties) and mirrored columns (the same partition
+    with left and right swapped, so ties up to rounding), plus its bundle
+    layout."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    cols = [rng.random((n, draw(st.integers(0, 3))))]
+    for _ in range(draw(st.integers(0, 2))):
+        width = draw(st.integers(2, 5))
+        cols.append(np.eye(width)[rng.integers(0, width, n)])
+    n_sparse = draw(st.integers(0, 3))
+    owner = rng.integers(0, n_sparse + 1, n)
+    for j in range(n_sparse):
+        cols.append(((owner == j) * rng.random(n))[:, None])
+    x = np.hstack(cols) if sum(c.shape[1] for c in cols) else rng.random((n, 1))
+    dup = rng.integers(0, x.shape[1], draw(st.integers(0, 2)))
+    mirror = rng.integers(0, x.shape[1], draw(st.integers(0, 2)))
+    x = np.hstack([x, x[:, dup], 1.0 - x[:, mirror]])
+    mapper = gbdt.BinMapper.fit(x, draw(st.integers(2, 255)))
+    binned = mapper.transform(x)
+    if draw(st.booleans()):
+        bm = gbdt.efb_bundle(binned, mapper.n_bins,
+                             draw(st.sampled_from([0.0, 0.05])))
+    else:
+        m = binned.shape[1]
+        bm = gbdt.BundleMap([[j] for j in range(m)], [[1]] * m, mapper.n_bins)
+    return rng, binned, bm
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_vectorized_split_matches_reference_loop(data):
+    rng, binned, bm = _layout(data.draw)
+    n = binned.shape[0]
+    cols = gbdt.bundle_columns(binned, bm)
+    params = gbdt.BoostParams(min_leaf=data.draw(st.integers(0, 12)))
+    ctx = gbdt._HistContext(binned, bm, cols, params)
+    rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                              replace=False))
+    g = rng.standard_normal(len(rows)) * data.draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    h = rng.random(len(rows)) + 0.05
+    got = ctx.best_split(rows, g, h)
+    want = _reference_best_split(bm, cols, params, rows, g, h)
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got[1:] == want[1:]
+    assert abs(got[0] - want[0]) <= 1e-9 * abs(want[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sibling_histogram_by_subtraction_matches_direct(data):
+    rng, binned, bm = _layout(data.draw)
+    n = binned.shape[0]
+    ctx = gbdt._HistContext(binned, bm, gbdt.bundle_columns(binned, bm),
+                            gbdt.BoostParams())
+    rows = np.arange(n)
+    g = rng.standard_normal(n) * 10.0
+    h = rng.random(n) + 0.05
+    left = rng.random(n) < data.draw(st.floats(0.0, 1.0))
+    parent = ctx.histogram(rows, g, h)
+    small = ctx.histogram(rows[left], g[left], h[left])
+    sibling = parent - small
+    direct = ctx.histogram(rows[~left], g[~left], h[~left])
+    assert np.array_equal(sibling[0], direct[0])
+    scale = np.abs(parent[1:]).max(initial=1.0)
+    assert np.allclose(sibling[1:], direct[1:], rtol=1e-9, atol=1e-9 * scale)
+
+
+def _reference_tree(binned, bm, cols, params, rows, g, h, depth=0):
+    node = gbdt.TreeNode(value=-g.sum() / (h.sum() + params.lam_leaf))
+    if depth >= params.max_depth or len(rows) < 2 * params.min_leaf:
+        return node
+    best = _reference_best_split(bm, cols, params, rows, g, h)
+    if best is None:
+        return node
+    node.gain, node.feature, node.bin_threshold = best
+    mask = binned[rows, node.feature] <= node.bin_threshold
+    node.left = _reference_tree(binned, bm, cols, params, rows[mask],
+                                g[mask], h[mask], depth + 1)
+    node.right = _reference_tree(binned, bm, cols, params, rows[~mask],
+                                 g[~mask], h[~mask], depth + 1)
+    return node
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tree_with_sibling_subtraction_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 600
+    x = np.hstack([rng.random((n, 3)), np.eye(3)[rng.integers(0, 3, n)],
+                   np.round(rng.random((n, 2)), 1)])
+    x = np.hstack([x, x[:, :1]])  # a duplicated column: exact ties
+    mapper = gbdt.BinMapper.fit(x, 64)
+    binned = mapper.transform(x)
+    bm = gbdt.efb_bundle(binned, mapper.n_bins, 0.0)
+    cols = gbdt.bundle_columns(binned, bm)
+    params = gbdt.BoostParams(min_leaf=5, max_depth=6)
+    g = rng.standard_normal(n) + 2.0 * (x[:, 0] > 0.5)
+    h = rng.random(n) + 0.1
+    rows = np.arange(n)
+    ctx = gbdt._HistContext(binned, bm, cols, params)
+    got = ctx.build_tree(rows, g, h)
+    want = _reference_tree(binned, bm, cols, params, rows, g, h)
+    assert got.structure() == want.structure()
 
 
 def test_fit_zero_rounds_predicts_priors():

@@ -55,6 +55,21 @@ def test_synthetic_rows_never_reach_test(demo, tmp_path):
     assert n_test == expect
 
 
+def test_synthetic_rows_in_test_split_stop_the_run(demo, tmp_path,
+                                                    monkeypatch):
+    split = pipeline.split_stratified
+
+    def tainted(ds, fraction, seed):
+        train, test = split(ds, fraction, seed)
+        test.synthetic[:] = True
+        return train, test
+
+    monkeypatch.setattr(pipeline, "split_stratified", tainted)
+    with pytest.raises(pipeline.StageError, match="synthetic rows"):
+        pipeline.run_pipeline(fast_config(demo, tmp_path / "tainted",
+                                          skip_augment=True))
+
+
 def test_skip_augment_runs_without_gan(demo, tmp_path):
     art = pipeline.run_pipeline(fast_config(demo, tmp_path / "noaug",
                                             skip_augment=True))
