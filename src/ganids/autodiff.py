@@ -4,6 +4,13 @@ Gradients are built out of the same differentiable primitives as the forward
 pass, so a gradient expression can itself be differentiated again. That is
 what the gradient-penalty term needs: parameter gradients of a function of
 input gradients (reverse-over-reverse).
+
+`grad` computes only the cotangents that lead somewhere: a node's cotangent
+toward a parent is built only when that parent is, or reaches through its
+own parents, one of the Vars in `wrt`. Each vjp receives a `need` mask
+aligned with its parents and returns None for the parents it may skip, so a
+gradient with respect to the input builds no weight gradients, and a
+gradient with respect to the weights builds no input gradient.
 """
 
 from __future__ import annotations
@@ -28,9 +35,10 @@ def check_finite(arr, what="value"):
 class Var:
     """One node of the computation graph.
 
-    `parents` are the input Vars and `vjp` maps the incoming cotangent (a Var)
-    to a tuple of cotangents aligned with `parents` (None for inputs that do
-    not need gradients).
+    `parents` are the input Vars and `vjp(g, need)` maps the incoming
+    cotangent `g` (a Var) to a tuple of cotangents aligned with `parents`.
+    `need` holds one bool per parent; an entry may be None where `need` is
+    False.
     """
 
     __slots__ = ("data", "parents", "vjp", "requires_grad")
@@ -96,11 +104,13 @@ def grad(output, wrt, create_graph=False):
 
     With create_graph=True the returned gradients stay connected to the graph
     and can be differentiated again; otherwise they are detached constants.
+    Only cotangents toward parents that lead to a Var in `wrt` are computed.
     """
     if output.data.size != 1:
         raise ShapeMismatch("grad expects a scalar output")
 
-    # topological order over the subgraph that requires gradients
+    # topological order (parents first) over the subgraph that requires
+    # gradients
     order = []
     seen = set()
     stack = [(output, False)]
@@ -117,14 +127,24 @@ def grad(output, wrt, create_graph=False):
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
+    targets = {id(w) for w in wrt}
+    leads = set()   # ids of the nodes that are in wrt or reach one
+    for node in order:
+        if id(node) in targets or any(id(p) in leads for p in node.parents):
+            leads.add(id(node))
+
     grads = {id(output): Var(np.ones_like(output.data), requires_grad=False)}
     for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None or node.vjp is None:
+        if id(node) not in leads or node.vjp is None:
             continue
-        parent_grads = node.vjp(g)
-        for p, pg in zip(node.parents, parent_grads):
-            if pg is None or not p.requires_grad:
+        g = grads.get(id(node)) if id(node) in targets else grads.pop(id(node), None)
+        if g is None:
+            continue
+        need = tuple(id(p) in leads for p in node.parents)
+        if not any(need):
+            continue
+        for p, pg, wanted in zip(node.parents, node.vjp(g, need), need):
+            if not wanted:
                 continue
             if not create_graph:
                 pg = pg.detach()
@@ -155,21 +175,29 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = asvar(a), asvar(b)
-    out = Var(a.data + b.data, (a, b),
-              lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
-    return out
+    return Var(a.data + b.data, (a, b),
+               lambda g, need: (_unbroadcast(g, a.data.shape) if need[0] else None,
+                                _unbroadcast(g, b.data.shape) if need[1] else None))
 
 
 def neg(a):
     a = asvar(a)
-    return Var(-a.data, (a,), lambda g: (neg(g),))
+    return Var(-a.data, (a,), lambda g, _: (neg(g),))
 
 
 def mul(a, b):
     a, b = asvar(a), asvar(b)
     return Var(a.data * b.data, (a, b),
-               lambda g: (_unbroadcast(mul(g, b), a.data.shape),
-                          _unbroadcast(mul(g, a), b.data.shape)))
+               lambda g, need: (
+                   _unbroadcast(mul(g, b), a.data.shape) if need[0] else None,
+                   _unbroadcast(mul(g, a), b.data.shape) if need[1] else None))
+
+
+def scale(a, c):
+    """a * c for a constant array or number c (no gradient flows to c)."""
+    a = asvar(a)
+    return Var(a.data * c, (a,),
+               lambda g, _: (_unbroadcast(scale(g, c), a.data.shape),))
 
 
 def matmul(a, b):
@@ -177,28 +205,40 @@ def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeMismatch("matmul expects 2-D operands")
     return Var(a.data @ b.data, (a, b),
-               lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g)))
+               lambda g, need: (matmul(g, transpose(b)) if need[0] else None,
+                                matmul(transpose(a), g) if need[1] else None))
+
+
+def linear(x, w, b):
+    """x @ w + b as one node: (N, I) @ (I, O) + (O,)."""
+    x, w, b = asvar(x), asvar(w), asvar(b)
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeMismatch("linear expects 2-D operands")
+    return Var(x.data @ w.data + b.data, (x, w, b),
+               lambda g, need: (matmul(g, transpose(w)) if need[0] else None,
+                                matmul(transpose(x), g) if need[1] else None,
+                                _unbroadcast(g, b.data.shape) if need[2] else None))
 
 
 def transpose(a, axes=None):
     a = asvar(a)
     if axes is None:
         axes = tuple(reversed(range(a.data.ndim)))
-    inv = tuple(np.argsort(axes))
-    return Var(np.transpose(a.data, axes), (a,), lambda g: (transpose(g, inv),))
+    return Var(np.transpose(a.data, axes), (a,),
+               lambda g, _: (transpose(g, tuple(np.argsort(axes))),))
 
 
 def reshape(a, shape):
     a = asvar(a)
     old = a.data.shape
-    return Var(a.data.reshape(shape), (a,), lambda g: (reshape(g, old),))
+    return Var(a.data.reshape(shape), (a,), lambda g, _: (reshape(g, old),))
 
 
 def sum_(a, axis=None, keepdims=False):
     a = asvar(a)
     shape = a.data.shape
 
-    def vjp(g):
+    def vjp(g, _):
         gd = g
         if axis is not None and not keepdims:
             ax = axis if isinstance(axis, tuple) else (axis,)
@@ -214,27 +254,27 @@ def sum_(a, axis=None, keepdims=False):
 def broadcast_to(a, shape):
     a = asvar(a)
     return Var(np.broadcast_to(a.data, shape), (a,),
-               lambda g: (_unbroadcast(g, a.data.shape),))
+               lambda g, _: (_unbroadcast(g, a.data.shape),))
 
 
 def mean(a, axis=None):
     a = asvar(a)
     n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(sum_(a, axis=axis), 1.0 / n)
+    return scale(sum_(a, axis=axis), 1.0 / n)
 
 
 def tanh(a):
     a = asvar(a)
     y = np.tanh(a.data)
     out = Var(y, (a,), None)
-    out.vjp = lambda g: (mul(g, 1.0 - mul(out, out)),)
+    out.vjp = lambda g, _: (mul(g, 1.0 - mul(out, out)),)
     return out
 
 
 def leaky_relu(a, slope=0.2):
+    """max(a, slope * a) as one node; the kink's slope is a constant."""
     a = asvar(a)
-    factor = np.where(a.data > 0, 1.0, slope)
-    return mul(a, Var(factor, requires_grad=False))
+    return scale(a, np.where(a.data > 0, 1.0, slope))
 
 
 def square(a):
@@ -248,7 +288,7 @@ def safe_recip(a):
     nz = a.data != 0
     y = np.where(nz, 1.0 / np.where(nz, a.data, 1.0), 0.0)
     out = Var(y, (a,), None)
-    out.vjp = lambda g: (neg(mul(g, mul(out, out))),)
+    out.vjp = lambda g, _: (neg(mul(g, mul(out, out))),)
     return out
 
 
@@ -261,7 +301,7 @@ def sqrt(a):
     a = asvar(a)
     y = np.sqrt(a.data)
     out = Var(y, (a,), None)
-    out.vjp = lambda g: (mul(g, mul(0.5, safe_recip(out))),)
+    out.vjp = lambda g, _: (mul(g, scale(safe_recip(out), 0.5)),)
     return out
 
 
@@ -269,23 +309,34 @@ def sqrt(a):
 # 1-D convolution plumbing (gather/scatter pair, exact adjoints of each other)
 
 
+def _shifts(k, pad, length):
+    """Per kernel tap j: its offset s = j - pad and the output positions
+    [lo, hi) whose input position l + s lies inside [0, length)."""
+    for j in range(k):
+        s = j - pad
+        lo, hi = max(0, -s), min(length, length - s)
+        if lo < hi:
+            yield j, s, lo, hi
+
+
 def _unfold_data(x, k, pad):
     b, c, length = x.shape
-    xp = np.zeros((b, c, length + 2 * pad), dtype=np.float64)
-    xp[:, :, pad:pad + length] = x
-    idx = np.arange(length)[:, None] + np.arange(k)[None, :]  # (L, k)
-    cols = xp[:, :, idx]                 # (B, C, L, k)
-    cols = cols.transpose(0, 2, 1, 3)    # (B, L, C, k)
+    xt = x.transpose(0, 2, 1)                       # (B, L, C)
+    cols = np.zeros((b, length, c, k))
+    for j, s, lo, hi in _shifts(k, pad, length):
+        cols[:, lo:hi, :, j] = xt[:, lo + s:hi + s]
     return cols.reshape(b, length, c * k)
 
 
 def _fold_data(g, k, pad, c, length):
     b = g.shape[0]
-    gc = g.reshape(b, length, c, k).transpose(0, 2, 1, 3)  # (B, C, L, k)
-    buf = np.zeros((b, c, length + 2 * pad), dtype=np.float64)
-    idx = np.arange(length)[:, None] + np.arange(k)[None, :]
-    np.add.at(buf, (slice(None), slice(None), idx), gc)
-    return buf[:, :, pad:pad + length]
+    gc = g.reshape(b, length, c, k)
+    out = np.zeros((b, length, c))
+    # taps in descending order add each position's terms in the order of
+    # increasing window start
+    for j, s, lo, hi in reversed(list(_shifts(k, pad, length))):
+        out[:, lo + s:hi + s] += gc[:, lo:hi, :, j]
+    return out.transpose(0, 2, 1)                   # (B, C, L)
 
 
 def unfold1d(a, k, pad):
@@ -293,11 +344,11 @@ def unfold1d(a, k, pad):
     a = asvar(a)
     b, c, length = a.data.shape
     return Var(_unfold_data(a.data, k, pad), (a,),
-               lambda g: (fold1d(g, k, pad, c, length),))
+               lambda g, _: (fold1d(g, k, pad, c, length),))
 
 
 def fold1d(a, k, pad, c, length):
     """Adjoint of unfold1d: scatter-add windows back to (B, C, L)."""
     a = asvar(a)
     return Var(_fold_data(a.data, k, pad, c, length), (a,),
-               lambda g: (unfold1d(g, k, pad),))
+               lambda g, _: (unfold1d(g, k, pad),))

@@ -135,58 +135,77 @@ def build_gan(feature_dim, cfg: GanConfig) -> GanModel:
     return GanModel(g_spec, g_params, d_spec, d_params, feature_dim, cfg)
 
 
-def _generate(model, n, rng):
-    """Sample noise and run G; returns (output Var, G param Vars)."""
+def _constants(params: nn.ParamSet) -> dict:
+    return {k: ad.asvar(v) for k, v in params.tensors.items()}
+
+
+def _generate(model, n, rng, g_vars):
+    """Sample noise and run G on the parameter Vars `g_vars`."""
     z = rng.standard_normal((n, model.noise_dim))
-    g_vars = {k: ad.leaf(v) for k, v in model.g_params.tensors.items()}
     out, _ = nn.forward_var(model.g_spec, g_vars, ad.Var(z), train=True)
-    return out, g_vars
+    return out
+
+
+def critic_grads(model: GanModel, real_batch, rng, fake_batch=None):
+    """Critic parameter gradients of mean D(fake) - mean D(real) + penalty.
+
+    Returns (grads, loss_d, wasserstein_estimate, gp_value). Fake and real
+    rows go through one forward pass, the penalty through a second one on
+    the interpolates, and one `grad` of the summed loss gives the gradients.
+    `fake_batch` overrides the generator's samples (test harness hook)."""
+    cfg = model.cfg
+    real = nn.as_batch(model.d_spec, real_batch)
+    n = real.shape[0]
+    if fake_batch is None:
+        fake = _generate(model, n, rng, _constants(model.g_params)).data
+    else:
+        fake = nn.as_batch(model.d_spec, fake_batch)
+
+    eps = rng.random((n, 1))
+    x_hat = eps * real + (1.0 - eps) * fake
+
+    # one dropout mask per critic step, shared by the fake, real and
+    # interpolated rows so the penalty differentiates a fixed function
+    masks = nn.dropout_masks(model.d_spec, n, rng)
+    d_vars = {k: ad.leaf(v) for k, v in model.d_params.tensors.items()}
+    penalty = nn.penalty_var(model.d_spec, d_vars, x_hat, cfg.lam,
+                             masks=masks, train=True)
+    out, _ = nn.forward_var(model.d_spec, d_vars,
+                            ad.Var(np.concatenate([fake, real])), train=True,
+                            masks={i: np.concatenate([m, m])
+                                   for i, m in masks.items()})
+    sign = np.concatenate([np.full((n, 1), 1.0 / n), np.full((n, 1), -1.0 / n)])
+    loss = ad.sum_(ad.scale(out, sign)) + penalty
+    names = list(d_vars)
+    gs = ad.grad(loss, [d_vars[k] for k in names])
+
+    mean_f = float(out.data[:n].mean())
+    mean_r = float(out.data[n:].mean())
+    gp_val = penalty.item()
+    loss_d = mean_f - mean_r + gp_val
+    ad.check_finite([loss_d], "critic loss")
+    return ({k: g.data for k, g in zip(names, gs)}, loss_d, mean_r - mean_f,
+            gp_val)
 
 
 def critic_step(model: GanModel, real_batch, rng, fake_batch=None):
     """One critic update. Returns (loss_d, wasserstein_estimate, gp_value).
 
     `fake_batch` overrides the generator's samples (test harness hook)."""
-    cfg = model.cfg
-    real = np.asarray(real_batch, dtype=np.float64)
-    n = real.shape[0]
-    if fake_batch is None:
-        fake = _generate(model, n, rng)[0].data
-    else:
-        fake = np.asarray(fake_batch, dtype=np.float64)
-
-    eps = rng.random((n, 1))
-    x_hat = eps * real + (1.0 - eps) * fake
-
-    # one dropout mask per critic step, shared by all three passes so the
-    # penalty differentiates a fixed function
-    masks = nn.dropout_masks(model.d_spec, n, rng)
-    out_f, tape_f = nn.forward(model.d_spec, model.d_params, fake,
-                               train=True, masks=masks)
-    out_r, tape_r = nn.forward(model.d_spec, model.d_params, real,
-                               train=True, masks=masks)
-    gp_val, gp_grads = nn.gradient_penalty(model.d_spec, model.d_params, x_hat,
-                                           cfg.lam, masks=masks, train=True)
-    mean_f = float(out_f.data.mean())
-    mean_r = float(out_r.data.mean())
-    loss_d = mean_f - mean_r + gp_val
-
-    g_f = nn.grad_params(ad.mean(out_f), tape_f)
-    g_r = nn.grad_params(ad.mean(out_r), tape_r)
-    grads = {name: g_f[name].data - g_r[name].data + gp_grads[name]
-             for name in model.d_params.tensors}
+    grads, loss_d, w_est, gp_val = critic_grads(model, real_batch, rng,
+                                                fake_batch)
     model.d_params = nn.adam_step(model.d_params, grads, model.d_opt)
-    ad.check_finite([loss_d], "critic loss")
-    return loss_d, mean_r - mean_f, gp_val
+    return loss_d, w_est, gp_val
 
 
 def generator_step(model: GanModel, rng):
     """One generator update on -mean D(G(z)); the critic is left untouched."""
     n = model.cfg.batch_size
-    fake, g_vars = _generate(model, n, rng)
+    g_vars = {k: ad.leaf(v) for k, v in model.g_params.tensors.items()}
+    fake = _generate(model, n, rng, g_vars)
     masks = nn.dropout_masks(model.d_spec, n, rng)
-    d_const = {k: ad.asvar(v) for k, v in model.d_params.tensors.items()}
-    out, _ = nn.forward_var(model.d_spec, d_const, fake, train=True, masks=masks)
+    out, _ = nn.forward_var(model.d_spec, _constants(model.d_params), fake,
+                            train=True, masks=masks)
     loss_g = -ad.mean(out)
     names = list(g_vars)
     gs = ad.grad(loss_g, [g_vars[k] for k in names])

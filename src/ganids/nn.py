@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,26 @@ class ArchiveError(ValueError):
 # layer descriptors
 
 
+class InvalidSpec(ValueError):
+    """A layer or network description that no network can be built from."""
+
+
+class EmptyBatch(ValueError):
+    """A batch-mean loss was asked for over zero rows."""
+
+
+def _check_size(what, n):
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidSpec(f"{what} must be an integer >= 1, got {n!r}")
+
+
 @dataclass(frozen=True)
 class FullyConnected:
     out_size: int
     kind: str = "fc"
+
+    def __post_init__(self):
+        _check_size("fc out_size", self.out_size)
 
 
 @dataclass(frozen=True)
@@ -40,6 +57,14 @@ class Conv1d:
     out_channels: int
     kernel_width: int
     kind: str = "conv1d"
+
+    def __post_init__(self):
+        _check_size("conv1d out_channels", self.out_channels)
+        _check_size("conv1d kernel_width", self.kernel_width)
+        # same-padding keeps the length only for a centred, odd window
+        if self.kernel_width % 2 == 0:
+            raise InvalidSpec(
+                f"conv1d kernel_width must be odd, got {self.kernel_width}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +83,10 @@ class Dropout:
     rate: float
     kind: str = "dropout"
 
+    def __post_init__(self):
+        if not 0.0 <= self.rate < 1.0:
+            raise InvalidSpec(f"dropout rate must be in [0, 1), got {self.rate!r}")
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -65,6 +94,9 @@ class NetworkSpec:
 
     input_width: int
     layers: tuple
+
+    def __post_init__(self):
+        _check_size("input_width", self.input_width)
 
     def to_dict(self):
         return {
@@ -74,6 +106,7 @@ class NetworkSpec:
 
     @staticmethod
     def from_dict(d):
+        """Inverse of to_dict; raises InvalidSpec on a malformed dict."""
         kinds = {
             "fc": lambda l: FullyConnected(l["out_size"]),
             "conv1d": lambda l: Conv1d(l["out_channels"], l["kernel_width"]),
@@ -81,8 +114,11 @@ class NetworkSpec:
             "tanh": lambda l: Tanh(),
             "dropout": lambda l: Dropout(l["rate"]),
         }
-        return NetworkSpec(d["input_width"],
-                           tuple(kinds[l["kind"]](l) for l in d["layers"]))
+        try:
+            return NetworkSpec(d["input_width"],
+                               tuple(kinds[l["kind"]](l) for l in d["layers"]))
+        except (KeyError, TypeError) as e:
+            raise InvalidSpec(f"malformed network spec: {e!r}") from e
 
 
 def _shape_chain(spec: NetworkSpec):
@@ -249,6 +285,15 @@ def dropout_masks(spec: NetworkSpec, batch_size: int, rng) -> dict:
     return masks
 
 
+def as_batch(spec: NetworkSpec, batch):
+    """`batch` as a float64 (B, input_width) array of finite values."""
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 2 or batch.shape[1] != spec.input_width:
+        raise ShapeMismatch(
+            f"batch width {batch.shape} does not match input width {spec.input_width}")
+    return check_finite(batch, "input batch")
+
+
 def forward(spec: NetworkSpec, params: ParamSet, batch, train=False,
             rng=None, masks=None):
     """Run the network; returns (output Var flattened to (B, out), Tape).
@@ -256,11 +301,7 @@ def forward(spec: NetworkSpec, params: ParamSet, batch, train=False,
     Eval mode skips dropout entirely. In train mode dropout masks come from
     `masks` (so one mask can be shared across several passes) or from `rng`.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != spec.input_width:
-        raise ShapeMismatch(
-            f"batch width {batch.shape} does not match input width {spec.input_width}")
-    check_finite(batch, "input batch")
+    batch = as_batch(spec, batch)
     if train and masks is None:
         if rng is None:
             rng = np.random.default_rng(0)
@@ -288,7 +329,7 @@ def forward_var(spec: NetworkSpec, param_vars: dict, x: Var, train=False,
                 b, c, length = h.data.shape
                 h = ad.reshape(h, (b, c * length))
                 cur_seq = False
-            h = ad.matmul(h, param_vars[f"l{i}.w"]) + param_vars[f"l{i}.b"]
+            h = ad.linear(h, param_vars[f"l{i}.w"], param_vars[f"l{i}.b"])
         elif layer.kind == "conv1d":
             if not cur_seq:
                 b, w = h.data.shape
@@ -303,7 +344,7 @@ def forward_var(spec: NetworkSpec, param_vars: dict, x: Var, train=False,
             h = ad.tanh(h)
         elif layer.kind == "dropout":
             if train:
-                h = h * Var(masks[i], requires_grad=False)
+                h = ad.scale(h, masks[i])
         else:  # pragma: no cover
             raise ValueError(f"unknown layer kind {layer.kind}")
     if cur_seq:
@@ -320,7 +361,7 @@ def _conv1d(h, w, b, k):
     cols = ad.unfold1d(h, k, pad)                      # (B, L, C*k)
     cols = ad.reshape(cols, (bsz * length, c * k))
     wmat = ad.transpose(ad.reshape(w, (out_ch, c * k)))
-    y = ad.matmul(cols, wmat) + b                      # (B*L, out)
+    y = ad.linear(cols, wmat, b)                       # (B*L, out)
     y = ad.reshape(y, (bsz, length, out_ch))
     return ad.transpose(y, (0, 2, 1))
 
@@ -337,21 +378,37 @@ def grad_input(scalar, tape: Tape, create_graph=False):
     return g
 
 
+def penalty_var(spec: NetworkSpec, param_vars: dict, x_hat, lam,
+                masks=None, train=False):
+    """The penalty lambda * mean_batch (||grad_x D(x)||_2 - 1)^2 as a Var.
+
+    Built reverse-over-reverse: the inner input gradient stays differentiable,
+    so a later `grad` of the result with respect to `param_vars` gives exact
+    parameter gradients of the penalty.
+    """
+    x_hat = as_batch(spec, x_hat)
+    if len(x_hat) == 0:
+        raise EmptyBatch("the gradient penalty needs at least one row")
+    x = Var(x_hat, requires_grad=True)
+    out, _ = forward_var(spec, param_vars, x, train=train, masks=masks)
+    check_finite(out.data, "network output")
+    (gin,) = ad.grad(ad.sum_(out), [x], create_graph=True)  # (B, d) per-sample
+    norm = ad.sqrt(ad.sum_(ad.square(gin), axis=1))         # (B,)
+    penalty = ad.scale(ad.mean(ad.square(norm - 1.0)), lam)
+    check_finite(penalty.data, "gradient penalty")
+    return penalty
+
+
 def gradient_penalty(spec: NetworkSpec, params: ParamSet, x_hat, lam,
                      masks=None, train=False):
-    """lambda * mean_batch (||grad_x D(x)||_2 - 1)^2 plus its parameter grads.
-
-    Built reverse-over-reverse: the inner input gradient stays differentiable
-    so the outer call produces exact parameter gradients of the penalty.
-    """
-    out, tape = forward(spec, params, x_hat, train=train, masks=masks)
-    total = ad.sum_(out)
-    gin = grad_input(total, tape, create_graph=True)       # (B, d) per-sample
-    norm = ad.sqrt(ad.sum_(ad.square(gin), axis=1))        # (B,)
-    penalty = lam * ad.mean(ad.square(norm - 1.0))
-    grads = grad_params(penalty, tape)
-    check_finite(penalty.data, "gradient penalty")
-    return penalty.item(), {n: g.data for n, g in grads.items()}
+    """The penalty value (see `penalty_var`) and its parameter gradients."""
+    if train and masks is None:
+        masks = dropout_masks(spec, len(x_hat), np.random.default_rng(0))
+    param_vars = {name: ad.leaf(arr) for name, arr in params.tensors.items()}
+    penalty = penalty_var(spec, param_vars, x_hat, lam, masks=masks, train=train)
+    names = list(param_vars)
+    grads = ad.grad(penalty, [param_vars[n] for n in names])
+    return penalty.item(), {n: g.data for n, g in zip(names, grads)}
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ganids import autodiff as ad
+
+
+def _unfold_reference(x, k, pad):
+    """Fancy-index gather: out[b, l, c*k + j] = xpad[b, c, l + j]."""
+    b, c, length = x.shape
+    xp = np.zeros((b, c, length + 2 * pad), dtype=np.float64)
+    xp[:, :, pad:pad + length] = x
+    idx = np.arange(length)[:, None] + np.arange(k)[None, :]  # (L, k)
+    cols = xp[:, :, idx]                 # (B, C, L, k)
+    cols = cols.transpose(0, 2, 1, 3)    # (B, L, C, k)
+    return cols.reshape(b, length, c * k)
+
+
+def _fold_reference(g, k, pad, c, length):
+    """Scatter-add with np.add.at, the adjoint of _unfold_reference."""
+    b = g.shape[0]
+    gc = g.reshape(b, length, c, k).transpose(0, 2, 1, 3)  # (B, C, L, k)
+    buf = np.zeros((b, c, length + 2 * pad), dtype=np.float64)
+    idx = np.arange(length)[:, None] + np.arange(k)[None, :]
+    np.add.at(buf, (slice(None), slice(None), idx), gc)
+    return buf[:, :, pad:pad + length]
 
 
 def test_add_mul_scalars():
@@ -98,6 +121,58 @@ def test_unfold_fold_are_adjoint():
     ux = ad.unfold1d(ad.leaf(x), 3, 1).data
     fy = ad.fold1d(ad.leaf(y), 3, 1, 3, 5).data
     assert np.isclose(np.sum(ux * y), np.sum(x * fy))
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=st.integers(1, 4), c=st.integers(1, 5), length=st.integers(1, 9),
+       half=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_unfold_fold_match_references_on_random_shapes(b, c, length, half, seed):
+    k, pad = 2 * half + 1, half
+    rng = np.random.default_rng(seed)
+    # a transposed view, like a conv layer's output
+    x = rng.standard_normal((b, length, c)).transpose(0, 2, 1)
+    y = rng.standard_normal((b, length, c * k))
+    ux = ad.unfold1d(ad.leaf(x), k, pad).data
+    fy = ad.fold1d(ad.leaf(y), k, pad, c, length).data
+    assert np.array_equal(ux, _unfold_reference(x, k, pad))
+    np.testing.assert_allclose(fy, _fold_reference(y, k, pad, c, length),
+                               rtol=0, atol=1e-12)
+    lhs, rhs = np.sum(ux * y), np.sum(x * fy)
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(ux * y).sum())
+
+
+def test_grad_builds_no_cotangent_outside_wrt(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = ad.leaf(rng.standard_normal((2, 3)))
+    w = ad.leaf(rng.standard_normal((3, 4)))
+    loss = ad.sum_(ad.matmul(x, w))
+    shapes = []
+    matmul = ad.matmul
+
+    def recording(a, b):
+        out = matmul(a, b)
+        shapes.append(out.data.shape)
+        return out
+
+    monkeypatch.setattr(ad, "matmul", recording)
+    (gx,) = ad.grad(loss, [x])
+    # only x's cotangent g @ w.T was built, not w's x.T @ g
+    assert shapes == [(2, 3)]
+    assert np.allclose(gx.data, np.ones((2, 4)) @ w.data.T)
+
+
+def test_linear_is_bit_identical_to_matmul_plus_bias():
+    rng = np.random.default_rng(4)
+    x = ad.leaf(rng.standard_normal((5, 3)))
+    w = ad.leaf(rng.standard_normal((3, 2)))
+    b = ad.leaf(rng.standard_normal(2))
+    fused = ad.linear(x, w, b)
+    split = ad.matmul(x, w) + b
+    assert np.array_equal(fused.data, split.data)
+    c = rng.standard_normal((5, 2))
+    for f, s in zip(ad.grad(ad.sum_(ad.mul(fused, c)), [x, w, b]),
+                    ad.grad(ad.sum_(ad.mul(split, c)), [x, w, b])):
+        assert np.array_equal(f.data, s.data)
 
 
 def test_second_order_gradient_simple():

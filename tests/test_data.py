@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import raw_dataset
 
@@ -172,6 +174,30 @@ def test_inverse_transform_clamps_numeric():
     plan = dio.PreprocessPlan([("f0", "numeric", 10.0, 20.0)], "x")
     back = dio.inverse_transform(np.array([[-0.5], [1.7]]), plan)
     assert back[:, 0].tolist() == [10.0, 20.0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_encode_inverse_transform_round_trip(data):
+    kinds = data.draw(st.lists(st.sampled_from(["numeric", "categorical"]),
+                               min_size=1, max_size=5))
+    n = data.draw(st.integers(1, 12))
+    number = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    level = st.text("abcxyz-_.:", min_size=1, max_size=4)
+    cols = [data.draw(st.lists(number if k == "numeric" else level,
+                               min_size=n, max_size=n)) for k in kinds]
+    rows = [list(r) for r in zip(*cols)]
+    ds = raw_dataset(rows, [0] * n, kinds, ["normal", "attack"])
+    enc, plan = dio.preprocess(ds)
+    back = dio.inverse_transform(enc.features, plan)
+    for j, (kind, col) in enumerate(zip(kinds, cols)):
+        if kind == "categorical":
+            assert back[:, j].tolist() == col
+        else:
+            want = np.array(col)
+            scale = max(1.0, float(np.abs(want).max()))
+            np.testing.assert_allclose(back[:, j].astype(np.float64), want,
+                                       rtol=0, atol=1e-12 * scale)
 
 
 def test_split_counts_90_10():

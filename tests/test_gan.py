@@ -5,6 +5,7 @@ import pytest
 
 from conftest import encoded_dataset
 
+from ganids import autodiff as ad
 from ganids import gan, nn
 from ganids.data import PreprocessPlan, preprocess
 
@@ -70,6 +71,67 @@ def test_critic_step_linear_closed_form():
     assert np.isclose(loss_d, 161.0, atol=1e-9)
     assert np.isclose(gp, 160.0, atol=1e-9)
     assert np.isclose(w_est, -1.0)
+
+
+def _critic_grads_reference(model, real, rng):
+    """Critic gradients as three forward passes and four `grad` calls:
+    fake and real losses each differentiated on their own tape, and the
+    penalty through an input gradient and a parameter gradient."""
+    cfg = model.cfg
+    n = real.shape[0]
+    z = rng.standard_normal((n, model.noise_dim))
+    fake = nn.forward(model.g_spec, model.g_params, z)[0].data
+    eps = rng.random((n, 1))
+    x_hat = eps * real + (1.0 - eps) * fake
+    masks = nn.dropout_masks(model.d_spec, n, rng)
+    out_f, tape_f = nn.forward(model.d_spec, model.d_params, fake,
+                               train=True, masks=masks)
+    out_r, tape_r = nn.forward(model.d_spec, model.d_params, real,
+                               train=True, masks=masks)
+    out_h, tape_h = nn.forward(model.d_spec, model.d_params, x_hat,
+                               train=True, masks=masks)
+    gin = nn.grad_input(ad.sum_(out_h), tape_h, create_graph=True)
+    norm = ad.sqrt(ad.sum_(ad.square(gin), axis=1))
+    penalty = cfg.lam * ad.mean(ad.square(norm - 1.0))
+    g_p = nn.grad_params(penalty, tape_h)
+    g_f = nn.grad_params(ad.mean(out_f), tape_f)
+    g_r = nn.grad_params(ad.mean(out_r), tape_r)
+    grads = {k: g_f[k].data - g_r[k].data + g_p[k].data
+             for k in model.d_params.tensors}
+    mean_f, mean_r = float(out_f.data.mean()), float(out_r.data.mean())
+    return grads, mean_f - mean_r + penalty.item(), mean_r - mean_f, \
+        penalty.item()
+
+
+@pytest.mark.parametrize("d_layers", [
+    None,  # the critic architecture
+    (nn.Conv1d(4, 5), nn.LeakyRelu(0.1), nn.Dropout(0.3),
+     nn.FullyConnected(1)),
+    (nn.FullyConnected(6), nn.Tanh(), nn.Dropout(0.5), nn.FullyConnected(3),
+     nn.LeakyRelu(0.3), nn.FullyConnected(1)),
+])
+@pytest.mark.parametrize("dim,seed", [(3, 0), (8, 1), (11, 2)])
+def test_critic_grads_match_three_pass_reference(d_layers, dim, seed):
+    cfg = small_cfg(seed=seed, lam=10.0)
+    model = gan.build_gan(dim, cfg)
+    if d_layers is not None:
+        model.d_spec = nn.NetworkSpec(dim, d_layers)
+        model.d_params = nn.init_params(model.d_spec, seed + 5)
+    real = np.random.default_rng(seed + 9).random((cfg.batch_size, dim))
+    got = gan.critic_grads(model, real, np.random.default_rng(seed))
+    want = _critic_grads_reference(model, real, np.random.default_rng(seed))
+    for k, ref in want[0].items():
+        err = np.linalg.norm(got[0][k] - ref)
+        assert err <= 1e-10 * max(np.linalg.norm(ref), 1e-300), k
+    np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=1e-12)
+
+
+def test_critic_step_rejects_empty_batch():
+    model = gan.build_gan(4, small_cfg())
+    d_hash = model.d_params.content_hash()
+    with pytest.raises(nn.EmptyBatch):
+        gan.critic_step(model, np.zeros((0, 4)), np.random.default_rng(0))
+    assert model.d_params.content_hash() == d_hash
 
 
 def test_critic_step_updates_critic_only():

@@ -142,6 +142,13 @@ def test_gradient_penalty_constant_critic():
     assert np.allclose(grads["l0.b"], 0.0)
 
 
+def test_gradient_penalty_rejects_empty_batch():
+    spec = fc_spec(3, 1)
+    with pytest.raises(nn.EmptyBatch):
+        nn.gradient_penalty(spec, nn.init_params(spec, 0), np.zeros((0, 3)),
+                            10.0)
+
+
 def test_gradient_penalty_fd_oracle():
     spec = nn.NetworkSpec(5, (nn.Conv1d(6, 3), nn.LeakyRelu(0.2),
                               nn.FullyConnected(8), nn.LeakyRelu(0.2),
@@ -273,3 +280,33 @@ def test_spec_serialization_roundtrip():
     spec = critic_spec(13)
     clone = nn.NetworkSpec.from_dict(spec.to_dict())
     assert clone == spec
+
+
+@pytest.mark.parametrize("make", [
+    lambda: nn.Conv1d(4, 2),         # even width: no centred window
+    lambda: nn.Conv1d(4, 0),
+    lambda: nn.Conv1d(0, 3),
+    lambda: nn.FullyConnected(0),
+    lambda: nn.FullyConnected(2.5),
+    lambda: nn.Dropout(1.0),
+    lambda: nn.Dropout(-0.1),
+    lambda: nn.NetworkSpec(0, ()),
+])
+def test_layer_specs_reject_unbuildable_sizes(make):
+    with pytest.raises(nn.InvalidSpec):
+        make()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["layers"][0].update(kernel_width=4),
+    lambda d: d["layers"][4].update(rate=1.5),
+    lambda d: d["layers"][0].update(kind="conv2d"),
+    lambda d: d["layers"][2].pop("out_size"),
+    lambda d: d.update(input_width=-3),
+])
+def test_spec_from_dict_rejects_malformed(edit):
+    from ganids.gan import critic_spec
+    d = critic_spec(13).to_dict()
+    edit(d)
+    with pytest.raises(nn.InvalidSpec):
+        nn.NetworkSpec.from_dict(d)
