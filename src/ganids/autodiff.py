@@ -11,6 +11,13 @@ own parents, one of the Vars in `wrt`. Each vjp receives a `need` mask
 aligned with its parents and returns None for the parents it may skip, so a
 gradient with respect to the input builds no weight gradients, and a
 gradient with respect to the weights builds no input gradient.
+
+A 1-D convolution is one node, `conv1d` (an unfold, then one matmul). Its
+vjp is built from two more primitives, the input adjoint `conv1d_t` (one
+matmul, then a fold) and the weight adjoint `conv1d_w` (one matmul on the
+unfolded input), and the vjp of each of the three is built from the other
+two. The family is closed under differentiation, so the gradient penalty's
+double backward through a conv layer is made of these three nodes alone.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ class NonFiniteValue(ArithmeticError):
 
 class ShapeMismatch(ValueError):
     pass
+
+
+_F64 = np.dtype(np.float64)
 
 
 def check_finite(arr, what="value"):
@@ -44,11 +54,19 @@ class Var:
     __slots__ = ("data", "parents", "vjp", "requires_grad")
 
     def __init__(self, data, parents=(), vjp=None, requires_grad=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        # every primitive hands over a float64 ndarray; converting only the
+        # rest keeps node creation cheap
+        if type(data) is not np.ndarray or data.dtype is not _F64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.parents = parents
         self.vjp = vjp
         if requires_grad is None:
-            requires_grad = any(p.requires_grad for p in parents)
+            requires_grad = False
+            for p in parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
         self.requires_grad = requires_grad
 
     @property
@@ -267,14 +285,26 @@ def tanh(a):
     a = asvar(a)
     y = np.tanh(a.data)
     out = Var(y, (a,), None)
-    out.vjp = lambda g, _: (mul(g, 1.0 - mul(out, out)),)
+    out.vjp = lambda g, _: (mul(g, one_minus_square(out)),)
     return out
+
+
+def one_minus_square(a):
+    """1 - a*a as one node (tanh's derivative in terms of its output)."""
+    a = asvar(a)
+    return Var(1.0 - a.data * a.data, (a,),
+               lambda g, _: (scale(mul(g, a), -2.0),))
 
 
 def leaky_relu(a, slope=0.2):
     """max(a, slope * a) as one node; the kink's slope is a constant."""
     a = asvar(a)
-    return scale(a, np.where(a.data > 0, 1.0, slope))
+    # (not pos) * slope + pos is exactly np.where(a > 0, 1, slope) for every
+    # finite slope, NaN inputs included, and takes a third of np.where's time
+    pos = a.data > 0
+    mask = np.multiply(~pos, slope, dtype=np.float64)
+    mask += pos
+    return scale(a, mask)
 
 
 def square(a):
@@ -306,7 +336,9 @@ def sqrt(a):
 
 
 # ---------------------------------------------------------------------------
-# 1-D convolution plumbing (gather/scatter pair, exact adjoints of each other)
+# 1-D convolution: stride 1, odd kernel width k, zero same-padding of
+# (k - 1) // 2 on each side. The data helpers unfold a (B, C, L) array into
+# (B, L, C*k) windows and fold windows back (the exact adjoint).
 
 
 def _shifts(k, pad, length):
@@ -352,3 +384,79 @@ def fold1d(a, k, pad, c, length):
     a = asvar(a)
     return Var(_fold_data(a.data, k, pad, c, length), (a,),
                lambda g, _: (unfold1d(g, k, pad),))
+
+
+# The conv trio (see the module docstring). All three are bilinear; the
+# vjps below are the adjoint identities
+#   <conv1d(x, w), g> = <x, conv1d_t(g, w)> = <w, conv1d_w(x, g)>.
+
+
+def conv1d(x, w, b=None):
+    """(B, C, L) * (O, C, k) [+ (O,)] -> (B, O, L), stride 1, odd k, zero
+    same-padding."""
+    x, w = asvar(x), asvar(w)
+    if x.data.ndim != 3 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1] \
+            or w.data.shape[2] % 2 == 0:
+        raise ShapeMismatch(f"conv1d cannot take input {x.data.shape} with "
+                            f"kernel {w.data.shape}")
+    k = w.data.shape[2]
+    b = None if b is None else asvar(b)
+    return _conv1d(x, w, b, _unfold_data(x.data, k, (k - 1) // 2))
+
+
+def _conv1d(x, w, b, cols):
+    """conv1d on the already unfolded input `cols` (B, L, C*k)."""
+    bsz, c, length = x.data.shape
+    o, _, k = w.data.shape
+    y = cols.reshape(bsz * length, c * k) @ w.data.reshape(o, c * k).T
+    if b is None:
+        parents = (x, w)
+    else:
+        y += b.data
+        parents = (x, w, b)
+
+    def vjp(g, need):
+        return (conv1d_t(g, w) if need[0] else None,
+                _conv1d_w(x, g, cols) if need[1] else None,
+                sum_(g, axis=(0, 2)) if len(need) > 2 and need[2] else None)
+
+    return Var(y.reshape(bsz, length, o).transpose(0, 2, 1), parents, vjp)
+
+
+def conv1d_t(g, w):
+    """Input adjoint of conv1d: (B, O, L) * (O, C, k) -> (B, C, L)."""
+    g, w = asvar(g), asvar(w)
+    bsz, o, length = g.data.shape
+    _, c, k = w.data.shape
+    pad = (k - 1) // 2
+    gcols = g.data.transpose(0, 2, 1).reshape(bsz * length, o) \
+        @ w.data.reshape(o, c * k)
+
+    def vjp(gg, need):
+        cols = _unfold_data(gg.data, k, pad)
+        return (_conv1d(gg, w, None, cols) if need[0] else None,
+                _conv1d_w(gg, g, cols) if need[1] else None)
+
+    return Var(_fold_data(gcols.reshape(bsz, length, c * k), k, pad, c, length),
+               (g, w), vjp)
+
+
+def conv1d_w(x, g, k):
+    """Weight adjoint of conv1d: (B, C, L) * (B, O, L) -> (O, C, k)."""
+    x = asvar(x)
+    return _conv1d_w(x, asvar(g), _unfold_data(x.data, k, (k - 1) // 2))
+
+
+def _conv1d_w(x, g, cols):
+    """conv1d_w with x already unfolded into `cols` (B, L, C*k)."""
+    bsz, o, length = g.data.shape
+    c = x.data.shape[1]
+    ck = cols.shape[2]
+    gm = g.data.transpose(0, 2, 1).reshape(bsz * length, o)
+    out = (gm.T @ cols.reshape(bsz * length, ck)).reshape(o, c, ck // c)
+
+    def vjp(gw, need):
+        return (conv1d_t(g, gw) if need[0] else None,
+                _conv1d(x, gw, None, cols) if need[1] else None)
+
+    return Var(out, (x, g), vjp)

@@ -207,11 +207,13 @@ def generator_step(model: GanModel, rng):
     out, _ = nn.forward_var(model.d_spec, _constants(model.d_params), fake,
                             train=True, masks=masks)
     loss_g = -ad.mean(out)
+    # checked before the update, so a non-finite loss leaves G and its
+    # optimizer state as they were
+    ad.check_finite(loss_g.data, "generator loss")
     names = list(g_vars)
     gs = ad.grad(loss_g, [g_vars[k] for k in names])
     grads = {k: g.data for k, g in zip(names, gs)}
     model.g_params = nn.adam_step(model.g_params, grads, model.g_opt)
-    ad.check_finite([loss_g.data], "generator loss")
     return loss_g.item()
 
 
@@ -307,12 +309,16 @@ def synthesize(generator: GanModel, n, plan: PreprocessPlan, seed,
     if class_name is None:
         class_name = generator.phase.split(":", 1)[1]
     rng = np.random.default_rng(seed)
+    # nothing here is differentiated: on constant parameters no node
+    # requires a gradient
+    g_vars = _constants(generator.g_params)
     outs = []
     remaining = n
     while remaining > 0:
         k = min(remaining, 512)
         z = rng.standard_normal((k, generator.noise_dim))
-        out, _ = nn.forward(generator.g_spec, generator.g_params, z)
+        out, _ = nn.forward_var(generator.g_spec, g_vars, ad.Var(z))
+        ad.check_finite(out.data, "network output")
         outs.append(np.clip(out.data, 0.0, 1.0))
         remaining -= k
     matrix = np.vstack(outs) if outs else np.zeros((0, generator.feature_dim))

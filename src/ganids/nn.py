@@ -335,8 +335,7 @@ def forward_var(spec: NetworkSpec, param_vars: dict, x: Var, train=False,
                 b, w = h.data.shape
                 h = ad.reshape(h, (b, 1, w))
                 cur_seq = True
-            h = _conv1d(h, param_vars[f"l{i}.w"], param_vars[f"l{i}.b"],
-                        layer.kernel_width)
+            h = ad.conv1d(h, param_vars[f"l{i}.w"], param_vars[f"l{i}.b"])
         elif layer.kind == "leaky_relu":
             relu_signs.append(h.data > 0)
             h = ad.leaky_relu(h, layer.slope)
@@ -351,19 +350,6 @@ def forward_var(spec: NetworkSpec, param_vars: dict, x: Var, train=False,
         b, c, length = h.data.shape
         h = ad.reshape(h, (b, c * length))
     return h, relu_signs
-
-
-def _conv1d(h, w, b, k):
-    """Stride-1 zero same-padded conv over (B, C, L) -> (B, out, L)."""
-    pad = (k - 1) // 2
-    bsz, c, length = h.data.shape
-    out_ch = w.data.shape[0]
-    cols = ad.unfold1d(h, k, pad)                      # (B, L, C*k)
-    cols = ad.reshape(cols, (bsz * length, c * k))
-    wmat = ad.transpose(ad.reshape(w, (out_ch, c * k)))
-    y = ad.linear(cols, wmat, b)                       # (B*L, out)
-    y = ad.reshape(y, (bsz, length, out_ch))
-    return ad.transpose(y, (0, 2, 1))
 
 
 def grad_params(loss, tape: Tape, create_graph=False) -> dict:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ganids import autodiff as ad
@@ -139,6 +139,116 @@ def test_unfold_fold_match_references_on_random_shapes(b, c, length, half, seed)
                                rtol=0, atol=1e-12)
     lhs, rhs = np.sum(ux * y), np.sum(x * fy)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(ux * y).sum())
+
+
+def _conv_reference(x, w, b):
+    """conv1d as the reference unfold followed by one matmul plus bias."""
+    bsz, c, length = x.shape
+    o, _, k = w.shape
+    cols = _unfold_reference(x, k, (k - 1) // 2)
+    y = cols.reshape(bsz * length, c * k) @ w.reshape(o, c * k).T + b
+    return y.reshape(bsz, length, o).transpose(0, 2, 1)
+
+
+conv_shapes = dict(b=st.integers(1, 3), c=st.integers(1, 4),
+                   o=st.integers(1, 4), length=st.integers(1, 7),
+                   k=st.sampled_from([1, 3, 5]),
+                   seed=st.integers(0, 2**32 - 1))
+
+
+def _conv_operands(b, c, o, length, k, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((b, c, length)),
+            0.5 * rng.standard_normal((o, c, k)),
+            rng.standard_normal(o), rng.standard_normal((b, o, length)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**conv_shapes)
+def test_conv1d_matches_unfold_reference(b, c, o, length, k, seed):
+    assume(c != o)
+    x, w, bias, _ = _conv_operands(b, c, o, length, k, seed)
+    got = ad.conv1d(ad.leaf(x), ad.leaf(w), ad.leaf(bias)).data
+    assert got.shape == (b, o, length)
+    assert np.array_equal(got, _conv_reference(x, w, bias))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**conv_shapes)
+def test_conv_trio_adjoint_identities(b, c, o, length, k, seed):
+    # <conv1d(x, w), g> == <x, conv1d_t(g, w)> == <w, conv1d_w(x, g)>
+    assume(c != o)
+    x, w, _, g = _conv_operands(b, c, o, length, k, seed)
+    y = ad.conv1d(x, w).data
+    xt = ad.conv1d_t(g, w).data
+    wt = ad.conv1d_w(x, g, k).data
+    assert xt.shape == x.shape and wt.shape == w.shape
+    ref = np.sum(y * g)
+    scale = max(np.abs(y * g).sum(), 1e-300)
+    assert abs(np.sum(x * xt) - ref) <= 1e-12 * scale
+    assert abs(np.sum(w * wt) - ref) <= 1e-12 * scale
+
+
+def _conv_second_order(x, w, bias, c_out, e, f):
+    """h = <dL/dx, e> + <dL/dw, f> for L = <tanh(conv1d(x, w, b)), c_out>,
+    with its gradient: the first-order gradients are built by conv1d's vjp
+    (a conv1d_t and a conv1d_w node), so differentiating h runs the vjps of
+    all three conv primitives."""
+    xv, wv = ad.leaf(x), ad.leaf(w)
+    loss = ad.sum_(ad.mul(ad.tanh(ad.conv1d(xv, wv, bias)), c_out))
+    gx, gw = ad.grad(loss, [xv, wv], create_graph=True)
+    h = ad.sum_(ad.mul(gx, e)) + ad.sum_(ad.mul(gw, f))
+    hx, hw = ad.grad(h, [xv, wv])
+    return h.item(), hx.data, hw.data
+
+
+@settings(max_examples=30, deadline=None)
+@given(**conv_shapes)
+def test_conv_trio_second_derivative_matches_finite_differences(
+        b, c, o, length, k, seed):
+    assume(c != o)
+    x, w, bias, c_out = _conv_operands(b, c, o, length, k, seed)
+    rng = np.random.default_rng(seed + 1)
+    e, f = rng.standard_normal(x.shape), rng.standard_normal(w.shape)
+    vx, vw = rng.standard_normal(x.shape), rng.standard_normal(w.shape)
+    _, hx, hw = _conv_second_order(x, w, bias, c_out, e, f)
+    eps = 1e-6
+    hp = _conv_second_order(x + eps * vx, w + eps * vw, bias, c_out, e, f)[0]
+    hm = _conv_second_order(x - eps * vx, w - eps * vw, bias, c_out, e, f)[0]
+    fd = (hp - hm) / (2 * eps)
+    exact = np.sum(hx * vx) + np.sum(hw * vw)
+    assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
+
+
+def test_conv1d_rejects_mismatched_operands():
+    x = ad.leaf(np.ones((2, 3, 5)))
+    with pytest.raises(ad.ShapeMismatch):
+        ad.conv1d(x, ad.leaf(np.ones((4, 2, 3))))   # channel count
+    with pytest.raises(ad.ShapeMismatch):
+        ad.conv1d(x, ad.leaf(np.ones((4, 3, 2))))   # even kernel width
+
+
+@pytest.mark.parametrize("slope", [0.01, 0.2, 0.3, 1 / 3])
+def test_leaky_relu_mask_is_bit_identical_to_where(slope):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 3, 7)) * 10.0 ** rng.integers(-300, 300, (4, 3, 7))
+    a[0, 0, :7] = [0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf]
+    x = ad.leaf(a)
+    y = ad.leaky_relu(x, slope)
+    mask = np.where(a > 0, 1.0, slope)
+    assert np.array_equal(y.data, a * mask, equal_nan=True)
+    (g,) = ad.grad(ad.sum_(y), [x])
+    assert np.array_equal(g.data, mask)
+
+
+def test_tanh_second_derivative():
+    # d2/dx2 tanh(x) = -2 tanh(x) (1 - tanh(x)^2)
+    x = ad.leaf(np.linspace(-2.0, 2.0, 7))
+    (g1,) = ad.grad(ad.sum_(ad.tanh(x)), [x], create_graph=True)
+    (g2,) = ad.grad(ad.sum_(g1), [x])
+    t = np.tanh(x.data)
+    np.testing.assert_allclose(g2.data, -2.0 * t * (1.0 - t * t),
+                               rtol=1e-15, atol=1e-16)
 
 
 def test_grad_builds_no_cotangent_outside_wrt(monkeypatch):

@@ -7,7 +7,7 @@ from conftest import encoded_dataset
 
 from ganids import autodiff as ad
 from ganids import gan, nn
-from ganids.data import PreprocessPlan, preprocess
+from ganids.data import PreprocessPlan, inverse_transform, preprocess
 
 
 def small_cfg(**kw):
@@ -166,6 +166,19 @@ def test_generator_step_determinism():
     assert results[0] == results[1]
 
 
+def test_generator_step_nonfinite_loss_leaves_generator_unchanged():
+    model = gan.build_gan(4, small_cfg())
+    model.d_params.tensors["l0.w"][0, 0, 0] = np.nan
+    g_hash = model.g_params.content_hash()
+    m_before = {k: v.copy() for k, v in model.g_opt.m.items()}
+    with pytest.raises(ad.NonFiniteValue):
+        gan.generator_step(model, np.random.default_rng(0))
+    assert model.g_params.content_hash() == g_hash
+    assert model.g_opt.t == 0
+    for k, v in m_before.items():
+        assert np.array_equal(model.g_opt.m[k], v)
+
+
 def test_stop_rule_fires_after_window_below_delta():
     rule = gan._StopRule(delta=0.5, window=3, decay=0.0)  # ema = |w| directly
     seq = [2.0, 0.4, 0.4, 0.4]
@@ -312,3 +325,36 @@ def test_synthesize_requires_finetuned_phase():
     with pytest.raises(gan.WrongPhase):
         gan.synthesize(model, 3, plan, seed=0,
                        schema=normal_dataset(5, 1).schema, class_name="attack")
+
+
+def test_synthesize_matches_forward_and_builds_no_gradient_graph(monkeypatch):
+    dim = 3
+    plan = PreprocessPlan([(f"f{j}", "numeric", 0.0, 1.0)
+                           for j in range(dim)], "x")
+    model = gan.build_gan(dim, small_cfg())
+    model.phase = "finetuned:attack"
+    schema = normal_dataset(5, dim).schema
+    n = 600  # crosses the 512-row chunk boundary
+    rng = np.random.default_rng(7)
+    chunks = []
+    for k in (512, n - 512):
+        z = rng.standard_normal((k, model.noise_dim))
+        out, _ = nn.forward(model.g_spec, model.g_params, z)
+        chunks.append(np.clip(out.data, 0.0, 1.0))
+    want = inverse_transform(np.vstack(chunks), plan)
+
+    grad_nodes = []
+    init = ad.Var.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.requires_grad:
+            grad_nodes.append(self)
+
+    monkeypatch.setattr(ad.Var, "__init__", recording_init)
+    got = gan.synthesize(model, n, plan, seed=7, schema=schema,
+                         class_name="attack")
+    monkeypatch.undo()
+    assert grad_nodes == []
+    assert np.array_equal(got.features.astype(np.float64),
+                          want.astype(np.float64))
