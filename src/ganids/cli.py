@@ -9,7 +9,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import archive, imbalance, metrics, pipeline
-from .data import PreprocessPlan, load_dataset, load_schema, preprocess
+from .archive import ArchiveError
+from .autodiff import NonFiniteValue
+from .data import (BadNumber, PlanMismatch, PreprocessPlan, RowArity,
+                   UnknownLabel, load_dataset, load_schema, preprocess)
 
 
 def _load_config(args):
@@ -72,10 +75,12 @@ def cmd_evaluate(args):
     ens = archive.load_ensemble(args.model)
     schema = load_schema(args.schema)
     ds = load_dataset(args.paths, schema)
-    plan = None
-    if args.plan:
-        with open(args.plan) as f:
+    with open(args.plan) as f:
+        try:
             plan = PreprocessPlan.from_dict(json.load(f))
+        except (ValueError, KeyError, TypeError) as e:
+            raise PlanMismatch(f"{args.plan}: not an encoding plan "
+                               f"({type(e).__name__}: {e})") from e
     enc, _ = preprocess(ds, plan)
     pred = ens.predict(enc.features)
     rep = metrics.evaluate(pred, enc.labels, len(schema.classes))
@@ -122,8 +127,9 @@ def main(argv=None):
 
     sp = sub.add_parser("evaluate", help="score a saved classifier on a CSV")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--plan", help="plan.json from the training run "
-                                   "(re-fitted on the input when omitted)")
+    sp.add_argument("--plan", required=True,
+                    help="plan.json from the training run: the input is "
+                         "encoded exactly as the training data was")
     add_common(sp)
     sp.set_defaults(func=cmd_evaluate)
 
@@ -134,9 +140,13 @@ def main(argv=None):
     sp.set_defaults(func=cmd_demo_data)
 
     args = p.parse_args(argv)
+    # OSError covers data.IoFailure and a model or plan file that cannot be
+    # opened
     try:
         args.func(args)
-    except (pipeline.ConfigInvalid, pipeline.StageError) as e:
+    except (pipeline.ConfigInvalid, pipeline.StageError, OSError, RowArity,
+            UnknownLabel, BadNumber, PlanMismatch, ArchiveError,
+            NonFiniteValue) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

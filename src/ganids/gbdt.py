@@ -12,11 +12,22 @@ start_b, so a node's histogram is one bincount each of count, g and h over
 those keys (plus one always-empty slot). A feature's bins 1..nb-1 are
 contiguous slots; its bin 0 is the node total minus those bins.
 
+Level batches: a tree grows one depth level at a time. The rows of a level's
+nodes sit in consecutive runs, each in its parent's row order. Adding
+node * (slots + 1) to the keys gives every node its own slot range, so one
+bincount builds the histograms of all of a level's smaller children. One
+split scan then serves all of the level's open nodes, in batches of nodes
+whose gathered bins stay within a fixed element budget (_SCAN_ELEMENTS), so
+scan memory does not grow with 2**depth. The histograms of a level's open
+nodes are alive together: at most 2**depth of them, and at most one per
+2 * min_leaf rows.
+
 Split scan: every feature's bins are gathered at once, grouped by bin count
-into (features, nb) blocks; per block one sum fills bin 0 and one cumsum
-gives the left-side count, g and h of every threshold. Sums run over exactly
-the feature's own bins, in the same order as a per-feature loop, so on a
-directly built histogram the gains are the loop's bit for bit. (Padding all
+into (nodes, 3, features, nb) blocks; per block one sum fills bin 0 and one
+cumsum gives the left-side count, g and h of every threshold. Sums run over
+exactly the feature's own bins, in the same order as a per-feature loop, so
+on a directly built histogram the gains are the loop's bit for bit, and a
+node's gains do not depend on which nodes share its batch. (Padding all
 features to one width would change the summation order of bin 0, and with
 it which of two equal-gain splits wins.) Among candidates within 1e-12 of
 the best gain (and above 0, with min_leaf rows on each side) the lowest
@@ -25,11 +36,16 @@ the best gain (and above 0, with min_leaf rows on each side) the lowest
 Siblings: the histogram is built for the smaller child only; the larger
 child's is the parent's minus it (LightGBM's histogram subtraction). Counts
 are exact; g and h differ from a direct build only by rounding.
+
+Bundling packs each feature's nonzero mask into 64-bit words, so the
+conflicts of one feature with every open bundle are one AND and one
+popcount (np.bitwise_count, numpy >= 2.0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -191,31 +207,36 @@ def efb_bundle(binned, n_bins, max_conflict=0.0) -> BundleMap:
     """Greedy exclusive-feature bundling on a binned matrix.
 
     Two features conflict on a row when both have a nonzero bin there; a
-    feature joins a bundle only while the bundle's total conflict rate stays
-    within max_conflict.
+    feature joins the first bundle whose total conflict count stays within
+    max_conflict * rows. Nonzero masks are packed 64 rows to a word, so one
+    popcount over every open bundle's mask counts a feature's conflicts.
     """
     n, m = binned.shape
     if m == 0:
         return BundleMap([], [], list(n_bins))
-    nonzero = binned != 0
-    counts = nonzero.sum(axis=0)
+    # one row of bytes per feature, zero-padded to whole 64-bit words
+    packed = np.zeros((m, (n + 63) // 64 * 8), dtype=np.uint8)
+    packed[:, :(n + 7) // 8] = np.packbits(
+        np.ascontiguousarray(binned.T != 0), axis=1)
+    packed = packed.view(np.uint64)
+    counts = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
     order = np.argsort(-counts, kind="stable")
     budget = int(max_conflict * n)
-    bundle_masks, bundles, conflicts = [], [], []
+    masks = np.zeros((m, packed.shape[1]), dtype=np.uint64)
+    conflicts = np.zeros(m, dtype=np.int64)
+    bundles = []
     for f in order:
-        placed = False
-        for i, mask in enumerate(bundle_masks):
-            c = int(np.sum(mask & nonzero[:, f]))
-            if conflicts[i] + c <= budget:
-                bundles[i].append(int(f))
-                bundle_masks[i] = mask | nonzero[:, f]
-                conflicts[i] += c
-                placed = True
-                break
-        if not placed:
+        c = np.bitwise_count(masks[:len(bundles)] & packed[f]).sum(
+            axis=1, dtype=np.int64)
+        fits = np.flatnonzero(conflicts[:len(bundles)] + c <= budget)
+        if len(fits):
+            i = fits[0]
+            bundles[i].append(int(f))
+            conflicts[i] += c[i]
+        else:
+            i = len(bundles)
             bundles.append([int(f)])
-            bundle_masks.append(nonzero[:, f].copy())
-            conflicts.append(0)
+        masks[i] |= packed[f]
     offsets = []
     for bundle in bundles:
         offs, off = [], 1
@@ -292,6 +313,11 @@ def split_gain(gl, hl, gr, hr, lam):
     return gl * gl / (hl + lam) + gr * gr / (hr + lam) - g * g / (h + lam)
 
 
+# Elements of gathered bins one scan batch may hold: a level is scanned
+# in batches of nodes, so scan memory does not grow with 2**depth.
+_SCAN_ELEMENTS = 1 << 18
+
+
 class _HistContext:
     """Shared per-fit state: binned columns, the histogram slot layout and
     the gather indexes the split scan reads it through."""
@@ -302,7 +328,7 @@ class _HistContext:
         sizes = np.asarray(bundle_map.bundle_sizes(), dtype=np.intp)
         starts = np.cumsum(sizes) - sizes
         self.n_slots = int(sizes.sum())
-        # bundle columns shifted into one slot space: one bincount per node
+        # bundle columns shifted into one slot space: one bincount per level
         self.flat = bundle_cols.astype(np.intp) + starts
         self.n_bundles = self.flat.shape[1]
         # every splittable feature reads its bins 0..nb-1 from the histogram;
@@ -331,82 +357,149 @@ class _HistContext:
         self.cand_pos = np.asarray([base[f] + t for f, t in cand],
                                    dtype=np.intp)
 
-    def histogram(self, rows, g, h):
-        """(3, n_slots + 1) array of per-slot count, g sum and h sum; the
-        last slot stays empty."""
-        keys = self.flat[rows].ravel()
-        size = self.n_slots + 1
-        hist = np.empty((3, size))
-        hist[0] = np.bincount(keys, minlength=size)
-        hist[1] = np.bincount(keys, weights=np.repeat(g, self.n_bundles),
-                              minlength=size)
-        hist[2] = np.bincount(keys, weights=np.repeat(h, self.n_bundles),
-                              minlength=size)
-        return hist
+    def histograms(self, rows, g, h, counts):
+        """(k, 3, n_slots + 1) array of per-slot count, g sum and h sum of k
+        nodes whose rows are consecutive runs of counts[i] rows; the last
+        slot of each node stays empty."""
+        k, size = len(counts), self.n_slots + 1
+        keys = self.flat[rows]
+        if k > 1:  # node i's slots start at i * size
+            keys = keys + np.repeat(np.arange(0, k * size, size),
+                                    counts)[:, None]
+        keys = keys.ravel()
+        hist = np.empty((3, k * size))
+        hist[0] = np.bincount(keys, minlength=k * size)
+        hist[1] = np.bincount(keys, np.repeat(g, self.n_bundles),
+                              minlength=k * size)
+        hist[2] = np.bincount(keys, np.repeat(h, self.n_bundles),
+                              minlength=k * size)
+        return hist.reshape(3, k, size).transpose(1, 0, 2)
 
-    def best_split(self, rows, g, h, hist=None):
-        """Best (gain, feature, bin) over all features, or None. Among
-        candidates within 1e-12 of the best gain the lowest (feature, bin)
-        wins."""
+    def histogram(self, rows, g, h):
+        """(3, n_slots + 1) histogram of one node."""
+        return self.histograms(rows, g, h, [len(rows)])[0]
+
+    def scan(self, hist, n_rows, g_tot, h_tot):
+        """Best (gain, feature, bin) of each of k nodes, or None, from their
+        k (3, n_slots + 1) histograms, row counts and g and h sums. Among
+        candidates within 1e-12 of a node's best gain the lowest
+        (feature, bin) wins."""
         p = self.params
         if len(self.cand_pos) == 0:
-            return None
+            return [None] * len(hist)
+        out = []
+        totals = np.array([n_rows, g_tot, h_tot], dtype=np.float64).T[:, :, None]
+        step = max(1, _SCAN_ELEMENTS // (3 * len(self.gather)))
+        for a in range(0, len(hist), step):
+            tot = totals[a:a + step]
+            n, gt, ht = tot[:, 0], tot[:, 1], tot[:, 2]
+            k = len(tot)
+            bins = np.empty((k, 3, len(self.gather)))
+            for node_bins, node_hist in zip(bins, hist[a:a + step]):
+                # every index is valid; mode="raise" would buffer out
+                node_hist.take(self.gather, axis=1, out=node_bins, mode="clip")
+            for lo, hi, nb in self.groups:
+                block = bins[:, :, lo:hi].reshape(k, 3, -1, nb)
+                # bin 0 is the node total minus the feature's other bins
+                np.subtract(tot, np.add.reduce(block[..., 1:], axis=3),
+                            out=block[..., 0])
+                if nb > 2:  # a candidate reads bins 0..nb-2 only
+                    head = block[..., :-1]
+                    np.add.accumulate(head, axis=3, out=head)
+            cl, gll, hll = bins.take(self.cand_pos, axis=2).transpose(1, 0, 2)
+            # gll² / (hll + lam) + (gt - gll)² / (ht - hll + lam)
+            # - gt² / (ht + lam), evaluated in place
+            gains = gll * gll
+            gains /= hll + p.lam_leaf
+            right = gt - gll
+            right *= right
+            den = ht - hll
+            den += p.lam_leaf
+            right /= den
+            gains += right
+            gains -= gt * gt / (ht + p.lam_leaf)
+            gains[(cl < p.min_leaf) | (n - cl < p.min_leaf)] = -np.inf
+            top = gains.max(axis=1, keepdims=True)
+            best = np.argmax((gains >= top - 1e-12) & (gains > 0), axis=1)
+            for j, i in enumerate(best):
+                out.append((float(gains[j, i]), int(self.cand_feature[i]),
+                            int(self.cand_bin[i])) if top[j, 0] > 0 else None)
+        return out
+
+    def best_split(self, rows, g, h, hist=None):
+        """Best (gain, feature, bin) of one node, or None; hist, when given,
+        is the histogram of rows."""
         if hist is None:
             hist = self.histogram(rows, g, h)
-        n_rows = len(rows)
-        g_tot = float(g.sum())
-        h_tot = float(h.sum())
-        tot = np.array([[n_rows], [g_tot], [h_tot]])
-        bins = hist.take(self.gather, axis=1)
-        for lo, hi, nb in self.groups:
-            block = bins[:, lo:hi].reshape(3, -1, nb)
-            # bin 0 is the node total minus the feature's other bins
-            block[:, :, 0] = tot - block[:, :, 1:].sum(axis=2)
-            np.cumsum(block, axis=2, out=block)
-        cl, gll, hll = bins.take(self.cand_pos, axis=1)
-        ok = (cl >= p.min_leaf) & ((n_rows - cl) >= p.min_leaf)
-        gains = np.where(
-            ok,
-            gll * gll / (hll + p.lam_leaf)
-            + (g_tot - gll) ** 2 / (h_tot - hll + p.lam_leaf)
-            - g_tot * g_tot / (h_tot + p.lam_leaf),
-            -np.inf)
-        top = gains.max()
-        if not top > 0:
-            return None
-        i = int(np.argmax((gains >= top - 1e-12) & (gains > 0)))
-        return float(gains[i]), int(self.cand_feature[i]), int(self.cand_bin[i])
+        return self.scan([hist], [len(rows)], [g.sum()], [h.sum()])[0]
 
     def _splittable(self, n_rows, depth):
         p = self.params
         return depth < p.max_depth and n_rows >= 2 * p.min_leaf
 
-    def build_tree(self, rows, g, h, depth=0, hist=None):
-        """Grow a tree on rows. hist, when given, is the histogram of rows;
-        only the smaller child's histogram is built, the larger one is the
-        parent's minus it."""
+    def build_tree(self, rows, g, h):
+        """Grow a tree on rows, one depth level at a time.
+
+        rows and gh (g over h) hold the rows of a level's nodes in
+        consecutive runs, each in its parent's row order. One scan finds
+        the splits of all open nodes. Of each split with an open child, the
+        smaller child (the left one on a tie) leads the next level's runs,
+        so one bincount over the leading rows builds all of their
+        histograms; the larger child's is the parent's minus it."""
         p = self.params
-        node = TreeNode(value=_leaf_value(g.sum(), h.sum(), p.lam_leaf))
-        if not self._splittable(len(rows), depth):
-            return node
-        if hist is None:
-            hist = self.histogram(rows, g, h)
-        best = self.best_split(rows, g, h, hist)
-        if best is None:
-            return node
-        gain, f, t = best
-        mask = self.binned[rows, f] <= t
-        node.feature, node.bin_threshold, node.gain = f, t, gain
-        kids = [(rows[mask], g[mask], h[mask]),
-                (rows[~mask], g[~mask], h[~mask])]
-        hists = [None, None]
-        small = int(len(kids[1][0]) < len(kids[0][0]))
-        if any(self._splittable(len(k[0]), depth + 1) for k in kids):
-            hists[small] = self.histogram(*kids[small])
-            hists[1 - small] = hist - hists[small]
-        node.left = self.build_tree(*kids[0], depth + 1, hists[0])
-        node.right = self.build_tree(*kids[1], depth + 1, hists[1])
-        return node
+        g_sum, h_sum = g.sum(), h.sum()
+        root = TreeNode(value=_leaf_value(g_sum, h_sum, p.lam_leaf))
+        if not self._splittable(len(rows), 0):
+            return root
+        gh = np.stack([g, h])
+        # per open node: node, start of its run, row count, g sum, h sum
+        level = [(root, 0, len(rows), g_sum, h_sum)]
+        hist = [self.histogram(rows, g, h)]  # per open node
+        depth = 0
+        while True:
+            _, _, counts, g_sums, h_sums = zip(*level)
+            splits = self.scan(hist, counts, g_sums, h_sums)
+            depth += 1
+            # children as (node, rows, gh, g sum, h sum); lead holds
+            # (child, is open), follow holds (child, parent's position in
+            # level, the position in lead of its smaller sibling)
+            lead, follow = [], []
+            for j, ((node, a, n, _, _), best) in enumerate(zip(level, splits)):
+                if best is None:
+                    continue
+                node.gain, node.feature, node.bin_threshold = best
+                run, run_gh = rows[a:a + n], gh[:, a:a + n]
+                go_left = self.binned[:, best[1]].take(run) <= best[2]
+                kids = []
+                for side in (go_left, ~go_left):
+                    kid_gh = run_gh.compress(side, axis=1)
+                    gs, hs = kid_gh[0].sum(), kid_gh[1].sum()
+                    kid = TreeNode(value=_leaf_value(gs, hs, p.lam_leaf))
+                    kids.append((kid, run.compress(side), kid_gh, gs, hs))
+                node.left, node.right = kids[0][0], kids[1][0]
+                is_open = [self._splittable(len(k[1]), depth) for k in kids]
+                small = int(len(kids[1][1]) < len(kids[0][1]))
+                if is_open[1 - small]:
+                    follow.append((kids[1 - small], j, len(lead)))
+                if any(is_open):
+                    lead.append((kids[small], is_open[small]))
+            if not lead:
+                return root
+            kids = [k for k, _ in lead] + [k for k, _, _ in follow]
+            counts = [len(k[1]) for k in kids]
+            starts = list(accumulate(counts, initial=0))
+            rows = np.concatenate([k[1] for k in kids])
+            gh = np.concatenate([k[2] for k in kids], axis=1)
+            m = starts[len(lead)]
+            small_hist = self.histograms(rows[:m], gh[0, :m], gh[1, :m],
+                                         counts[:len(lead)])
+            # the next level: the open smaller children, then the larger
+            keep = [i for i, (_, is_open) in enumerate(lead) if is_open]
+            keep += range(len(lead), len(kids))
+            level = [(kids[i][0], starts[i], counts[i]) + kids[i][3:]
+                     for i in keep]
+            hist = [small_hist[i] for i in keep if i < len(lead)] + [
+                hist[j] - small_hist[sibling] for _, j, sibling in follow]
 
 
 def predict_tree(node: TreeNode, binned):

@@ -163,7 +163,7 @@ def run_pipeline(config: PipelineConfig, ablate=False) -> RunArtifacts:
     manifest = {"config": config.to_dict(),
                 "config_hash": config.config_hash(),
                 "stages": {}}
-    t_start = time.time()
+    t_start = time.perf_counter()
 
     def stage(name):
         return _StageTimer(name, manifest)
@@ -280,7 +280,7 @@ def run_pipeline(config: PipelineConfig, ablate=False) -> RunArtifacts:
         report = metrics.evaluate(pred, test.labels, len(schema.classes))
         _write_eval(out_dir, "eval", report)
 
-    manifest["wall_time_s"] = round(time.time() - t_start, 3)
+    manifest["wall_time_s"] = round(time.perf_counter() - t_start, 3)
     manifest["artifacts"] = {
         str(p.relative_to(out_dir)): archive.file_hash(p)
         for p in sorted(gan_paths.values()) + [ensemble_path]}
@@ -322,11 +322,12 @@ class _StageTimer:
         self.manifest = manifest
 
     def __enter__(self):
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self.manifest["stages"][self.name] = round(time.time() - self.t0, 3)
+        self.manifest["stages"][self.name] = round(
+            time.perf_counter() - self.t0, 3)
         if exc is not None and not isinstance(exc, StageError):
             raise StageError(self.name, exc) from exc
         return False

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from ganids import cli, gan, gbdt, pipeline
+from ganids import archive, cli, gan, gbdt, pipeline
 from ganids.demo import write_demo_dataset
 
 
@@ -65,6 +66,56 @@ def test_run_command_reports_config_error(tmp_path, capsys):
                                     "out_dir": str(tmp_path / "o")}))
     assert cli.main(["run", "--config", str(cfg_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_evaluate_requires_plan(demo, tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["evaluate", "--model", str(tmp_path / "m.bin"),
+                  "--schema", str(demo["schema"]), str(demo["csv"])])
+    assert e.value.code == 2
+    assert "--plan" in capsys.readouterr().err
+
+
+def test_census_reports_bad_number(demo, tmp_path, capsys):
+    lines = demo["csv"].read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[3] = "n/a"
+    lines[2] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert cli.main(["census", "--schema", str(demo["schema"]),
+                     str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "line 3, column 4 (f3)" in err
+
+
+def test_evaluate_reports_truncated_archive(demo, tmp_path, capsys):
+    ens = gbdt.Ensemble([], np.zeros(2), gbdt.BinMapper([np.array([0.5])]),
+                        gbdt.BundleMap([[0]], [[1]], [2]), 2, 0.1)
+    model = tmp_path / "ensemble.bin"
+    archive.save_ensemble(model, ens)
+    model.write_bytes(model.read_bytes()[:-5])
+    plan = tmp_path / "plan.json"
+    plan.write_text("{}")
+    assert cli.main(["evaluate", "--model", str(model), "--plan", str(plan),
+                     "--schema", str(demo["schema"]), str(demo["csv"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "truncated" in err
+
+
+@pytest.mark.parametrize("text", ["{not json", "{}", "[1, 2]"])
+def test_evaluate_reports_damaged_plan(demo, tmp_path, capsys, text):
+    ens = gbdt.Ensemble([], np.zeros(5), gbdt.BinMapper([np.array([0.5])]),
+                        gbdt.BundleMap([[0]], [[1]], [2]), 5, 0.1)
+    model = tmp_path / "ensemble.bin"
+    archive.save_ensemble(model, ens)
+    plan = tmp_path / "plan.json"
+    plan.write_text(text)
+    assert cli.main(["evaluate", "--model", str(model), "--plan", str(plan),
+                     "--schema", str(demo["schema"]), str(demo["csv"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not an encoding plan" in err
 
 
 def test_unknown_command_exits_nonzero():

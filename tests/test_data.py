@@ -58,6 +58,27 @@ def test_load_bad_number_names_file_line_and_column(tmp_path):
     assert str(p) in str(e.value) and "line 3, column 1 (a)" in str(e.value)
 
 
+def test_load_bad_number_column_counts_every_file_column(tmp_path):
+    schema = dio.DatasetSchema(
+        columns=[dio.Column("id", "ignore"), dio.Column("a", "numeric"),
+                 dio.Column("proto", "categorical"), dio.Column("b", "numeric"),
+                 dio.Column("label", "label")],
+        classes=["normal", "attack"], normal_class="normal")
+    p = write_csv(tmp_path, "d.csv", ["r1,1,tcp,2,normal", "r2,1,tcp,-,attack"])
+    with pytest.raises(dio.BadNumber) as e:
+        dio.load_dataset(p, schema)
+    assert (e.value.line, e.value.column) == (2, 4)
+    assert "line 2, column 4 (b)" in str(e.value)
+
+
+def test_schema_rejects_duplicate_column_names():
+    with pytest.raises(ValueError, match="'a'"):
+        dio.DatasetSchema(
+            columns=[dio.Column("a", "numeric"), dio.Column("a", "numeric"),
+                     dio.Column("label", "label")],
+            classes=["normal"], normal_class="normal")
+
+
 def test_load_line_numbers_restart_in_each_file(tmp_path):
     a = write_csv(tmp_path, "a.csv", ["1,tcp,normal", "2,udp,attack",
                                       "3,tcp,normal"])

@@ -1,5 +1,7 @@
 """Boosted-tree tests: binning, sampling, bundling, split search, training."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -343,6 +345,166 @@ def test_tree_with_sibling_subtraction_matches_reference(seed):
     got = ctx.build_tree(rows, g, h)
     want = _reference_tree(binned, bm, cols, params, rows, g, h)
     assert got.structure() == want.structure()
+
+
+def _reference_recursive_tree(ctx, rows, g, h, depth=0, hist=None):
+    """The node-at-a-time grower the level grower replaced, kept as its
+    reference: the same one-node split scan and the same sibling
+    subtraction, so gains must agree bit for bit."""
+    p = ctx.params
+    node = gbdt.TreeNode(value=-g.sum() / (h.sum() + p.lam_leaf))
+    if depth >= p.max_depth or len(rows) < 2 * p.min_leaf:
+        return node
+    if hist is None:
+        hist = ctx.histogram(rows, g, h)
+    best = ctx.best_split(rows, g, h, hist)
+    if best is None:
+        return node
+    node.gain, node.feature, node.bin_threshold = best
+    mask = ctx.binned[rows, node.feature] <= node.bin_threshold
+    kids = [(rows[mask], g[mask], h[mask]), (rows[~mask], g[~mask], h[~mask])]
+    hists = [None, None]
+    small = int(len(kids[1][0]) < len(kids[0][0]))
+    if any(depth + 1 < p.max_depth and len(k[0]) >= 2 * p.min_leaf
+           for k in kids):
+        hists[small] = ctx.histogram(*kids[small])
+        hists[1 - small] = hist - hists[small]
+    node.left = _reference_recursive_tree(ctx, *kids[0], depth + 1, hists[0])
+    node.right = _reference_recursive_tree(ctx, *kids[1], depth + 1, hists[1])
+    return node
+
+
+def _node_pairs(a, b):
+    yield a, b
+    if a.left is not None and b.left is not None:
+        yield from _node_pairs(a.left, b.left)
+        yield from _node_pairs(a.right, b.right)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_level_grower_matches_recursive_reference(data):
+    rng, binned, bm = _layout(data.draw)
+    n = binned.shape[0]
+    params = gbdt.BoostParams(min_leaf=data.draw(st.integers(0, 12)),
+                              max_depth=data.draw(st.integers(0, 6)))
+    ctx = gbdt._HistContext(binned, bm, gbdt.bundle_columns(binned, bm),
+                            params)
+    rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                              replace=False))
+    g = rng.standard_normal(len(rows)) * data.draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    h = rng.random(len(rows)) + 0.05
+    # a budget of one element scans one node per batch
+    budget = data.draw(st.sampled_from([1, gbdt._SCAN_ELEMENTS]))
+    with mock.patch.object(gbdt, "_SCAN_ELEMENTS", budget):
+        got = ctx.build_tree(rows, g, h)
+    want = _reference_recursive_tree(ctx, rows, g, h)
+    assert got.structure() == want.structure()
+    for a, b in _node_pairs(got, want):
+        assert a.gain == b.gain
+        assert a.value == b.value
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_level_grower_builds_left_child_directly_on_a_tie(seed):
+    # the root splits 300/300 on column 0; which child is built directly
+    # (and which by subtraction) shows in the rounding of deeper gains
+    rng = np.random.default_rng(seed)
+    n = 600
+    x = np.hstack([(np.arange(n) % 2)[:, None], rng.random((n, 4))])
+    mapper = gbdt.BinMapper.fit(x, 64)
+    binned = mapper.transform(x)
+    bm = gbdt.efb_bundle(binned, mapper.n_bins, 0.0)
+    params = gbdt.BoostParams(min_leaf=5, max_depth=4)
+    ctx = gbdt._HistContext(binned, bm, gbdt.bundle_columns(binned, bm),
+                            params)
+    g = (rng.standard_normal(n) + 50.0 * x[:, 0]) * 1e3 / 7
+    h = rng.random(n) + 0.05
+    rows = np.arange(n)
+    got = ctx.build_tree(rows, g, h)
+    want = _reference_recursive_tree(ctx, rows, g, h)
+    assert (got.feature, got.bin_threshold) == (0, 0)
+    assert got.structure() == want.structure()
+    assert [a.gain for a, _ in _node_pairs(got, want)] \
+        == [b.gain for _, b in _node_pairs(got, want)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_scan_of_k_nodes_matches_single_node_splits(data):
+    rng, binned, bm = _layout(data.draw)
+    n = binned.shape[0]
+    params = gbdt.BoostParams(min_leaf=data.draw(st.integers(0, 12)))
+    ctx = gbdt._HistContext(binned, bm, gbdt.bundle_columns(binned, bm),
+                            params)
+    k = data.draw(st.integers(1, 6))
+    counts = rng.integers(0, n + 1, k)
+    rows = rng.integers(0, n, counts.sum())  # runs need not be sorted
+    g = rng.standard_normal(len(rows)) * 10.0
+    h = rng.random(len(rows)) + 0.05
+    hist = ctx.histograms(rows, g, h, counts)
+    budget = data.draw(st.sampled_from([1, 6 * len(ctx.gather),
+                                        gbdt._SCAN_ELEMENTS]))
+    ends = np.cumsum(counts)
+    runs = [slice(e - c, e) for c, e in zip(counts, ends)]
+    with mock.patch.object(gbdt, "_SCAN_ELEMENTS", budget):
+        got = ctx.scan(hist, counts, [g[r].sum() for r in runs],
+                       [h[r].sum() for r in runs])
+    for i, r in enumerate(runs):
+        assert np.array_equal(hist[i], ctx.histogram(rows[r], g[r], h[r]))
+        assert got[i] == ctx.best_split(rows[r], g[r], h[r])
+
+
+def _reference_efb_bundle(binned, n_bins, max_conflict=0.0):
+    """Greedy bundling one (feature, bundle) boolean mask pass at a time:
+    the loop the packed-bit popcount replaced, kept as its reference."""
+    n, m = binned.shape
+    if m == 0:
+        return gbdt.BundleMap([], [], list(n_bins))
+    nonzero = binned != 0
+    counts = nonzero.sum(axis=0)
+    order = np.argsort(-counts, kind="stable")
+    budget = int(max_conflict * n)
+    bundle_masks, bundles, conflicts = [], [], []
+    for f in order:
+        placed = False
+        for i, mask in enumerate(bundle_masks):
+            c = int(np.sum(mask & nonzero[:, f]))
+            if conflicts[i] + c <= budget:
+                bundles[i].append(int(f))
+                bundle_masks[i] = mask | nonzero[:, f]
+                conflicts[i] += c
+                placed = True
+                break
+        if not placed:
+            bundles.append([int(f)])
+            bundle_masks.append(nonzero[:, f].copy())
+            conflicts.append(0)
+    offsets = []
+    for bundle in bundles:
+        offs, off = [], 1
+        for f in bundle:
+            offs.append(off)
+            off += n_bins[f] - 1
+        offsets.append(offs)
+    return gbdt.BundleMap(bundles, offsets, list(n_bins))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_efb_matches_reference_loop(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(1, 200))  # mostly not a multiple of 8 or 64
+    m = data.draw(st.integers(1, 16))
+    density = rng.random(m) ** data.draw(st.sampled_from([1, 3, 8]))
+    binned = ((rng.random((n, m)) < density)
+              * rng.integers(1, 4, (n, m))).astype(np.int32)
+    n_bins = [4] * m
+    for max_conflict in (0.0, 0.01, 0.05, 0.3):
+        got = gbdt.efb_bundle(binned, n_bins, max_conflict)
+        want = _reference_efb_bundle(binned, n_bins, max_conflict)
+        assert got.bundles == want.bundles
+        assert got.offsets == want.offsets
 
 
 def test_fit_zero_rounds_predicts_priors():
