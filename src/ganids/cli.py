@@ -74,14 +74,14 @@ def cmd_ablate(args):
 def cmd_evaluate(args):
     ens = archive.load_ensemble(args.model)
     schema = load_schema(args.schema)
-    ds = load_dataset(args.paths, schema)
+    # a damaged plan is reported before the CSV is read
     with open(args.plan) as f:
         try:
             plan = PreprocessPlan.from_dict(json.load(f))
         except (ValueError, KeyError, TypeError) as e:
             raise PlanMismatch(f"{args.plan}: not an encoding plan "
                                f"({type(e).__name__}: {e})") from e
-    enc, _ = preprocess(ds, plan)
+    enc, _ = preprocess(load_dataset(args.paths, schema), plan)
     pred = ens.predict(enc.features)
     rep = metrics.evaluate(pred, enc.labels, len(schema.classes))
     print(json.dumps(rep.to_dict(), indent=1))

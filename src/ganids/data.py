@@ -4,6 +4,10 @@ A schema (JSON) names every column, marks it numeric/categorical/label/ignore,
 maps raw label strings onto class names, and declares which class is normal
 traffic. Everything downstream works on class ids (indexes into the schema's
 class list).
+
+Each CSV file is parsed by one `np.loadtxt` call into typed columns. When
+that parse fails, or a label is unknown, the file is read again with
+`csv.reader` only to raise a typed error naming its path, line and column.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -148,8 +153,10 @@ def load_schema(spec) -> DatasetSchema:
 class Dataset:
     """Feature matrix plus per-row class ids.
 
-    Raw datasets keep an object matrix (strings for categorical cells);
-    encoded datasets hold a float64 matrix in [0, 1].
+    Both forms hold a float64 matrix. Encoded datasets hold values in [0, 1].
+    Raw datasets hold numeric values as read and, in a categorical column,
+    integer codes into that column's level table in `levels` (an object
+    array of strings; None for a numeric column).
     """
 
     features: np.ndarray
@@ -159,12 +166,15 @@ class Dataset:
     feature_names: list
     provenance: str = ""
     synthetic: np.ndarray = None  # per-row bool, True for generated rows
+    levels: list = None  # raw only: per feature column, level table or None
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("feature/label row counts differ")
         if self.synthetic is None:
             self.synthetic = np.zeros(len(self.labels), dtype=bool)
+        if not self.encoded and self.levels is None:
+            self.levels = [None] * self.features.shape[1]
 
     def __len__(self):
         return self.features.shape[0]
@@ -172,29 +182,40 @@ class Dataset:
     def select(self, idx, provenance=None):
         return Dataset(self.features[idx], self.labels[idx], self.schema,
                        self.encoded, self.feature_names,
-                       provenance or self.provenance, self.synthetic[idx])
+                       provenance or self.provenance, self.synthetic[idx],
+                       self.levels)
 
     def content_hash(self):
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(self.labels).tobytes())
-        if self.encoded:
-            h.update(np.ascontiguousarray(self.features, dtype=np.float64).tobytes())
-        else:
-            for row in self.features:
-                h.update(",".join(str(v) for v in row).encode())
+        h.update(np.ascontiguousarray(self.features, dtype=np.float64).tobytes())
+        if self.levels is not None:
+            h.update(json.dumps(self.levels, default=list).encode())
         return h.hexdigest()
 
 
 def concat(datasets, provenance=""):
+    """The rows of datasets of one schema, in order. Raw categorical codes
+    are rewritten into the sorted union of the parts' level tables."""
     first = datasets[0]
+    features = np.concatenate([d.features for d in datasets])
+    levels = None if first.levels is None else list(first.levels)
+    for j, table in enumerate(levels or []):
+        if table is not None:
+            # codes into the parts' tables stacked, then into their union
+            levels[j], recode = np.unique(np.concatenate(
+                [d.levels[j] for d in datasets]), return_inverse=True)
+            shift = np.cumsum([0] + [len(d.levels[j]) for d in datasets])
+            features[:, j] = recode[np.concatenate([
+                d.features[:, j].astype(np.intp) + k
+                for d, k in zip(datasets, shift)])]
     return Dataset(
-        np.concatenate([d.features for d in datasets]),
-        np.concatenate([d.labels for d in datasets]),
+        features, np.concatenate([d.labels for d in datasets]),
         first.schema, first.encoded, first.feature_names, provenance,
-        np.concatenate([d.synthetic for d in datasets]))
+        np.concatenate([d.synthetic for d in datasets]), levels)
 
 
-def load_dataset(paths, schema: DatasetSchema, seed=0) -> Dataset:
+def load_dataset(paths, schema: DatasetSchema) -> Dataset:
     """Load one or more CSV files under a schema into a raw dataset.
 
     Per-class caps (schema.class_caps) keep the first N rows of each class in
@@ -202,64 +223,116 @@ def load_dataset(paths, schema: DatasetSchema, seed=0) -> Dataset:
     """
     if isinstance(paths, (str, bytes)) or hasattr(paths, "__fspath__"):
         paths = [paths]
-    feat_cols = schema.feature_columns
-    # 1-based file columns; a zip over a range costs less per cell than
-    # enumerate's nested unpacking
-    positions = range(1, len(schema.columns) + 1)
-    rows, labels = [], []
-    counts = {}
-    caps = {schema.class_id(k): v for k, v in schema.class_caps.items()}
-    for path in paths:
+    if not paths:
+        raise EmptyDataset("no dataset files given")
+    # every file column is parsed (so loadtxt checks each row's arity), into
+    # a float64 field or a string object, which no fixed width can truncate
+    row = np.dtype([(f"c{j}", "f8" if c.kind == "numeric" else "O")
+                    for j, c in enumerate(schema.columns)])
+    tables, ids = zip(*[_parse_file(p, schema, row) for p in paths])
+    table, labels = (tables[0], ids[0]) if len(paths) == 1 else \
+        (np.concatenate(tables), np.concatenate(ids))
+    if schema.class_caps:
+        keep = np.ones(len(labels), dtype=bool)
+        for name, cap in schema.class_caps.items():
+            cid = schema.class_id(name)
+            keep[np.flatnonzero(labels == cid)[max(cap, 0):]] = False
+        table, labels = table[keep], labels[keep]
+    cols = [(j, c) for j, c in enumerate(schema.columns)
+            if c.kind in ("numeric", "categorical")]
+    features = np.empty((len(table), len(cols)))
+    levels = [None] * len(cols)
+    for k, (j, col) in enumerate(cols):
+        if col.kind == "numeric":
+            features[:, k] = table[f"c{j}"]
+        else:
+            levels[k], features[:, k] = _factorize(table[f"c{j}"])
+    # level codes are always finite, so the first bad column is numeric
+    finite = np.isfinite(features).all(axis=0)
+    if not finite.all():
+        raise NonFiniteValue(
+            f"non-finite values in column {cols[np.argmin(finite)][1].name}")
+    return Dataset(features, labels, schema, encoded=False,
+                   feature_names=[c.name for _, c in cols],
+                   provenance=";".join(str(p) for p in paths), levels=levels)
+
+
+def _parse_file(path, schema, row):
+    """One CSV file parsed by one loadtxt call into a structured array of the
+    row dtype, with each row's class id."""
+    try:
+        f = open(path, encoding="utf-8", newline="")
+    except OSError as e:
+        raise IoFailure(str(e)) from e
+    with f:
+        if schema.has_header:
+            next((rec for rec in csv.reader(f) if rec), None)
+        # blank lines hold no row; with none left, loadtxt would warn
+        first = next((line for line in f if line.strip("\r\n")), None)
         try:
-            f = open(path, newline="")
-        except OSError as e:
-            raise IoFailure(str(e)) from e
-        with f:
-            reader = csv.reader(f)
-            first = True
-            lineno = 0
-            for rec in reader:
-                lineno += 1
-                if not rec:
-                    continue
-                if first and schema.has_header:
-                    first = False
-                    continue
-                first = False
-                if len(rec) != len(schema.columns):
-                    raise RowArity(path, lineno, len(schema.columns), len(rec))
-                cid = None
-                feats = []
-                for j, col, val in zip(positions, schema.columns, rec):
-                    if col.kind == "label":
-                        cid = schema.resolve_label(val.strip())
-                        if cid is None:
-                            raise UnknownLabel(path, lineno, val.strip())
-                    elif col.kind == "numeric":
-                        try:
-                            feats.append(float(val))
-                        except ValueError:
-                            raise BadNumber(path, lineno, j, col.name,
-                                            val) from None
-                    elif col.kind == "categorical":
-                        feats.append(val.strip())
-                cap = caps.get(cid)
-                if cap is not None and counts.get(cid, 0) >= cap:
-                    continue
-                counts[cid] = counts.get(cid, 0) + 1
-                rows.append(feats)
-                labels.append(cid)
-    features = np.empty((len(rows), len(feat_cols)), dtype=object)
-    for i, r in enumerate(rows):
-        features[i] = r
-    for j, col in enumerate(feat_cols):
-        if col.kind == "numeric" and len(rows):
-            vals = features[:, j].astype(np.float64)
-            if not np.all(np.isfinite(vals)):
-                raise NonFiniteValue(f"non-finite values in column {col.name}")
-    return Dataset(features, np.asarray(labels, dtype=np.int64), schema,
-                   encoded=False, feature_names=[c.name for c in feat_cols],
-                   provenance=";".join(str(p) for p in paths))
+            table = np.empty(0, row) if first is None else np.loadtxt(
+                chain([first], f), dtype=row, delimiter=",", comments=None,
+                quotechar='"', ndmin=1)
+        except ValueError as e:
+            _raise_first_fault(path, schema, e)
+    label = [c.kind for c in schema.columns].index("label")
+    raw, codes = _factorize(table[f"c{label}"])
+    ids = [schema.resolve_label(v) for v in raw]
+    if None in ids:
+        _raise_first_fault(path, schema,
+                           UnknownLabel(path, 0, raw[ids.index(None)]))
+    return table, np.array(ids, dtype=np.int64)[codes]
+
+
+def _factorize(values):
+    """The sorted level table (object array) of a column of strings, with
+    surrounding whitespace stripped, and each row's code in it. A dict finds
+    the distinct values in one pass; only those few are stripped and sorted
+    (stripping can merge two of them)."""
+    seen = {}
+    codes = np.fromiter((seen.setdefault(v, len(seen)) for v in values),
+                        dtype=np.intp, count=len(values))
+    table, merged = np.unique(np.array([v.strip() for v in seen], dtype=object),
+                              return_inverse=True)
+    return table, merged[codes]
+
+
+def _is_number(text):
+    """Whether loadtxt's float64 parser accepts text: once surrounding
+    whitespace is stripped, Python's float syntax in ASCII without digit-group
+    underscores."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_first_fault(path, schema, cause):
+    """Re-read one file with csv.reader and raise the typed error of its first
+    bad row: RowArity, UnknownLabel or BadNumber, with the line (record) and
+    the 1-based file column. Raises cause when no row is bad."""
+    width = len(schema.columns)
+    with open(path, encoding="utf-8", newline="") as f:
+        header = schema.has_header
+        for line, rec in enumerate(csv.reader(f), 1):
+            if not rec:
+                continue
+            if header:
+                header = False
+                continue
+            if len(rec) != width:
+                raise RowArity(path, line, width, len(rec)) from None
+            for j, (col, val) in enumerate(zip(schema.columns, rec), 1):
+                if col.kind == "label" \
+                        and schema.resolve_label(val.strip()) is None:
+                    raise UnknownLabel(path, line, val.strip()) from None
+                if col.kind == "numeric" and not _is_number(val):
+                    raise BadNumber(path, line, j, col.name, val) from None
+    raise cause
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +356,12 @@ class PreprocessPlan:
                 names.extend(f"{t[0]}={lvl}" for lvl in t[2])
         return names
 
+    def level_tables(self):
+        """Per transform, its levels as an object array (None for a numeric
+        one): the level tables of rows from inverse_transform."""
+        return [None if t[1] == "numeric" else np.array(t[2], dtype=object)
+                for t in self.transforms]
+
     def to_dict(self):
         return {"transforms": [list(t) for t in self.transforms],
                 "fingerprint": self.fingerprint}
@@ -303,13 +382,15 @@ def fit_plan(dataset: Dataset) -> PreprocessPlan:
     if len(dataset) == 0:
         raise EmptyDataset("cannot fit a preprocessing plan on an empty dataset")
     transforms = []
+    lo, hi = dataset.features.min(axis=0), dataset.features.max(axis=0)
     for j, col in enumerate(dataset.schema.feature_columns):
         if col.kind == "numeric":
-            vals = dataset.features[:, j].astype(np.float64)
-            transforms.append((col.name, "numeric", float(vals.min()), float(vals.max())))
+            transforms.append((col.name, "numeric", float(lo[j]), float(hi[j])))
         else:
-            levels = sorted({str(v) for v in dataset.features[:, j]})
-            transforms.append((col.name, "categorical", tuple(levels)))
+            table = dataset.levels[j]
+            seen = np.bincount(dataset.features[:, j].astype(np.intp),
+                               minlength=len(table)) > 0
+            transforms.append((col.name, "categorical", tuple(sorted(table[seen]))))
     return PreprocessPlan(transforms, _schema_fingerprint(dataset.schema))
 
 
@@ -325,40 +406,45 @@ def preprocess(dataset: Dataset, plan: PreprocessPlan = None):
         plan = fit_plan(dataset)
     elif plan.fingerprint != _schema_fingerprint(dataset.schema):
         raise PlanMismatch("plan was fitted on an incompatible schema")
-    blocks = []
-    for j, t in enumerate(plan.transforms):
-        if t[1] == "numeric":
-            lo, hi = t[2], t[3]
-            vals = dataset.features[:, j].astype(np.float64)
-            if hi > lo:
-                blocks.append(((vals - lo) / (hi - lo))[:, None])
-            else:
-                blocks.append(np.zeros((len(dataset), 1)))
-        else:
-            levels = {lvl: i for i, lvl in enumerate(t[2])}
-            block = np.zeros((len(dataset), len(t[2])))
-            for i, v in enumerate(dataset.features[:, j]):
-                k = levels.get(str(v))
-                if k is not None:
-                    block[i, k] = 1.0
-            blocks.append(block)
-    matrix = np.hstack(blocks) if blocks else np.zeros((len(dataset), 0))
-    if not np.all(np.isfinite(matrix)):
+    names = plan.encoded_names()
+    t = plan.transforms
+    starts = np.cumsum([0] + [1 if x[1] == "numeric" else len(x[2]) for x in t])
+    num = [j for j, x in enumerate(t) if x[1] == "numeric"]
+    lo, hi = np.array([t[j][2] for j in num]), np.array([t[j][3] for j in num])
+    matrix = np.zeros((len(dataset), len(names)))
+    # all numeric columns in one block (a copy: num is a list), then a
+    # zero-range column maps to 0
+    block = dataset.features[:, num]
+    block -= lo
+    block /= np.where(hi > lo, hi - lo, 1.0)
+    block[:, hi <= lo] = 0.0
+    if not np.all(np.isfinite(block)):
         raise NonFiniteValue("encoding produced non-finite values")
+    matrix[:, starts[num]] = block
+    for j, x in enumerate(t):
+        if x[1] == "categorical":
+            # the plan's position of each level of the dataset's table, -1
+            # for a level the plan has not seen
+            index = {lvl: i for i, lvl in enumerate(x[2])}
+            pos = np.array([index.get(lvl, -1) for lvl in dataset.levels[j]],
+                           dtype=np.intp)[dataset.features[:, j].astype(np.intp)]
+            rows = np.flatnonzero(pos >= 0)
+            matrix[rows, starts[j] + pos[rows]] = 1.0
     enc = Dataset(matrix, dataset.labels.copy(), dataset.schema, encoded=True,
-                  feature_names=plan.encoded_names(),
+                  feature_names=names,
                   provenance=dataset.provenance, synthetic=dataset.synthetic.copy())
     return enc, plan
 
 
 def inverse_transform(matrix, plan: PreprocessPlan):
-    """Decode encoded rows back to raw space.
+    """Decode encoded rows back to the raw float64 form.
 
     Numeric values are clamped to [0,1] before unscaling; one-hot blocks are
-    decoded by argmax (generator outputs are continuous).
+    decoded by argmax (generator outputs are continuous) into codes of
+    `plan.level_tables()`.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    rows = np.empty((matrix.shape[0], len(plan.transforms)), dtype=object)
+    rows = np.empty((matrix.shape[0], len(plan.transforms)))
     off = 0
     for j, t in enumerate(plan.transforms):
         if t[1] == "numeric":
@@ -368,8 +454,7 @@ def inverse_transform(matrix, plan: PreprocessPlan):
             off += 1
         else:
             width = len(t[2])
-            idx = np.argmax(matrix[:, off:off + width], axis=1)
-            rows[:, j] = np.array(t[2], dtype=object)[idx]
+            rows[:, j] = np.argmax(matrix[:, off:off + width], axis=1)
             off += width
     return rows
 

@@ -327,4 +327,5 @@ def synthesize(generator: GanModel, n, plan: PreprocessPlan, seed,
     return Dataset(raw, labels, schema, encoded=False,
                    feature_names=[t[0] for t in plan.transforms],
                    provenance=f"synthesized:{class_name}",
-                   synthetic=np.ones(n, dtype=bool))
+                   synthetic=np.ones(n, dtype=bool),
+                   levels=plan.level_tables())

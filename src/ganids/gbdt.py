@@ -250,12 +250,14 @@ def efb_bundle(binned, n_bins, max_conflict=0.0) -> BundleMap:
 def bundle_columns(binned, bundle_map: BundleMap):
     """Materialize one int column per bundle: 0 when every member is at bin
     0, else offset + bin - 1 of the (first) nonzero member."""
-    n = binned.shape[0]
-    cols = np.zeros((n, len(bundle_map.bundles)), dtype=np.int32)
+    cols = np.empty((binned.shape[0], len(bundle_map.bundles)), dtype=np.int32)
     for i, (bundle, offs) in enumerate(zip(bundle_map.bundles, bundle_map.offsets)):
+        # efb_bundle gives every first member offset 1, so its bins are the
+        # column as they are; later members fill only the rows still at 0
         col = cols[:, i]
-        taken = np.zeros(n, dtype=bool)
-        for f, off in zip(bundle, offs):
+        col[:] = binned[:, bundle[0]]
+        taken = col != 0
+        for f, off in zip(bundle[1:], offs[1:]):
             v = binned[:, f]
             hit = (v != 0) & ~taken
             col[hit] = off + v[hit] - 1

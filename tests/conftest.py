@@ -21,15 +21,35 @@ def encoded_dataset(matrix, labels, classes, normal=None):
 
 
 def raw_dataset(rows, labels, kinds, classes, normal=None):
-    """Raw (object-matrix) dataset; kinds is a list of numeric/categorical."""
+    """Raw (typed) dataset; kinds is a list of numeric/categorical. A
+    categorical column becomes codes into its sorted level table."""
     cols = [Column(f"f{i}", kind) for i, kind in enumerate(kinds)]
     cols.append(Column("label", "label"))
     schema = DatasetSchema(cols, list(classes), normal or classes[0])
-    matrix = np.empty((len(rows), len(kinds)), dtype=object)
-    for i, r in enumerate(rows):
-        matrix[i] = r
+    matrix = np.empty((len(rows), len(kinds)))
+    levels = []
+    for j, kind in enumerate(kinds):
+        values = [r[j] for r in rows]
+        if kind == "numeric":
+            matrix[:, j] = np.asarray(values, dtype=np.float64)
+            levels.append(None)
+        else:
+            table, codes = np.unique(np.array([str(v) for v in values],
+                                              dtype=object),
+                                     return_inverse=True)
+            matrix[:, j] = codes
+            levels.append(table)
     return Dataset(matrix, np.asarray(labels, dtype=np.int64), schema,
-                   encoded=False, feature_names=[c.name for c in cols[:-1]])
+                   encoded=False, feature_names=[c.name for c in cols[:-1]],
+                   levels=levels)
+
+
+def column(ds, j):
+    """Values of feature column j of a dataset: numbers, or level strings for
+    a categorical column of a raw dataset."""
+    table = None if ds.levels is None else ds.levels[j]
+    vals = ds.features[:, j]
+    return vals if table is None else table[vals.astype(np.intp)]
 
 
 def fd_param_grad(loss_fn, params, name, index, h=1e-5):

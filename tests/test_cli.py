@@ -118,6 +118,20 @@ def test_evaluate_reports_damaged_plan(demo, tmp_path, capsys, text):
     assert err.startswith("error: ") and "not an encoding plan" in err
 
 
+def test_evaluate_reads_the_plan_before_the_csv(tmp_path, capsys):
+    ens = gbdt.Ensemble([], np.zeros(2), gbdt.BinMapper([np.array([0.5])]),
+                        gbdt.BundleMap([[0]], [[1]], [2]), 2, 0.1)
+    model = tmp_path / "ensemble.bin"
+    archive.save_ensemble(model, ens)
+    plan = tmp_path / "plan.json"
+    plan.write_text("{}")
+    assert cli.main(["evaluate", "--model", str(model), "--plan", str(plan),
+                     "--schema", "builtin:nslkdd",
+                     str(tmp_path / "missing.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "not an encoding plan" in err and "missing.csv" not in err
+
+
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])

@@ -1,11 +1,16 @@
 """CSV loading, encoding and splitting tests."""
 
+import csv
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import raw_dataset
+from conftest import column, raw_dataset
 
 from ganids import data as dio
 
@@ -29,7 +34,7 @@ def test_load_basic(tmp_path):
     ds = dio.load_dataset(p, simple_schema())
     assert len(ds) == 2
     assert ds.labels.tolist() == [0, 1]
-    assert ds.features[0].tolist() == [1.5, "tcp"]
+    assert [column(ds, j)[0] for j in range(2)] == [1.5, "tcp"]
     assert not ds.encoded
 
 
@@ -127,6 +132,220 @@ def test_load_header_skipped(tmp_path):
     assert len(dio.load_dataset(p, schema)) == 1
 
 
+def test_load_row_with_one_extra_column_raises_row_arity(tmp_path):
+    p = write_csv(tmp_path, "d.csv", ["1,tcp,normal", "2,udp,attack,extra"])
+    with pytest.raises(dio.RowArity) as e:
+        dio.load_dataset(p, simple_schema())
+    assert (e.value.path, e.value.line) == (p, 2)
+    assert "expected 3 columns, got 4" in str(e.value)
+
+
+def test_load_keeps_long_categorical_levels(tmp_path):
+    level = "abcdefghij" * 4
+    p = write_csv(tmp_path, "d.csv", ["1,ab,normal", f"2,{level},attack"])
+    ds = dio.load_dataset(p, simple_schema())
+    assert column(ds, 1).tolist() == ["ab", level]
+
+
+def test_load_keeps_hash_in_values(tmp_path):
+    p = write_csv(tmp_path, "d.csv", ["1,t#cp,normal", "2,#,attack"])
+    ds = dio.load_dataset(p, simple_schema())
+    assert column(ds, 1).tolist() == ["t#cp", "#"]
+
+
+def test_load_rejects_digit_group_underscore(tmp_path):
+    p = write_csv(tmp_path, "d.csv", ["1,tcp,normal", "1_0,udp,attack"])
+    with pytest.raises(dio.BadNumber) as e:
+        dio.load_dataset(p, simple_schema())
+    assert (e.value.line, e.value.column, e.value.value) == (2, 1, "1_0")
+
+
+def test_load_empty_file_is_an_empty_dataset_without_warning(tmp_path):
+    schema = simple_schema()
+    schema.has_header = True
+    for text in ("", "\n\n", "a,proto,label\n\n"):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = dio.load_dataset(p, schema)
+        assert ds.features.shape == (0, 2) and len(ds.labels) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(list("0123456789.eE+-_ \tnaifINFxy\x1c\xa0")
+                               + ["١", "１", "　", "\x00"]),
+               max_size=8))
+def test_number_test_agrees_with_loadtxt(text):
+    row = np.dtype([("a", "f8"), ("b", "O")])
+    try:
+        np.loadtxt([text + ",x"], dtype=row, delimiter=",", comments=None,
+                   quotechar='"', ndmin=1)
+        parsed = True
+    except ValueError:
+        parsed = False
+    assert dio._is_number(text) == parsed
+
+
+def _reference_load_dataset(paths, schema):
+    """The row-at-a-time loader the columnar one replaced, kept as its
+    reference: (feature rows, labels), raising the same typed errors."""
+    if isinstance(paths, (str, bytes)) or hasattr(paths, "__fspath__"):
+        paths = [paths]
+    feat_cols = schema.feature_columns
+    rows, labels = [], []
+    counts = {}
+    caps = {schema.class_id(k): v for k, v in schema.class_caps.items()}
+    for path in paths:
+        with open(path, newline="") as f:
+            first = True
+            lineno = 0
+            for rec in csv.reader(f):
+                lineno += 1
+                if not rec:
+                    continue
+                if first and schema.has_header:
+                    first = False
+                    continue
+                first = False
+                if len(rec) != len(schema.columns):
+                    raise dio.RowArity(path, lineno, len(schema.columns),
+                                       len(rec))
+                cid = None
+                feats = []
+                for j, (col, val) in enumerate(zip(schema.columns, rec), 1):
+                    if col.kind == "label":
+                        cid = schema.resolve_label(val.strip())
+                        if cid is None:
+                            raise dio.UnknownLabel(path, lineno, val.strip())
+                    elif col.kind == "numeric":
+                        try:
+                            feats.append(float(val))
+                        except ValueError:
+                            raise dio.BadNumber(path, lineno, j, col.name,
+                                                val) from None
+                    elif col.kind == "categorical":
+                        feats.append(val.strip())
+                cap = caps.get(cid)
+                if cap is not None and counts.get(cid, 0) >= cap:
+                    continue
+                counts[cid] = counts.get(cid, 0) + 1
+                rows.append(feats)
+                labels.append(cid)
+    for j, col in enumerate(feat_cols):
+        if col.kind == "numeric" and not all(np.isfinite(r[j]) for r in rows):
+            raise dio.NonFiniteValue(f"non-finite values in column {col.name}")
+    return rows, labels
+
+
+_LEVEL_CHARS = st.sampled_from(list("abcxyz09-_.:#,\" \t"))
+_LABELS = ["normal", "attack", "neptune", "probe"]  # neptune maps to attack
+
+
+def _csv_field(draw, value):
+    if any(c in value for c in ',"') or draw(st.booleans()):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def _numeric_text(draw):
+    x = draw(st.floats(-1e12, 1e12, allow_nan=False) | st.integers(-10**6, 10**6))
+    return draw(st.sampled_from(["{!r}", " {} ", "{:e}", "{:.3f}"])).format(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_columnar_loader_matches_reference_loop(data):
+    draw = data.draw
+    kinds = draw(st.permutations(["numeric", "label"] + draw(st.lists(
+        st.sampled_from(["numeric", "categorical", "ignore"]), max_size=4))))
+    caps = draw(st.dictionaries(st.sampled_from(["normal", "attack", "probe"]),
+                                st.integers(0, 3)))
+    schema = dio.DatasetSchema(
+        columns=[dio.Column(f"k{j}", k) for j, k in enumerate(kinds)],
+        classes=["normal", "attack", "probe"], normal_class="normal",
+        label_map={"neptune": "attack"}, has_header=draw(st.booleans()),
+        class_caps=caps)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    fault = draw(st.sampled_from([None, "extra", "missing", "number", "label",
+                                  "nonfinite"]))
+    files = []
+    for _ in range(2):
+        lines = [",".join(c.name for c in schema.columns)] \
+            if schema.has_header else []
+        for _ in range(draw(st.integers(0, 12))):
+            cells = []
+            for kind in kinds:
+                if kind == "numeric":
+                    cells.append(_numeric_text(draw))
+                elif kind == "label":
+                    pad = draw(st.sampled_from(["", " ", "\t"]))
+                    cells.append(pad + draw(st.sampled_from(_LABELS)) + pad)
+                else:
+                    level = draw(st.text(_LEVEL_CHARS, min_size=1, max_size=40))
+                    cells.append(_csv_field(draw, level))
+            lines.append(",".join(cells))
+            if draw(st.integers(0, 5)) == 0:
+                lines.append("")
+        files.append(lines)
+    if fault:
+        lines = draw(st.sampled_from(files))
+        body = [i for i, ln in enumerate(lines)
+                if ln and not (schema.has_header and i == 0)]
+        if body:
+            i = draw(st.sampled_from(body))
+            cells = next(csv.reader([lines[i]]))
+            numeric = [j for j, k in enumerate(kinds) if k == "numeric"]
+            if fault == "extra":
+                cells.append("x")
+            elif fault == "missing":
+                cells.pop()
+            elif fault == "label":
+                cells[kinds.index("label")] = "mystery"
+            else:
+                cells[draw(st.sampled_from(numeric))] = draw(st.sampled_from(
+                    ["x7", "", "1e", "--1", "0x10"] if fault == "number"
+                    else ["nan", "inf", "-1e999"]))
+            lines[i] = ",".join(_csv_field(draw, c) for c in cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, lines in enumerate(files):
+            p = Path(tmp) / f"part{k}.csv"
+            p.write_bytes("".join(ln + newline for ln in lines).encode())
+            paths.append(p)
+        try:
+            want = _reference_load_dataset(paths, schema)
+        except (dio.RowArity, dio.UnknownLabel, dio.BadNumber,
+                dio.NonFiniteValue) as e:
+            with pytest.raises(type(e)) as got:
+                dio.load_dataset(paths, schema)
+            for attr in ("path", "line", "column", "value"):
+                assert getattr(got.value, attr, None) == getattr(e, attr, None)
+            assert str(got.value) == str(e)
+            return
+        ds = dio.load_dataset(paths, schema)
+    rows, labels = want
+    assert ds.labels.tolist() == labels
+    for j, col in enumerate(schema.feature_columns):
+        ref = [r[j] for r in rows]
+        if col.kind == "numeric":
+            assert np.array_equal(np.array(ref, dtype=np.float64).view(np.int64),
+                                  column(ds, j).view(np.int64))
+        else:
+            assert column(ds, j).tolist() == ref
+
+
+def test_concat_recodes_categorical_levels():
+    a = raw_dataset([["tcp", 1.0], ["udp", 2.0]], [0, 1],
+                    ["categorical", "numeric"], ["normal", "attack"])
+    b = raw_dataset([["icmp", 3.0], ["tcp", 4.0]], [1, 0],
+                    ["categorical", "numeric"], ["normal", "attack"])
+    both = dio.concat([a, b])
+    assert column(both, 0).tolist() == ["tcp", "udp", "icmp", "tcp"]
+    assert column(both, 1).tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert both.levels[0].tolist() == ["icmp", "tcp", "udp"]
+
+
 def test_schema_requires_single_label_column():
     with pytest.raises(ValueError):
         dio.DatasetSchema(columns=[dio.Column("a", "numeric")],
@@ -148,6 +367,23 @@ def test_preprocess_constant_column_maps_to_zero():
     assert enc.features[:, 0].tolist() == [0.0, 0.0, 0.0]
 
 
+def test_preprocess_zero_range_column_maps_other_values_to_zero():
+    train = raw_dataset([[5.0], [5.0]], [0, 1], ["numeric"],
+                        ["normal", "attack"])
+    _, plan = dio.preprocess(train)
+    apply = raw_dataset([[7.0], [-3.0]], [0, 1], ["numeric"],
+                        ["normal", "attack"])
+    enc, _ = dio.preprocess(apply, plan)
+    assert enc.features[:, 0].tolist() == [0.0, 0.0]
+
+
+def test_fit_plan_keeps_only_levels_present_in_the_rows():
+    ds = raw_dataset([["tcp"], ["udp"], ["icmp"]], [0, 0, 1],
+                     ["categorical"], ["normal", "attack"])
+    plan = dio.fit_plan(ds.select(np.array([0, 1])))
+    assert plan.transforms[0][2] == ("tcp", "udp")
+
+
 def test_preprocess_onehot_roundtrip():
     ds = raw_dataset([["tcp"], ["udp"], ["icmp"]], [0, 0, 1], ["categorical"],
                      ["normal", "attack"])
@@ -155,7 +391,8 @@ def test_preprocess_onehot_roundtrip():
     # levels are sorted: icmp, tcp, udp
     assert enc.features[1].tolist() == [0.0, 0.0, 1.0]
     back = dio.inverse_transform(enc.features, plan)
-    assert back[:, 0].tolist() == ["tcp", "udp", "icmp"]
+    table = plan.level_tables()[0]
+    assert table[back[:, 0].astype(int)].tolist() == ["tcp", "udp", "icmp"]
 
 
 def test_preprocess_unseen_level_is_all_zeros():
@@ -211,9 +448,10 @@ def test_encode_inverse_transform_round_trip(data):
     ds = raw_dataset(rows, [0] * n, kinds, ["normal", "attack"])
     enc, plan = dio.preprocess(ds)
     back = dio.inverse_transform(enc.features, plan)
+    tables = plan.level_tables()
     for j, (kind, col) in enumerate(zip(kinds, cols)):
         if kind == "categorical":
-            assert back[:, j].tolist() == col
+            assert tables[j][back[:, j].astype(int)].tolist() == col
         else:
             want = np.array(col)
             scale = max(1.0, float(np.abs(want).max()))

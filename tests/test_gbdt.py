@@ -507,6 +507,38 @@ def test_packed_efb_matches_reference_loop(data):
         assert got.offsets == want.offsets
 
 
+def _reference_bundle_columns(binned, bundle_map):
+    """One masked fill per member, the first included: the loop that copying
+    each bundle's first member replaced, kept as its reference."""
+    n = binned.shape[0]
+    cols = np.zeros((n, len(bundle_map.bundles)), dtype=np.int32)
+    for i, (bundle, offs) in enumerate(zip(bundle_map.bundles,
+                                           bundle_map.offsets)):
+        col = cols[:, i]
+        taken = np.zeros(n, dtype=bool)
+        for f, off in zip(bundle, offs):
+            v = binned[:, f]
+            hit = (v != 0) & ~taken
+            col[hit] = off + v[hit] - 1
+            taken |= hit
+    return cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bundle_columns_match_reference_loop(data):
+    rng, binned, bm = _layout(data.draw)
+    # members that conflict too: sparse columns under a 30% conflict budget
+    sparse = ((rng.random(binned.shape) < 0.2)
+              * rng.integers(1, 4, binned.shape)).astype(np.int32)
+    n_bins = [4] * sparse.shape[1]
+    for x, layout in ((binned, bm),
+                      (sparse, gbdt.efb_bundle(sparse, n_bins, 0.3))):
+        got = gbdt.bundle_columns(x, layout)
+        want = _reference_bundle_columns(x, layout)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_fit_zero_rounds_predicts_priors():
     rng = np.random.default_rng(0)
     ds = _random_dataset(rng, 100, 3, 2)
