@@ -90,15 +90,18 @@ def load_gan(path) -> gan_mod.GanModel:
         raise ArchiveError(f"{path}: expected a gan archive")
     g_params = nn.ParamSet.from_bytes(blobs[0])
     d_params = nn.ParamSet.from_bytes(blobs[1])
-    if g_params.content_hash() != header["g_hash"] \
-            or d_params.content_hash() != header["d_hash"]:
+    if g_params.content_hash() != header.get("g_hash") \
+            or d_params.content_hash() != header.get("d_hash"):
         raise ArchiveError(f"{path}: content hash mismatch")
-    model = gan_mod.GanModel(
-        nn.NetworkSpec.from_dict(header["g_spec"]), g_params,
-        nn.NetworkSpec.from_dict(header["d_spec"]), d_params,
-        header["feature_dim"], gan_mod.GanConfig.from_dict(header["cfg"]),
-        phase=header["phase"])
-    return model
+    try:
+        return gan_mod.GanModel(
+            nn.NetworkSpec.from_dict(header["g_spec"]), g_params,
+            nn.NetworkSpec.from_dict(header["d_spec"]), d_params,
+            header["feature_dim"], gan_mod.GanConfig.from_dict(header["cfg"]),
+            phase=header["phase"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ArchiveError(f"{path}: header does not describe a GAN "
+                           f"({type(e).__name__}: {e})") from e
 
 
 def save_ensemble(path, ensemble: gbdt.Ensemble):

@@ -12,7 +12,8 @@ from . import archive, imbalance, metrics, pipeline
 from .archive import ArchiveError
 from .autodiff import NonFiniteValue
 from .data import (BadNumber, PlanMismatch, PreprocessPlan, RowArity,
-                   UnknownLabel, load_dataset, load_schema, preprocess)
+                   UnknownLabel, load_dataset, load_schema, preprocess,
+                   select_columns)
 
 
 def _load_config(args):
@@ -23,8 +24,6 @@ def _load_config(args):
         cfg = replace(cfg, seed=args.seed)
     if args.gamma is not None:
         cfg = replace(cfg, gamma=args.gamma)
-    if args.skip_pretrain:
-        cfg = replace(cfg, skip_pretrain=True)
     return cfg
 
 
@@ -82,7 +81,8 @@ def cmd_evaluate(args):
             raise PlanMismatch(f"{args.plan}: not an encoding plan "
                                f"({type(e).__name__}: {e})") from e
     enc, _ = preprocess(load_dataset(args.paths, schema), plan)
-    pred = ens.predict(enc.features)
+    # a model trained on selected features reads only those columns
+    pred = ens.predict(select_columns(enc, ens.feature_names).features)
     rep = metrics.evaluate(pred, enc.labels, len(schema.classes))
     print(json.dumps(rep.to_dict(), indent=1))
 
@@ -122,7 +122,6 @@ def main(argv=None):
         sp.add_argument("--out", help="override output directory")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--gamma", type=float)
-        sp.add_argument("--skip-pretrain", action="store_true")
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("evaluate", help="score a saved classifier on a CSV")

@@ -194,6 +194,26 @@ class Dataset:
         return h.hexdigest()
 
 
+def select_columns(dataset: Dataset, names) -> Dataset:
+    """The dataset with only the named feature columns, in that order; the
+    dataset itself, not a copy, when names are all of its columns in
+    order. A name the dataset lacks raises PlanMismatch."""
+    names = list(names)
+    if names == dataset.feature_names:
+        return dataset
+    index = {n: j for j, n in enumerate(dataset.feature_names)}
+    missing = [n for n in names if n not in index]
+    if missing:
+        raise PlanMismatch(f"{len(missing)} column(s) missing from the "
+                           f"dataset's encoding, first {missing[0]!r}")
+    cols = [index[n] for n in names]
+    levels = None if dataset.levels is None \
+        else [dataset.levels[j] for j in cols]
+    return Dataset(dataset.features[:, cols], dataset.labels, dataset.schema,
+                   dataset.encoded, names, dataset.provenance,
+                   dataset.synthetic, levels)
+
+
 def concat(datasets, provenance=""):
     """The rows of datasets of one schema, in order. Raw categorical codes
     are rewritten into the sorted union of the parts' level tables."""

@@ -31,7 +31,6 @@ class GanConfig:
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
-    weight_decay: float = 0.0
     batch_size: int = 64
     critic_steps: int = 5          # critic updates per generator update
     noise_dim: int = 0             # 0 -> feature_dim
@@ -84,10 +83,7 @@ class GanModel:
         self.feature_dim = feature_dim
         self.cfg = cfg
         self.phase = phase
-        self.g_opt = nn.AdamState(g_params, cfg.lr, cfg.beta1, cfg.beta2,
-                                  weight_decay=cfg.weight_decay)
-        self.d_opt = nn.AdamState(d_params, cfg.lr, cfg.beta1, cfg.beta2,
-                                  weight_decay=cfg.weight_decay)
+        self.reset_optimizers()
 
     @property
     def noise_dim(self):
@@ -95,10 +91,8 @@ class GanModel:
 
     def reset_optimizers(self):
         cfg = self.cfg
-        self.g_opt = nn.AdamState(self.g_params, cfg.lr, cfg.beta1, cfg.beta2,
-                                  weight_decay=cfg.weight_decay)
-        self.d_opt = nn.AdamState(self.d_params, cfg.lr, cfg.beta1, cfg.beta2,
-                                  weight_decay=cfg.weight_decay)
+        self.g_opt = nn.AdamState(self.g_params, cfg.lr, cfg.beta1, cfg.beta2)
+        self.d_opt = nn.AdamState(self.d_params, cfg.lr, cfg.beta1, cfg.beta2)
 
     def copy(self):
         m = GanModel(self.g_spec, self.g_params.copy(), self.d_spec,

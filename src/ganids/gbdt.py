@@ -29,16 +29,19 @@ exactly the feature's own bins, in the same order as a per-feature loop, so
 on a directly built histogram the gains are the loop's bit for bit, and a
 node's gains do not depend on which nodes share its batch. (Padding all
 features to one width would change the summation order of bin 0, and with
-it which of two equal-gain splits wins.) Among candidates within 1e-12 of
-the best gain (and above 0, with min_leaf rows on each side) the lowest
-(feature, bin) wins.
+it which of two equal-gain splits wins.) Among candidates within
+1e-12 * max(1, best gain) of the best gain (and above 0, with min_leaf rows
+on each side) the lowest (feature, bin) wins: the tolerance is relative, so
+splits that tie up to rounding tie at any gain scale.
 
 Siblings: the histogram is built for the smaller child only; the larger
 child's is the parent's minus it (LightGBM's histogram subtraction). Counts
 are exact; g and h differ from a direct build only by rounding.
 
-Bundling packs each feature's nonzero mask into 64-bit words, so the
-conflicts of one feature with every open bundle are one AND and one
+Bundling is exact: the members of a bundle are never nonzero on the same
+row, so a bundle column decodes back to each member's bins. It packs each
+feature's nonzero mask into 64-bit words, so whether a feature overlaps
+each open bundle is one AND over the words, and its nonzero count one
 popcount (np.bitwise_count, numpy >= 2.0).
 """
 
@@ -70,7 +73,6 @@ class BoostParams:
     min_leaf: int = 20
     goss_a: float = 0.2
     goss_b: float = 0.1
-    efb_max_conflict: float = 0.0
     use_efb: bool = True
     lam_leaf: float = 1.0
     seed: int = 0
@@ -181,8 +183,8 @@ def goss_sample(gradients, a, b, seed):
 
 @dataclass
 class BundleMap:
-    """Groups of mutually (almost) exclusive features with disjoint offset
-    ranges inside a shared histogram column."""
+    """Groups of mutually exclusive features with disjoint offset ranges
+    inside a shared histogram column."""
 
     bundles: list          # list of lists of feature ids
     offsets: list          # parallel: feature id -> offset within its bundle
@@ -203,13 +205,13 @@ class BundleMap:
         return BundleMap(d["bundles"], d["offsets"], d["n_bins"])
 
 
-def efb_bundle(binned, n_bins, max_conflict=0.0) -> BundleMap:
+def efb_bundle(binned, n_bins) -> BundleMap:
     """Greedy exclusive-feature bundling on a binned matrix.
 
-    Two features conflict on a row when both have a nonzero bin there; a
-    feature joins the first bundle whose total conflict count stays within
-    max_conflict * rows. Nonzero masks are packed 64 rows to a word, so one
-    popcount over every open bundle's mask counts a feature's conflicts.
+    Features are taken by descending nonzero count; each joins the first
+    bundle none of whose members is nonzero on a row where it is, else
+    opens a new one. Nonzero masks are packed 64 rows to a word, so one AND
+    with every open bundle's mask finds the bundles a feature overlaps.
     """
     n, m = binned.shape
     if m == 0:
@@ -221,18 +223,14 @@ def efb_bundle(binned, n_bins, max_conflict=0.0) -> BundleMap:
     packed = packed.view(np.uint64)
     counts = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
     order = np.argsort(-counts, kind="stable")
-    budget = int(max_conflict * n)
     masks = np.zeros((m, packed.shape[1]), dtype=np.uint64)
-    conflicts = np.zeros(m, dtype=np.int64)
     bundles = []
     for f in order:
-        c = np.bitwise_count(masks[:len(bundles)] & packed[f]).sum(
-            axis=1, dtype=np.int64)
-        fits = np.flatnonzero(conflicts[:len(bundles)] + c <= budget)
+        fits = np.flatnonzero(~np.any(masks[:len(bundles)] & packed[f],
+                                      axis=1))
         if len(fits):
             i = fits[0]
             bundles[i].append(int(f))
-            conflicts[i] += c[i]
         else:
             i = len(bundles)
             bundles.append([int(f)])
@@ -249,19 +247,18 @@ def efb_bundle(binned, n_bins, max_conflict=0.0) -> BundleMap:
 
 def bundle_columns(binned, bundle_map: BundleMap):
     """Materialize one int column per bundle: 0 when every member is at bin
-    0, else offset + bin - 1 of the (first) nonzero member."""
+    0, else offset + bin - 1 of the one nonzero member."""
     cols = np.empty((binned.shape[0], len(bundle_map.bundles)), dtype=np.int32)
     for i, (bundle, offs) in enumerate(zip(bundle_map.bundles, bundle_map.offsets)):
         # efb_bundle gives every first member offset 1, so its bins are the
-        # column as they are; later members fill only the rows still at 0
+        # column as they are; members are exclusive, so later members fill
+        # rows still at 0
         col = cols[:, i]
         col[:] = binned[:, bundle[0]]
-        taken = col != 0
         for f, off in zip(bundle[1:], offs[1:]):
             v = binned[:, f]
-            hit = (v != 0) & ~taken
+            hit = v != 0
             col[hit] = off + v[hit] - 1
-            taken |= hit
     return cols
 
 
@@ -384,8 +381,8 @@ class _HistContext:
     def scan(self, hist, n_rows, g_tot, h_tot):
         """Best (gain, feature, bin) of each of k nodes, or None, from their
         k (3, n_slots + 1) histograms, row counts and g and h sums. Among
-        candidates within 1e-12 of a node's best gain the lowest
-        (feature, bin) wins."""
+        candidates within 1e-12 * max(1, best gain) of a node's best gain
+        the lowest (feature, bin) wins."""
         p = self.params
         if len(self.cand_pos) == 0:
             return [None] * len(hist)
@@ -422,7 +419,8 @@ class _HistContext:
             gains -= gt * gt / (ht + p.lam_leaf)
             gains[(cl < p.min_leaf) | (n - cl < p.min_leaf)] = -np.inf
             top = gains.max(axis=1, keepdims=True)
-            best = np.argmax((gains >= top - 1e-12) & (gains > 0), axis=1)
+            tol = 1e-12 * np.maximum(1.0, top)
+            best = np.argmax((gains >= top - tol) & (gains > 0), axis=1)
             for j, i in enumerate(best):
                 out.append((float(gains[j, i]), int(self.cand_feature[i]),
                             int(self.cand_bin[i])) if top[j, 0] > 0 else None)
@@ -612,7 +610,7 @@ def fit(train: Dataset, params: BoostParams) -> Ensemble:
     mapper, binned = bin_features(train, params.max_bins)
     n_bins = mapper.n_bins
     if params.use_efb:
-        bundle_map = efb_bundle(binned, n_bins, params.efb_max_conflict)
+        bundle_map = efb_bundle(binned, n_bins)
     else:
         bundle_map = BundleMap([[j] for j in range(binned.shape[1])],
                                [[1] for _ in range(binned.shape[1])],

@@ -156,18 +156,6 @@ def param_shapes(spec: NetworkSpec):
     return shapes
 
 
-def output_width(spec: NetworkSpec):
-    cur = ("flat", spec.input_width)
-    for layer, in_desc in _shape_chain(spec):
-        if layer.kind == "fc":
-            cur = ("flat", layer.out_size)
-        elif layer.kind == "conv1d":
-            cur = ("seq", layer.out_channels, in_desc[2])
-    if cur[0] == "seq":
-        return cur[1] * cur[2]
-    return cur[1]
-
-
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -403,7 +391,7 @@ def gradient_penalty(spec: NetworkSpec, params: ParamSet, x_hat, lam,
 
 class AdamState:
     def __init__(self, params: ParamSet, lr=1e-4, beta1=0.9, beta2=0.999,
-                 eps=1e-8, weight_decay=0.0):
+                 eps=1e-8):
         self.m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.tensors.items()}
         self.t = 0
@@ -411,7 +399,6 @@ class AdamState:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
 
 
 def adam_step(params: ParamSet, grads: dict, state: AdamState) -> ParamSet:
@@ -423,8 +410,6 @@ def adam_step(params: ParamSet, grads: dict, state: AdamState) -> ParamSet:
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
-        if state.weight_decay:
-            g = g + state.weight_decay * p
         state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
         state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
         mhat = state.m[name] / (1 - state.beta1 ** t)

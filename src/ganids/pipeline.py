@@ -16,12 +16,10 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import archive, boruta, gbdt, imbalance, metrics
 from . import gan as gan_mod
-from .data import (Dataset, DatasetSchema, concat, load_dataset, load_schema,
-                   preprocess, split_stratified)
+from .data import (DatasetSchema, concat, load_dataset, load_schema,
+                   preprocess, select_columns, split_stratified)
 
 
 class ConfigInvalid(ValueError):
@@ -48,14 +46,10 @@ class PipelineConfig:
     split_seed: int = 7
     seed: int = 0
     gan: gan_mod.GanConfig = field(default_factory=gan_mod.GanConfig)
-    finetune_max_steps: int = 0    # 0 -> same as gan.max_steps
     boost: gbdt.BoostParams = field(default_factory=gbdt.BoostParams)
     boruta_enabled: bool = False
     boruta_rounds: int = 10
     boruta_alpha: float = 0.05
-    boruta_include_tentative: bool = True
-    boruta_boost: gbdt.BoostParams = None
-    synth_counts: dict = field(default_factory=dict)  # class -> override count
     skip_pretrain: bool = False
     skip_augment: bool = False
 
@@ -63,18 +57,21 @@ class PipelineConfig:
         d = dict(vars(self))
         d["gan"] = self.gan.to_dict()
         d["boost"] = self.boost.to_dict()
-        d["boruta_boost"] = self.boruta_boost.to_dict() if self.boruta_boost else None
         return d
 
     @staticmethod
     def from_dict(d):
         d = dict(d)
-        if "gan" in d and isinstance(d["gan"], dict):
-            d["gan"] = gan_mod.GanConfig.from_dict(d["gan"])
-        if "boost" in d and isinstance(d["boost"], dict):
-            d["boost"] = gbdt.BoostParams.from_dict(d["boost"])
-        if d.get("boruta_boost"):
-            d["boruta_boost"] = gbdt.BoostParams.from_dict(d["boruta_boost"])
+        for key, section in (("gan", gan_mod.GanConfig),
+                             ("boost", gbdt.BoostParams)):
+            if key not in d:
+                continue
+            if not isinstance(d[key], dict):
+                raise ConfigInvalid(key, "must be an object")
+            try:
+                d[key] = section.from_dict(d[key])
+            except (TypeError, ValueError) as e:
+                raise ConfigInvalid(key, str(e)) from e
         try:
             return PipelineConfig(**d)
         except TypeError as e:
@@ -155,7 +152,7 @@ def _write_eval(out_dir, name, report):
                ["class", "support", "precision", "recall", "f1"], rows)
 
 
-def run_pipeline(config: PipelineConfig, ablate=False) -> RunArtifacts:
+def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -210,12 +207,10 @@ def run_pipeline(config: PipelineConfig, ablate=False) -> RunArtifacts:
             archive.save_gan(pre_path, model)
             gan_paths["pretrained"] = pre_path
 
-        ft_cfg = gan_cfg if not config.finetune_max_steps \
-            else replace(gan_cfg, max_steps=config.finetune_max_steps)
         n_normal_train = len(filtered.normal)
         for class_name, subset in sorted(filtered.minority.items()):
             with stage(f"finetune:{class_name}"):
-                tuned, trace = gan_mod.finetune(model, subset, ft_cfg,
+                tuned, trace = gan_mod.finetune(model, subset, gan_cfg,
                                                 class_name=class_name)
                 traces[class_name] = trace
                 _write_trace(out_dir / f"trace_{class_name}.csv", trace)
@@ -223,9 +218,8 @@ def run_pipeline(config: PipelineConfig, ablate=False) -> RunArtifacts:
                 archive.save_gan(path, tuned)
                 gan_paths[class_name] = path
             with stage(f"synthesize:{class_name}"):
-                n = config.synth_counts.get(
-                    class_name,
-                    default_synth_count(n_normal_train, len(subset), config.gamma))
+                n = default_synth_count(n_normal_train, len(subset),
+                                        config.gamma)
                 synth_raw = gan_mod.synthesize(
                     tuned, n, plan, seed=config.seed * 77 + 13,
                     schema=schema, class_name=class_name)
@@ -237,11 +231,9 @@ def run_pipeline(config: PipelineConfig, ablate=False) -> RunArtifacts:
         train_aug = concat([train] + synth_sets, "train+synth") \
             if synth_sets else train
 
-    feature_mask = None
     if config.boruta_enabled:
         with stage("select"):
-            bp = config.boruta_boost or replace(
-                config.boost, rounds=max(10, config.boost.rounds // 10))
+            bp = replace(config.boost, rounds=max(10, config.boost.rounds // 10))
             decision = boruta.boruta_select(
                 train_aug, config.boruta_rounds, config.boruta_alpha, bp,
                 seed=config.seed + 5)
@@ -250,25 +242,15 @@ def run_pipeline(config: PipelineConfig, ablate=False) -> RunArtifacts:
                        ["feature", "status", "hits", "rounds"],
                        [(n, s, decision.hits[n], decision.rounds)
                         for n, s in decision.status.items()])
-            keep_status = {"accepted"}
-            if config.boruta_include_tentative:
-                keep_status.add("tentative")
-            feature_mask = np.array(
-                [decision.status[n] in keep_status
-                 for n in train_aug.feature_names], dtype=bool)
-            if not feature_mask.any():
-                feature_mask = None
-
-    def project(ds):
-        if feature_mask is None:
-            return ds
-        return Dataset(ds.features[:, feature_mask], ds.labels, ds.schema,
-                       True, [n for n, m in zip(ds.feature_names, feature_mask)
-                              if m], ds.provenance, ds.synthetic)
+            # accepted and tentative features; all of them if every one
+            # is rejected
+            keep = [n for n in train_aug.feature_names
+                    if decision.status[n] != "rejected"]
+            if keep:
+                train_aug = select_columns(train_aug, keep)
 
     with stage("train"):
-        ensemble = gbdt.fit(project(train_aug),
-                            replace(config.boost, seed=config.seed))
+        ensemble = gbdt.fit(train_aug, replace(config.boost, seed=config.seed))
         ensemble_path = out_dir / "models" / "ensemble.bin"
         archive.save_ensemble(ensemble_path, ensemble)
 
@@ -276,7 +258,8 @@ def run_pipeline(config: PipelineConfig, ablate=False) -> RunArtifacts:
         # test-set purity: evaluation rows are real by construction
         if test.synthetic.any():
             raise StageError("evaluate", "synthetic rows reached the test set")
-        pred = ensemble.predict(project(test).features)
+        pred = ensemble.predict(
+            select_columns(test, ensemble.feature_names).features)
         report = metrics.evaluate(pred, test.labels, len(schema.classes))
         _write_eval(out_dir, "eval", report)
 

@@ -301,7 +301,7 @@ def test_c09_split_search_matches_brute_force():
         params = gbdt.BoostParams(min_leaf=int(rng.integers(1, 5)),
                                   max_bins=8)
         mapper, binned = gbdt.bin_features(ds, params.max_bins)
-        bm = gbdt.efb_bundle(binned, mapper.n_bins, 0.0)
+        bm = gbdt.efb_bundle(binned, mapper.n_bins)
         ctx = gbdt._HistContext(binned, bm, gbdt.bundle_columns(binned, bm),
                                 params)
         g = rng.standard_normal(n)

@@ -112,3 +112,25 @@ def test_truncated_parameter_blob_raises_archive_error():
             nn.ParamSet.from_bytes(raw[:at])
     with pytest.raises(archive.ArchiveError):
         nn.ParamSet.from_bytes(raw + b"\x00")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["cfg"].update(weight_decay=0.0),
+    lambda h: h["cfg"].update(lam=-1.0),
+    lambda h: h.pop("feature_dim"),
+    lambda h: h["g_spec"].update(layers=[{"kind": "nope"}]),
+], ids=["cfg key GanConfig lacks", "invalid cfg value", "no feature_dim",
+        "bad layer spec"])
+def test_gan_header_that_does_not_build_raises_archive_error(tmp_path, edit):
+    model = gan.build_gan(3, gan.GanConfig(seed=1))
+    header = {"kind": "gan", "phase": model.phase, "feature_dim": 3,
+              "g_spec": model.g_spec.to_dict(),
+              "d_spec": model.d_spec.to_dict(), "cfg": model.cfg.to_dict(),
+              "g_hash": model.g_params.content_hash(),
+              "d_hash": model.d_params.content_hash()}
+    edit(header)
+    path = tmp_path / "gan.bin"
+    archive._write(path, header, [model.g_params.to_bytes(),
+                                  model.d_params.to_bytes()])
+    with pytest.raises(archive.ArchiveError, match="gan.bin"):
+        archive.load_gan(path)

@@ -1,11 +1,13 @@
 """Command-line interface tests."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ganids import archive, cli, gan, gbdt, pipeline
+from ganids.data import load_dataset, load_schema, split_stratified
 from ganids.demo import write_demo_dataset
 
 
@@ -57,6 +59,56 @@ def test_run_and_evaluate_commands(demo, tmp_path, capsys):
                      "--schema", str(demo["schema"]), str(demo["csv"])]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert 0.0 <= rep["accuracy"] <= 1.0
+
+
+def test_evaluate_scores_a_model_trained_on_boruta_selected_features(
+        demo, tmp_path, capsys):
+    cfg = pipeline.PipelineConfig(
+        dataset_paths=[str(demo["csv"])], schema=str(demo["schema"]),
+        out_dir=str(tmp_path / "run"),
+        gan=gan.GanConfig(max_steps=5, batch_size=16, stop_window=4),
+        boost=gbdt.BoostParams(rounds=3, min_leaf=5, max_depth=4),
+        boruta_enabled=True, boruta_rounds=10)
+    art = pipeline.run_pipeline(cfg)
+    status = json.loads((tmp_path / "run" / "feature_decision.json")
+                        .read_text())["status"]
+    assert "rejected" in status.values()
+    # the run's test split as a CSV: split the row numbers as the run split
+    # the rows
+    raw = load_dataset([demo["csv"]], load_schema(str(demo["schema"])))
+    rows = replace(raw, features=np.arange(len(raw), dtype=float)[:, None],
+                   levels=None, encoded=True, feature_names=["row"])
+    _, test = split_stratified(rows, cfg.train_fraction, cfg.split_seed)
+    lines = demo["csv"].read_text().splitlines()  # no header line
+    test_csv = tmp_path / "test.csv"
+    test_csv.write_text("".join(lines[int(i)] + "\n"
+                                for i in test.features[:, 0]))
+    assert cli.main(["evaluate", "--model", str(art.ensemble_path),
+                     "--plan", str(tmp_path / "run" / "plan.json"),
+                     "--schema", str(demo["schema"]), str(test_csv)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["macro_f1"] == art.eval_report.macro_f1
+
+
+@pytest.mark.parametrize("section, value", [
+    ("gan", {"bogus": 1}),
+    ("gan", {"lam": -1}),
+    ("gan", {"weight_decay": 0}),
+    ("gan", 5),
+    ("boost", {"bogus": 1}),
+    ("boost", {"goss_a": 0.9, "goss_b": 0.5}),
+    ("boost", [1, 2]),
+])
+def test_run_reports_a_bad_nested_config_section(demo, tmp_path, capsys,
+                                                 section, value):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "dataset_paths": [str(demo["csv"])], "schema": str(demo["schema"]),
+        "out_dir": str(tmp_path / "o"), "skip_augment": True,
+        section: value}))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {section}: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_command_reports_config_error(tmp_path, capsys):
