@@ -115,6 +115,14 @@ def load_ensemble(path) -> gbdt.Ensemble:
     header, blobs = _read(path)
     if header.get("kind") != "ensemble" or len(blobs) != 1:
         raise ArchiveError(f"{path}: expected an ensemble archive")
-    if hashlib.sha256(blobs[0]).hexdigest() != header["hash"]:
+    if hashlib.sha256(blobs[0]).hexdigest() != header.get("hash"):
         raise ArchiveError(f"{path}: content hash mismatch")
-    return gbdt.Ensemble.from_dict(json.loads(blobs[0].decode()))
+    try:
+        body = json.loads(blobs[0].decode())
+    except ValueError as e:
+        raise ArchiveError(f"{path}: unreadable ensemble body: {e}") from e
+    try:
+        return gbdt.Ensemble.from_dict(body)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ArchiveError(f"{path}: body does not describe an ensemble "
+                           f"({type(e).__name__}: {e})") from e

@@ -18,9 +18,20 @@ matmul, then a fold) and the weight adjoint `conv1d_w` (one matmul on the
 unfolded input), and the vjp of each of the three is built from the other
 two. The family is closed under differentiation, so the gradient penalty's
 double backward through a conv layer is made of these three nodes alone.
+
+Graphs are acyclic, so reference counting frees a graph as soon as nothing
+outside it holds a node, with no work for the cyclic garbage collector. No
+node refers to itself: a vjp that needs its own node's output (`tanh`,
+`sqrt`, `safe_recip`) reaches it through a weak reference, which is alive
+whenever `grad` calls the vjp. And constants hold no history: a node that
+requires no gradient keeps no parents and no vjp, so a forward pass on
+constant parameters frees each layer's arrays once the next layer has used
+them.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -48,10 +59,11 @@ class Var:
     `parents` are the input Vars and `vjp(g, need)` maps the incoming
     cotangent `g` (a Var) to a tuple of cotangents aligned with `parents`.
     `need` holds one bool per parent; an entry may be None where `need` is
-    False.
+    False. A node that does not require a gradient keeps no history: its
+    `parents` are () and its `vjp` is None.
     """
 
-    __slots__ = ("data", "parents", "vjp", "requires_grad")
+    __slots__ = ("data", "parents", "vjp", "requires_grad", "__weakref__")
 
     def __init__(self, data, parents=(), vjp=None, requires_grad=None):
         # every primitive hands over a float64 ndarray; converting only the
@@ -59,8 +71,6 @@ class Var:
         if type(data) is not np.ndarray or data.dtype is not _F64:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
-        self.parents = parents
-        self.vjp = vjp
         if requires_grad is None:
             requires_grad = False
             for p in parents:
@@ -68,6 +78,12 @@ class Var:
                     requires_grad = True
                     break
         self.requires_grad = requires_grad
+        if requires_grad:
+            self.parents = parents
+            self.vjp = vjp
+        else:
+            self.parents = ()
+            self.vjp = None
 
     @property
     def shape(self):
@@ -283,9 +299,12 @@ def mean(a, axis=None):
 
 def tanh(a):
     a = asvar(a)
-    y = np.tanh(a.data)
-    out = Var(y, (a,), None)
-    out.vjp = lambda g, _: (mul(g, one_minus_square(out)),)
+
+    def vjp(g, _):
+        return (mul(g, one_minus_square(ref())),)
+
+    out = Var(np.tanh(a.data), (a,), vjp)
+    ref = weakref.ref(out)
     return out
 
 
@@ -296,12 +315,16 @@ def one_minus_square(a):
                lambda g, _: (scale(mul(g, a), -2.0),))
 
 
-def leaky_relu(a, slope=0.2):
-    """max(a, slope * a) as one node; the kink's slope is a constant."""
+def leaky_relu(a, slope=0.2, *, pos=None):
+    """max(a, slope * a) as one node; the kink's slope is a constant.
+
+    `pos` is the mask `a.data > 0` for a caller that has already built it.
+    """
     a = asvar(a)
+    if pos is None:
+        pos = a.data > 0
     # (not pos) * slope + pos is exactly np.where(a > 0, 1, slope) for every
     # finite slope, NaN inputs included, and takes a third of np.where's time
-    pos = a.data > 0
     mask = np.multiply(~pos, slope, dtype=np.float64)
     mask += pos
     return scale(a, mask)
@@ -316,9 +339,13 @@ def safe_recip(a):
     """1/x with 0 mapped to 0 (all derivatives 0 there as well)."""
     a = asvar(a)
     nz = a.data != 0
-    y = np.where(nz, 1.0 / np.where(nz, a.data, 1.0), 0.0)
-    out = Var(y, (a,), None)
-    out.vjp = lambda g, _: (neg(mul(g, mul(out, out))),)
+
+    def vjp(g, _):
+        y = ref()
+        return (neg(mul(g, mul(y, y))),)
+
+    out = Var(np.where(nz, 1.0 / np.where(nz, a.data, 1.0), 0.0), (a,), vjp)
+    ref = weakref.ref(out)
     return out
 
 
@@ -329,9 +356,12 @@ def sqrt(a):
     penalty there is a constant with respect to the parameters.
     """
     a = asvar(a)
-    y = np.sqrt(a.data)
-    out = Var(y, (a,), None)
-    out.vjp = lambda g, _: (mul(g, scale(safe_recip(out), 0.5)),)
+
+    def vjp(g, _):
+        return (mul(g, scale(safe_recip(ref()), 0.5)),)
+
+    out = Var(np.sqrt(a.data), (a,), vjp)
+    ref = weakref.ref(out)
     return out
 
 

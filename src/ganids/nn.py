@@ -325,8 +325,9 @@ def forward_var(spec: NetworkSpec, param_vars: dict, x: Var, train=False,
                 cur_seq = True
             h = ad.conv1d(h, param_vars[f"l{i}.w"], param_vars[f"l{i}.b"])
         elif layer.kind == "leaky_relu":
-            relu_signs.append(h.data > 0)
-            h = ad.leaky_relu(h, layer.slope)
+            pos = h.data > 0
+            relu_signs.append(pos)
+            h = ad.leaky_relu(h, layer.slope, pos=pos)
         elif layer.kind == "tanh":
             h = ad.tanh(h)
         elif layer.kind == "dropout":

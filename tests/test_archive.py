@@ -1,5 +1,7 @@
 """Model archive round-trip and integrity tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,3 +136,20 @@ def test_gan_header_that_does_not_build_raises_archive_error(tmp_path, edit):
                                   model.d_params.to_bytes()])
     with pytest.raises(archive.ArchiveError, match="gan.bin"):
         archive.load_gan(path)
+
+
+@pytest.mark.parametrize("header,body", [
+    ({"kind": "ensemble"}, b"{}"),
+    (None, b"{not json"),
+    (None, b'{"base_scores": [0.0, 0.0]}'),
+    (None, b"[1, 2]"),
+], ids=["no hash", "body not JSON", "body lacks trees", "body not an object"])
+def test_ensemble_archive_that_does_not_load_raises_archive_error(
+        tmp_path, header, body):
+    if header is None:
+        header = {"kind": "ensemble",
+                  "hash": hashlib.sha256(body).hexdigest()}
+    path = tmp_path / "ens.bin"
+    archive._write(path, header, [body])
+    with pytest.raises(archive.ArchiveError, match="ens.bin"):
+        archive.load_ensemble(path)

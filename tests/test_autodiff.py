@@ -1,5 +1,8 @@
 """Unit tests for the reverse-mode engine and its primitives."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -239,6 +242,8 @@ def test_leaky_relu_mask_is_bit_identical_to_where(slope):
     assert np.array_equal(y.data, a * mask, equal_nan=True)
     (g,) = ad.grad(ad.sum_(y), [x])
     assert np.array_equal(g.data, mask)
+    given_mask = ad.leaky_relu(x, slope, pos=a > 0)
+    assert np.array_equal(given_mask.data, y.data, equal_nan=True)
 
 
 def test_tanh_second_derivative():
@@ -313,3 +318,88 @@ def test_unreachable_wrt_gets_zeros():
     other = ad.leaf(np.ones(2))
     (g,) = ad.grad(ad.sum_(x), [other])
     assert np.array_equal(g.data, np.zeros(2))
+
+
+def _graph_nodes(*roots):
+    """Every Var reachable from `roots` through parents."""
+    seen = {}
+    stack = list(roots)
+    while stack:
+        v = stack.pop()
+        if id(v) not in seen:
+            seen[id(v)] = v
+            stack.extend(v.parents)
+    return list(seen.values())
+
+
+def _second_order_graph(op, seed):
+    """(leaves, loss, g1, h, g2): loss = <tanh(op(leaves)), c>, g1 its
+    gradients kept differentiable, h = sum of their squares and g2 the
+    gradients of h, also kept differentiable (a grad of a grad)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, 3, 5))
+    if op == "tanh":
+        leaves = [ad.leaf(x)]
+        y = ad.tanh(leaves[0])
+    elif op == "sqrt":
+        x[0, 0, 0] = 0.0   # the zero case of sqrt's derivative
+        leaves = [ad.leaf(x * x)]
+        y = ad.sqrt(leaves[0])
+    elif op == "safe_recip":
+        x[0, 0, 0] = 0.0
+        leaves = [ad.leaf(x)]
+        y = ad.safe_recip(leaves[0])
+    elif op == "conv1d":
+        leaves = [ad.leaf(x), ad.leaf(rng.standard_normal((4, 3, 3)))]
+        y = ad.conv1d(leaves[0], leaves[1], rng.standard_normal(4))
+    elif op == "conv1d_t":
+        leaves = [ad.leaf(x), ad.leaf(rng.standard_normal((3, 4, 3)))]
+        y = ad.conv1d_t(leaves[0], leaves[1])
+    else:  # conv1d_w
+        leaves = [ad.leaf(x), ad.leaf(rng.standard_normal((2, 4, 5)))]
+        y = ad.conv1d_w(leaves[0], leaves[1], 3)
+    loss = ad.sum_(ad.mul(ad.tanh(y), rng.standard_normal(y.data.shape)))
+    g1 = ad.grad(loss, leaves, create_graph=True)
+    h = ad.sum_(ad.square(g1[0]))
+    for g in g1[1:]:
+        h = h + ad.sum_(ad.square(g))
+    g2 = ad.grad(h, leaves, create_graph=True)
+    return leaves, loss, g1, h, g2
+
+
+@settings(max_examples=30, deadline=None)
+@given(op=st.sampled_from(["tanh", "sqrt", "safe_recip", "conv1d",
+                           "conv1d_t", "conv1d_w"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_graph_of_a_grad_of_a_grad_is_freed_on_del(op, seed):
+    # reference counting alone must free every node: no node refers to
+    # itself, so the cyclic collector has nothing to do
+    gc.collect()
+    gc.disable()
+    try:
+        leaves, loss, g1, h, g2 = _second_order_graph(op, seed)
+        refs = [weakref.ref(v) for v in _graph_nodes(loss, h, *g1, *g2)]
+        loss_ref = weakref.ref(loss)
+        del leaves, loss, g1, h, g2
+        assert loss_ref() is None
+        assert [r for r in refs if r() is not None] == []
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("build", [
+    lambda c: ad.tanh(c),
+    lambda c: ad.sqrt(ad.mul(c, c)),
+    lambda c: ad.safe_recip(c),
+    lambda c: ad.leaky_relu(c),
+    lambda c: ad.add(c, c),
+    lambda c: ad.conv1d(c, ad.asvar(np.ones((2, 3, 3))), np.zeros(2)),
+    lambda c: ad.conv1d_w(c, np.ones((2, 2, 5)), 3),
+], ids=["tanh", "sqrt", "safe_recip", "leaky_relu", "add", "conv1d",
+        "conv1d_w"])
+def test_constant_node_keeps_no_history(build):
+    c = ad.asvar(np.random.default_rng(0).standard_normal((2, 3, 5)))
+    out = build(c)
+    assert not out.requires_grad
+    assert out.parents == () and out.vjp is None

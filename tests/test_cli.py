@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -154,6 +155,20 @@ def test_evaluate_reports_truncated_archive(demo, tmp_path, capsys):
                      "--schema", str(demo["schema"]), str(demo["csv"])]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "truncated" in err
+
+
+def test_evaluate_reports_an_ensemble_body_that_lacks_a_key(demo, tmp_path,
+                                                            capsys):
+    body = b'{"base_scores": [0.0, 0.0]}'
+    model = tmp_path / "ensemble.bin"
+    archive._write(model, {"kind": "ensemble",
+                           "hash": hashlib.sha256(body).hexdigest()}, [body])
+    plan = tmp_path / "plan.json"
+    plan.write_text("{}")
+    assert cli.main(["evaluate", "--model", str(model), "--plan", str(plan),
+                     "--schema", str(demo["schema"]), str(demo["csv"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(model) in err and "trees" in err
 
 
 @pytest.mark.parametrize("text", ["{not json", "{}", "[1, 2]"])

@@ -1,5 +1,8 @@
 """Tests for the adversarial training loops and the transfer mechanism."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -348,7 +351,8 @@ def test_synthesize_matches_forward_and_builds_no_gradient_graph(monkeypatch):
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        if self.requires_grad:
+        # a constant node holds no history either
+        if self.requires_grad or self.parents or self.vjp is not None:
             grad_nodes.append(self)
 
     monkeypatch.setattr(ad.Var, "__init__", recording_init)
@@ -358,3 +362,53 @@ def test_synthesize_matches_forward_and_builds_no_gradient_graph(monkeypatch):
     assert grad_nodes == []
     assert np.array_equal(got.features.astype(np.float64),
                           want.astype(np.float64))
+
+
+def _synthesize_600(model):
+    model.phase = "finetuned:attack"
+    plan = PreprocessPlan([(f"f{j}", "numeric", 0.0, 1.0)
+                           for j in range(model.feature_dim)], "x")
+    schema = normal_dataset(5, model.feature_dim).schema
+    gan.synthesize(model, 600, plan, seed=3, schema=schema,
+                   class_name="attack")
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, rng: gan.critic_step(m, rng.random((16, m.feature_dim)), rng),
+    lambda m, rng: gan.generator_step(m, rng),
+    lambda m, rng: nn.gradient_penalty(m.d_spec, m.d_params,
+                                       rng.random((16, m.feature_dim)), 10.0,
+                                       train=True),
+    lambda m, rng: _synthesize_600(m),
+], ids=["critic_step", "generator_step", "gradient_penalty", "synthesize"])
+def test_step_leaves_no_cyclic_garbage(call):
+    # each step's graph is freed by reference counting when the step returns
+    model = gan.build_gan(6, small_cfg())
+    rng = np.random.default_rng(0)
+    gc.collect()
+    gc.disable()
+    try:
+        call(model, rng)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_forward_on_constant_parameters_keeps_no_layer_alive(monkeypatch):
+    # constants hold no history, so once forward_var returns only its
+    # output is left of the nodes it built
+    model = gan.build_gan(6, small_cfg())
+    g_vars = gan._constants(model.g_params)
+    z = ad.Var(np.random.default_rng(1).standard_normal((32, 6)))
+    built = []
+    init = ad.Var.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(ad.Var, "__init__", recording_init)
+    out, _ = nn.forward_var(model.g_spec, g_vars, z, train=True)
+    monkeypatch.undo()
+    assert len(built) > 1
+    assert [r() for r in built if r() is not None] == [out]
