@@ -5,6 +5,12 @@ pass, so a gradient expression can itself be differentiated again. That is
 what the gradient-penalty term needs: parameter gradients of a function of
 input gradients (reverse-over-reverse).
 
+GAN training does not build graphs: the training steps run `nn`'s layer-wise
+kernels on plain arrays, which reuse the conv data helpers below. This
+engine, through `nn.forward_var`, is their reference: the finite-difference
+oracles, C1 and the critic- and generator-gradient tests check the kernels
+against it.
+
 `grad` computes only the cotangents that lead somewhere: a node's cotangent
 toward a parent is built only when that parent is, or reaches through its
 own parents, one of the Vars in `wrt`. Each vjp receives a `need` mask

@@ -4,11 +4,15 @@ The critic trains on mean D(fake) - mean D(real) plus the gradient penalty;
 the generator on -mean D(G(z)). Pretraining runs this loop on normal traffic;
 fine-tuning copies the pretrained weights (optimizer state reset) and
 continues on a single minority class.
+
+The steps and synthesis run `nn`'s layer-wise kernels on plain arrays and
+build no autodiff graph; the graph engine is their test reference.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -131,63 +135,86 @@ def build_gan(feature_dim, cfg: GanConfig) -> GanModel:
     return GanModel(g_spec, g_params, d_spec, d_params, feature_dim, cfg)
 
 
-def _constants(params: nn.ParamSet) -> dict:
-    return {k: ad.asvar(v) for k, v in params.tensors.items()}
+# glibc's mallopt parameter M_TOP_PAD, and the freed heap kept at its top
+_M_TOP_PAD = -2
+_KEPT_HEAP_BYTES = 128 << 20
 
 
-def _generate(model, n, rng, g_vars):
-    """Sample noise and run G on the parameter Vars `g_vars`."""
-    z = rng.standard_normal((n, model.noise_dim))
-    out, _ = nn.forward_var(model.g_spec, g_vars, ad.Var(z), train=True)
-    return out
+@functools.cache
+def _keep_freed_heap():
+    """Ask glibc, once per process, to keep up to 128 MB of freed memory at
+    the top of the heap.
+
+    Each training step frees its arrays when it returns. By default glibc
+    then returns the top of the heap to the system, and the next step
+    faults the same pages in again: 1.6-5.9k minor faults per step at width
+    122, batch 64. The setting holds for the whole process; a no-op off
+    Linux.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, _KEPT_HEAP_BYTES)
 
 
 def critic_grads(model: GanModel, real_batch, rng, fake_batch=None):
     """Critic parameter gradients of mean D(fake) - mean D(real) + penalty.
 
-    Returns (grads, loss_d, wasserstein_estimate, gp_value). Fake and real
-    rows go through one forward pass, the penalty through a second one on
-    the interpolates, and one `grad` of the summed loss gives the gradients.
-    `fake_batch` overrides the generator's samples (test harness hook)."""
+    Returns (grads, loss_d, wasserstein_estimate, gp_value). Fake, real and
+    interpolated rows go through one forward pass with the dropout mask
+    tiled three times. The penalty's input gradient and second-order sweep
+    run on the interpolated rows, and one backward pass over all rows
+    (cotangents +-1/n on the fake and real rows, the penalty's tanh terms
+    on the interpolated ones) gives the gradients. `fake_batch` overrides
+    the generator's samples (test harness hook)."""
     cfg = model.cfg
-    real = nn.as_batch(model.d_spec, real_batch)
+    d_spec, params = model.d_spec, model.d_params.tensors
+    real = nn.as_batch(d_spec, real_batch)
     n = real.shape[0]
     if fake_batch is None:
-        fake = _generate(model, n, rng, _constants(model.g_params)).data
+        z = rng.standard_normal((n, model.noise_dim))
+        fake = nn._forward(model.g_spec, model.g_params.tensors, z)
     else:
-        fake = nn.as_batch(model.d_spec, fake_batch)
+        fake = nn.as_batch(d_spec, fake_batch)
 
     eps = rng.random((n, 1))
     x_hat = eps * real + (1.0 - eps) * fake
 
     # one dropout mask per critic step, shared by the fake, real and
     # interpolated rows so the penalty differentiates a fixed function
-    masks = nn.dropout_masks(model.d_spec, n, rng)
-    d_vars = {k: ad.leaf(v) for k, v in model.d_params.tensors.items()}
-    penalty = nn.penalty_var(model.d_spec, d_vars, x_hat, cfg.lam,
-                             masks=masks, train=True)
-    out, _ = nn.forward_var(model.d_spec, d_vars,
-                            ad.Var(np.concatenate([fake, real])), train=True,
-                            masks={i: np.concatenate([m, m])
-                                   for i, m in masks.items()})
-    sign = np.concatenate([np.full((n, 1), 1.0 / n), np.full((n, 1), -1.0 / n)])
-    loss = ad.sum_(ad.scale(out, sign)) + penalty
-    names = list(d_vars)
-    gs = ad.grad(loss, [d_vars[k] for k in names])
+    masks = nn.dropout_masks(d_spec, n, rng)
+    x_hat = nn.penalty_batch(d_spec, x_hat)
+    caches = []
+    out = nn._forward(d_spec, params, np.concatenate([fake, real, x_hat]),
+                      {i: np.concatenate([m, m, m]) for i, m in masks.items()},
+                      caches)
+    ad.check_finite(out[2 * n:], "network output")
+    grads = {}
+    hat = slice(2 * n, None)
+    gp_val, inject = nn._penalty(d_spec, params, caches, out[hat].shape, hat,
+                                 cfg.lam, grads)
+    sign = np.zeros_like(out)
+    sign[:n] = 1.0 / n
+    sign[n:2 * n] = -1.0 / n
+    nn._backward(d_spec, params, caches, sign, grads=grads, inject=inject)
 
-    mean_f = float(out.data[:n].mean())
-    mean_r = float(out.data[n:].mean())
-    gp_val = penalty.item()
+    mean_f = float(out[:n].mean())
+    mean_r = float(out[n:2 * n].mean())
     loss_d = mean_f - mean_r + gp_val
     ad.check_finite([loss_d], "critic loss")
-    return ({k: g.data for k, g in zip(names, gs)}, loss_d, mean_r - mean_f,
-            gp_val)
+    return grads, loss_d, mean_r - mean_f, gp_val
 
 
 def critic_step(model: GanModel, real_batch, rng, fake_batch=None):
     """One critic update. Returns (loss_d, wasserstein_estimate, gp_value).
 
     `fake_batch` overrides the generator's samples (test harness hook)."""
+    _keep_freed_heap()
     grads, loss_d, w_est, gp_val = critic_grads(model, real_batch, rng,
                                                 fake_batch)
     model.d_params = nn.adam_step(model.d_params, grads, model.d_opt)
@@ -196,21 +223,25 @@ def critic_step(model: GanModel, real_batch, rng, fake_batch=None):
 
 def generator_step(model: GanModel, rng):
     """One generator update on -mean D(G(z)); the critic is left untouched."""
+    _keep_freed_heap()
     n = model.cfg.batch_size
-    g_vars = {k: ad.leaf(v) for k, v in model.g_params.tensors.items()}
-    fake = _generate(model, n, rng, g_vars)
+    g_params, d_params = model.g_params.tensors, model.d_params.tensors
+    z = rng.standard_normal((n, model.noise_dim))
+    g_caches = []
+    fake = nn._forward(model.g_spec, g_params, z, caches=g_caches)
     masks = nn.dropout_masks(model.d_spec, n, rng)
-    out, _ = nn.forward_var(model.d_spec, _constants(model.d_params), fake,
-                            train=True, masks=masks)
-    loss_g = -ad.mean(out)
+    d_caches = []
+    out = nn._forward(model.d_spec, d_params, fake, masks, d_caches)
+    loss_g = -(np.sum(out) * (1.0 / out.size))
     # checked before the update, so a non-finite loss leaves G and its
     # optimizer state as they were
-    ad.check_finite(loss_g.data, "generator loss")
-    names = list(g_vars)
-    gs = ad.grad(loss_g, [g_vars[k] for k in names])
-    grads = {k: g.data for k, g in zip(names, gs)}
+    ad.check_finite(loss_g, "generator loss")
+    g_fake = nn._backward(model.d_spec, d_params, d_caches,
+                          np.full(out.shape, -1.0 / out.size))
+    grads = {}
+    nn._backward(model.g_spec, g_params, g_caches, g_fake, grads=grads)
     model.g_params = nn.adam_step(model.g_params, grads, model.g_opt)
-    return loss_g.item()
+    return float(loss_g)
 
 
 class _StopRule:
@@ -231,37 +262,11 @@ class _StopRule:
         return self.run >= self.window
 
 
-# glibc's mallopt parameter M_TOP_PAD, and the freed heap kept at its top
-_M_TOP_PAD = -2
-_KEPT_HEAP_BYTES = 128 << 20
-
-
-def _keep_freed_heap():
-    """Ask glibc to keep up to 128 MB of freed memory at the top of the heap.
-
-    Reference counting frees each step's graph when the step returns. By
-    default glibc then returns the top of the heap to the system, and the
-    next step faults the same pages in again: 6-10k minor faults and about
-    1.3-1.7x the step time at width 122. The setting holds for the whole
-    process; a no-op off Linux.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TOP_PAD, _KEPT_HEAP_BYTES)
-
-
 def _train_loop(model: GanModel, data: Dataset, cfg: GanConfig, stop_delta):
     if len(data) == 0:
         raise EmptyDataset("GAN training needs a non-empty dataset")
     if not data.encoded:
         raise ValueError("GAN training expects an encoded dataset")
-    _keep_freed_heap()
     rng = np.random.default_rng(cfg.seed)
     matrix = np.asarray(data.features, dtype=np.float64)
     trace = TrainTrace()
@@ -331,17 +336,14 @@ def synthesize(generator: GanModel, n, plan: PreprocessPlan, seed,
     if class_name is None:
         class_name = generator.phase.split(":", 1)[1]
     rng = np.random.default_rng(seed)
-    # nothing here is differentiated: on constant parameters no node
-    # requires a gradient
-    g_vars = _constants(generator.g_params)
     outs = []
     remaining = n
     while remaining > 0:
         k = min(remaining, 512)
         z = rng.standard_normal((k, generator.noise_dim))
-        out, _ = nn.forward_var(generator.g_spec, g_vars, ad.Var(z))
-        ad.check_finite(out.data, "network output")
-        outs.append(np.clip(out.data, 0.0, 1.0))
+        out = nn._forward(generator.g_spec, generator.g_params.tensors, z)
+        ad.check_finite(out, "network output")
+        outs.append(np.clip(out, 0.0, 1.0))
         remaining -= k
     matrix = np.vstack(outs) if outs else np.zeros((0, generator.feature_dim))
     raw = inverse_transform(matrix, plan)

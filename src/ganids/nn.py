@@ -3,6 +3,12 @@
 The five layer kinds here are exactly what the generator/critic pair needs:
 fully-connected, 1-D convolution (stride 1, zero same-padding), leaky ReLU,
 tanh and inverted dropout.
+
+Two implementations run a network. `forward`/`forward_var` build autodiff
+graphs, and `grad_params`/`grad_input` differentiate them; they are the
+reference. Training and the gradient penalty run layer-wise kernels on
+plain arrays instead (`_forward`, `_backward` and `_penalty`, below), with
+a closed-form double backward for the penalty and no graph.
 """
 
 from __future__ import annotations
@@ -353,37 +359,232 @@ def grad_input(scalar, tape: Tape, create_graph=False):
     return g
 
 
-def penalty_var(spec: NetworkSpec, param_vars: dict, x_hat, lam,
-                masks=None, train=False):
-    """The penalty lambda * mean_batch (||grad_x D(x)||_2 - 1)^2 as a Var.
+def gradient_penalty(spec: NetworkSpec, params: ParamSet, x_hat, lam,
+                     masks=None, train=False):
+    """The penalty lambda * mean_batch (||grad_x D(x)||_2 - 1)^2 and its
+    parameter gradients, by the layer-wise kernels below."""
+    x_hat = penalty_batch(spec, x_hat)
+    if train and masks is None:
+        masks = dropout_masks(spec, len(x_hat), np.random.default_rng(0))
+    tensors = params.tensors
+    caches = []
+    out = _forward(spec, tensors, x_hat, masks if train else None, caches)
+    check_finite(out, "network output")
+    grads = {}
+    value, inject = _penalty(spec, tensors, caches, out.shape, slice(None),
+                             lam, grads)
+    _backward(spec, tensors, caches, np.zeros_like(out), grads=grads,
+              inject=inject)
+    return value, grads
 
-    Built reverse-over-reverse: the inner input gradient stays differentiable,
-    so a later `grad` of the result with respect to `param_vars` gives exact
-    parameter gradients of the penalty.
-    """
+
+def penalty_batch(spec: NetworkSpec, x_hat):
+    """The interpolates `x_hat` as a checked batch of at least one row."""
     x_hat = as_batch(spec, x_hat)
     if len(x_hat) == 0:
         raise EmptyBatch("the gradient penalty needs at least one row")
-    x = Var(x_hat, requires_grad=True)
-    out, _ = forward_var(spec, param_vars, x, train=train, masks=masks)
-    check_finite(out.data, "network output")
-    (gin,) = ad.grad(ad.sum_(out), [x], create_graph=True)  # (B, d) per-sample
-    norm = ad.sqrt(ad.sum_(ad.square(gin), axis=1))         # (B,)
-    penalty = ad.scale(ad.mean(ad.square(norm - 1.0)), lam)
-    check_finite(penalty.data, "gradient penalty")
-    return penalty
+    return x_hat
 
 
-def gradient_penalty(spec: NetworkSpec, params: ParamSet, x_hat, lam,
-                     masks=None, train=False):
-    """The penalty value (see `penalty_var`) and its parameter gradients."""
-    if train and masks is None:
-        masks = dropout_masks(spec, len(x_hat), np.random.default_rng(0))
-    param_vars = {name: ad.leaf(arr) for name, arr in params.tensors.items()}
-    penalty = penalty_var(spec, param_vars, x_hat, lam, masks=masks, train=train)
-    names = list(param_vars)
-    grads = ad.grad(penalty, [param_vars[n] for n in names])
-    return penalty.item(), {n: g.data for n, g in zip(names, grads)}
+# ---------------------------------------------------------------------------
+# layer-wise kernels
+#
+# Training runs on plain arrays, one branch per layer kind over
+# `_shape_chain(spec)`: a forward pass that keeps per-layer caches, a
+# first-order backward pass over them, and the gradient penalty's
+# second-order sweep. The arithmetic of each layer is that of the autodiff
+# primitives `forward_var` uses, which stay as the reference the tests check
+# these kernels against.
+#
+# The penalty's double backward has a closed form on these layers. The
+# input gradient of sum D(x) is a backward pass, a chain of maps
+# g_in = B_l(g_out) that are linear in g_out: fc (g W^T), conv (conv1d_t of
+# g with W), leaky ReLU and dropout (g times a mask that is constant almost
+# everywhere) and tanh (g (1 - y^2), y the layer's output). Differentiating
+# the penalty through that chain runs bottom to top with the cotangent v of
+# each g_in: v passes up as v W, conv1d(v, W), v m or v (1 - y^2), each fc
+# and conv weight gains <v, B_l(g_out)>'s weight derivative (v^T g_out, or
+# conv1d_w(v, g_out)), and each tanh adds -2 y g_out v to the cotangent of
+# its output y, which the ordinary backward pass then carries down to the
+# weights. Biases enter only through that last term.
+
+
+def _flat(h):
+    return h.reshape(h.shape[0], h.shape[1] * h.shape[2]) if h.ndim == 3 else h
+
+
+def _seq(h):
+    return h.reshape(h.shape[0], 1, h.shape[1]) if h.ndim == 2 else h
+
+
+def _forward(spec, params, x, masks=None, caches=None):
+    """Forward pass on arrays: (B, input_width) -> (B, out).
+
+    Dropout multiplies by `masks[i]`, and is skipped when `masks` is None.
+    With a list `caches`, appends per layer its input shape and cache (an fc
+    layer's flat input, a conv's unfolded `cols`, the leaky ReLU or dropout
+    mask, the tanh output), then the output's shape. The arithmetic is that
+    of `forward_var`, so the output is bit-identical to it.
+    """
+    h = x
+    for i, (layer, _) in enumerate(_shape_chain(spec)):
+        shape = h.shape
+        kind = layer.kind
+        if kind == "fc":
+            h = cache = _flat(h)
+            h = h @ params[f"l{i}.w"] + params[f"l{i}.b"]
+        elif kind == "conv1d":
+            h = _seq(h)
+            w = params[f"l{i}.w"]
+            o, c, k = w.shape
+            bsz, _, length = h.shape
+            cache = ad._unfold_data(h, k, (k - 1) // 2)
+            y = cache.reshape(bsz * length, c * k) @ w.reshape(o, c * k).T
+            y += params[f"l{i}.b"]
+            h = y.reshape(bsz, length, o).transpose(0, 2, 1)
+        elif kind == "leaky_relu":
+            pos = h > 0
+            cache = np.multiply(~pos, layer.slope, dtype=np.float64)
+            cache += pos
+            h = h * cache
+        elif kind == "tanh":
+            h = cache = np.tanh(h)
+        elif kind == "dropout":
+            cache = None if masks is None else masks[i]
+            if cache is not None:
+                h = h * cache
+        else:  # pragma: no cover
+            raise ValueError(f"unknown layer kind {layer.kind}")
+        if caches is not None:
+            caches.append((shape, cache))
+    if caches is not None:
+        caches.append((h.shape, None))
+    return _flat(h)
+
+
+def _add(grads, name, g):
+    if name in grads:
+        grads[name] += g
+    else:
+        grads[name] = g
+
+
+def _backward(spec, params, caches, g, rows=slice(None), grads=None,
+              record=None, inject=None):
+    """First-order backward pass from the output cotangent `g` (B', out)
+    over the cached rows `rows`.
+
+    With a dict `grads`, adds each parameter's gradient to it and stops at
+    the first layer, returning None; without, skips the parameter gradients
+    and returns the input cotangent (B', input_width). A dict `record`
+    receives each layer's output cotangent; `inject` is (rows, {i: array})
+    added to layer i's input cotangent on those rows.
+    """
+    layers = list(_shape_chain(spec))
+    n = len(g)
+    g = g.reshape((n,) + caches[-1][0][1:])
+    for i in range(len(layers) - 1, -1, -1):
+        layer = layers[i][0]
+        shape, cache = caches[i]
+        if record is not None:
+            record[i] = g
+        kind = layer.kind
+        if kind == "fc":
+            if grads is not None:
+                _add(grads, f"l{i}.w", cache[rows].T @ g)
+                _add(grads, f"l{i}.b", g.sum(axis=0))
+                if i == 0:
+                    return None
+            w = params[f"l{i}.w"]
+            if len(shape) == 3:
+                # rows of w in (length, channel) order give the cotangent
+                # channels-last, the layout of the conv output it meets
+                _, c, length = shape
+                w = w.reshape(c, length, -1).transpose(1, 0, 2) \
+                    .reshape(length * c, -1)
+                g = (g @ w.T).reshape(n, length, c).transpose(0, 2, 1)
+            else:
+                g = g @ w.T
+        elif kind == "conv1d":
+            w = params[f"l{i}.w"]
+            o, c, k = w.shape
+            length = g.shape[2]
+            gm = g.transpose(0, 2, 1).reshape(n * length, o)
+            if grads is not None:
+                cols = cache[rows].reshape(n * length, c * k)
+                _add(grads, f"l{i}.w", (gm.T @ cols).reshape(o, c, k))
+                _add(grads, f"l{i}.b", gm.sum(axis=0))
+                if i == 0:
+                    return None
+            gcols = (gm @ w.reshape(o, c * k)).reshape(n, length, c * k)
+            g = ad._fold_data(gcols, k, (k - 1) // 2, c, length)
+        elif grads is not None and i == 0:
+            return None
+        elif kind == "leaky_relu":
+            g = g * cache[rows]
+        elif kind == "tanh":
+            y = cache[rows]
+            g = g * (1.0 - y * y)
+        elif kind == "dropout":
+            if cache is not None:
+                g = g * cache[rows]
+        if inject is not None and i in inject[1]:
+            g[inject[0]] += inject[1][i]
+        g = g.reshape((n,) + shape[1:])
+    return g
+
+
+def _penalty(spec, params, caches, out_shape, rows, lam, grads):
+    """The penalty lam * mean (||grad_x sum D(x)||_2 - 1)^2 over the cached
+    rows `rows`, whose output has `out_shape`.
+
+    Adds the penalty's weight terms to `grads` and returns (value, inject),
+    `inject` being (rows, {i: term}) with the terms its tanh layers add to
+    the forward pass's cotangent, for `_backward(..., inject=inject)` to
+    carry down (see above).
+    """
+    record = {}
+    gin = _backward(spec, params, caches, np.ones(out_shape), rows,
+                    record=record)
+    n = len(gin)
+    norm = np.sqrt(np.sum(gin * gin, axis=1))
+    value = float(np.sum(np.square(norm - 1.0)) * (1.0 / n) * lam)
+    check_finite(value, "gradient penalty")
+    # d value / d gin; the norm's derivative is taken as 0 where it is 0
+    nz = norm != 0
+    recip = np.where(nz, 1.0 / np.where(nz, norm, 1.0), 0.0)
+    v = ((2.0 * lam / n) * (norm - 1.0) * recip)[:, None] * gin
+    inject = {}
+    for i, (layer, _) in enumerate(_shape_chain(spec)):
+        cache = caches[i][1]
+        kind = layer.kind
+        if kind == "fc":
+            v = _flat(v)
+            w = params[f"l{i}.w"]
+            _add(grads, f"l{i}.w", v.T @ record[i])
+            v = v @ w
+        elif kind == "conv1d":
+            v = _seq(v)
+            w = params[f"l{i}.w"]
+            o, c, k = w.shape
+            length = v.shape[2]
+            vcols = ad._unfold_data(v, k, (k - 1) // 2) \
+                .reshape(n * length, c * k)
+            gm = record[i].transpose(0, 2, 1).reshape(n * length, o)
+            _add(grads, f"l{i}.w", (gm.T @ vcols).reshape(o, c, k))
+            v = (vcols @ w.reshape(o, c * k).T).reshape(n, length, o) \
+                .transpose(0, 2, 1)
+        elif kind == "leaky_relu":
+            v = v * cache[rows]
+        elif kind == "tanh":
+            y = cache[rows]
+            slope = 1.0 - y * y
+            inject[i] = -2.0 * y * record[i] * v * slope
+            v = v * slope
+        elif kind == "dropout":
+            if cache is not None:
+                v = v * cache[rows]
+    return value, (rows, inject)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +604,8 @@ class AdamState:
 
 
 def adam_step(params: ParamSet, grads: dict, state: AdamState) -> ParamSet:
-    """One bias-corrected Adam descent step; mutates `state`, returns new params."""
+    """One bias-corrected Adam descent step; updates `state` in place and
+    returns new params."""
     state.t += 1
     t = state.t
     new = {}
@@ -411,9 +613,12 @@ def adam_step(params: ParamSet, grads: dict, state: AdamState) -> ParamSet:
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        mhat = state.m[name] / (1 - state.beta1 ** t)
-        vhat = state.v[name] / (1 - state.beta2 ** t)
+        m, v = state.m[name], state.v[name]
+        m *= state.beta1
+        m += (1 - state.beta1) * g
+        v *= state.beta2
+        v += (1 - state.beta2) * g * g
+        mhat = m / (1 - state.beta1 ** t)
+        vhat = v / (1 - state.beta2 ** t)
         new[name] = p - state.lr * mhat / (np.sqrt(vhat) + state.eps)
     return ParamSet(new)

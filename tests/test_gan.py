@@ -2,9 +2,12 @@
 
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import encoded_dataset
 
@@ -127,6 +130,92 @@ def test_critic_grads_match_three_pass_reference(d_layers, dim, seed):
         err = np.linalg.norm(got[0][k] - ref)
         assert err <= 1e-10 * max(np.linalg.norm(ref), 1e-300), k
     np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=1e-12)
+
+
+def _assert_grads_close(got, want):
+    # relative per tensor; a gradient that cancels to (near) zero, such as
+    # a bias that fake and real rows pull equally, is held to 1e-13 of the
+    # whole gradient's norm and 1e-14 absolute, far above the rounding noise
+    # of its O(1) terms
+    assert set(got) == set(want)
+    total = np.sqrt(sum(np.sum(g * g) for g in want.values()))
+    for k, ref in want.items():
+        err = np.linalg.norm(got[k] - ref)
+        assert err <= 1e-10 * max(np.linalg.norm(ref), 1e-3 * total, 1e-4), k
+
+
+def _generator_grads_reference(model, rng):
+    """Generator gradients of -mean D(G(z)) through the autodiff engine."""
+    n = model.cfg.batch_size
+    z = rng.standard_normal((n, model.noise_dim))
+    g_vars = {k: ad.leaf(v) for k, v in model.g_params.tensors.items()}
+    fake, _ = nn.forward_var(model.g_spec, g_vars, ad.Var(z), train=True)
+    masks = nn.dropout_masks(model.d_spec, n, rng)
+    d_vars = {k: ad.asvar(v) for k, v in model.d_params.tensors.items()}
+    out, _ = nn.forward_var(model.d_spec, d_vars, fake, train=True,
+                            masks=masks)
+    loss = -ad.mean(out)
+    names = list(g_vars)
+    gs = ad.grad(loss, [g_vars[k] for k in names])
+    return {k: g.data for k, g in zip(names, gs)}, loss.item()
+
+
+_layers = st.one_of(
+    st.builds(nn.FullyConnected, st.integers(1, 7)),
+    st.builds(nn.Conv1d, st.integers(1, 5), st.sampled_from([1, 3, 5])),
+    st.builds(nn.LeakyRelu, st.floats(0.0, 1.5)),
+    st.just(nn.Tanh()),
+    st.builds(nn.Dropout, st.floats(0.0, 0.7)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 7), body=st.lists(_layers, max_size=5),
+       head=st.sampled_from([(), (nn.Tanh(),), (nn.LeakyRelu(0.3),)]),
+       batch=st.integers(1, 6), seed=st.integers(0, 2**16))
+@example(dim=2, body=[nn.Conv1d(3, 5), nn.Tanh(), nn.Dropout(0.3),
+                      nn.LeakyRelu(0.1), nn.Conv1d(2, 3), nn.Dropout(0.5)],
+         head=(nn.Tanh(),), batch=4, seed=1)
+def test_step_gradients_match_autodiff_on_random_critics(dim, body, head,
+                                                        batch, seed):
+    # the layer-wise kernels against the graph engine on sequential critics
+    # of every layer kind: conv with k up to 5 on lengths from 1, dropout
+    # masks of both ranks, tanh anywhere
+    cfg = small_cfg(seed=seed % 100, batch_size=batch, lam=10.0)
+    model = gan.build_gan(dim, cfg)
+    model.d_spec = nn.NetworkSpec(dim, tuple(body) + (nn.FullyConnected(1),)
+                                  + head)
+    model.d_params = nn.init_params(model.d_spec, seed)
+    real = np.random.default_rng(seed + 1).random((batch, dim))
+    got = gan.critic_grads(model, real, np.random.default_rng(seed))
+    want = _critic_grads_reference(model, real, np.random.default_rng(seed))
+    _assert_grads_close(got[0], want[0])
+    np.testing.assert_allclose(got[1:], want[1:], rtol=1e-10, atol=1e-12)
+
+    updates = []
+    with mock.patch.object(nn, "adam_step",
+                           lambda p, g, state: updates.append(g) or p):
+        loss_g = gan.generator_step(model, np.random.default_rng(seed))
+    want_g, want_loss = _generator_grads_reference(
+        model, np.random.default_rng(seed))
+    _assert_grads_close(updates[0], want_g)
+    assert np.isclose(loss_g, want_loss, rtol=1e-12, atol=1e-15)
+
+
+def test_training_steps_build_no_autodiff_nodes(monkeypatch):
+    # the training steps, the penalty and synthesis run on plain arrays
+    model = gan.build_gan(6, small_cfg())
+    rng = np.random.default_rng(0)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an autodiff node was built")
+
+    monkeypatch.setattr(ad.Var, "__init__", refuse)
+    gan.critic_step(model, rng.random((16, 6)), rng)
+    gan.generator_step(model, rng)
+    nn.gradient_penalty(model.d_spec, model.d_params, rng.random((16, 6)),
+                        10.0, train=True)
+    _synthesize_600(model)
 
 
 def test_critic_step_rejects_empty_batch():
@@ -398,7 +487,7 @@ def test_forward_on_constant_parameters_keeps_no_layer_alive(monkeypatch):
     # constants hold no history, so once forward_var returns only its
     # output is left of the nodes it built
     model = gan.build_gan(6, small_cfg())
-    g_vars = gan._constants(model.g_params)
+    g_vars = {k: ad.asvar(v) for k, v in model.g_params.tensors.items()}
     z = ad.Var(np.random.default_rng(1).standard_normal((32, 6)))
     built = []
     init = ad.Var.__init__

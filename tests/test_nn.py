@@ -266,6 +266,31 @@ def test_adam_two_steps_match_hand_replay():
     assert np.isclose(p.tensors["l0.w"][0, 0], w, atol=1e-12)
 
 
+def test_adam_in_place_moments_are_bit_identical_to_fresh_arrays():
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    spec = nn.NetworkSpec(5, (nn.Conv1d(3, 3), nn.FullyConnected(2)))
+    params = nn.init_params(spec, 4)
+    state = nn.AdamState(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    rng = np.random.default_rng(4)
+    ref = {k: v.copy() for k, v in params.tensors.items()}
+    m = {k: np.zeros_like(v) for k, v in ref.items()}
+    v = {k: np.zeros_like(x) for k, x in ref.items()}
+    p = params
+    for t in (1, 2, 3):
+        grads = {k: rng.standard_normal(x.shape) for k, x in ref.items()}
+        p = nn.adam_step(p, grads, state)
+        for k, g in grads.items():
+            # the moment updates as fresh arrays
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g * g
+            ref[k] = ref[k] - lr * (m[k] / (1 - b1 ** t)) \
+                / (np.sqrt(v[k] / (1 - b2 ** t)) + eps)
+        for k in ref:
+            assert np.array_equal(state.m[k], m[k])
+            assert np.array_equal(state.v[k], v[k])
+            assert np.array_equal(p.tensors[k], ref[k])
+
+
 def test_adam_shape_mismatch():
     spec = fc_spec(2, 1)
     params = nn.init_params(spec, 0)
