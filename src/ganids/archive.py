@@ -1,25 +1,38 @@
-"""Versioned on-disk containers for trained models.
+"""Versioned on-disk containers for trained models (format 3).
 
 Layout: magic, format version, the SHA-256 of everything after it, then a
-length-prefixed JSON header and length-prefixed raw float64 parameter blobs.
-Writing and reading round-trip bit-exactly. Any truncation or flipped bit
-fails the digest, and every length prefix is bounds-checked, so a damaged
-file raises ArchiveError. The parameter content hash is also stored in the
-header and re-verified on load.
+length-prefixed JSON header and length-prefixed blobs. Any truncation or
+flipped bit fails the digest, and every length prefix is bounds-checked, so
+a damaged file raises ArchiveError. Writing and reading round-trip
+bit-exactly.
+
+An archive stores values, not structure. A GAN header holds the phase,
+`feature_dim`, the config and a content hash per network; the networks'
+layers come from `gan.network_specs(feature_dim, cfg)`, and each network's
+blob is its parameters as one run of raw float64, in sorted-name order, with
+the shapes `nn.param_shapes` gives. A blob whose length does not fit those
+shapes, or whose values fail the stored hash, raises ArchiveError. An
+ensemble's blob is its JSON description, checked against the header's hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+
+import numpy as np
 
 from . import gan as gan_mod
 from . import gbdt, nn
-from .nn import ArchiveError  # defined with the parameter-blob format
 
 MAGIC = b"GANIDS\x00"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _PREFIX = len(MAGIC) + 2 + 32  # magic, version, body digest
+
+
+class ArchiveError(ValueError):
+    """A model archive is truncated or malformed."""
 
 
 def _write(path, header: dict, blobs: list):
@@ -32,6 +45,18 @@ def _write(path, header: dict, blobs: list):
         f.write(FORMAT_VERSION.to_bytes(2, "little"))
         f.write(hashlib.sha256(body).digest())
         f.write(body)
+
+
+def read_length(buf, off, what):
+    """The 8-byte little-endian length prefix at off, checked to fit in buf
+    after the prefix."""
+    if len(buf) - off < 8:
+        raise ArchiveError(f"{what}: truncated length prefix at byte {off}")
+    n = int.from_bytes(buf[off:off + 8], "little")
+    if n > len(buf) - off - 8:
+        raise ArchiveError(f"{what}: length {n} at byte {off} runs past the "
+                           f"end ({len(buf) - off - 8} bytes left)")
+    return n
 
 
 def _read(path):
@@ -49,7 +74,7 @@ def _read(path):
     chunks = []
     off = 0
     while off < len(body):
-        n = nn.read_length(body, off, path)
+        n = read_length(body, off, path)
         chunks.append(body[off + 8:off + 8 + n])
         off += 8 + n
     if not chunks:
@@ -70,38 +95,60 @@ def file_hash(path):
     return h.hexdigest()
 
 
+def _param_blob(params: nn.ParamSet):
+    return b"".join(np.ascontiguousarray(params.tensors[n], dtype=np.float64)
+                    .tobytes() for n in sorted(params.tensors))
+
+
+def _param_set(path, spec, blob):
+    shapes = nn.param_shapes(spec)
+    names = sorted(shapes)
+    sizes = [math.prod(shapes[n]) for n in names]
+    if len(blob) != 8 * sum(sizes):
+        raise ArchiveError(f"{path}: a parameter blob of {len(blob)} bytes "
+                           f"where the header's network needs {8 * sum(sizes)}")
+    flat = np.frombuffer(blob, dtype=np.float64).copy()
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return nn.ParamSet({n: a.reshape(shapes[n]) for n, a in zip(names, parts)})
+
+
 def save_gan(path, model: gan_mod.GanModel):
+    """Raises ValueError for a model whose networks are not the pair
+    `gan.network_specs` builds for its feature_dim and config."""
+    specs = gan_mod.network_specs(model.feature_dim, model.cfg)
+    if (model.g_spec, model.d_spec) != specs:
+        raise ValueError(f"{path}: only the networks gan.network_specs "
+                         "builds can be archived")
     header = {
         "kind": "gan",
         "phase": model.phase,
         "feature_dim": model.feature_dim,
-        "g_spec": model.g_spec.to_dict(),
-        "d_spec": model.d_spec.to_dict(),
         "cfg": model.cfg.to_dict(),
         "g_hash": model.g_params.content_hash(),
         "d_hash": model.d_params.content_hash(),
     }
-    _write(path, header, [model.g_params.to_bytes(), model.d_params.to_bytes()])
+    _write(path, header, [_param_blob(model.g_params),
+                          _param_blob(model.d_params)])
 
 
 def load_gan(path) -> gan_mod.GanModel:
     header, blobs = _read(path)
     if header.get("kind") != "gan" or len(blobs) != 2:
         raise ArchiveError(f"{path}: expected a gan archive")
-    g_params = nn.ParamSet.from_bytes(blobs[0])
-    d_params = nn.ParamSet.from_bytes(blobs[1])
-    if g_params.content_hash() != header.get("g_hash") \
-            or d_params.content_hash() != header.get("d_hash"):
-        raise ArchiveError(f"{path}: content hash mismatch")
     try:
-        return gan_mod.GanModel(
-            nn.NetworkSpec.from_dict(header["g_spec"]), g_params,
-            nn.NetworkSpec.from_dict(header["d_spec"]), d_params,
-            header["feature_dim"], gan_mod.GanConfig.from_dict(header["cfg"]),
-            phase=header["phase"])
+        feature_dim, phase = header["feature_dim"], header["phase"]
+        cfg = gan_mod.GanConfig.from_dict(header["cfg"])
+        g_spec, d_spec = gan_mod.network_specs(feature_dim, cfg)
     except (KeyError, TypeError, ValueError) as e:
         raise ArchiveError(f"{path}: header does not describe a GAN "
                            f"({type(e).__name__}: {e})") from e
+    g_params = _param_set(path, g_spec, blobs[0])
+    d_params = _param_set(path, d_spec, blobs[1])
+    if g_params.content_hash() != header.get("g_hash") \
+            or d_params.content_hash() != header.get("d_hash"):
+        raise ArchiveError(f"{path}: content hash mismatch")
+    return gan_mod.GanModel(g_spec, g_params, d_spec, d_params, feature_dim,
+                            cfg, phase=phase)
 
 
 def save_ensemble(path, ensemble: gbdt.Ensemble):

@@ -390,8 +390,15 @@ def _shifts(k, pad, length):
 def _unfold_data(x, k, pad):
     b, c, length = x.shape
     xt = x.transpose(0, 2, 1)                       # (B, L, C)
-    cols = np.zeros((b, length, c, k))
-    for j, s, lo, hi in _shifts(k, pad, length):
+    cols = np.empty((b, length, c, k))
+    for j in range(k):
+        # positions [lo, hi) read input l + s; the rest are padding, all of
+        # them when the tap lies wholly outside the input (length <= |s|)
+        s = j - pad
+        lo = min(length, max(0, -s))
+        hi = max(lo, min(length, length - s))
+        cols[:, :lo, :, j] = 0.0
+        cols[:, hi:, :, j] = 0.0
         cols[:, lo:hi, :, j] = xt[:, lo + s:hi + s]
     return cols.reshape(b, length, c * k)
 

@@ -164,7 +164,6 @@ class Dataset:
     schema: DatasetSchema
     encoded: bool
     feature_names: list
-    provenance: str = ""
     synthetic: np.ndarray = None  # per-row bool, True for generated rows
     levels: list = None  # raw only: per feature column, level table or None
 
@@ -179,10 +178,9 @@ class Dataset:
     def __len__(self):
         return self.features.shape[0]
 
-    def select(self, idx, provenance=None):
+    def select(self, idx):
         return Dataset(self.features[idx], self.labels[idx], self.schema,
-                       self.encoded, self.feature_names,
-                       provenance or self.provenance, self.synthetic[idx],
+                       self.encoded, self.feature_names, self.synthetic[idx],
                        self.levels)
 
     def content_hash(self):
@@ -210,11 +208,10 @@ def select_columns(dataset: Dataset, names) -> Dataset:
     levels = None if dataset.levels is None \
         else [dataset.levels[j] for j in cols]
     return Dataset(dataset.features[:, cols], dataset.labels, dataset.schema,
-                   dataset.encoded, names, dataset.provenance,
-                   dataset.synthetic, levels)
+                   dataset.encoded, names, dataset.synthetic, levels)
 
 
-def concat(datasets, provenance=""):
+def concat(datasets):
     """The rows of datasets of one schema, in order. Raw categorical codes
     are rewritten into the sorted union of the parts' level tables."""
     first = datasets[0]
@@ -231,7 +228,7 @@ def concat(datasets, provenance=""):
                 for d, k in zip(datasets, shift)])]
     return Dataset(
         features, np.concatenate([d.labels for d in datasets]),
-        first.schema, first.encoded, first.feature_names, provenance,
+        first.schema, first.encoded, first.feature_names,
         np.concatenate([d.synthetic for d in datasets]), levels)
 
 
@@ -273,8 +270,7 @@ def load_dataset(paths, schema: DatasetSchema) -> Dataset:
         raise NonFiniteValue(
             f"non-finite values in column {cols[np.argmin(finite)][1].name}")
     return Dataset(features, labels, schema, encoded=False,
-                   feature_names=[c.name for _, c in cols],
-                   provenance=";".join(str(p) for p in paths), levels=levels)
+                   feature_names=[c.name for _, c in cols], levels=levels)
 
 
 def _parse_file(path, schema, row):
@@ -451,8 +447,7 @@ def preprocess(dataset: Dataset, plan: PreprocessPlan = None):
             rows = np.flatnonzero(pos >= 0)
             matrix[rows, starts[j] + pos[rows]] = 1.0
     enc = Dataset(matrix, dataset.labels.copy(), dataset.schema, encoded=True,
-                  feature_names=names,
-                  provenance=dataset.provenance, synthetic=dataset.synthetic.copy())
+                  feature_names=names, synthetic=dataset.synthetic.copy())
     return enc, plan
 
 
@@ -499,4 +494,4 @@ def split_stratified(dataset: Dataset, train_fraction, seed):
         test_idx.append(perm[k:])
     train_idx = np.sort(np.concatenate(train_idx))
     test_idx = np.sort(np.concatenate(test_idx))
-    return dataset.select(train_idx, "train"), dataset.select(test_idx, "test")
+    return dataset.select(train_idx), dataset.select(test_idx)

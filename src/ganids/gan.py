@@ -125,11 +125,17 @@ def critic_spec(feature_dim):
     ))
 
 
-def build_gan(feature_dim, cfg: GanConfig) -> GanModel:
+def network_specs(feature_dim, cfg: GanConfig):
+    """The (generator, critic) specs of a GAN over `feature_dim` features;
+    the archive rebuilds a saved model's networks from these."""
     if feature_dim < 1:
         raise InvalidDimension(f"feature_dim must be >= 1, got {feature_dim}")
-    g_spec = generator_spec(feature_dim, cfg.noise_dim or feature_dim)
-    d_spec = critic_spec(feature_dim)
+    return (generator_spec(feature_dim, cfg.noise_dim or feature_dim),
+            critic_spec(feature_dim))
+
+
+def build_gan(feature_dim, cfg: GanConfig) -> GanModel:
+    g_spec, d_spec = network_specs(feature_dim, cfg)
     g_params = nn.init_params(g_spec, cfg.seed)
     d_params = nn.init_params(d_spec, cfg.seed + 1)
     return GanModel(g_spec, g_params, d_spec, d_params, feature_dim, cfg)
@@ -298,10 +304,15 @@ def _train_loop(model: GanModel, data: Dataset, cfg: GanConfig, stop_delta):
 
 
 def pretrain(model: GanModel, normal_data: Dataset, cfg: GanConfig = None):
-    """Train on normal traffic until the stop rule fires; phase -> pretrained."""
+    """Train on normal traffic until the stop rule fires; phase -> pretrained.
+
+    The model trains under `cfg` (default its own) and keeps it, with its
+    optimizer state reset for it, as `finetune` does."""
     if model.phase != "fresh":
         raise WrongPhase(f"pretrain expects a fresh model, got {model.phase}")
     cfg = cfg or model.cfg
+    model.cfg = cfg
+    model.reset_optimizers()
     trace = _train_loop(model, normal_data, cfg, cfg.stop_delta)
     model.phase = "pretrained"
     return model, trace
@@ -350,6 +361,5 @@ def synthesize(generator: GanModel, n, plan: PreprocessPlan, seed,
     labels = np.full(n, schema.class_id(class_name), dtype=np.int64)
     return Dataset(raw, labels, schema, encoded=False,
                    feature_names=[t[0] for t in plan.transforms],
-                   provenance=f"synthesized:{class_name}",
                    synthetic=np.ones(n, dtype=bool),
                    levels=plan.level_tables())

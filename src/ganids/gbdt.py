@@ -73,7 +73,6 @@ class BoostParams:
     min_leaf: int = 20
     goss_a: float = 0.2
     goss_b: float = 0.1
-    use_efb: bool = True
     lam_leaf: float = 1.0
     seed: int = 0
 
@@ -195,14 +194,6 @@ class BundleMap:
         for bundle in self.bundles:
             sizes.append(1 + sum(self.n_bins[f] - 1 for f in bundle))
         return sizes
-
-    def to_dict(self):
-        return {"bundles": self.bundles, "offsets": self.offsets,
-                "n_bins": self.n_bins}
-
-    @staticmethod
-    def from_dict(d):
-        return BundleMap(d["bundles"], d["offsets"], d["n_bins"])
 
 
 def efb_bundle(binned, n_bins) -> BundleMap:
@@ -526,7 +517,6 @@ class Ensemble:
     trees: list                 # trees[round][class]
     base_scores: np.ndarray     # (K,)
     mapper: BinMapper
-    bundle_map: BundleMap
     n_classes: int
     learning_rate: float
     feature_names: list = field(default_factory=list)
@@ -572,7 +562,6 @@ class Ensemble:
             "trees": [[t.to_dict() for t in rnd] for rnd in self.trees],
             "base_scores": self.base_scores.tolist(),
             "mapper": self.mapper.to_dict(),
-            "bundle_map": self.bundle_map.to_dict(),
             "n_classes": self.n_classes,
             "learning_rate": self.learning_rate,
             "feature_names": list(self.feature_names),
@@ -584,7 +573,6 @@ class Ensemble:
             trees=[[TreeNode.from_dict(t) for t in rnd] for rnd in d["trees"]],
             base_scores=np.asarray(d["base_scores"]),
             mapper=BinMapper.from_dict(d["mapper"]),
-            bundle_map=BundleMap.from_dict(d["bundle_map"]),
             n_classes=d["n_classes"],
             learning_rate=d["learning_rate"],
             feature_names=list(d.get("feature_names", [])),
@@ -608,13 +596,7 @@ def fit(train: Dataset, params: BoostParams) -> Ensemble:
     n = len(train)
 
     mapper, binned = bin_features(train, params.max_bins)
-    n_bins = mapper.n_bins
-    if params.use_efb:
-        bundle_map = efb_bundle(binned, n_bins)
-    else:
-        bundle_map = BundleMap([[j] for j in range(binned.shape[1])],
-                               [[1] for _ in range(binned.shape[1])],
-                               list(n_bins))
+    bundle_map = efb_bundle(binned, mapper.n_bins)
     ctx = _HistContext(binned, bundle_map,
                        bundle_columns(binned, bundle_map), params)
 
@@ -637,5 +619,5 @@ def fit(train: Dataset, params: BoostParams) -> Ensemble:
             scores[:, k] += params.learning_rate * predict_tree(tree, binned)
             round_trees.append(tree)
         trees.append(round_trees)
-    return Ensemble(trees, base, mapper, bundle_map, k_total,
+    return Ensemble(trees, base, mapper, k_total,
                     params.learning_rate, list(train.feature_names))

@@ -73,10 +73,9 @@ def filter_minority(dataset: Dataset, gamma=DEFAULT_GAMMA) -> FilterOutput:
     for name, ratio in census.ratios.items():
         if ratio >= gamma:
             cid = schema.class_id(name)
-            minority[name] = dataset.select(dataset.labels == cid,
-                                            provenance=f"minority:{name}")
+            minority[name] = dataset.select(dataset.labels == cid)
             minority_ids.append(cid)
-    normal = dataset.select(dataset.labels == normal_id, provenance="normal")
+    normal = dataset.select(dataset.labels == normal_id)
     keep = (dataset.labels != normal_id) & ~np.isin(dataset.labels, minority_ids)
-    passthrough = dataset.select(keep, provenance="passthrough")
+    passthrough = dataset.select(keep)
     return FilterOutput(normal, minority, passthrough, gamma)

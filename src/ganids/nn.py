@@ -14,9 +14,6 @@ a closed-form double backward for the penalty and no graph.
 from __future__ import annotations
 
 import hashlib
-import io
-import json
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -24,12 +21,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteValue, ShapeMismatch, Var, check_finite
-
-
-class ArchiveError(ValueError):
-    """A serialized model (an archive or a parameter blob) is truncated or
-    malformed. Defined here, with the innermost byte format; archive
-    re-exports it."""
 
 
 # ---------------------------------------------------------------------------
@@ -104,28 +95,6 @@ class NetworkSpec:
     def __post_init__(self):
         _check_size("input_width", self.input_width)
 
-    def to_dict(self):
-        return {
-            "input_width": self.input_width,
-            "layers": [vars(l) for l in self.layers],
-        }
-
-    @staticmethod
-    def from_dict(d):
-        """Inverse of to_dict; raises InvalidSpec on a malformed dict."""
-        kinds = {
-            "fc": lambda l: FullyConnected(l["out_size"]),
-            "conv1d": lambda l: Conv1d(l["out_channels"], l["kernel_width"]),
-            "leaky_relu": lambda l: LeakyRelu(l["slope"]),
-            "tanh": lambda l: Tanh(),
-            "dropout": lambda l: Dropout(l["rate"]),
-        }
-        try:
-            return NetworkSpec(d["input_width"],
-                               tuple(kinds[l["kind"]](l) for l in d["layers"]))
-        except (KeyError, TypeError) as e:
-            raise InvalidSpec(f"malformed network spec: {e!r}") from e
-
 
 def _shape_chain(spec: NetworkSpec):
     """Per-layer input shapes; flat widths chain through conv reshapes.
@@ -183,56 +152,6 @@ class ParamSet:
 
     def copy(self):
         return ParamSet({k: v.copy() for k, v in self.tensors.items()})
-
-    def to_bytes(self):
-        buf = io.BytesIO()
-        names = sorted(self.tensors)
-        header = json.dumps({n: list(self.tensors[n].shape) for n in names})
-        hb = header.encode()
-        buf.write(len(hb).to_bytes(8, "little"))
-        buf.write(hb)
-        for n in names:
-            buf.write(np.ascontiguousarray(self.tensors[n], dtype=np.float64).tobytes())
-        return buf.getvalue()
-
-    @staticmethod
-    def from_bytes(raw):
-        """Inverse of to_bytes; raises ArchiveError on truncated or
-        malformed input."""
-        n = read_length(raw, 0, "parameter blob")
-        try:
-            header = json.loads(raw[8:8 + n].decode())
-            shapes = {name: [int(d) for d in shape]
-                      for name, shape in header.items()}
-        except (ValueError, TypeError, AttributeError) as e:
-            raise ArchiveError(f"parameter blob: unreadable header: {e}") from e
-        off = 8 + n
-        tensors = {}
-        for name, shape in shapes.items():
-            size = 8 * math.prod(shape)
-            if min(shape, default=0) < 0 or size > len(raw) - off:
-                raise ArchiveError(
-                    f"parameter blob: tensor {name} {shape} needs {size} "
-                    f"bytes at byte {off}, {len(raw) - off} left")
-            arr = np.frombuffer(raw[off:off + size], dtype=np.float64)
-            tensors[name] = arr.reshape(shape).copy()
-            off += size
-        if off != len(raw):
-            raise ArchiveError(f"parameter blob: {len(raw) - off} bytes "
-                               "left after the last tensor")
-        return ParamSet(tensors)
-
-
-def read_length(buf, off, what):
-    """The 8-byte little-endian length prefix at off, checked to fit in buf
-    after the prefix."""
-    if len(buf) - off < 8:
-        raise ArchiveError(f"{what}: truncated length prefix at byte {off}")
-    n = int.from_bytes(buf[off:off + 8], "little")
-    if n > len(buf) - off - 8:
-        raise ArchiveError(f"{what}: length {n} at byte {off} runs past the "
-                           f"end ({len(buf) - off - 8} bytes left)")
-    return n
 
 
 def init_params(spec: NetworkSpec, seed: int) -> ParamSet:
@@ -443,10 +362,16 @@ def _forward(spec, params, x, masks=None, caches=None):
             y += params[f"l{i}.b"]
             h = y.reshape(bsz, length, o).transpose(0, 2, 1)
         elif kind == "leaky_relu":
-            pos = h > 0
-            cache = np.multiply(~pos, layer.slope, dtype=np.float64)
-            cache += pos
-            h = h * cache
+            slope = layer.slope
+            if caches is None:
+                # the same values as h times the mask, on finite inputs
+                cache = None
+                h = (np.minimum if slope > 1 else np.maximum)(h, slope * h)
+            else:
+                pos = h > 0
+                cache = np.multiply(~pos, slope, dtype=np.float64)
+                cache += pos
+                h = h * cache
         elif kind == "tanh":
             h = cache = np.tanh(h)
         elif kind == "dropout":

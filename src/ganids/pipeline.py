@@ -1,7 +1,7 @@
 """End-to-end orchestration: filter -> pretrain -> per-class finetune ->
 synthesize -> augment -> select -> train -> evaluate, from one JSON config.
 
-Synthetic rows are provenance-tagged and never reach the test set. Every
+Synthetic rows are flagged per row and never reach the test set. Every
 stochastic stage takes its seed from the config, so identical configs
 reproduce identical artifacts.
 """
@@ -228,8 +228,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
                 synth_sets.append(synth_enc)
 
     with stage("augment"):
-        train_aug = concat([train] + synth_sets, "train+synth") \
-            if synth_sets else train
+        train_aug = concat([train] + synth_sets) if synth_sets else train
 
     if config.boruta_enabled:
         with stage("select"):

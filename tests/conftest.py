@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ganids import gbdt
 from ganids.data import Column, Dataset, DatasetSchema
 
 
@@ -18,6 +19,13 @@ def encoded_dataset(matrix, labels, classes, normal=None):
     return Dataset(matrix, np.asarray(labels, dtype=np.int64), schema,
                    encoded=True,
                    feature_names=[f"f{i}" for i in range(matrix.shape[1])])
+
+
+def singleton_bundles(binned, n_bins):
+    """A stand-in for gbdt.efb_bundle that bundles nothing: one feature per
+    bundle, so training runs unbundled."""
+    m = binned.shape[1]
+    return gbdt.BundleMap([[j] for j in range(m)], [[1]] * m, list(n_bins))
 
 
 def raw_dataset(rows, labels, kinds, classes, normal=None):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import encoded_dataset, fd_param_grad, rel_err
+from conftest import encoded_dataset, fd_param_grad, rel_err, singleton_bundles
 
 from ganids import autodiff as ad
 from ganids import gan, gbdt, imbalance, metrics, nn, pipeline
@@ -266,7 +266,7 @@ def test_c07_goss_weighted_sum_unbiased():
             f"relative error {err:.4f}, {elapsed:.1f}s")
 
 
-def test_c08_feature_bundling_is_lossless():
+def test_c08_feature_bundling_is_lossless(monkeypatch):
     rng = np.random.default_rng(8)
     n = 1000
     blocks = [np.eye(w)[rng.integers(0, w, size=n)] for w in (6, 4, 5, 3)]
@@ -276,13 +276,16 @@ def test_c08_feature_bundling_is_lossless():
          + (num[:, 1] > 0.5)) % 4
     mismatches = 0
     trees = 0
-    ens = {}
-    for use_efb in (True, False):
-        ds = encoded_dataset(x.copy(), y, ["a", "b", "c", "d"])
-        ens[use_efb] = gbdt.fit(ds, gbdt.BoostParams(
-            rounds=10, use_efb=use_efb, min_leaf=10, max_depth=5))
-    assert len(ens[True].bundle_map.bundles) < x.shape[1]
-    for r_on, r_off in zip(ens[True].trees, ens[False].trees):
+    classes = ["a", "b", "c", "d"]
+    params = gbdt.BoostParams(rounds=10, min_leaf=10, max_depth=5)
+    mapper, binned = gbdt.bin_features(encoded_dataset(x.copy(), y, classes),
+                                       params.max_bins)
+    assert len(gbdt.efb_bundle(binned, mapper.n_bins).bundles) < x.shape[1]
+    ens_on = gbdt.fit(encoded_dataset(x.copy(), y, classes), params)
+    # the unbundled arm: every feature in a bundle of its own
+    monkeypatch.setattr(gbdt, "efb_bundle", singleton_bundles)
+    ens_off = gbdt.fit(encoded_dataset(x.copy(), y, classes), params)
+    for r_on, r_off in zip(ens_on.trees, ens_off.trees):
         for t_on, t_off in zip(r_on, r_off):
             trees += 1
             mismatches += t_on.structure() != t_off.structure()

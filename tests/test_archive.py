@@ -105,35 +105,73 @@ def test_damaged_archive_raises_archive_error(archive_bytes, tmp_path_factory,
         load(path)
 
 
-def test_truncated_parameter_blob_raises_archive_error():
-    params = nn.ParamSet({"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3),
-                          "s": np.array(2.0)})
-    raw = params.to_bytes()
-    for at in range(len(raw)):
-        with pytest.raises(archive.ArchiveError):
-            nn.ParamSet.from_bytes(raw[:at])
-    with pytest.raises(archive.ArchiveError):
-        nn.ParamSet.from_bytes(raw + b"\x00")
+def _gan_header(model):
+    """The header save_gan writes for model."""
+    return {"kind": "gan", "phase": model.phase,
+            "feature_dim": model.feature_dim, "cfg": model.cfg.to_dict(),
+            "g_hash": model.g_params.content_hash(),
+            "d_hash": model.d_params.content_hash()}
+
+
+def _param_blobs(model):
+    return [archive._param_blob(model.g_params),
+            archive._param_blob(model.d_params)]
+
+
+def test_truncated_parameter_blob_raises_archive_error(tmp_path):
+    model = gan.build_gan(3, gan.GanConfig(seed=1))
+    g_blob, d_blob = _param_blobs(model)
+    path = tmp_path / "gan.bin"
+    n = len(g_blob)
+    for damaged in [g_blob[:at] for at in (0, 1, 7, 8, n // 2 + 3, n - 8,
+                                           n - 1)] + [g_blob + bytes(8)]:
+        archive._write(path, _gan_header(model), [damaged, d_blob])
+        with pytest.raises(archive.ArchiveError, match="gan.bin"):
+            archive.load_gan(path)
+
+
+def test_tensors_that_do_not_fit_feature_dim_raise_archive_error(tmp_path):
+    model = gan.build_gan(5, gan.GanConfig(seed=1))
+    header = _gan_header(model)
+    header["feature_dim"] = 6
+    path = tmp_path / "gan.bin"
+    archive._write(path, header, _param_blobs(model))
+    with pytest.raises(archive.ArchiveError, match="gan.bin"):
+        archive.load_gan(path)
+
+
+def test_other_format_version_raises_archive_error(tmp_path):
+    path = tmp_path / "gan.bin"
+    archive.save_gan(path, gan.build_gan(3, gan.GanConfig(seed=1)))
+    raw = bytearray(path.read_bytes())
+    raw[len(archive.MAGIC):len(archive.MAGIC) + 2] = (2).to_bytes(2, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(archive.ArchiveError,
+                       match="unsupported format version 2"):
+        archive.load_gan(path)
+
+
+def test_save_gan_rejects_networks_other_than_the_built_pair(tmp_path):
+    model = gan.build_gan(3, gan.GanConfig(seed=1))
+    model.d_spec = nn.NetworkSpec(3, (nn.FullyConnected(1),))
+    model.d_params = nn.init_params(model.d_spec, 0)
+    with pytest.raises(ValueError):
+        archive.save_gan(tmp_path / "gan.bin", model)
 
 
 @pytest.mark.parametrize("edit", [
     lambda h: h["cfg"].update(weight_decay=0.0),
     lambda h: h["cfg"].update(lam=-1.0),
     lambda h: h.pop("feature_dim"),
-    lambda h: h["g_spec"].update(layers=[{"kind": "nope"}]),
+    lambda h: h.update(feature_dim=0),
 ], ids=["cfg key GanConfig lacks", "invalid cfg value", "no feature_dim",
-        "bad layer spec"])
+        "feature_dim 0"])
 def test_gan_header_that_does_not_build_raises_archive_error(tmp_path, edit):
     model = gan.build_gan(3, gan.GanConfig(seed=1))
-    header = {"kind": "gan", "phase": model.phase, "feature_dim": 3,
-              "g_spec": model.g_spec.to_dict(),
-              "d_spec": model.d_spec.to_dict(), "cfg": model.cfg.to_dict(),
-              "g_hash": model.g_params.content_hash(),
-              "d_hash": model.d_params.content_hash()}
+    header = _gan_header(model)
     edit(header)
     path = tmp_path / "gan.bin"
-    archive._write(path, header, [model.g_params.to_bytes(),
-                                  model.d_params.to_bytes()])
+    archive._write(path, header, _param_blobs(model))
     with pytest.raises(archive.ArchiveError, match="gan.bin"):
         archive.load_gan(path)
 

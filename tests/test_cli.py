@@ -144,8 +144,8 @@ def test_census_reports_bad_number(demo, tmp_path, capsys):
 
 
 def test_evaluate_reports_truncated_archive(demo, tmp_path, capsys):
-    ens = gbdt.Ensemble([], np.zeros(2), gbdt.BinMapper([np.array([0.5])]),
-                        gbdt.BundleMap([[0]], [[1]], [2]), 2, 0.1)
+    ens = gbdt.Ensemble([], np.zeros(2), gbdt.BinMapper([np.array([0.5])]), 2,
+                        0.1)
     model = tmp_path / "ensemble.bin"
     archive.save_ensemble(model, ens)
     model.write_bytes(model.read_bytes()[:-5])
@@ -173,8 +173,8 @@ def test_evaluate_reports_an_ensemble_body_that_lacks_a_key(demo, tmp_path,
 
 @pytest.mark.parametrize("text", ["{not json", "{}", "[1, 2]"])
 def test_evaluate_reports_damaged_plan(demo, tmp_path, capsys, text):
-    ens = gbdt.Ensemble([], np.zeros(5), gbdt.BinMapper([np.array([0.5])]),
-                        gbdt.BundleMap([[0]], [[1]], [2]), 5, 0.1)
+    ens = gbdt.Ensemble([], np.zeros(5), gbdt.BinMapper([np.array([0.5])]), 5,
+                        0.1)
     model = tmp_path / "ensemble.bin"
     archive.save_ensemble(model, ens)
     plan = tmp_path / "plan.json"
@@ -186,8 +186,8 @@ def test_evaluate_reports_damaged_plan(demo, tmp_path, capsys, text):
 
 
 def test_evaluate_reads_the_plan_before_the_csv(tmp_path, capsys):
-    ens = gbdt.Ensemble([], np.zeros(2), gbdt.BinMapper([np.array([0.5])]),
-                        gbdt.BundleMap([[0]], [[1]], [2]), 2, 0.1)
+    ens = gbdt.Ensemble([], np.zeros(2), gbdt.BinMapper([np.array([0.5])]), 2,
+                        0.1)
     model = tmp_path / "ensemble.bin"
     archive.save_ensemble(model, ens)
     plan = tmp_path / "plan.json"

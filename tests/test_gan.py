@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import encoded_dataset
 
 from ganids import autodiff as ad
-from ganids import gan, nn
+from ganids import archive, gan, nn
 from ganids.data import PreprocessPlan, inverse_transform, preprocess
 
 
@@ -299,6 +299,26 @@ def test_pretrain_zero_steps():
     assert trace.records == []
     assert trace.stop_reason == "max_steps"
     assert model.g_params.content_hash() == g_hash
+
+
+def test_pretrain_trains_and_archives_under_its_config(monkeypatch, tmp_path):
+    model = gan.build_gan(4, small_cfg(batch_size=16))
+    cfg = small_cfg(batch_size=8, max_steps=12, lam=3.0)
+    sizes = []
+    masks = nn.dropout_masks
+
+    def recording_masks(spec, batch_size, rng):
+        # each critic and generator step draws one mask set for its batch
+        sizes.append(batch_size)
+        return masks(spec, batch_size, rng)
+
+    monkeypatch.setattr(nn, "dropout_masks", recording_masks)
+    model, trace = gan.pretrain(model, normal_dataset(), cfg)
+    assert len(sizes) > len(trace.records)  # generator steps ran too
+    assert set(sizes) == {8}
+    assert model.cfg == cfg
+    archive.save_gan(tmp_path / "gan.bin", model)
+    assert archive.load_gan(tmp_path / "gan.bin").cfg == cfg
 
 
 def test_pretrain_requires_fresh_phase():

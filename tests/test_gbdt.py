@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import encoded_dataset
+from conftest import encoded_dataset, singleton_bundles
 
 from ganids import gbdt
 
@@ -632,7 +632,7 @@ def test_fit_training_loss_monotone():
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
-def test_efb_training_is_lossless():
+def test_efb_training_is_lossless(monkeypatch):
     rng = np.random.default_rng(4)
     n = 1000
     # one-hot heavy design: three exclusive blocks plus two numerics
@@ -645,11 +645,13 @@ def test_efb_training_is_lossless():
     y = (blocks[0].argmax(1) + (num[:, 0] > 0.5)) % 3
     ds_on = encoded_dataset(x, y, ["a", "b", "c"])
     ds_off = encoded_dataset(x.copy(), y, ["a", "b", "c"])
-    p_on = gbdt.BoostParams(rounds=8, use_efb=True, min_leaf=10, max_depth=4)
-    p_off = gbdt.BoostParams(rounds=8, use_efb=False, min_leaf=10, max_depth=4)
-    e_on = gbdt.fit(ds_on, p_on)
-    e_off = gbdt.fit(ds_off, p_off)
-    assert len(e_on.bundle_map.bundles) < x.shape[1]  # bundling happened
+    params = gbdt.BoostParams(rounds=8, min_leaf=10, max_depth=4)
+    mapper, binned = gbdt.bin_features(ds_on, params.max_bins)
+    # bundling happened
+    assert len(gbdt.efb_bundle(binned, mapper.n_bins).bundles) < x.shape[1]
+    e_on = gbdt.fit(ds_on, params)
+    monkeypatch.setattr(gbdt, "efb_bundle", singleton_bundles)
+    e_off = gbdt.fit(ds_off, params)
     for r_on, r_off in zip(e_on.trees, e_off.trees):
         for t_on, t_off in zip(r_on, r_off):
             assert t_on.structure() == t_off.structure()
