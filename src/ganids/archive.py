@@ -1,4 +1,4 @@
-"""Versioned on-disk containers for trained models (format 3).
+"""Versioned on-disk containers for trained models (format 4).
 
 Layout: magic, format version, the SHA-256 of everything after it, then a
 length-prefixed JSON header and length-prefixed blobs. Any truncation or
@@ -11,8 +11,10 @@ An archive stores values, not structure. A GAN header holds the phase,
 layers come from `gan.network_specs(feature_dim, cfg)`, and each network's
 blob is its parameters as one run of raw float64, in sorted-name order, with
 the shapes `nn.param_shapes` gives. A blob whose length does not fit those
-shapes, or whose values fail the stored hash, raises ArchiveError. An
-ensemble's blob is its JSON description, checked against the header's hash.
+shapes, or whose values fail the stored hash, or a phase other than
+"fresh", "pretrained" or "finetuned:<class>", raises ArchiveError. An
+ensemble's blob is its JSON description, checked against the header's hash;
+it holds the encoding plan, so the file alone is enough to score a CSV.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from . import gan as gan_mod
 from . import gbdt, nn
 
 MAGIC = b"GANIDS\x00"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _PREFIX = len(MAGIC) + 2 + 32  # magic, version, body digest
 
 
@@ -137,6 +140,9 @@ def load_gan(path) -> gan_mod.GanModel:
         raise ArchiveError(f"{path}: expected a gan archive")
     try:
         feature_dim, phase = header["feature_dim"], header["phase"]
+        if not isinstance(phase, str) \
+                or not re.fullmatch(r"fresh|pretrained|finetuned:.+", phase):
+            raise ValueError(f"unknown phase {phase!r}")
         cfg = gan_mod.GanConfig.from_dict(header["cfg"])
         g_spec, d_spec = gan_mod.network_specs(feature_dim, cfg)
     except (KeyError, TypeError, ValueError) as e:
@@ -152,6 +158,10 @@ def load_gan(path) -> gan_mod.GanModel:
 
 
 def save_ensemble(path, ensemble: gbdt.Ensemble):
+    """Raises ValueError for an ensemble that carries no encoding plan."""
+    if ensemble.plan is None:
+        raise ValueError(f"{path}: only an ensemble that carries its "
+                         "encoding plan can be archived")
     blob = json.dumps(ensemble.to_dict(), sort_keys=True).encode()
     header = {"kind": "ensemble",
               "hash": hashlib.sha256(blob).hexdigest()}
@@ -165,11 +175,10 @@ def load_ensemble(path) -> gbdt.Ensemble:
     if hashlib.sha256(blobs[0]).hexdigest() != header.get("hash"):
         raise ArchiveError(f"{path}: content hash mismatch")
     try:
-        body = json.loads(blobs[0].decode())
-    except ValueError as e:
-        raise ArchiveError(f"{path}: unreadable ensemble body: {e}") from e
-    try:
-        return gbdt.Ensemble.from_dict(body)
+        ensemble = gbdt.Ensemble.from_dict(json.loads(blobs[0].decode()))
     except (KeyError, TypeError, ValueError) as e:
         raise ArchiveError(f"{path}: body does not describe an ensemble "
                            f"({type(e).__name__}: {e})") from e
+    if ensemble.plan is None:
+        raise ArchiveError(f"{path}: the ensemble carries no encoding plan")
+    return ensemble

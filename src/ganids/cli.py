@@ -11,26 +11,28 @@ from pathlib import Path
 from . import archive, imbalance, metrics, pipeline
 from .archive import ArchiveError
 from .autodiff import NonFiniteValue
-from .data import (BadNumber, PlanMismatch, PreprocessPlan, RowArity,
-                   UnknownLabel, load_dataset, load_schema, preprocess,
-                   select_columns)
+from .data import (BadNumber, EmptyDataset, PlanMismatch, RowArity,
+                   SchemaInvalid, UnknownLabel, load_dataset, load_schema,
+                   preprocess, select_columns)
 
 
 def _load_config(args):
-    cfg = pipeline.PipelineConfig.from_json(args.config)
-    if args.out:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.gamma is not None:
-        cfg = replace(cfg, gamma=args.gamma)
-    return cfg
+    given = {"out_dir": args.out, "seed": args.seed, "gamma": args.gamma}
+    return replace(pipeline.PipelineConfig.from_json(args.config),
+                   **{k: v for k, v in given.items() if v is not None})
+
+
+def _on_rows(args, fn, *extra):
+    """fn(rows of args.paths, *extra); a census error names the files."""
+    ds = load_dataset(args.paths, load_schema(args.schema))
+    try:
+        return fn(ds, *extra)
+    except (EmptyDataset, imbalance.MissingNormalClass) as e:
+        raise type(e)(f"{', '.join(args.paths)}: {e}") from e
 
 
 def cmd_census(args):
-    schema = load_schema(args.schema)
-    ds = load_dataset(args.paths, schema)
-    census = imbalance.class_census(ds)
+    census = _on_rows(args, imbalance.class_census)
     out = {"counts": census.counts, "ratios": census.display_ratios()}
     print(json.dumps(out, indent=1))
     if args.out:
@@ -39,9 +41,9 @@ def cmd_census(args):
 
 
 def cmd_filter(args):
-    schema = load_schema(args.schema)
-    ds = load_dataset(args.paths, schema)
-    result = imbalance.filter_minority(ds, args.gamma)
+    if args.gamma <= 0:
+        raise pipeline.ConfigInvalid("--gamma", "must be positive")
+    result = _on_rows(args, imbalance.filter_minority, args.gamma)
     print(json.dumps({
         "gamma": result.gamma,
         "normal_rows": len(result.normal),
@@ -73,14 +75,7 @@ def cmd_ablate(args):
 def cmd_evaluate(args):
     ens = archive.load_ensemble(args.model)
     schema = load_schema(args.schema)
-    # a damaged plan is reported before the CSV is read
-    with open(args.plan) as f:
-        try:
-            plan = PreprocessPlan.from_dict(json.load(f))
-        except (ValueError, KeyError, TypeError) as e:
-            raise PlanMismatch(f"{args.plan}: not an encoding plan "
-                               f"({type(e).__name__}: {e})") from e
-    enc, _ = preprocess(load_dataset(args.paths, schema), plan)
+    enc, _ = preprocess(load_dataset(args.paths, schema), ens.plan)
     # a model trained on selected features reads only those columns
     pred = ens.predict(select_columns(enc, ens.feature_names).features)
     rep = metrics.evaluate(pred, enc.labels, len(schema.classes))
@@ -125,10 +120,9 @@ def main(argv=None):
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("evaluate", help="score a saved classifier on a CSV")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--plan", required=True,
-                    help="plan.json from the training run: the input is "
-                         "encoded exactly as the training data was")
+    sp.add_argument("--model", required=True,
+                    help="models/ensemble.bin from the training run; it "
+                         "carries the run's encoding plan")
     add_common(sp)
     sp.set_defaults(func=cmd_evaluate)
 
@@ -139,13 +133,13 @@ def main(argv=None):
     sp.set_defaults(func=cmd_demo_data)
 
     args = p.parse_args(argv)
-    # OSError covers data.IoFailure and a model or plan file that cannot be
-    # opened
+    # OSError covers data.IoFailure and a model file that cannot be opened
     try:
         args.func(args)
     except (pipeline.ConfigInvalid, pipeline.StageError, OSError, RowArity,
             UnknownLabel, BadNumber, PlanMismatch, ArchiveError,
-            NonFiniteValue) as e:
+            NonFiniteValue, SchemaInvalid, EmptyDataset,
+            imbalance.MissingNormalClass) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -62,6 +62,10 @@ class EmptyDataset(ValueError):
     pass
 
 
+class SchemaInvalid(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class Column:
     name: str
@@ -134,6 +138,9 @@ class DatasetSchema:
                 return DatasetSchema.from_dict(json.load(f))
         except OSError as e:
             raise IoFailure(str(e)) from e
+        except (ValueError, KeyError, TypeError) as e:
+            raise SchemaInvalid(f"{path}: not a dataset schema "
+                                f"({type(e).__name__}: {e})") from e
 
 
 def builtin_schema(name):

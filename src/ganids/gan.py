@@ -23,6 +23,9 @@ from . import nn
 from .data import Dataset, EmptyDataset, PreprocessPlan, inverse_transform
 
 
+CRITIC_STEPS = 5  # critic updates per generator update
+
+
 class InvalidDimension(ValueError):
     pass
 
@@ -34,11 +37,7 @@ class WrongPhase(RuntimeError):
 @dataclass
 class GanConfig:
     lam: float = 10.0
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
     batch_size: int = 64
-    critic_steps: int = 5          # critic updates per generator update
     noise_dim: int = 0             # 0 -> feature_dim
     stop_delta: float = 0.02
     finetune_stop_delta: float = 0.01
@@ -47,8 +46,7 @@ class GanConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0 or self.batch_size < 1 or self.critic_steps < 1 \
-                or self.max_steps < 0:
+        if self.lam < 0 or self.batch_size < 1 or self.max_steps < 0:
             raise ValueError("invalid GAN configuration")
 
     def to_dict(self):
@@ -96,9 +94,8 @@ class GanModel:
         return self.cfg.noise_dim or self.feature_dim
 
     def reset_optimizers(self):
-        cfg = self.cfg
-        self.g_opt = nn.AdamState(self.g_params, cfg.lr, cfg.beta1, cfg.beta2)
-        self.d_opt = nn.AdamState(self.d_params, cfg.lr, cfg.beta1, cfg.beta2)
+        self.g_opt = nn.AdamState(self.g_params)
+        self.d_opt = nn.AdamState(self.d_params)
 
     def copy(self):
         m = GanModel(self.g_spec, self.g_params.copy(), self.d_spec,
@@ -283,7 +280,7 @@ def _train_loop(model: GanModel, data: Dataset, cfg: GanConfig, stop_delta):
     pos = 0
     stopped = False
     while step < cfg.max_steps and not stopped:
-        for _ in range(cfg.critic_steps):
+        for _ in range(CRITIC_STEPS):
             if step >= cfg.max_steps or stopped:
                 break
             if pos + cfg.batch_size > len(order):
@@ -339,8 +336,8 @@ def finetune(pretrained: GanModel, minority_data: Dataset, cfg: GanConfig = None
     return model, trace
 
 
-def synthesize(generator: GanModel, n, plan: PreprocessPlan, seed,
-               schema=None, class_name=None) -> Dataset:
+def synthesize(generator: GanModel, n, plan: PreprocessPlan, seed, schema,
+               class_name=None) -> Dataset:
     """Draw n rows from a fine-tuned generator, decoded into raw space."""
     if not generator.phase.startswith("finetuned"):
         raise WrongPhase(f"synthesize expects a finetuned model, got {generator.phase}")

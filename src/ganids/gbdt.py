@@ -53,7 +53,7 @@ from itertools import accumulate
 import numpy as np
 
 from .autodiff import ShapeMismatch
-from .data import Dataset, EmptyDataset
+from .data import Dataset, EmptyDataset, PreprocessPlan
 
 
 class SingleClass(ValueError):
@@ -520,6 +520,9 @@ class Ensemble:
     n_classes: int
     learning_rate: float
     feature_names: list = field(default_factory=list)
+    # the encoding whose columns feature_names selects from; fit leaves it
+    # None, and the pipeline attaches the training run's plan
+    plan: PreprocessPlan = None
 
     def raw_scores(self, matrix):
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -565,6 +568,7 @@ class Ensemble:
             "n_classes": self.n_classes,
             "learning_rate": self.learning_rate,
             "feature_names": list(self.feature_names),
+            "plan": None if self.plan is None else self.plan.to_dict(),
         }
 
     @staticmethod
@@ -576,6 +580,8 @@ class Ensemble:
             n_classes=d["n_classes"],
             learning_rate=d["learning_rate"],
             feature_names=list(d.get("feature_names", [])),
+            plan=None if d.get("plan") is None
+            else PreprocessPlan.from_dict(d["plan"]),
         )
 
 

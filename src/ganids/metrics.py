@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,17 +28,7 @@ class EvalReport:
     macro_f1: float
 
     def to_dict(self):
-        return {
-            "confusion": self.confusion.tolist(),
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support": self.support,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-        }
+        return {**asdict(self), "confusion": self.confusion.tolist()}
 
 
 def _safe_div(a, b):

@@ -13,13 +13,18 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import archive, boruta, gbdt, imbalance, metrics
 from . import gan as gan_mod
 from .data import (DatasetSchema, concat, load_dataset, load_schema,
                    preprocess, select_columns, split_stratified)
+
+
+SPLIT_SEED = 7
+BORUTA_ALPHA = 0.05
 
 
 class ConfigInvalid(ValueError):
@@ -43,33 +48,25 @@ class PipelineConfig:
     out_dir: str
     gamma: float = imbalance.DEFAULT_GAMMA
     train_fraction: float = 0.8
-    split_seed: int = 7
     seed: int = 0
     gan: gan_mod.GanConfig = field(default_factory=gan_mod.GanConfig)
     boost: gbdt.BoostParams = field(default_factory=gbdt.BoostParams)
     boruta_enabled: bool = False
     boruta_rounds: int = 10
-    boruta_alpha: float = 0.05
     skip_pretrain: bool = False
     skip_augment: bool = False
 
     def to_dict(self):
-        d = dict(vars(self))
-        d["gan"] = self.gan.to_dict()
-        d["boost"] = self.boost.to_dict()
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d):
         d = dict(d)
         for key, section in (("gan", gan_mod.GanConfig),
                              ("boost", gbdt.BoostParams)):
-            if key not in d:
-                continue
-            if not isinstance(d[key], dict):
-                raise ConfigInvalid(key, "must be an object")
             try:
-                d[key] = section.from_dict(d[key])
+                if key in d:
+                    d[key] = section.from_dict(d[key])
             except (TypeError, ValueError) as e:
                 raise ConfigInvalid(key, str(e)) from e
         try:
@@ -80,7 +77,13 @@ class PipelineConfig:
     @staticmethod
     def from_json(path):
         with open(path) as f:
-            return PipelineConfig.from_dict(json.load(f))
+            try:
+                d = json.load(f)
+            except ValueError as e:
+                raise ConfigInvalid(path, f"not JSON ({e})") from e
+        if not isinstance(d, dict):
+            raise ConfigInvalid(path, "not a JSON object")
+        return PipelineConfig.from_dict(d)
 
     def validate(self):
         if not self.dataset_paths:
@@ -162,8 +165,17 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
                 "stages": {}}
     t_start = time.perf_counter()
 
+    @contextmanager
     def stage(name):
-        return _StageTimer(name, manifest)
+        t0 = time.perf_counter()
+        try:
+            yield
+        except StageError:
+            raise
+        except Exception as exc:
+            raise StageError(name, exc) from exc
+        finally:
+            manifest["stages"][name] = round(time.perf_counter() - t0, 3)
 
     schema = config.load_schema()
 
@@ -181,7 +193,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
 
     with stage("split"):
         train_raw, test_raw = split_stratified(raw, config.train_fraction,
-                                               config.split_seed)
+                                               SPLIT_SEED)
 
     with stage("encode"):
         train, plan = preprocess(train_raw)
@@ -234,7 +246,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         with stage("select"):
             bp = replace(config.boost, rounds=max(10, config.boost.rounds // 10))
             decision = boruta.boruta_select(
-                train_aug, config.boruta_rounds, config.boruta_alpha, bp,
+                train_aug, config.boruta_rounds, BORUTA_ALPHA, bp,
                 seed=config.seed + 5)
             _write_json(out_dir / "feature_decision.json", decision.to_dict())
             _write_csv(out_dir / "feature_decision.csv",
@@ -250,6 +262,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
 
     with stage("train"):
         ensemble = gbdt.fit(train_aug, replace(config.boost, seed=config.seed))
+        ensemble.plan = plan
         ensemble_path = out_dir / "models" / "ensemble.bin"
         archive.save_ensemble(ensemble_path, ensemble)
 
@@ -296,20 +309,3 @@ def run_ablation(config: PipelineConfig) -> metrics.AblationReport:
     _write_csv(base / "ablation.csv",
                ["class", "steps_with_pretrain", "steps_without", "speedup"], rows)
     return report
-
-
-class _StageTimer:
-    def __init__(self, name, manifest):
-        self.name = name
-        self.manifest = manifest
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.manifest["stages"][self.name] = round(
-            time.perf_counter() - self.t0, 3)
-        if exc is not None and not isinstance(exc, StageError):
-            raise StageError(self.name, exc) from exc
-        return False

@@ -1,15 +1,26 @@
 """Model archive round-trip and integrity tests."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import encoded_dataset
+from conftest import encoded_dataset, raw_dataset
 
 from ganids import archive, gan, gbdt, nn
+from ganids.data import preprocess
+
+
+def _fit_with_plan(raw, **boost):
+    """An ensemble fitted on raw's encoding, carrying that plan, as a run
+    archives it."""
+    enc, plan = preprocess(raw)
+    ens = gbdt.fit(enc, gbdt.BoostParams(**boost))
+    ens.plan = plan
+    return ens
 
 
 def test_gan_roundtrip_bit_exact(tmp_path):
@@ -28,14 +39,29 @@ def test_gan_roundtrip_bit_exact(tmp_path):
 
 def test_ensemble_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
-    ds = encoded_dataset(rng.random((60, 3)), rng.integers(0, 2, 60),
-                         ["a", "b"])
-    ens = gbdt.fit(ds, gbdt.BoostParams(rounds=3, min_leaf=5))
+    raw = raw_dataset([(v, p) for v, p in zip(rng.random(60),
+                                              rng.choice(["tcp", "udp"], 60))],
+                      rng.integers(0, 2, 60), ["numeric", "categorical"],
+                      ["a", "b"])
+    ens = _fit_with_plan(raw, rounds=3, min_leaf=5)
     path = tmp_path / "ens.bin"
     archive.save_ensemble(path, ens)
     loaded = archive.load_ensemble(path)
     x = rng.random((5, 3))
     assert np.array_equal(loaded.raw_scores(x), ens.raw_scores(x))
+    assert np.array_equal(loaded.predict_proba(x), ens.predict_proba(x))
+    assert json.dumps(loaded.plan.to_dict()) == json.dumps(ens.plan.to_dict())
+    assert loaded.feature_names == ["f0", "f1=tcp", "f1=udp"]
+
+
+def test_save_ensemble_without_plan_raises_value_error(tmp_path):
+    rng = np.random.default_rng(0)
+    ds = encoded_dataset(rng.random((40, 2)), rng.integers(0, 2, 40),
+                         ["a", "b"])
+    ens = gbdt.fit(ds, gbdt.BoostParams(rounds=2, min_leaf=5))
+    with pytest.raises(ValueError, match="plan"):
+        archive.save_ensemble(tmp_path / "ens.bin", ens)
+    assert not (tmp_path / "ens.bin").exists()
 
 
 def test_corrupted_archive_detected(tmp_path):
@@ -78,10 +104,10 @@ def archive_bytes(tmp_path_factory):
     model = gan.build_gan(3, gan.GanConfig(seed=5))
     archive.save_gan(out / "gan.bin", model)
     rng = np.random.default_rng(1)
-    ds = encoded_dataset(rng.random((40, 2)), rng.integers(0, 2, 40),
-                         ["a", "b"])
+    raw = raw_dataset(rng.random((40, 2)), rng.integers(0, 2, 40),
+                      ["numeric", "numeric"], ["a", "b"])
     archive.save_ensemble(out / "ens.bin",
-                          gbdt.fit(ds, gbdt.BoostParams(rounds=2, min_leaf=5)))
+                          _fit_with_plan(raw, rounds=2, min_leaf=5))
     return {"gan": ((out / "gan.bin").read_bytes(), archive.load_gan),
             "ensemble": ((out / "ens.bin").read_bytes(),
                          archive.load_ensemble)}
@@ -151,6 +177,38 @@ def test_other_format_version_raises_archive_error(tmp_path):
         archive.load_gan(path)
 
 
+def test_version_3_ensemble_raises_archive_error(archive_bytes, tmp_path):
+    raw = bytearray(archive_bytes["ensemble"][0])
+    raw[len(archive.MAGIC):len(archive.MAGIC) + 2] = (3).to_bytes(2, "little")
+    path = tmp_path / "ens.bin"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(archive.ArchiveError,
+                       match="ens.bin: unsupported format version 3"):
+        archive.load_ensemble(path)
+
+
+@pytest.mark.parametrize("phase", [7, None, "finetuned", "finetuned:",
+                                   "trained"])
+def test_gan_header_with_a_bad_phase_raises_archive_error(tmp_path, phase):
+    model = gan.build_gan(3, gan.GanConfig(seed=1))
+    header = _gan_header(model)
+    header["phase"] = phase
+    path = tmp_path / "gan.bin"
+    archive._write(path, header, _param_blobs(model))
+    with pytest.raises(archive.ArchiveError, match="gan.bin"):
+        archive.load_gan(path)
+
+
+@pytest.mark.parametrize("phase", ["fresh", "pretrained", "finetuned:rare"])
+def test_gan_header_phases_that_load(tmp_path, phase):
+    model = gan.build_gan(3, gan.GanConfig(seed=1))
+    header = _gan_header(model)
+    header["phase"] = phase
+    path = tmp_path / "gan.bin"
+    archive._write(path, header, _param_blobs(model))
+    assert archive.load_gan(path).phase == phase
+
+
 def test_save_gan_rejects_networks_other_than_the_built_pair(tmp_path):
     model = gan.build_gan(3, gan.GanConfig(seed=1))
     model.d_spec = nn.NetworkSpec(3, (nn.FullyConnected(1),))
@@ -176,12 +234,21 @@ def test_gan_header_that_does_not_build_raises_archive_error(tmp_path, edit):
         archive.load_gan(path)
 
 
+# the body fit writes for a one-feature, two-class ensemble with no plan
+NO_PLAN = (b'{"base_scores": [0.0, 0.0], "feature_names": ["f0"], '
+           b'"learning_rate": 0.1, "mapper": {"boundaries": [[0.5]]}, '
+           b'"n_classes": 2, "plan": null, "trees": []}')
+
+
 @pytest.mark.parametrize("header,body", [
     ({"kind": "ensemble"}, b"{}"),
     (None, b"{not json"),
     (None, b'{"base_scores": [0.0, 0.0]}'),
     (None, b"[1, 2]"),
-], ids=["no hash", "body not JSON", "body lacks trees", "body not an object"])
+    (None, NO_PLAN),
+    (None, NO_PLAN.replace(b'"plan": null', b'"plan": {}')),
+], ids=["no hash", "body not JSON", "body lacks trees", "body not an object",
+        "body without plan", "body with empty plan"])
 def test_ensemble_archive_that_does_not_load_raises_archive_error(
         tmp_path, header, body):
     if header is None:

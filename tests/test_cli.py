@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ganids import archive, cli, gan, gbdt, pipeline
-from ganids.data import load_dataset, load_schema, split_stratified
+from ganids.data import (PreprocessPlan, load_dataset, load_schema,
+                         split_stratified)
 from ganids.demo import write_demo_dataset
 
 
@@ -54,9 +55,7 @@ def test_run_and_evaluate_commands(demo, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "accuracy" in out
     model = tmp_path / "run" / "models" / "ensemble.bin"
-    plan = tmp_path / "run" / "plan.json"
-    assert plan.exists()
-    assert cli.main(["evaluate", "--model", str(model), "--plan", str(plan),
+    assert cli.main(["evaluate", "--model", str(model),
                      "--schema", str(demo["schema"]), str(demo["csv"])]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert 0.0 <= rep["accuracy"] <= 1.0
@@ -79,13 +78,14 @@ def test_evaluate_scores_a_model_trained_on_boruta_selected_features(
     raw = load_dataset([demo["csv"]], load_schema(str(demo["schema"])))
     rows = replace(raw, features=np.arange(len(raw), dtype=float)[:, None],
                    levels=None, encoded=True, feature_names=["row"])
-    _, test = split_stratified(rows, cfg.train_fraction, cfg.split_seed)
+    _, test = split_stratified(rows, cfg.train_fraction, pipeline.SPLIT_SEED)
     lines = demo["csv"].read_text().splitlines()  # no header line
     test_csv = tmp_path / "test.csv"
     test_csv.write_text("".join(lines[int(i)] + "\n"
                                 for i in test.features[:, 0]))
+    # the model file alone encodes the input: no plan file is read
+    (tmp_path / "run" / "plan.json").unlink()
     assert cli.main(["evaluate", "--model", str(art.ensemble_path),
-                     "--plan", str(tmp_path / "run" / "plan.json"),
                      "--schema", str(demo["schema"]), str(test_csv)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["macro_f1"] == art.eval_report.macro_f1
@@ -121,9 +121,10 @@ def test_run_command_reports_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_evaluate_requires_plan(demo, tmp_path, capsys):
+def test_evaluate_rejects_the_plan_option(demo, tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["evaluate", "--model", str(tmp_path / "m.bin"),
+                  "--plan", str(tmp_path / "plan.json"),
                   "--schema", str(demo["schema"]), str(demo["csv"])])
     assert e.value.code == 2
     assert "--plan" in capsys.readouterr().err
@@ -145,13 +146,12 @@ def test_census_reports_bad_number(demo, tmp_path, capsys):
 
 def test_evaluate_reports_truncated_archive(demo, tmp_path, capsys):
     ens = gbdt.Ensemble([], np.zeros(2), gbdt.BinMapper([np.array([0.5])]), 2,
-                        0.1)
+                        0.1, ["f0"],
+                        PreprocessPlan([("f0", "numeric", 0.0, 1.0)], "x"))
     model = tmp_path / "ensemble.bin"
     archive.save_ensemble(model, ens)
     model.write_bytes(model.read_bytes()[:-5])
-    plan = tmp_path / "plan.json"
-    plan.write_text("{}")
-    assert cli.main(["evaluate", "--model", str(model), "--plan", str(plan),
+    assert cli.main(["evaluate", "--model", str(model),
                      "--schema", str(demo["schema"]), str(demo["csv"])]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "truncated" in err
@@ -163,40 +163,49 @@ def test_evaluate_reports_an_ensemble_body_that_lacks_a_key(demo, tmp_path,
     model = tmp_path / "ensemble.bin"
     archive._write(model, {"kind": "ensemble",
                            "hash": hashlib.sha256(body).hexdigest()}, [body])
-    plan = tmp_path / "plan.json"
-    plan.write_text("{}")
-    assert cli.main(["evaluate", "--model", str(model), "--plan", str(plan),
+    assert cli.main(["evaluate", "--model", str(model),
                      "--schema", str(demo["schema"]), str(demo["csv"])]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(model) in err and "trees" in err
 
 
-@pytest.mark.parametrize("text", ["{not json", "{}", "[1, 2]"])
-def test_evaluate_reports_damaged_plan(demo, tmp_path, capsys, text):
-    ens = gbdt.Ensemble([], np.zeros(5), gbdt.BinMapper([np.array([0.5])]), 5,
-                        0.1)
-    model = tmp_path / "ensemble.bin"
-    archive.save_ensemble(model, ens)
-    plan = tmp_path / "plan.json"
-    plan.write_text(text)
-    assert cli.main(["evaluate", "--model", str(model), "--plan", str(plan),
-                     "--schema", str(demo["schema"]), str(demo["csv"])]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "not an encoding plan" in err
+def _malformed_input(case, demo, tmp_path):
+    """The argv of a command on one malformed input, and the file its
+    error must name (None when the fault is in an option)."""
+    lines = demo["csv"].read_text().splitlines(keepends=True)
+    schema, csv_path = str(demo["schema"]), tmp_path / "rows.csv"
+    if case == "empty csv":
+        csv_path.write_text("")
+        return ["census", "--schema", schema, str(csv_path)], csv_path
+    if case.endswith("no normal rows"):
+        csv_path.write_text("".join(x for x in lines
+                                    if not x.rstrip().endswith(",normal")))
+        return [case.split()[0], "--schema", schema, str(csv_path)], csv_path
+    if case == "filter gamma 0":
+        return ["filter", "--schema", schema, "--gamma", "0",
+                str(demo["csv"])], None
+    if case.startswith("schema"):
+        bad = tmp_path / "schema.json"
+        doc = json.loads(demo["schema"].read_text())
+        del doc["columns"]
+        bad.write_text(json.dumps(doc) if case == "schema without columns"
+                       else "columns: none")
+        return ["census", "--schema", str(bad), str(demo["csv"])], bad
+    bad = tmp_path / "config.json"
+    bad.write_text("{dataset_paths: []")
+    return ["run", "--config", str(bad)], bad
 
 
-def test_evaluate_reads_the_plan_before_the_csv(tmp_path, capsys):
-    ens = gbdt.Ensemble([], np.zeros(2), gbdt.BinMapper([np.array([0.5])]), 2,
-                        0.1)
-    model = tmp_path / "ensemble.bin"
-    archive.save_ensemble(model, ens)
-    plan = tmp_path / "plan.json"
-    plan.write_text("{}")
-    assert cli.main(["evaluate", "--model", str(model), "--plan", str(plan),
-                     "--schema", "builtin:nslkdd",
-                     str(tmp_path / "missing.csv")]) == 1
+@pytest.mark.parametrize("case", [
+    "empty csv", "census no normal rows", "filter no normal rows",
+    "filter gamma 0", "schema without columns", "schema not JSON",
+    "config not JSON"])
+def test_malformed_input_is_one_error_line(demo, tmp_path, capsys, case):
+    argv, named = _malformed_input(case, demo, tmp_path)
+    assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert "not an encoding plan" in err and "missing.csv" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(named or "--gamma") in err
 
 
 def test_unknown_command_exits_nonzero():

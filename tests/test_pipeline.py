@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from ganids import gan, gbdt, pipeline
+from ganids import archive, gan, gbdt, pipeline
+from ganids.data import load_dataset, load_schema, preprocess
 from ganids.demo import write_demo_dataset
 
 
@@ -130,6 +131,22 @@ def test_stage_error_names_stage(demo, tmp_path):
     with pytest.raises(pipeline.StageError) as e:
         pipeline.run_pipeline(cfg)
     assert e.value.stage == "load"
+
+
+def test_model_file_carries_the_run_plan(demo, tmp_path, monkeypatch):
+    fitted = []
+    fit = gbdt.fit
+    monkeypatch.setattr(gbdt, "fit",
+                        lambda *a: fitted.append(fit(*a)) or fitted[-1])
+    art = pipeline.run_pipeline(fast_config(demo, tmp_path / "run",
+                                            skip_augment=True))
+    loaded = archive.load_ensemble(art.ensemble_path)
+    assert loaded.plan.to_dict() \
+        == json.loads((art.out_dir / "plan.json").read_text())
+    raw = load_dataset([demo["csv"]], load_schema(str(demo["schema"])))
+    enc, _ = preprocess(raw, loaded.plan)
+    assert np.array_equal(loaded.predict_proba(enc.features),
+                          fitted[0].predict_proba(enc.features))
 
 
 def test_rerun_identical_config_reproduces(demo, tmp_path):
