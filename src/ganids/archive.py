@@ -14,7 +14,9 @@ the shapes `nn.param_shapes` gives. A blob whose length does not fit those
 shapes, or whose values fail the stored hash, or a phase other than
 "fresh", "pretrained" or "finetuned:<class>", raises ArchiveError. An
 ensemble's blob is its JSON description, checked against the header's hash;
-it holds the encoding plan, so the file alone is enough to score a CSV.
+it holds the encoding plan, so the file alone is enough to score a CSV. Its
+fitted columns must be its feature names, one each, and each a column of
+that plan, or saving raises ValueError and loading ArchiveError.
 """
 
 from __future__ import annotations
@@ -157,11 +159,31 @@ def load_gan(path) -> gan_mod.GanModel:
                             cfg, phase=phase)
 
 
+def _layout_mismatch(ensemble: gbdt.Ensemble):
+    """Why an ensemble's fitted columns disagree with its feature names or
+    its plan's encoded columns; None when they agree."""
+    names = ensemble.feature_names
+    n_fitted = len(ensemble.mapper.boundaries)
+    if n_fitted != len(names):
+        return f"{n_fitted} fitted columns but {len(names)} feature names"
+    encoded = set(ensemble.plan.encoded_names())
+    unknown = [n for n in names if n not in encoded]
+    if unknown:
+        return (f"feature names {unknown} are not columns of the "
+                "encoding plan")
+    return None
+
+
 def save_ensemble(path, ensemble: gbdt.Ensemble):
-    """Raises ValueError for an ensemble that carries no encoding plan."""
+    """Raises ValueError for an ensemble that carries no encoding plan, or
+    whose fitted columns are not its feature names, each a column of that
+    plan."""
     if ensemble.plan is None:
         raise ValueError(f"{path}: only an ensemble that carries its "
                          "encoding plan can be archived")
+    mismatch = _layout_mismatch(ensemble)
+    if mismatch:
+        raise ValueError(f"{path}: {mismatch}")
     blob = json.dumps(ensemble.to_dict(), sort_keys=True).encode()
     header = {"kind": "ensemble",
               "hash": hashlib.sha256(blob).hexdigest()}
@@ -181,4 +203,7 @@ def load_ensemble(path) -> gbdt.Ensemble:
                            f"({type(e).__name__}: {e})") from e
     if ensemble.plan is None:
         raise ArchiveError(f"{path}: the ensemble carries no encoding plan")
+    mismatch = _layout_mismatch(ensemble)
+    if mismatch:
+        raise ArchiveError(f"{path}: {mismatch}")
     return ensemble

@@ -54,7 +54,7 @@ _F64 = np.dtype(np.float64)
 
 
 def check_finite(arr, what="value"):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteValue(f"non-finite {what} encountered")
     return arr
 
@@ -397,9 +397,12 @@ def _unfold_data(x, k, pad):
         s = j - pad
         lo = min(length, max(0, -s))
         hi = max(lo, min(length, length - s))
-        cols[:, :lo, :, j] = 0.0
-        cols[:, hi:, :, j] = 0.0
-        cols[:, lo:hi, :, j] = xt[:, lo + s:hi + s]
+        if lo:
+            cols[:, :lo, :, j] = 0.0
+        if hi < length:
+            cols[:, hi:, :, j] = 0.0
+        if lo < hi:
+            cols[:, lo:hi, :, j] = xt[:, lo + s:hi + s]
     return cols.reshape(b, length, c * k)
 
 

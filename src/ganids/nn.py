@@ -13,7 +13,9 @@ a closed-form double backward for the penalty and no graph.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -95,39 +97,42 @@ class NetworkSpec:
     def __post_init__(self):
         _check_size("input_width", self.input_width)
 
+    @functools.cached_property
+    def walk(self):
+        """Per layer (i, layer, in_desc, weight name, bias name), computed
+        once per spec; the names are None for a layer without parameters.
 
-def _shape_chain(spec: NetworkSpec):
-    """Per-layer input shapes; flat widths chain through conv reshapes.
-
-    A flat width d entering a conv is treated as a single-channel sequence of
-    length d; a sequence entering an FC layer is flattened to channels*length.
-    Yields (layer, in_desc) where in_desc is ("flat", w) or ("seq", c, l).
-    """
-    cur = ("flat", spec.input_width)
-    for layer in spec.layers:
-        if layer.kind == "fc":
-            if cur[0] == "seq":
-                cur = ("flat", cur[1] * cur[2])
-            yield layer, cur
-            cur = ("flat", layer.out_size)
-        elif layer.kind == "conv1d":
-            if cur[0] == "flat":
-                cur = ("seq", 1, cur[1])
-            yield layer, cur
-            cur = ("seq", layer.out_channels, cur[2])
-        else:
-            yield layer, cur
+        in_desc is the layer's input shape, ("flat", w) or ("seq", c, l). A
+        flat width d entering a conv is a single-channel sequence of length
+        d; a sequence entering an fc layer is flattened to channels*length.
+        """
+        walk = []
+        cur = ("flat", self.input_width)
+        for i, layer in enumerate(self.layers):
+            if layer.kind == "fc":
+                if cur[0] == "seq":
+                    cur = ("flat", cur[1] * cur[2])
+                walk.append((i, layer, cur, f"l{i}.w", f"l{i}.b"))
+                cur = ("flat", layer.out_size)
+            elif layer.kind == "conv1d":
+                if cur[0] == "flat":
+                    cur = ("seq", 1, cur[1])
+                walk.append((i, layer, cur, f"l{i}.w", f"l{i}.b"))
+                cur = ("seq", layer.out_channels, cur[2])
+            else:
+                walk.append((i, layer, cur, None, None))
+        return tuple(walk)
 
 
 def param_shapes(spec: NetworkSpec):
     shapes = {}
-    for i, (layer, in_desc) in enumerate(_shape_chain(spec)):
+    for _, layer, in_desc, wn, bn in spec.walk:
         if layer.kind == "fc":
-            shapes[f"l{i}.w"] = (in_desc[1], layer.out_size)
-            shapes[f"l{i}.b"] = (layer.out_size,)
+            shapes[wn] = (in_desc[1], layer.out_size)
+            shapes[bn] = (layer.out_size,)
         elif layer.kind == "conv1d":
-            shapes[f"l{i}.w"] = (layer.out_channels, in_desc[1], layer.kernel_width)
-            shapes[f"l{i}.b"] = (layer.out_channels,)
+            shapes[wn] = (layer.out_channels, in_desc[1], layer.kernel_width)
+            shapes[bn] = (layer.out_channels,)
     return shapes
 
 
@@ -187,14 +192,18 @@ class Tape:
 def dropout_masks(spec: NetworkSpec, batch_size: int, rng) -> dict:
     """Inverted-dropout masks, one per dropout layer, reusable across passes."""
     masks = {}
-    for i, (layer, in_desc) in enumerate(_shape_chain(spec)):
+    for i, layer, in_desc, _, _ in spec.walk:
         if layer.kind == "dropout":
             keep = 1.0 - layer.rate
             if in_desc[0] == "flat":
                 shape = (batch_size, in_desc[1])
             else:
                 shape = (batch_size, in_desc[1], in_desc[2])
-            masks[i] = (rng.random(shape) < keep) / keep
+            # (draw < keep) / keep, on the draw's own array
+            m = rng.random(shape)
+            np.less(m, keep, out=m)
+            m /= keep
+            masks[i] = m
     return masks
 
 
@@ -236,19 +245,19 @@ def forward_var(spec: NetworkSpec, param_vars: dict, x: Var, train=False,
     h = x
     cur_seq = False
     relu_signs = []
-    for i, (layer, in_desc) in enumerate(_shape_chain(spec)):
+    for i, layer, _, wn, bn in spec.walk:
         if layer.kind == "fc":
             if cur_seq:
                 b, c, length = h.data.shape
                 h = ad.reshape(h, (b, c * length))
                 cur_seq = False
-            h = ad.linear(h, param_vars[f"l{i}.w"], param_vars[f"l{i}.b"])
+            h = ad.linear(h, param_vars[wn], param_vars[bn])
         elif layer.kind == "conv1d":
             if not cur_seq:
                 b, w = h.data.shape
                 h = ad.reshape(h, (b, 1, w))
                 cur_seq = True
-            h = ad.conv1d(h, param_vars[f"l{i}.w"], param_vars[f"l{i}.b"])
+            h = ad.conv1d(h, param_vars[wn], param_vars[bn])
         elif layer.kind == "leaky_relu":
             pos = h.data > 0
             relu_signs.append(pos)
@@ -309,11 +318,18 @@ def penalty_batch(spec: NetworkSpec, x_hat):
 # layer-wise kernels
 #
 # Training runs on plain arrays, one branch per layer kind over
-# `_shape_chain(spec)`: a forward pass that keeps per-layer caches, a
-# first-order backward pass over them, and the gradient penalty's
-# second-order sweep. The arithmetic of each layer is that of the autodiff
-# primitives `forward_var` uses, which stay as the reference the tests check
-# these kernels against.
+# `spec.walk`: a forward pass that keeps per-layer caches, a first-order
+# backward pass over them, and the gradient penalty's second-order sweep.
+# The arithmetic of each layer is that of the autodiff primitives
+# `forward_var` uses, which stay as the reference the tests check these
+# kernels against.
+#
+# Biases and the leaky ReLU, dropout and tanh factors are applied in place,
+# but only to an array the pass itself allocated: each pass keeps one flag,
+# `own`, for that. The caller's input, a cached array and a cotangent kept
+# in `record` are never written, and neither is a parameter. In place or
+# not, each element gets the same operations in the same order, so the
+# results are bit-identical.
 #
 # The penalty's double backward has a closed form on these layers. The
 # input gradient of sum D(x) is a backward pass, a chain of maps
@@ -341,43 +357,59 @@ def _forward(spec, params, x, masks=None, caches=None):
 
     Dropout multiplies by `masks[i]`, and is skipped when `masks` is None.
     With a list `caches`, appends per layer its input shape and cache (an fc
-    layer's flat input, a conv's unfolded `cols`, the leaky ReLU or dropout
-    mask, the tanh output), then the output's shape. The arithmetic is that
+    layer's flat input and, after a conv, its weight rows in (length,
+    channel) order; a conv's unfolded `cols`; the leaky ReLU or dropout
+    mask; the tanh output), then the output's shape. The arithmetic is that
     of `forward_var`, so the output is bit-identical to it.
     """
     h = x
-    for i, (layer, _) in enumerate(_shape_chain(spec)):
+    own = False
+    for i, layer, _, wn, bn in spec.walk:
         shape = h.shape
         kind = layer.kind
         if kind == "fc":
-            h = cache = _flat(h)
-            h = h @ params[f"l{i}.w"] + params[f"l{i}.b"]
+            cache = _flat(h)
+            w = params[wn]
+            h = cache @ w
+            h += params[bn]
+            own = True
+            if caches is not None:
+                cache = (cache, _rows_channels_last(w, shape)
+                         if len(shape) == 3 else None)
         elif kind == "conv1d":
             h = _seq(h)
-            w = params[f"l{i}.w"]
+            w = params[wn]
             o, c, k = w.shape
             bsz, _, length = h.shape
-            cache = ad._unfold_data(h, k, (k - 1) // 2)
+            cache = _cols(h, k)
             y = cache.reshape(bsz * length, c * k) @ w.reshape(o, c * k).T
-            y += params[f"l{i}.b"]
+            y += params[bn]
             h = y.reshape(bsz, length, o).transpose(0, 2, 1)
+            own = True
         elif kind == "leaky_relu":
             slope = layer.slope
             if caches is None:
                 # the same values as h times the mask, on finite inputs
                 cache = None
-                h = (np.minimum if slope > 1 else np.maximum)(h, slope * h)
+                t = h * slope
+                h = (np.minimum if slope > 1 else np.maximum)(
+                    h, t, out=h if own else t)
             else:
+                # exactly 1 or slope, in less time than np.where(pos, 1.0, slope)
                 pos = h > 0
                 cache = np.multiply(~pos, slope, dtype=np.float64)
                 cache += pos
-                h = h * cache
+                h = np.multiply(h, cache, out=h if own else None)
+            own = True
         elif kind == "tanh":
-            h = cache = np.tanh(h)
+            h = cache = np.tanh(h, out=h if own else None)
+            # a cached output is read by the backward passes
+            own = caches is None
         elif kind == "dropout":
             cache = None if masks is None else masks[i]
             if cache is not None:
-                h = h * cache
+                h = np.multiply(h, cache, out=h if own else None)
+                own = True
         else:  # pragma: no cover
             raise ValueError(f"unknown layer kind {layer.kind}")
         if caches is not None:
@@ -385,6 +417,21 @@ def _forward(spec, params, x, masks=None, caches=None):
     if caches is not None:
         caches.append((h.shape, None))
     return _flat(h)
+
+
+def _cols(h, k):
+    """A conv's unfolded input (B, L, C*k). A window of width 1 is the
+    input itself, channels last, so it is a view."""
+    if k == 1:
+        return h.transpose(0, 2, 1)
+    return ad._unfold_data(h, k, (k - 1) // 2)
+
+
+def _rows_channels_last(w, shape):
+    """The rows of an fc weight that reads a flattened (c, length) sequence,
+    in (length, channel) order."""
+    _, c, length = shape
+    return w.reshape(c, length, -1).transpose(1, 0, 2).reshape(length * c, -1)
 
 
 def _add(grads, name, g):
@@ -405,54 +452,55 @@ def _backward(spec, params, caches, g, rows=slice(None), grads=None,
     receives each layer's output cotangent; `inject` is (rows, {i: array})
     added to layer i's input cotangent on those rows.
     """
-    layers = list(_shape_chain(spec))
     n = len(g)
     g = g.reshape((n,) + caches[-1][0][1:])
-    for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i][0]
+    own = False
+    for i, layer, _, wn, bn in reversed(spec.walk):
         shape, cache = caches[i]
         if record is not None:
             record[i] = g
+            own = False
         kind = layer.kind
         if kind == "fc":
+            flat, w_lc = cache
             if grads is not None:
-                _add(grads, f"l{i}.w", cache[rows].T @ g)
-                _add(grads, f"l{i}.b", g.sum(axis=0))
+                _add(grads, wn, flat[rows].T @ g)
+                _add(grads, bn, g.sum(axis=0))
                 if i == 0:
                     return None
-            w = params[f"l{i}.w"]
-            if len(shape) == 3:
+            if w_lc is not None:
                 # rows of w in (length, channel) order give the cotangent
                 # channels-last, the layout of the conv output it meets
                 _, c, length = shape
-                w = w.reshape(c, length, -1).transpose(1, 0, 2) \
-                    .reshape(length * c, -1)
-                g = (g @ w.T).reshape(n, length, c).transpose(0, 2, 1)
+                g = (g @ w_lc.T).reshape(n, length, c).transpose(0, 2, 1)
             else:
-                g = g @ w.T
+                g = g @ params[wn].T
+            own = True
         elif kind == "conv1d":
-            w = params[f"l{i}.w"]
+            w = params[wn]
             o, c, k = w.shape
             length = g.shape[2]
             gm = g.transpose(0, 2, 1).reshape(n * length, o)
             if grads is not None:
                 cols = cache[rows].reshape(n * length, c * k)
-                _add(grads, f"l{i}.w", (gm.T @ cols).reshape(o, c, k))
-                _add(grads, f"l{i}.b", gm.sum(axis=0))
+                _add(grads, wn, (gm.T @ cols).reshape(o, c, k))
+                _add(grads, bn, gm.sum(axis=0))
                 if i == 0:
                     return None
             gcols = (gm @ w.reshape(o, c * k)).reshape(n, length, c * k)
             g = ad._fold_data(gcols, k, (k - 1) // 2, c, length)
+            own = True
         elif grads is not None and i == 0:
             return None
-        elif kind == "leaky_relu":
-            g = g * cache[rows]
         elif kind == "tanh":
             y = cache[rows]
-            g = g * (1.0 - y * y)
-        elif kind == "dropout":
-            if cache is not None:
-                g = g * cache[rows]
+            t = y * y
+            np.subtract(1.0, t, out=t)
+            g = np.multiply(g, t, out=g if own else t)
+            own = True
+        elif cache is not None:  # the leaky ReLU or dropout mask
+            g = np.multiply(g, cache[rows], out=g if own else None)
+            own = True
         if inject is not None and i in inject[1]:
             g[inject[0]] += inject[1][i]
         g = g.reshape((n,) + shape[1:])
@@ -466,7 +514,8 @@ def _penalty(spec, params, caches, out_shape, rows, lam, grads):
     Adds the penalty's weight terms to `grads` and returns (value, inject),
     `inject` being (rows, {i: term}) with the terms its tanh layers add to
     the forward pass's cotangent, for `_backward(..., inject=inject)` to
-    carry down (see above).
+    carry down (see above). Every array `v` passes through is the sweep's
+    own, so it is scaled in place throughout.
     """
     record = {}
     gin = _backward(spec, params, caches, np.ones(out_shape), rows,
@@ -480,35 +529,39 @@ def _penalty(spec, params, caches, out_shape, rows, lam, grads):
     recip = np.where(nz, 1.0 / np.where(nz, norm, 1.0), 0.0)
     v = ((2.0 * lam / n) * (norm - 1.0) * recip)[:, None] * gin
     inject = {}
-    for i, (layer, _) in enumerate(_shape_chain(spec)):
+    for i, layer, _, wn, _ in spec.walk:
         cache = caches[i][1]
         kind = layer.kind
         if kind == "fc":
             v = _flat(v)
-            w = params[f"l{i}.w"]
-            _add(grads, f"l{i}.w", v.T @ record[i])
-            v = v @ w
+            _add(grads, wn, v.T @ record[i])
+            v = v @ params[wn]
         elif kind == "conv1d":
             v = _seq(v)
-            w = params[f"l{i}.w"]
+            w = params[wn]
             o, c, k = w.shape
             length = v.shape[2]
-            vcols = ad._unfold_data(v, k, (k - 1) // 2) \
-                .reshape(n * length, c * k)
+            vcols = _cols(v, k).reshape(n * length, c * k)
             gm = record[i].transpose(0, 2, 1).reshape(n * length, o)
-            _add(grads, f"l{i}.w", (gm.T @ vcols).reshape(o, c, k))
+            _add(grads, wn, (gm.T @ vcols).reshape(o, c, k))
             v = (vcols @ w.reshape(o, c * k).T).reshape(n, length, o) \
                 .transpose(0, 2, 1)
         elif kind == "leaky_relu":
-            v = v * cache[rows]
+            v *= cache[rows]
         elif kind == "tanh":
             y = cache[rows]
-            slope = 1.0 - y * y
-            inject[i] = -2.0 * y * record[i] * v * slope
-            v = v * slope
+            slope = y * y
+            np.subtract(1.0, slope, out=slope)
+            # -2 y g_out v (1 - y^2), multiplied in that order
+            term = y * -2.0
+            term *= record[i]
+            term *= v
+            term *= slope
+            inject[i] = term
+            v *= slope
         elif kind == "dropout":
             if cache is not None:
-                v = v * cache[rows]
+                v *= cache[rows]
     return value, (rows, inject)
 
 
@@ -517,33 +570,73 @@ def _penalty(spec, params, caches, out_shape, rows, lam, grads):
 
 
 class AdamState:
+    """Adam's moments and step count for one parameter set.
+
+    `m` and `v` are one flat float64 vector each (`m_flat`, `v_flat`), in
+    the order of the parameter set's names; `m[name]` and `v[name]` are
+    views of one tensor's part.
+    """
+
     def __init__(self, params: ParamSet, lr=1e-4, beta1=0.9, beta2=0.999,
                  eps=1e-8):
-        self.m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        self.layout = []
+        size = 0
+        for name, arr in params.tensors.items():
+            shape = np.shape(arr)
+            self.layout.append((name, shape, size, size + math.prod(shape)))
+            size += math.prod(shape)
+        self.m_flat = np.zeros(size)
+        self.v_flat = np.zeros(size)
+        self.m = self._views(self.m_flat)
+        self.v = self._views(self.v_flat)
         self.t = 0
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
 
+    def _views(self, flat):
+        return {name: flat[lo:hi].reshape(shape)
+                for name, shape, lo, hi in self.layout}
+
 
 def adam_step(params: ParamSet, grads: dict, state: AdamState) -> ParamSet:
     """One bias-corrected Adam descent step; updates `state` in place and
-    returns new params."""
+    returns new params, views into one new vector. `params` is not written.
+
+    The parameters and gradients are gathered into the state's order, and
+    the update runs over the whole vector: per element, the operations of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), in that order.
+    """
+    ps, gs = [], []
+    for name, shape, _, _ in state.layout:
+        p = params.tensors[name]
+        g = np.asarray(grads[name], dtype=np.float64)
+        if g.shape != shape or p.shape != shape:
+            raise ShapeMismatch(f"gradient shape {g.shape} and param shape "
+                                f"{p.shape} for {name}, expected {shape}")
+        ps.append(p.ravel())
+        gs.append(g.ravel())
+    new = np.concatenate(ps, dtype=np.float64)
+    g = np.concatenate(gs)
     state.t += 1
     t = state.t
-    new = {}
-    for name, p in params.tensors.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
-        m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1 - state.beta1) * g
-        v *= state.beta2
-        v += (1 - state.beta2) * g * g
-        mhat = m / (1 - state.beta1 ** t)
-        vhat = v / (1 - state.beta2 ** t)
-        new[name] = p - state.lr * mhat / (np.sqrt(vhat) + state.eps)
-    return ParamSet(new)
+    b1, b2 = state.beta1, state.beta2
+    m, v = state.m_flat, state.v_flat
+    tmp = np.multiply(g, 1 - b1)
+    m *= b1
+    m += tmp
+    np.multiply(g, 1 - b2, out=tmp)
+    tmp *= g
+    v *= b2
+    v += tmp
+    np.divide(v, 1 - b2 ** t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    np.divide(m, 1 - b1 ** t, out=g)
+    g *= state.lr
+    g /= tmp
+    new -= g
+    return ParamSet({name: new[lo:hi].reshape(shape)
+                     for name, shape, lo, hi in state.layout})

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -39,6 +40,16 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage}: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+# the type of each top-level value outside the gan and boost sections,
+# checked before any value is compared; a bool is not a number here
+_KEY_TYPES = {
+    "dataset_paths": list, "schema": str, "out_dir": str,
+    "gamma": numbers.Real, "train_fraction": numbers.Real,
+    "seed": numbers.Integral, "boruta_rounds": numbers.Integral,
+    "boruta_enabled": bool, "skip_pretrain": bool, "skip_augment": bool,
+}
 
 
 @dataclass
@@ -70,9 +81,11 @@ class PipelineConfig:
             except (TypeError, ValueError) as e:
                 raise ConfigInvalid(key, str(e)) from e
         try:
-            return PipelineConfig(**d)
+            cfg = PipelineConfig(**d)
         except TypeError as e:
             raise ConfigInvalid("<config>", str(e)) from e
+        cfg.check_types()
+        return cfg
 
     @staticmethod
     def from_json(path):
@@ -85,7 +98,21 @@ class PipelineConfig:
             raise ConfigInvalid(path, "not a JSON object")
         return PipelineConfig.from_dict(d)
 
+    def check_types(self):
+        """Raises ConfigInvalid naming the first top-level key whose value
+        is of the wrong type."""
+        for key, kind in _KEY_TYPES.items():
+            value = getattr(self, key)
+            if not isinstance(value, kind) or (
+                    kind is not bool and isinstance(value, bool)):
+                raise ConfigInvalid(
+                    key, f"must be of type {kind.__name__}, got {value!r}")
+        if not all(isinstance(p, str) for p in self.dataset_paths):
+            raise ConfigInvalid("dataset_paths",
+                                f"must list strings, got {self.dataset_paths!r}")
+
     def validate(self):
+        self.check_types()
         if not self.dataset_paths:
             raise ConfigInvalid("dataset_paths", "no dataset files configured")
         for p in self.dataset_paths:
@@ -99,8 +126,8 @@ class PipelineConfig:
             raise ConfigInvalid("out_dir", "output directory missing")
         if not 0 < self.train_fraction < 1:
             raise ConfigInvalid("train_fraction", "must be in (0, 1)")
-        if self.gamma <= 0:
-            raise ConfigInvalid("gamma", "must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ConfigInvalid("gamma", "must be positive and finite")
 
     def load_schema(self) -> DatasetSchema:
         return load_schema(self.schema)

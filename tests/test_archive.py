@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import encoded_dataset, raw_dataset
 
 from ganids import archive, gan, gbdt, nn
-from ganids.data import preprocess
+from ganids.data import load_dataset, load_schema, preprocess
+from ganids.demo import write_demo_dataset
 
 
 def _fit_with_plan(raw, **boost):
@@ -256,5 +257,36 @@ def test_ensemble_archive_that_does_not_load_raises_archive_error(
                   "hash": hashlib.sha256(body).hexdigest()}
     path = tmp_path / "ens.bin"
     archive._write(path, header, [body])
+    with pytest.raises(archive.ArchiveError, match="ens.bin"):
+        archive.load_ensemble(path)
+
+
+@pytest.fixture(scope="module")
+def demo_plan(tmp_path_factory):
+    paths = write_demo_dataset(tmp_path_factory.mktemp("demo"), rows=200)
+    _, plan = preprocess(load_dataset([paths["csv"]],
+                                      load_schema(str(paths["schema"]))))
+    return plan
+
+
+@pytest.mark.parametrize("n_fitted, rename", [(1, None), (11, "f9")],
+                         ids=["one fitted column", "name not in the plan"])
+def test_ensemble_whose_columns_disagree_with_its_plan_is_refused(
+        demo_plan, tmp_path, n_fitted, rename):
+    names = demo_plan.encoded_names()
+    assert len(names) == 11
+    if rename:
+        names = names[:-1] + [rename]
+    ens = gbdt.Ensemble([], np.zeros(5),
+                        gbdt.BinMapper([np.array([0.5])] * n_fitted), 5, 0.1,
+                        names, demo_plan)
+    path = tmp_path / "ens.bin"
+    with pytest.raises(ValueError, match="ens.bin"):
+        archive.save_ensemble(path, ens)
+    assert not path.exists()
+    # the same ensemble written around the check does not load
+    body = json.dumps(ens.to_dict(), sort_keys=True).encode()
+    archive._write(path, {"kind": "ensemble",
+                          "hash": hashlib.sha256(body).hexdigest()}, [body])
     with pytest.raises(archive.ArchiveError, match="ens.bin"):
         archive.load_ensemble(path)

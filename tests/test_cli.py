@@ -121,6 +121,41 @@ def test_run_command_reports_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("gamma", "abc"),
+    ("train_fraction", "x"),
+    ("seed", "s"),
+    ("gamma", True),
+    ("gamma", float("nan")),
+    ("gamma", float("inf")),
+    ("seed", 1.5),
+    ("boruta_rounds", False),
+    ("skip_augment", "yes"),
+    ("dataset_paths", "demo.csv"),
+    ("dataset_paths", [3]),
+    ("schema", 3),
+])
+def test_run_reports_a_top_level_value_it_cannot_use(
+        demo, tmp_path, capsys, key, value):
+    cfg = {"dataset_paths": [str(demo["csv"])], "schema": str(demo["schema"]),
+           "out_dir": str(tmp_path / "o"), "skip_augment": True}
+    cfg[key] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key}: "), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_validate_rejects_an_override_of_the_wrong_type(demo, tmp_path):
+    cfg = pipeline.PipelineConfig(
+        dataset_paths=[str(demo["csv"])], schema=str(demo["schema"]),
+        out_dir=str(tmp_path / "o"))
+    with pytest.raises(pipeline.ConfigInvalid, match="^gamma: "):
+        replace(cfg, gamma="10").validate()
+
+
 def test_evaluate_rejects_the_plan_option(demo, tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["evaluate", "--model", str(tmp_path / "m.bin"),

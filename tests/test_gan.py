@@ -521,3 +521,72 @@ def test_forward_on_constant_parameters_keeps_no_layer_alive(monkeypatch):
     monkeypatch.undo()
     assert len(built) > 1
     assert [r() for r in built if r() is not None] == [out]
+
+
+def _freeze(arrays):
+    """Marks each array read-only; returns a copy of each one's bytes."""
+    before = []
+    for a in arrays:
+        a.flags.writeable = False
+        before.append(a.tobytes())
+    return before
+
+
+def _param_arrays(*params):
+    return [a for p in params for a in p.tensors.values()]
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, real, rng: gan.critic_step(m, real, rng),
+    lambda m, real, rng: gan.generator_step(m, rng),
+    lambda m, real, rng: _synthesize_600(m),
+    lambda m, real, rng: nn.gradient_penalty(m.d_spec, m.d_params, real, 10.0,
+                                             train=True),
+], ids=["critic_step", "generator_step", "synthesize", "gradient_penalty"])
+def test_kernels_write_only_to_arrays_they_own(call):
+    # in-place kernels on a read-only batch and read-only parameters: a
+    # write to either raises, and their bytes stay as they were
+    model = gan.build_gan(11, small_cfg(batch_size=16))
+    rng = np.random.default_rng(0)
+    real = rng.random((16, 11))
+    arrays = [real] + _param_arrays(model.g_params, model.d_params)
+    before = _freeze(arrays)
+    call(model, real, rng)
+    assert [a.tobytes() for a in arrays] == before
+
+
+@pytest.mark.parametrize("layers", [
+    None,  # the critic architecture
+    # elementwise layers first, on the caller's batch, and a dropout right
+    # after a tanh whose output is cached
+    (nn.Tanh(), nn.LeakyRelu(0.2), nn.Dropout(0.3), nn.Conv1d(2, 3),
+     nn.Tanh(), nn.Dropout(0.5), nn.FullyConnected(3), nn.LeakyRelu(0.1),
+     nn.FullyConnected(1), nn.Tanh()),
+], ids=["critic", "elementwise first"])
+def test_kernels_leave_input_cotangent_caches_and_params_unchanged(layers):
+    rng = np.random.default_rng(1)
+    spec = gan.critic_spec(11) if layers is None \
+        else nn.NetworkSpec(11, layers)
+    params = nn.init_params(spec, 2)
+    tensors = params.tensors
+    x = rng.random((12, 11))
+    masks = nn.dropout_masks(spec, 12, rng)
+    arrays = [x, *masks.values(), *_param_arrays(params)]
+    before = _freeze(arrays)
+    nn._forward(spec, tensors, x, masks)
+    caches = []
+    out = nn._forward(spec, tensors, x, masks, caches)
+    assert [a.tobytes() for a in arrays] == before
+    cached = [a for _, c in caches if c is not None
+              for a in (c if isinstance(c, tuple) else (c,))
+              if a is not None]
+    g = rng.standard_normal(out.shape)
+    arrays += [g, *cached]
+    before = _freeze(arrays)
+    rows = slice(4, None)
+    grads = {}
+    _, inject = nn._penalty(spec, tensors, caches, out[rows].shape, rows,
+                            10.0, grads)
+    nn._backward(spec, tensors, caches, g, grads=grads, inject=inject)
+    nn._backward(spec, tensors, caches, g, record={})
+    assert [a.tobytes() for a in arrays] == before

@@ -6,7 +6,7 @@ import pytest
 from conftest import fd_param_grad, rel_err
 
 from ganids import autodiff as ad
-from ganids import nn
+from ganids import gan, nn
 
 
 def fc_spec(width, out):
@@ -257,9 +257,13 @@ def test_adam_two_steps_match_hand_replay():
     assert np.isclose(p.tensors["l0.w"][0, 0], w, atol=1e-12)
 
 
-def test_adam_in_place_moments_are_bit_identical_to_fresh_arrays():
+@pytest.mark.parametrize("spec", [
+    nn.NetworkSpec(5, (nn.Conv1d(3, 3), nn.FullyConnected(2))),
+    gan.generator_spec(11),
+    gan.critic_spec(11),
+], ids=["conv-fc", "generator", "critic"])
+def test_adam_in_place_moments_are_bit_identical_to_fresh_arrays(spec):
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    spec = nn.NetworkSpec(5, (nn.Conv1d(3, 3), nn.FullyConnected(2)))
     params = nn.init_params(spec, 4)
     state = nn.AdamState(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
     rng = np.random.default_rng(4)
@@ -269,7 +273,12 @@ def test_adam_in_place_moments_are_bit_identical_to_fresh_arrays():
     p = params
     for t in (1, 2, 3):
         grads = {k: rng.standard_normal(x.shape) for k, x in ref.items()}
+        given = {k: x.copy() for k, x in p.tensors.items()}
+        p_in = p
         p = nn.adam_step(p, grads, state)
+        # the parameter set passed in is left as it was
+        for k, x in given.items():
+            assert np.array_equal(p_in.tensors[k], x)
         for k, g in grads.items():
             # the moment updates as fresh arrays
             m[k] = b1 * m[k] + (1 - b1) * g
