@@ -11,12 +11,12 @@ An archive stores values, not structure. A GAN header holds the phase,
 layers come from `gan.network_specs(feature_dim, cfg)`, and each network's
 blob is its parameters as one run of raw float64, in sorted-name order, with
 the shapes `nn.param_shapes` gives. A blob whose length does not fit those
-shapes, or whose values fail the stored hash, or a phase other than
-"fresh", "pretrained" or "finetuned:<class>", raises ArchiveError. An
-ensemble's blob is its JSON description, checked against the header's hash;
-it holds the encoding plan, so the file alone is enough to score a CSV. Its
-fitted columns must be its feature names, one each, and each a column of
-that plan, or saving raises ValueError and loading ArchiveError.
+shapes, or whose values fail the stored hash, or a phase that
+`gan.tuned_class` rejects, raises ArchiveError. An ensemble's blob is its
+JSON description, checked against the header's hash; it holds the encoding
+plan, so the file alone is enough to score a CSV. Its fitted columns must be
+its feature names, one each, and each a column of that plan, or saving
+raises ValueError and loading ArchiveError.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
 
 import numpy as np
 
@@ -142,12 +141,10 @@ def load_gan(path) -> gan_mod.GanModel:
         raise ArchiveError(f"{path}: expected a gan archive")
     try:
         feature_dim, phase = header["feature_dim"], header["phase"]
-        if not isinstance(phase, str) \
-                or not re.fullmatch(r"fresh|pretrained|finetuned:.+", phase):
-            raise ValueError(f"unknown phase {phase!r}")
+        gan_mod.tuned_class(phase)
         cfg = gan_mod.GanConfig.from_dict(header["cfg"])
         g_spec, d_spec = gan_mod.network_specs(feature_dim, cfg)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, gan_mod.WrongPhase) as e:
         raise ArchiveError(f"{path}: header does not describe a GAN "
                            f"({type(e).__name__}: {e})") from e
     g_params = _param_set(path, g_spec, blobs[0])

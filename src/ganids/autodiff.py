@@ -5,25 +5,16 @@ pass, so a gradient expression can itself be differentiated again. That is
 what the gradient-penalty term needs: parameter gradients of a function of
 input gradients (reverse-over-reverse).
 
-GAN training does not build graphs: the training steps run `nn`'s layer-wise
-kernels on plain arrays, which reuse the conv data helpers below. This
-engine, through `nn.forward_var`, is their reference: the finite-difference
-oracles, C1 and the critic- and generator-gradient tests check the kernels
-against it.
-
-`grad` computes only the cotangents that lead somewhere: a node's cotangent
-toward a parent is built only when that parent is, or reaches through its
-own parents, one of the Vars in `wrt`. Each vjp receives a `need` mask
-aligned with its parents and returns None for the parents it may skip, so a
-gradient with respect to the input builds no weight gradients, and a
-gradient with respect to the weights builds no input gradient.
-
-A 1-D convolution is one node, `conv1d` (an unfold, then one matmul). Its
-vjp is built from two more primitives, the input adjoint `conv1d_t` (one
-matmul, then a fold) and the weight adjoint `conv1d_w` (one matmul on the
-unfolded input), and the vjp of each of the three is built from the other
-two. The family is closed under differentiation, so the gradient penalty's
-double backward through a conv layer is made of these three nodes alone.
+No program path builds a graph: GAN training and synthesis run `nn`'s
+layer-wise kernels on plain arrays, which use only `check_finite` and the
+conv data helpers below. This engine, through `nn.forward_var`, is their
+reference: the finite-difference oracles, C1 and the critic- and
+generator-gradient tests check the kernels against it. So it keeps generic
+primitives only, each with one vjp made of primitives. A 1-D convolution is
+a composition, `conv1d` (unfold, then one matmul), and `unfold1d` and
+`fold1d` are each other's vjp, so the gradient penalty's double backward
+through a conv layer comes from the chain rule alone, not from a copy of
+the kernels' hand-written backward.
 
 Graphs are acyclic, so reference counting frees a graph as soon as nothing
 outside it holds a node, with no work for the cyclic garbage collector. No
@@ -62,11 +53,10 @@ def check_finite(arr, what="value"):
 class Var:
     """One node of the computation graph.
 
-    `parents` are the input Vars and `vjp(g, need)` maps the incoming
-    cotangent `g` (a Var) to a tuple of cotangents aligned with `parents`.
-    `need` holds one bool per parent; an entry may be None where `need` is
-    False. A node that does not require a gradient keeps no history: its
-    `parents` are () and its `vjp` is None.
+    `parents` are the input Vars and `vjp(g)` maps the incoming cotangent
+    `g` (a Var) to a tuple of cotangents aligned with `parents`. A node that
+    does not require a gradient keeps no history: its `parents` are () and
+    its `vjp` is None.
     """
 
     __slots__ = ("data", "parents", "vjp", "requires_grad", "__weakref__")
@@ -144,7 +134,6 @@ def grad(output, wrt, create_graph=False):
 
     With create_graph=True the returned gradients stay connected to the graph
     and can be differentiated again; otherwise they are detached constants.
-    Only cotangents toward parents that lead to a Var in `wrt` are computed.
     """
     if output.data.size != 1:
         raise ShapeMismatch("grad expects a scalar output")
@@ -168,23 +157,14 @@ def grad(output, wrt, create_graph=False):
                 stack.append((p, False))
 
     targets = {id(w) for w in wrt}
-    leads = set()   # ids of the nodes that are in wrt or reach one
-    for node in order:
-        if id(node) in targets or any(id(p) in leads for p in node.parents):
-            leads.add(id(node))
-
     grads = {id(output): Var(np.ones_like(output.data), requires_grad=False)}
     for node in reversed(order):
-        if id(node) not in leads or node.vjp is None:
-            continue
+        # a cotangent is dropped once passed on, unless it is asked for
         g = grads.get(id(node)) if id(node) in targets else grads.pop(id(node), None)
-        if g is None:
+        if g is None or node.vjp is None:
             continue
-        need = tuple(id(p) in leads for p in node.parents)
-        if not any(need):
-            continue
-        for p, pg, wanted in zip(node.parents, node.vjp(g, need), need):
-            if not wanted:
+        for p, pg in zip(node.parents, node.vjp(g)):
+            if not p.requires_grad:
                 continue
             if not create_graph:
                 pg = pg.detach()
@@ -216,28 +196,20 @@ def _unbroadcast(g, shape):
 def add(a, b):
     a, b = asvar(a), asvar(b)
     return Var(a.data + b.data, (a, b),
-               lambda g, need: (_unbroadcast(g, a.data.shape) if need[0] else None,
-                                _unbroadcast(g, b.data.shape) if need[1] else None))
+               lambda g: (_unbroadcast(g, a.data.shape),
+                          _unbroadcast(g, b.data.shape)))
 
 
 def neg(a):
     a = asvar(a)
-    return Var(-a.data, (a,), lambda g, _: (neg(g),))
+    return Var(-a.data, (a,), lambda g: (neg(g),))
 
 
 def mul(a, b):
     a, b = asvar(a), asvar(b)
     return Var(a.data * b.data, (a, b),
-               lambda g, need: (
-                   _unbroadcast(mul(g, b), a.data.shape) if need[0] else None,
-                   _unbroadcast(mul(g, a), b.data.shape) if need[1] else None))
-
-
-def scale(a, c):
-    """a * c for a constant array or number c (no gradient flows to c)."""
-    a = asvar(a)
-    return Var(a.data * c, (a,),
-               lambda g, _: (_unbroadcast(scale(g, c), a.data.shape),))
+               lambda g: (_unbroadcast(mul(g, b), a.data.shape),
+                          _unbroadcast(mul(g, a), b.data.shape)))
 
 
 def matmul(a, b):
@@ -245,19 +217,7 @@ def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeMismatch("matmul expects 2-D operands")
     return Var(a.data @ b.data, (a, b),
-               lambda g, need: (matmul(g, transpose(b)) if need[0] else None,
-                                matmul(transpose(a), g) if need[1] else None))
-
-
-def linear(x, w, b):
-    """x @ w + b as one node: (N, I) @ (I, O) + (O,)."""
-    x, w, b = asvar(x), asvar(w), asvar(b)
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeMismatch("linear expects 2-D operands")
-    return Var(x.data @ w.data + b.data, (x, w, b),
-               lambda g, need: (matmul(g, transpose(w)) if need[0] else None,
-                                matmul(transpose(x), g) if need[1] else None,
-                                _unbroadcast(g, b.data.shape) if need[2] else None))
+               lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g)))
 
 
 def transpose(a, axes=None):
@@ -265,20 +225,20 @@ def transpose(a, axes=None):
     if axes is None:
         axes = tuple(reversed(range(a.data.ndim)))
     return Var(np.transpose(a.data, axes), (a,),
-               lambda g, _: (transpose(g, tuple(np.argsort(axes))),))
+               lambda g: (transpose(g, tuple(np.argsort(axes))),))
 
 
 def reshape(a, shape):
     a = asvar(a)
     old = a.data.shape
-    return Var(a.data.reshape(shape), (a,), lambda g, _: (reshape(g, old),))
+    return Var(a.data.reshape(shape), (a,), lambda g: (reshape(g, old),))
 
 
 def sum_(a, axis=None, keepdims=False):
     a = asvar(a)
     shape = a.data.shape
 
-    def vjp(g, _):
+    def vjp(g):
         gd = g
         if axis is not None and not keepdims:
             ax = axis if isinstance(axis, tuple) else (axis,)
@@ -294,35 +254,29 @@ def sum_(a, axis=None, keepdims=False):
 def broadcast_to(a, shape):
     a = asvar(a)
     return Var(np.broadcast_to(a.data, shape), (a,),
-               lambda g, _: (_unbroadcast(g, a.data.shape),))
+               lambda g: (_unbroadcast(g, a.data.shape),))
 
 
 def mean(a, axis=None):
     a = asvar(a)
     n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(sum_(a, axis=axis), 1.0 / n)
+    return mul(sum_(a, axis=axis), 1.0 / n)
 
 
 def tanh(a):
     a = asvar(a)
 
-    def vjp(g, _):
-        return (mul(g, one_minus_square(ref())),)
+    def vjp(g):
+        y = ref()
+        return (mul(g, 1.0 - mul(y, y)),)
 
     out = Var(np.tanh(a.data), (a,), vjp)
     ref = weakref.ref(out)
     return out
 
 
-def one_minus_square(a):
-    """1 - a*a as one node (tanh's derivative in terms of its output)."""
-    a = asvar(a)
-    return Var(1.0 - a.data * a.data, (a,),
-               lambda g, _: (scale(mul(g, a), -2.0),))
-
-
 def leaky_relu(a, slope=0.2, *, pos=None):
-    """max(a, slope * a) as one node; the kink's slope is a constant.
+    """max(a, slope * a) as a product with a constant mask.
 
     `pos` is the mask `a.data > 0` for a caller that has already built it.
     """
@@ -333,7 +287,7 @@ def leaky_relu(a, slope=0.2, *, pos=None):
     # finite slope, NaN inputs included, and takes a third of np.where's time
     mask = np.multiply(~pos, slope, dtype=np.float64)
     mask += pos
-    return scale(a, mask)
+    return mul(a, mask)
 
 
 def square(a):
@@ -346,7 +300,7 @@ def safe_recip(a):
     a = asvar(a)
     nz = a.data != 0
 
-    def vjp(g, _):
+    def vjp(g):
         y = ref()
         return (neg(mul(g, mul(y, y))),)
 
@@ -363,8 +317,8 @@ def sqrt(a):
     """
     a = asvar(a)
 
-    def vjp(g, _):
-        return (mul(g, scale(safe_recip(ref()), 0.5)),)
+    def vjp(g):
+        return (mul(g, mul(safe_recip(ref()), 0.5)),)
 
     out = Var(np.sqrt(a.data), (a,), vjp)
     ref = weakref.ref(out)
@@ -422,87 +376,29 @@ def unfold1d(a, k, pad):
     a = asvar(a)
     b, c, length = a.data.shape
     return Var(_unfold_data(a.data, k, pad), (a,),
-               lambda g, _: (fold1d(g, k, pad, c, length),))
+               lambda g: (fold1d(g, k, pad, c, length),))
 
 
 def fold1d(a, k, pad, c, length):
     """Adjoint of unfold1d: scatter-add windows back to (B, C, L)."""
     a = asvar(a)
     return Var(_fold_data(a.data, k, pad, c, length), (a,),
-               lambda g, _: (unfold1d(g, k, pad),))
-
-
-# The conv trio (see the module docstring). All three are bilinear; the
-# vjps below are the adjoint identities
-#   <conv1d(x, w), g> = <x, conv1d_t(g, w)> = <w, conv1d_w(x, g)>.
+               lambda g: (unfold1d(g, k, pad),))
 
 
 def conv1d(x, w, b=None):
     """(B, C, L) * (O, C, k) [+ (O,)] -> (B, O, L), stride 1, odd k, zero
-    same-padding."""
+    same-padding: the unfolded windows (B*L, C*k) times the kernel's rows
+    (O, C*k) transposed, plus the bias, back to channels first."""
     x, w = asvar(x), asvar(w)
     if x.data.ndim != 3 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1] \
             or w.data.shape[2] % 2 == 0:
         raise ShapeMismatch(f"conv1d cannot take input {x.data.shape} with "
                             f"kernel {w.data.shape}")
-    k = w.data.shape[2]
-    b = None if b is None else asvar(b)
-    return _conv1d(x, w, b, _unfold_data(x.data, k, (k - 1) // 2))
-
-
-def _conv1d(x, w, b, cols):
-    """conv1d on the already unfolded input `cols` (B, L, C*k)."""
     bsz, c, length = x.data.shape
     o, _, k = w.data.shape
-    y = cols.reshape(bsz * length, c * k) @ w.data.reshape(o, c * k).T
-    if b is None:
-        parents = (x, w)
-    else:
-        y += b.data
-        parents = (x, w, b)
-
-    def vjp(g, need):
-        return (conv1d_t(g, w) if need[0] else None,
-                _conv1d_w(x, g, cols) if need[1] else None,
-                sum_(g, axis=(0, 2)) if len(need) > 2 and need[2] else None)
-
-    return Var(y.reshape(bsz, length, o).transpose(0, 2, 1), parents, vjp)
-
-
-def conv1d_t(g, w):
-    """Input adjoint of conv1d: (B, O, L) * (O, C, k) -> (B, C, L)."""
-    g, w = asvar(g), asvar(w)
-    bsz, o, length = g.data.shape
-    _, c, k = w.data.shape
-    pad = (k - 1) // 2
-    gcols = g.data.transpose(0, 2, 1).reshape(bsz * length, o) \
-        @ w.data.reshape(o, c * k)
-
-    def vjp(gg, need):
-        cols = _unfold_data(gg.data, k, pad)
-        return (_conv1d(gg, w, None, cols) if need[0] else None,
-                _conv1d_w(gg, g, cols) if need[1] else None)
-
-    return Var(_fold_data(gcols.reshape(bsz, length, c * k), k, pad, c, length),
-               (g, w), vjp)
-
-
-def conv1d_w(x, g, k):
-    """Weight adjoint of conv1d: (B, C, L) * (B, O, L) -> (O, C, k)."""
-    x = asvar(x)
-    return _conv1d_w(x, asvar(g), _unfold_data(x.data, k, (k - 1) // 2))
-
-
-def _conv1d_w(x, g, cols):
-    """conv1d_w with x already unfolded into `cols` (B, L, C*k)."""
-    bsz, o, length = g.data.shape
-    c = x.data.shape[1]
-    ck = cols.shape[2]
-    gm = g.data.transpose(0, 2, 1).reshape(bsz * length, o)
-    out = (gm.T @ cols.reshape(bsz * length, ck)).reshape(o, c, ck // c)
-
-    def vjp(gw, need):
-        return (conv1d_t(g, gw) if need[0] else None,
-                _conv1d(x, gw, None, cols) if need[1] else None)
-
-    return Var(out, (x, g), vjp)
+    cols = reshape(unfold1d(x, k, (k - 1) // 2), (bsz * length, c * k))
+    y = matmul(cols, transpose(reshape(w, (o, c * k))))
+    if b is not None:
+        y = add(y, b)
+    return transpose(reshape(y, (bsz, length, o)), (0, 2, 1))

@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
+import typing
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain
@@ -66,10 +68,13 @@ class SchemaInvalid(ValueError):
     pass
 
 
+COLUMN_KINDS = ("numeric", "categorical", "label", "ignore")
+
+
 @dataclass(frozen=True)
 class Column:
     name: str
-    kind: str  # numeric | categorical | label | ignore
+    kind: str  # one of COLUMN_KINDS
 
 
 @dataclass
@@ -86,12 +91,19 @@ class DatasetSchema:
         for c in self.columns:
             if c.name in seen:
                 raise ValueError(f"schema names column {c.name!r} twice")
+            if c.kind not in COLUMN_KINDS:
+                raise ValueError(f"column {c.name!r} has kind {c.kind!r}, "
+                                 f"not one of {', '.join(COLUMN_KINDS)}")
             seen.add(c.name)
         labels = [c for c in self.columns if c.kind == "label"]
         if len(labels) != 1:
             raise ValueError("schema must declare exactly one label column")
         if self.normal_class not in self.classes:
             raise ValueError("normal class missing from class list")
+        for name in self.class_caps:
+            if name not in self.classes:
+                raise ValueError(f"class_caps names {name!r}, which is not "
+                                 "in the class list")
 
     @property
     def feature_columns(self):
@@ -128,7 +140,8 @@ class DatasetSchema:
             normal_class=d["normal_class"],
             label_map=dict(d.get("label_map", {})),
             has_header=bool(d.get("has_header", False)),
-            class_caps={k: int(v) for k, v in d.get("class_caps", {}).items()},
+            class_caps={k: int(v)
+                        for k, v in dict(d.get("class_caps", {})).items()},
         )
 
     @staticmethod
@@ -154,6 +167,40 @@ def load_schema(spec) -> DatasetSchema:
     if spec.startswith("builtin:"):
         return builtin_schema(spec.split(":", 1)[1])
     return DatasetSchema.from_json(spec)
+
+
+class FieldTypeError(TypeError):
+    """A config value whose type does not fit its dataclass field."""
+
+    def __init__(self, key, reason):
+        super().__init__(f"{key}: {reason}")
+        self.key = key
+        self.reason = reason
+
+
+# what a value must be an instance of to fit a field of the key's type
+_FITS = {int: numbers.Integral, float: numbers.Real}
+
+
+def check_field_types(cls, values):
+    """Raises FieldTypeError for the first value in the dict `values` whose
+    type does not fit the annotation of the dataclass `cls`'s field of that
+    name, and TypeError when `values` is not a dict.
+
+    An int fits a float field, and a bool fits a bool field only. Keys that
+    name no field are left for `cls(**values)` to reject.
+    """
+    if not isinstance(values, dict):
+        raise TypeError(f"must be a JSON object, got {values!r}")
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        kind = hints.get(key)
+        if kind is None:
+            continue
+        if not isinstance(value, _FITS.get(kind, kind)) or (
+                kind is not bool and isinstance(value, bool)):
+            raise FieldTypeError(
+                key, f"must be of type {kind.__name__}, got {value!r}")
 
 
 @dataclass

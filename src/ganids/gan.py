@@ -20,7 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .data import Dataset, EmptyDataset, PreprocessPlan, inverse_transform
+from .data import (Dataset, EmptyDataset, PreprocessPlan, check_field_types,
+                   inverse_transform)
 
 
 CRITIC_STEPS = 5  # critic updates per generator update
@@ -32,6 +33,21 @@ class InvalidDimension(ValueError):
 
 class WrongPhase(RuntimeError):
     pass
+
+
+_TUNED = "finetuned:"
+
+
+def tuned_class(phase):
+    """The class a "finetuned:<class>" phase names, and None for "fresh" or
+    "pretrained"; raises WrongPhase for any other phase. These are the only
+    phases a model goes through."""
+    if phase in ("fresh", "pretrained"):
+        return None
+    if isinstance(phase, str) and phase.startswith(_TUNED) \
+            and len(phase) > len(_TUNED):
+        return phase[len(_TUNED):]
+    raise WrongPhase(f"unknown phase {phase!r}")
 
 
 @dataclass
@@ -54,6 +70,7 @@ class GanConfig:
 
     @staticmethod
     def from_dict(d):
+        check_field_types(GanConfig, d)
         return GanConfig(**d)
 
 
@@ -332,17 +349,18 @@ def finetune(pretrained: GanModel, minority_data: Dataset, cfg: GanConfig = None
         model.d_params = nn.init_params(model.d_spec, cfg.seed + 102)
     model.reset_optimizers()
     trace = _train_loop(model, minority_data, cfg, cfg.finetune_stop_delta)
-    model.phase = f"finetuned:{class_name}"
+    model.phase = f"{_TUNED}{class_name}"
     return model, trace
 
 
 def synthesize(generator: GanModel, n, plan: PreprocessPlan, seed, schema,
                class_name=None) -> Dataset:
     """Draw n rows from a fine-tuned generator, decoded into raw space."""
-    if not generator.phase.startswith("finetuned"):
+    tuned = tuned_class(generator.phase)
+    if tuned is None:
         raise WrongPhase(f"synthesize expects a finetuned model, got {generator.phase}")
     if class_name is None:
-        class_name = generator.phase.split(":", 1)[1]
+        class_name = tuned
     rng = np.random.default_rng(seed)
     outs = []
     remaining = n

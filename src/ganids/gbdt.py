@@ -53,7 +53,7 @@ from itertools import accumulate
 import numpy as np
 
 from .autodiff import ShapeMismatch
-from .data import Dataset, EmptyDataset, PreprocessPlan
+from .data import Dataset, EmptyDataset, PreprocessPlan, check_field_types
 
 
 class SingleClass(ValueError):
@@ -81,12 +81,16 @@ class BoostParams:
             raise InvalidFraction("GOSS fractions must satisfy a, b >= 0, a+b <= 1")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
+        # one bin holds every value, so no tree could split
+        if self.max_bins < 2:
+            raise ValueError("max_bins must be >= 2")
 
     def to_dict(self):
         return dict(vars(self))
 
     @staticmethod
     def from_dict(d):
+        check_field_types(BoostParams, d)
         return BoostParams(**d)
 
 

@@ -4,11 +4,14 @@ The five layer kinds here are exactly what the generator/critic pair needs:
 fully-connected, 1-D convolution (stride 1, zero same-padding), leaky ReLU,
 tanh and inverted dropout.
 
-Two implementations run a network. `forward`/`forward_var` build autodiff
-graphs, and `grad_params`/`grad_input` differentiate them; they are the
-reference. Training and the gradient penalty run layer-wise kernels on
-plain arrays instead (`_forward`, `_backward` and `_penalty`, below), with
-a closed-form double backward for the penalty and no graph.
+Two implementations run a network. Training, synthesis and the gradient
+penalty run layer-wise kernels on plain arrays (`_forward`, `_backward` and
+`_penalty`, below), with a hand-written backward pass, a closed-form double
+backward for the penalty and no graph. `forward`/`forward_var` compose the
+layers from the generic primitives of `autodiff` (an fc layer is `matmul`
+plus `add`, dropout a `mul`), and `grad_params`/`grad_input` differentiate
+them by the chain rule alone; only the tests call these, as the reference
+the kernels are checked against.
 """
 
 from __future__ import annotations
@@ -251,7 +254,7 @@ def forward_var(spec: NetworkSpec, param_vars: dict, x: Var, train=False,
                 b, c, length = h.data.shape
                 h = ad.reshape(h, (b, c * length))
                 cur_seq = False
-            h = ad.linear(h, param_vars[wn], param_vars[bn])
+            h = ad.add(ad.matmul(h, param_vars[wn]), param_vars[bn])
         elif layer.kind == "conv1d":
             if not cur_seq:
                 b, w = h.data.shape
@@ -266,7 +269,7 @@ def forward_var(spec: NetworkSpec, param_vars: dict, x: Var, train=False,
             h = ad.tanh(h)
         elif layer.kind == "dropout":
             if train:
-                h = ad.scale(h, masks[i])
+                h = ad.mul(h, masks[i])
         else:  # pragma: no cover
             raise ValueError(f"unknown layer kind {layer.kind}")
     if cur_seq:
@@ -320,9 +323,10 @@ def penalty_batch(spec: NetworkSpec, x_hat):
 # Training runs on plain arrays, one branch per layer kind over
 # `spec.walk`: a forward pass that keeps per-layer caches, a first-order
 # backward pass over them, and the gradient penalty's second-order sweep.
-# The arithmetic of each layer is that of the autodiff primitives
-# `forward_var` uses, which stay as the reference the tests check these
-# kernels against.
+# The forward arithmetic of each layer is that of the autodiff primitives
+# `forward_var` composes, so outputs are bit-identical to it; the backward
+# passes are written by hand, and the tests check them against the
+# engine's chain rule.
 #
 # Biases and the leaky ReLU, dropout and tanh factors are applied in place,
 # but only to an array the pass itself allocated: each pass keeps one flag,
@@ -333,13 +337,14 @@ def penalty_batch(spec: NetworkSpec, x_hat):
 #
 # The penalty's double backward has a closed form on these layers. The
 # input gradient of sum D(x) is a backward pass, a chain of maps
-# g_in = B_l(g_out) that are linear in g_out: fc (g W^T), conv (conv1d_t of
-# g with W), leaky ReLU and dropout (g times a mask that is constant almost
-# everywhere) and tanh (g (1 - y^2), y the layer's output). Differentiating
-# the penalty through that chain runs bottom to top with the cotangent v of
-# each g_in: v passes up as v W, conv1d(v, W), v m or v (1 - y^2), each fc
-# and conv weight gains <v, B_l(g_out)>'s weight derivative (v^T g_out, or
-# conv1d_w(v, g_out)), and each tanh adds -2 y g_out v to the cotangent of
+# g_in = B_l(g_out) that are linear in g_out: fc (g W^T), conv (the conv's
+# input adjoint: g times W's rows, folded back), leaky ReLU and dropout (g
+# times a mask that is constant almost everywhere) and tanh (g (1 - y^2), y
+# the layer's output). Differentiating the penalty through that chain runs
+# bottom to top with the cotangent v of each g_in: v passes up as v W, the
+# conv of v with W, v m or v (1 - y^2), each fc and conv weight gains
+# <v, B_l(g_out)>'s weight derivative (v^T g_out, or g_out's rows times v's
+# unfolded windows), and each tanh adds -2 y g_out v to the cotangent of
 # its output y, which the ordinary backward pass then carries down to the
 # weights. Biases enter only through that last term.
 

@@ -12,7 +12,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -20,8 +19,9 @@ from pathlib import Path
 
 from . import archive, boruta, gbdt, imbalance, metrics
 from . import gan as gan_mod
-from .data import (DatasetSchema, concat, load_dataset, load_schema,
-                   preprocess, select_columns, split_stratified)
+from .data import (DatasetSchema, FieldTypeError, check_field_types, concat,
+                   load_dataset, load_schema, preprocess, select_columns,
+                   split_stratified)
 
 
 SPLIT_SEED = 7
@@ -40,16 +40,6 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage}: {cause}")
         self.stage = stage
         self.cause = cause
-
-
-# the type of each top-level value outside the gan and boost sections,
-# checked before any value is compared; a bool is not a number here
-_KEY_TYPES = {
-    "dataset_paths": list, "schema": str, "out_dir": str,
-    "gamma": numbers.Real, "train_fraction": numbers.Real,
-    "seed": numbers.Integral, "boruta_rounds": numbers.Integral,
-    "boruta_enabled": bool, "skip_pretrain": bool, "skip_augment": bool,
-}
 
 
 @dataclass
@@ -101,12 +91,10 @@ class PipelineConfig:
     def check_types(self):
         """Raises ConfigInvalid naming the first top-level key whose value
         is of the wrong type."""
-        for key, kind in _KEY_TYPES.items():
-            value = getattr(self, key)
-            if not isinstance(value, kind) or (
-                    kind is not bool and isinstance(value, bool)):
-                raise ConfigInvalid(
-                    key, f"must be of type {kind.__name__}, got {value!r}")
+        try:
+            check_field_types(PipelineConfig, vars(self))
+        except FieldTypeError as e:
+            raise ConfigInvalid(e.key, e.reason) from e
         if not all(isinstance(p, str) for p in self.dataset_paths):
             raise ConfigInvalid("dataset_paths",
                                 f"must list strings, got {self.dataset_paths!r}")

@@ -35,6 +35,21 @@ def test_census_command(demo, capsys):
     assert "backdoor" in out["ratios"]
 
 
+@pytest.mark.parametrize("edit", [
+    lambda s: s["columns"][0].update(kind="numerc"),
+    lambda s: s.update(class_caps={"nosuch": 5}),
+    lambda s: s.update(class_caps=5),
+], ids=["kind_typo", "cap_on_unknown_class", "caps_not_an_object"])
+def test_census_reports_a_schema_it_cannot_use(demo, tmp_path, capsys, edit):
+    schema = json.loads(demo["schema"].read_text())
+    edit(schema)
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(schema))
+    assert cli.main(["census", "--schema", str(path), str(demo["csv"])]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+
+
 def test_filter_command(demo, capsys):
     assert cli.main(["filter", "--schema", str(demo["schema"]),
                      "--gamma", "10", str(demo["csv"])]) == 0
@@ -99,6 +114,13 @@ def test_evaluate_scores_a_model_trained_on_boruta_selected_features(
     ("boost", {"bogus": 1}),
     ("boost", {"goss_a": 0.9, "goss_b": 0.5}),
     ("boost", [1, 2]),
+    ("gan", {"max_steps": True}),
+    ("gan", {"stop_delta": "x"}),
+    ("gan", {"seed": 1.5}),
+    ("boost", {"rounds": True}),
+    ("boost", {"learning_rate": "0.5"}),
+    ("boost", {"max_bins": 0}),
+    ("boost", {"max_bins": 1}),
 ])
 def test_run_reports_a_bad_nested_config_section(demo, tmp_path, capsys,
                                                  section, value):

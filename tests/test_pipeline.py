@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ganids import archive, gan, gbdt, pipeline
+from ganids import autodiff as ad
 from ganids.data import load_dataset, load_schema, preprocess
 from ganids.demo import write_demo_dataset
 
@@ -171,3 +172,19 @@ def test_run_ablation_writes_reports(demo, tmp_path):
     assert (tmp_path / "abl" / "with_pretrain" / "manifest.json").exists()
     assert (tmp_path / "abl" / "without_pretrain" / "manifest.json").exists()
     assert set(report.metric_deltas) == {"accuracy", "macro_f1"}
+
+
+def test_the_program_never_runs_the_autodiff_engine(demo, tmp_path,
+                                                    monkeypatch):
+    # the engine is the reference the tests check the nn kernels against:
+    # no program path builds a node or takes a gradient with it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the program used the autodiff engine")
+
+    monkeypatch.setattr(ad.Var, "__init__", refuse)
+    monkeypatch.setattr(ad, "grad", refuse)
+    cfg = fast_config(demo, tmp_path / "abl", boruta_enabled=True,
+                      boruta_rounds=2)
+    report = pipeline.run_ablation(cfg)
+    assert sorted(report.per_class) == ["backdoor", "escalate"]
+    assert (tmp_path / "abl" / "with_pretrain" / "feature_decision.json").exists()
