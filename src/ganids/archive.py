@@ -24,11 +24,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
 from . import gan as gan_mod
 from . import gbdt, nn
+from .data import decode
 
 MAGIC = b"GANIDS\x00"
 FORMAT_VERSION = 4
@@ -127,7 +129,7 @@ def save_gan(path, model: gan_mod.GanModel):
         "kind": "gan",
         "phase": model.phase,
         "feature_dim": model.feature_dim,
-        "cfg": model.cfg.to_dict(),
+        "cfg": asdict(model.cfg),
         "g_hash": model.g_params.content_hash(),
         "d_hash": model.d_params.content_hash(),
     }
@@ -142,7 +144,7 @@ def load_gan(path) -> gan_mod.GanModel:
     try:
         feature_dim, phase = header["feature_dim"], header["phase"]
         gan_mod.tuned_class(phase)
-        cfg = gan_mod.GanConfig.from_dict(header["cfg"])
+        cfg = decode(gan_mod.GanConfig, header["cfg"], "cfg")
         g_spec, d_spec = gan_mod.network_specs(feature_dim, cfg)
     except (KeyError, TypeError, ValueError, gan_mod.WrongPhase) as e:
         raise ArchiveError(f"{path}: header does not describe a GAN "

@@ -32,10 +32,6 @@ class FeatureDecision:
     def tentative(self):
         return [f for f, s in self.status.items() if s == "tentative"]
 
-    def to_dict(self):
-        return {"status": self.status, "hits": self.hits,
-                "rounds": self.rounds, "alpha": self.alpha}
-
 
 def boruta_select(train: Dataset, rounds, alpha, boost_params: gbdt.BoostParams,
                   seed=0) -> FeatureDecision:

@@ -17,7 +17,7 @@ import hashlib
 import json
 import numbers
 import typing
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from importlib import resources
 from itertools import chain
 
@@ -79,12 +79,12 @@ class Column:
 
 @dataclass
 class DatasetSchema:
-    columns: list
-    classes: list
+    columns: list[Column]
+    classes: list[str]
     normal_class: str
-    label_map: dict = field(default_factory=dict)  # raw label -> class name
+    label_map: dict[str, str] = field(default_factory=dict)  # raw -> class
     has_header: bool = False
-    class_caps: dict = field(default_factory=dict)
+    class_caps: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         seen = set()
@@ -122,36 +122,14 @@ class DatasetSchema:
             return None
         return self.classes.index(name)
 
-    def to_dict(self):
-        return {
-            "columns": [{"name": c.name, "kind": c.kind} for c in self.columns],
-            "classes": self.classes,
-            "normal_class": self.normal_class,
-            "label_map": self.label_map,
-            "has_header": self.has_header,
-            "class_caps": self.class_caps,
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return DatasetSchema(
-            columns=[Column(c["name"], c["kind"]) for c in d["columns"]],
-            classes=list(d["classes"]),
-            normal_class=d["normal_class"],
-            label_map=dict(d.get("label_map", {})),
-            has_header=bool(d.get("has_header", False)),
-            class_caps={k: int(v)
-                        for k, v in dict(d.get("class_caps", {})).items()},
-        )
-
     @staticmethod
     def from_json(path):
         try:
             with open(path) as f:
-                return DatasetSchema.from_dict(json.load(f))
+                return decode(DatasetSchema, json.load(f))
         except OSError as e:
             raise IoFailure(str(e)) from e
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, TypeError) as e:
             raise SchemaInvalid(f"{path}: not a dataset schema "
                                 f"({type(e).__name__}: {e})") from e
 
@@ -159,7 +137,7 @@ class DatasetSchema:
 def builtin_schema(name):
     """Schema shipped with the package (e.g. 'nslkdd')."""
     text = resources.files("ganids.data_files").joinpath(f"{name}_schema.json").read_text()
-    return DatasetSchema.from_dict(json.loads(text))
+    return decode(DatasetSchema, json.loads(text))
 
 
 def load_schema(spec) -> DatasetSchema:
@@ -170,7 +148,7 @@ def load_schema(spec) -> DatasetSchema:
 
 
 class FieldTypeError(TypeError):
-    """A config value whose type does not fit its dataclass field."""
+    """A JSON value that does not fit the field it is read into."""
 
     def __init__(self, key, reason):
         super().__init__(f"{key}: {reason}")
@@ -182,25 +160,49 @@ class FieldTypeError(TypeError):
 _FITS = {int: numbers.Integral, float: numbers.Real}
 
 
-def check_field_types(cls, values):
-    """Raises FieldTypeError for the first value in the dict `values` whose
-    type does not fit the annotation of the dataclass `cls`'s field of that
-    name, and TypeError when `values` is not a dict.
+def decode(kind, value, key=None):
+    """The value of type `kind` that the JSON value `value` holds.
 
-    An int fits a float field, and a bool fits a bool field only. Keys that
-    name no field are left for `cls(**values)` to reject.
+    A dataclass reads from an object that names only its fields and every
+    field without a default; each value is decoded by its field's
+    annotation, then the dataclass's own checks run. `list[T]` and
+    `dict[str, T]` read item by item. Any other type takes an instance of
+    itself, where an int fits a float and a bool fits only a bool.
+
+    Raises FieldTypeError(key, reason) for a value that does not fit or that
+    a dataclass rejects, with a nested value's key leading the reason
+    ("gan: lam: must be of type float, got 'x'"). A whole document (`key`
+    None) raises its errors as they are: a top-level key's FieldTypeError,
+    the dataclass's ValueError, or TypeError when it is not an object.
     """
-    if not isinstance(values, dict):
-        raise TypeError(f"must be a JSON object, got {values!r}")
-    hints = typing.get_type_hints(cls)
-    for key, value in values.items():
-        kind = hints.get(key)
-        if kind is None:
-            continue
-        if not isinstance(value, _FITS.get(kind, kind)) or (
-                kind is not bool and isinstance(value, bool)):
-            raise FieldTypeError(
-                key, f"must be of type {kind.__name__}, got {value!r}")
+    try:
+        record = is_dataclass(kind)
+        shape = dict if record else typing.get_origin(kind) or kind
+        if not isinstance(value, _FITS.get(shape, shape)) or (
+                shape is not bool and isinstance(value, bool)):
+            raise TypeError(f"must be of type {shape.__name__}, got {value!r}")
+        if record:
+            hints = typing.get_type_hints(kind)
+            for name in value:
+                if name not in hints:
+                    raise FieldTypeError(name, "unknown key")
+            for f in fields(kind):
+                if f.name not in value and f.default is MISSING \
+                        and f.default_factory is MISSING:
+                    raise FieldTypeError(f.name, "missing")
+            return kind(**{k: decode(hints[k], v, k)
+                           for k, v in value.items()})
+        args = typing.get_args(kind)
+        if shape is list and args:
+            return [decode(args[0], v, f"[{i}]") for i, v in enumerate(value)]
+        if shape is dict and args:
+            return {decode(args[0], k, k): decode(args[1], v, k)
+                    for k, v in value.items()}
+        return value
+    except (TypeError, ValueError) as e:
+        if key is None:
+            raise
+        raise FieldTypeError(key, str(e)) from e
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -20,8 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .data import (Dataset, EmptyDataset, PreprocessPlan, check_field_types,
-                   inverse_transform)
+from .data import Dataset, EmptyDataset, PreprocessPlan, inverse_transform
 
 
 CRITIC_STEPS = 5  # critic updates per generator update
@@ -62,16 +62,12 @@ class GanConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0 or self.batch_size < 1 or self.max_steps < 0:
-            raise ValueError("invalid GAN configuration")
-
-    def to_dict(self):
-        return dict(vars(self))
-
-    @staticmethod
-    def from_dict(d):
-        check_field_types(GanConfig, d)
-        return GanConfig(**d)
+        if not (0 <= self.lam < math.inf and self.batch_size >= 1
+                and self.noise_dim >= 0 and self.stop_window >= 1
+                and self.max_steps >= 0):
+            raise ValueError("invalid GAN configuration: needs a finite "
+                             "lam >= 0, batch_size >= 1, noise_dim >= 0, "
+                             "stop_window >= 1 and max_steps >= 0")
 
 
 @dataclass

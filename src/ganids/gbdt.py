@@ -47,13 +47,14 @@ popcount (np.bitwise_count, numpy >= 2.0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from .autodiff import ShapeMismatch
-from .data import Dataset, EmptyDataset, PreprocessPlan, check_field_types
+from .data import Dataset, EmptyDataset, PreprocessPlan
 
 
 class SingleClass(ValueError):
@@ -84,14 +85,12 @@ class BoostParams:
         # one bin holds every value, so no tree could split
         if self.max_bins < 2:
             raise ValueError("max_bins must be >= 2")
-
-    def to_dict(self):
-        return dict(vars(self))
-
-    @staticmethod
-    def from_dict(d):
-        check_field_types(BoostParams, d)
-        return BoostParams(**d)
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if self.max_depth < 1 or self.min_leaf < 1:
+            raise ValueError("max_depth and min_leaf must be >= 1")
+        if not 0 <= self.lam_leaf < math.inf:
+            raise ValueError("lam_leaf must be >= 0 and finite")
 
 
 # ---------------------------------------------------------------------------

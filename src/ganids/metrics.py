@@ -70,9 +70,6 @@ class AblationReport:
     # class -> {"steps_with": int, "steps_without": int, "speedup": float}
     metric_deltas: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {"per_class": self.per_class, "metric_deltas": self.metric_deltas}
-
 
 def ablation_report(traces_with: dict, traces_without: dict,
                     reports: dict = None) -> AblationReport:

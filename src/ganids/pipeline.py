@@ -19,9 +19,8 @@ from pathlib import Path
 
 from . import archive, boruta, gbdt, imbalance, metrics
 from . import gan as gan_mod
-from .data import (DatasetSchema, FieldTypeError, check_field_types, concat,
-                   load_dataset, load_schema, preprocess, select_columns,
-                   split_stratified)
+from .data import (DatasetSchema, FieldTypeError, concat, decode, load_dataset,
+                   load_schema, preprocess, select_columns, split_stratified)
 
 
 SPLIT_SEED = 7
@@ -44,7 +43,7 @@ class StageError(RuntimeError):
 
 @dataclass
 class PipelineConfig:
-    dataset_paths: list
+    dataset_paths: list[str]
     schema: str                    # file path or "builtin:<name>"
     out_dir: str
     gamma: float = imbalance.DEFAULT_GAMMA
@@ -57,25 +56,14 @@ class PipelineConfig:
     skip_pretrain: bool = False
     skip_augment: bool = False
 
-    def to_dict(self):
-        return asdict(self)
-
     @staticmethod
     def from_dict(d):
-        d = dict(d)
-        for key, section in (("gan", gan_mod.GanConfig),
-                             ("boost", gbdt.BoostParams)):
-            try:
-                if key in d:
-                    d[key] = section.from_dict(d[key])
-            except (TypeError, ValueError) as e:
-                raise ConfigInvalid(key, str(e)) from e
+        """Raises ConfigInvalid naming the first key whose value does not
+        fit, with a section's key first ("gan: lam: ...")."""
         try:
-            cfg = PipelineConfig(**d)
-        except TypeError as e:
-            raise ConfigInvalid("<config>", str(e)) from e
-        cfg.check_types()
-        return cfg
+            return decode(PipelineConfig, d)
+        except FieldTypeError as e:
+            raise ConfigInvalid(e.key, e.reason) from e
 
     @staticmethod
     def from_json(path):
@@ -88,19 +76,10 @@ class PipelineConfig:
             raise ConfigInvalid(path, "not a JSON object")
         return PipelineConfig.from_dict(d)
 
-    def check_types(self):
-        """Raises ConfigInvalid naming the first top-level key whose value
-        is of the wrong type."""
-        try:
-            check_field_types(PipelineConfig, vars(self))
-        except FieldTypeError as e:
-            raise ConfigInvalid(e.key, e.reason) from e
-        if not all(isinstance(p, str) for p in self.dataset_paths):
-            raise ConfigInvalid("dataset_paths",
-                                f"must list strings, got {self.dataset_paths!r}")
-
     def validate(self):
-        self.check_types()
+        # the values as read back from JSON: an override (say, from the
+        # command line) is type-checked like the config file
+        PipelineConfig.from_dict(asdict(self))
         if not self.dataset_paths:
             raise ConfigInvalid("dataset_paths", "no dataset files configured")
         for p in self.dataset_paths:
@@ -122,7 +101,7 @@ class PipelineConfig:
 
     def config_hash(self):
         return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
+            json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()
 
 
 @dataclass
@@ -175,7 +154,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "models").mkdir(exist_ok=True)
-    manifest = {"config": config.to_dict(),
+    manifest = {"config": asdict(config),
                 "config_hash": config.config_hash(),
                 "stages": {}}
     t_start = time.perf_counter()
@@ -263,7 +242,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             decision = boruta.boruta_select(
                 train_aug, config.boruta_rounds, BORUTA_ALPHA, bp,
                 seed=config.seed + 5)
-            _write_json(out_dir / "feature_decision.json", decision.to_dict())
+            _write_json(out_dir / "feature_decision.json", asdict(decision))
             _write_csv(out_dir / "feature_decision.csv",
                        ["feature", "status", "hits", "rounds"],
                        [(n, s, decision.hits[n], decision.rounds)
@@ -318,7 +297,7 @@ def run_ablation(config: PipelineConfig) -> metrics.AblationReport:
     report = metrics.ablation_report(
         tw, to, {"with": art_with.eval_report, "without": art_without.eval_report})
     base.mkdir(parents=True, exist_ok=True)
-    _write_json(base / "ablation.json", report.to_dict())
+    _write_json(base / "ablation.json", asdict(report))
     rows = [(c, e["steps_with"], e["steps_without"], e.get("speedup", ""))
             for c, e in report.per_class.items()]
     _write_csv(base / "ablation.csv",

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def test_gan_roundtrip_bit_exact(tmp_path):
     assert loaded.d_params.content_hash() == model.d_params.content_hash()
     assert loaded.phase == "pretrained"
     assert loaded.feature_dim == 6
-    assert loaded.cfg.to_dict() == model.cfg.to_dict()
+    assert loaded.cfg == model.cfg
     assert loaded.g_spec == model.g_spec
 
 
@@ -135,7 +136,7 @@ def test_damaged_archive_raises_archive_error(archive_bytes, tmp_path_factory,
 def _gan_header(model):
     """The header save_gan writes for model."""
     return {"kind": "gan", "phase": model.phase,
-            "feature_dim": model.feature_dim, "cfg": model.cfg.to_dict(),
+            "feature_dim": model.feature_dim, "cfg": asdict(model.cfg),
             "g_hash": model.g_params.content_hash(),
             "d_hash": model.d_params.content_hash()}
 

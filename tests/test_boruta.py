@@ -57,7 +57,7 @@ def test_statuses_partition_features():
 def test_decision_reproducible():
     a = boruta.boruta_select(planted_dataset(), 8, 0.05, SMALL_BOOST, seed=7)
     b = boruta.boruta_select(planted_dataset(), 8, 0.05, SMALL_BOOST, seed=7)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_planted_signal_robust_across_seeds():

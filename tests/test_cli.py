@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -39,7 +39,13 @@ def test_census_command(demo, capsys):
     lambda s: s["columns"][0].update(kind="numerc"),
     lambda s: s.update(class_caps={"nosuch": 5}),
     lambda s: s.update(class_caps=5),
-], ids=["kind_typo", "cap_on_unknown_class", "caps_not_an_object"])
+    lambda s: s.update(has_header="false"),
+    lambda s: s.update(class_caps={"flood": "3"}),
+    lambda s: s.update(label_map=[["a", "flood"]]),
+    lambda s: s.update(has_headr=True),
+], ids=["kind_typo", "cap_on_unknown_class", "caps_not_an_object",
+        "header_flag_a_string", "cap_a_string", "label_map_not_an_object",
+        "unknown_key"])
 def test_census_reports_a_schema_it_cannot_use(demo, tmp_path, capsys, edit):
     schema = json.loads(demo["schema"].read_text())
     edit(schema)
@@ -65,7 +71,7 @@ def test_run_and_evaluate_commands(demo, tmp_path, capsys):
         gan=gan.GanConfig(max_steps=5, batch_size=16, stop_window=4),
         boost=gbdt.BoostParams(rounds=3, min_leaf=5, max_depth=4))
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    cfg_path.write_text(json.dumps(asdict(cfg)))
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert "accuracy" in out
@@ -121,6 +127,15 @@ def test_evaluate_scores_a_model_trained_on_boruta_selected_features(
     ("boost", {"learning_rate": "0.5"}),
     ("boost", {"max_bins": 0}),
     ("boost", {"max_bins": 1}),
+    ("boost", {"learning_rate": -1.0}),
+    ("boost", {"learning_rate": 0}),
+    ("boost", {"learning_rate": float("nan")}),
+    ("boost", {"max_depth": 0}),
+    ("boost", {"min_leaf": 0}),
+    ("boost", {"lam_leaf": -0.5}),
+    ("gan", {"stop_window": 0}),
+    ("gan", {"stop_window": -3}),
+    ("gan", {"noise_dim": -1}),
 ])
 def test_run_reports_a_bad_nested_config_section(demo, tmp_path, capsys,
                                                  section, value):
@@ -130,7 +145,8 @@ def test_run_reports_a_bad_nested_config_section(demo, tmp_path, capsys,
         "out_dir": str(tmp_path / "o"), "skip_augment": True,
         section: value}))
     assert cli.main(["run", "--config", str(cfg_path)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {section}: ")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {section}: "), err
     assert not (tmp_path / "o").exists()
 
 

@@ -3,6 +3,7 @@
 import csv
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -525,16 +526,15 @@ def test_schema_json_roundtrip(tmp_path):
     schema = simple_schema(label_map={"x": "attack"}, caps={"attack": 3})
     p = tmp_path / "s.json"
     import json
-    p.write_text(json.dumps(schema.to_dict()))
+    p.write_text(json.dumps(asdict(schema)))
     clone = dio.DatasetSchema.from_json(p)
-    assert clone.to_dict() == schema.to_dict()
+    assert clone == schema
 
 
 def test_load_schema_reads_paths_and_builtins(tmp_path):
     import json
     schema = simple_schema()
     p = tmp_path / "s.json"
-    p.write_text(json.dumps(schema.to_dict()))
-    assert dio.load_schema(str(p)).to_dict() == schema.to_dict()
-    assert dio.load_schema("builtin:nslkdd").to_dict() \
-        == dio.builtin_schema("nslkdd").to_dict()
+    p.write_text(json.dumps(asdict(schema)))
+    assert dio.load_schema(str(p)) == schema
+    assert dio.load_schema("builtin:nslkdd") == dio.builtin_schema("nslkdd")

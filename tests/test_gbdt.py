@@ -272,7 +272,7 @@ def _check_split_against_reference_loop(draw):
     rng, binned, bm = _layout(draw)
     n = binned.shape[0]
     cols = gbdt.bundle_columns(binned, bm)
-    params = gbdt.BoostParams(min_leaf=draw(st.integers(0, 12)))
+    params = gbdt.BoostParams(min_leaf=draw(st.integers(1, 12)))
     ctx = gbdt._HistContext(binned, bm, cols, params)
     rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
                               replace=False))
@@ -298,8 +298,8 @@ def test_split_search_replays_the_mirrored_column_draw():
     # the draw (--hypothesis-seed=26) that broke an absolute 1e-12 tie rule:
     # two mirrored columns, gradients scaled by 50, and best gains near
     # 1.2e4 one ulp (1.8e-12) apart, so scan and loop picked different
-    # features
-    draws = iter([2743, 193, 1, 0, 1, 0, 2, 7, True, 0, 50.0])
+    # features (min_leaf, drawn as 0 then, is 1 here: the same splits)
+    draws = iter([2743, 193, 1, 0, 1, 0, 2, 7, True, 1, 50.0])
     _check_split_against_reference_loop(lambda strategy: next(draws))
 
 
@@ -420,8 +420,8 @@ def _node_pairs(a, b):
 def test_level_grower_matches_recursive_reference(data):
     rng, binned, bm = _layout(data.draw)
     n = binned.shape[0]
-    params = gbdt.BoostParams(min_leaf=data.draw(st.integers(0, 12)),
-                              max_depth=data.draw(st.integers(0, 6)))
+    params = gbdt.BoostParams(min_leaf=data.draw(st.integers(1, 12)),
+                              max_depth=data.draw(st.integers(1, 6)))
     ctx = gbdt._HistContext(binned, bm, gbdt.bundle_columns(binned, bm),
                             params)
     rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
@@ -468,7 +468,7 @@ def test_level_grower_builds_left_child_directly_on_a_tie(seed):
 def test_scan_of_k_nodes_matches_single_node_splits(data):
     rng, binned, bm = _layout(data.draw)
     n = binned.shape[0]
-    params = gbdt.BoostParams(min_leaf=data.draw(st.integers(0, 12)))
+    params = gbdt.BoostParams(min_leaf=data.draw(st.integers(1, 12)))
     ctx = gbdt._HistContext(binned, bm, gbdt.bundle_columns(binned, bm),
                             params)
     k = data.draw(st.integers(1, 6))
@@ -587,11 +587,12 @@ def test_fit_rejects_single_class():
 
 def test_depth_zero_leaf_is_weighted_mean():
     # squared-error harness: with hessians 1 and lam 0, the root leaf value
-    # -sum(g)/n is the mean residual, the squared-loss minimizer
+    # -sum(g)/n is the mean residual, the squared-loss minimizer; a column
+    # of one bin cannot split, so the root stays a leaf
     rng = np.random.default_rng(1)
     n = 30
     residuals = rng.standard_normal(n)
-    params = gbdt.BoostParams(max_depth=0, lam_leaf=0.0, min_leaf=1)
+    params = gbdt.BoostParams(max_depth=1, lam_leaf=0.0, min_leaf=1)
     binned = np.zeros((n, 1), dtype=np.int32)
     bm = gbdt.BundleMap([[0]], [[1]], [1])
     ctx = gbdt._HistContext(binned, bm, binned.copy(), params)

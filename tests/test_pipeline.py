@@ -1,6 +1,7 @@
 """End-to-end pipeline tests on the bundled demo dataset."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ def test_config_invalid_bad_fraction(demo, tmp_path):
 def test_config_json_roundtrip(demo, tmp_path):
     cfg = fast_config(demo, tmp_path / "rt")
     p = tmp_path / "config.json"
-    p.write_text(json.dumps(cfg.to_dict()))
+    p.write_text(json.dumps(asdict(cfg)))
     clone = pipeline.PipelineConfig.from_json(p)
     assert clone.config_hash() == cfg.config_hash()
 
