@@ -10,9 +10,11 @@ An archive stores values, not structure. A GAN header holds the phase,
 `feature_dim`, the config and a content hash per network; the networks'
 layers come from `gan.network_specs(feature_dim, cfg)`, and each network's
 blob is its parameters as one run of raw float64, in sorted-name order, with
-the shapes `nn.param_shapes` gives. A blob whose length does not fit those
-shapes, or whose values fail the stored hash, or a phase that
-`gan.tuned_class` rejects, raises ArchiveError. An ensemble's blob is its
+the shapes `nn.param_shapes` gives. A GAN trains in `gan.DTYPE` (float32):
+its blob holds the exact float64 upcasts, whose hash is checked before
+`load_gan` casts them back, so a model round-trips bit for bit. A blob whose
+length does not fit those shapes, or whose values fail the stored hash, or a
+phase that `gan.tuned_class` rejects, raises ArchiveError. An ensemble's blob is its
 JSON description, checked against the header's hash; it holds the encoding
 plan, so the file alone is enough to score a CSV. Its fitted columns must be
 its feature names, one each, and each a column of that plan, or saving
@@ -154,8 +156,9 @@ def load_gan(path) -> gan_mod.GanModel:
     if g_params.content_hash() != header.get("g_hash") \
             or d_params.content_hash() != header.get("d_hash"):
         raise ArchiveError(f"{path}: content hash mismatch")
-    return gan_mod.GanModel(g_spec, g_params, d_spec, d_params, feature_dim,
-                            cfg, phase=phase)
+    return gan_mod.GanModel(g_spec, g_params.astype(gan_mod.DTYPE), d_spec,
+                            d_params.astype(gan_mod.DTYPE), feature_dim, cfg,
+                            phase=phase)
 
 
 def _layout_mismatch(ensemble: gbdt.Ensemble):

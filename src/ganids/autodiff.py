@@ -328,7 +328,8 @@ def sqrt(a):
 # ---------------------------------------------------------------------------
 # 1-D convolution: stride 1, odd kernel width k, zero same-padding of
 # (k - 1) // 2 on each side. The data helpers unfold a (B, C, L) array into
-# (B, L, C*k) windows and fold windows back (the exact adjoint).
+# (B, L, C*k) windows and fold windows back (the exact adjoint), each in
+# the dtype of the array it is given.
 
 
 def _shifts(k, pad, length):
@@ -344,7 +345,7 @@ def _shifts(k, pad, length):
 def _unfold_data(x, k, pad):
     b, c, length = x.shape
     xt = x.transpose(0, 2, 1)                       # (B, L, C)
-    cols = np.empty((b, length, c, k))
+    cols = np.empty((b, length, c, k), x.dtype)
     for j in range(k):
         # positions [lo, hi) read input l + s; the rest are padding, all of
         # them when the tap lies wholly outside the input (length <= |s|)
@@ -363,7 +364,7 @@ def _unfold_data(x, k, pad):
 def _fold_data(g, k, pad, c, length):
     b = g.shape[0]
     gc = g.reshape(b, length, c, k)
-    out = np.zeros((b, length, c))
+    out = np.zeros((b, length, c), g.dtype)
     # taps in descending order add each position's terms in the order of
     # increasing window start
     for j, s, lo, hi in reversed(list(_shifts(k, pad, length))):

@@ -6,7 +6,9 @@ fine-tuning copies the pretrained weights (optimizer state reset) and
 continues on a single minority class.
 
 The steps and synthesis run `nn`'s layer-wise kernels on plain arrays and
-build no autodiff graph; the graph engine is their test reference.
+build no autodiff graph; the graph engine is their test reference. A GAN's
+networks train and synthesize in `DTYPE`; the tests run the same kernels on
+float64 casts of them.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ from .data import Dataset, EmptyDataset, PreprocessPlan, inverse_transform
 
 
 CRITIC_STEPS = 5  # critic updates per generator update
+
+# the precision of a GAN's parameters, and so of its steps and synthesis;
+# WGAN-GP (Gulrajani et al., 2017) trains in single precision
+DTYPE = np.float32
 
 
 class InvalidDimension(ValueError):
@@ -68,6 +74,12 @@ class GanConfig:
             raise ValueError("invalid GAN configuration: needs a finite "
                              "lam >= 0, batch_size >= 1, noise_dim >= 0, "
                              "stop_window >= 1 and max_steps >= 0")
+        # the stop rule's EMA is never <= a NaN or negative delta, and every
+        # phase would run to max_steps
+        for name in ("stop_delta", "finetune_stop_delta"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got "
+                                 f"{getattr(self, name)!r}")
 
 
 @dataclass
@@ -144,10 +156,15 @@ def network_specs(feature_dim, cfg: GanConfig):
             critic_spec(feature_dim))
 
 
+def init_params(spec, seed):
+    """`nn.init_params`' float64 draw, cast to `DTYPE`."""
+    return nn.init_params(spec, seed).astype(DTYPE)
+
+
 def build_gan(feature_dim, cfg: GanConfig) -> GanModel:
     g_spec, d_spec = network_specs(feature_dim, cfg)
-    g_params = nn.init_params(g_spec, cfg.seed)
-    d_params = nn.init_params(d_spec, cfg.seed + 1)
+    g_params = init_params(g_spec, cfg.seed)
+    d_params = init_params(d_spec, cfg.seed + 1)
     return GanModel(g_spec, g_params, d_spec, d_params, feature_dim, cfg)
 
 
@@ -187,27 +204,32 @@ def critic_grads(model: GanModel, real_batch, rng, fake_batch=None):
     run on the interpolated rows, and one backward pass over all rows
     (cotangents +-1/n on the fake and real rows, the penalty's tanh terms
     on the interpolated ones) gives the gradients. `fake_batch` overrides
-    the generator's samples (test harness hook)."""
+    the generator's samples (test harness hook). The noise, `eps` and the
+    mask are drawn in float64 and cast to the parameters' dtype, which
+    every array of the step then has."""
     cfg = model.cfg
     d_spec, params = model.d_spec, model.d_params.tensors
-    real = nn.as_batch(d_spec, real_batch)
+    dtype = model.d_params.dtype
+    real = nn.as_batch(d_spec, real_batch, dtype)
     n = real.shape[0]
     if fake_batch is None:
         z = rng.standard_normal((n, model.noise_dim))
-        fake = nn._forward(model.g_spec, model.g_params.tensors, z)
+        fake = nn._forward(model.g_spec, model.g_params.tensors,
+                           z.astype(model.g_params.dtype))
     else:
-        fake = nn.as_batch(d_spec, fake_batch)
+        fake = nn.as_batch(d_spec, fake_batch, dtype)
 
-    eps = rng.random((n, 1))
+    eps = rng.random((n, 1)).astype(dtype)
     x_hat = eps * real + (1.0 - eps) * fake
 
     # one dropout mask per critic step, shared by the fake, real and
     # interpolated rows so the penalty differentiates a fixed function
     masks = nn.dropout_masks(d_spec, n, rng)
-    x_hat = nn.penalty_batch(d_spec, x_hat)
+    x_hat = nn.penalty_batch(d_spec, x_hat, dtype)
     caches = []
     out = nn._forward(d_spec, params, np.concatenate([fake, real, x_hat]),
-                      {i: np.concatenate([m, m, m]) for i, m in masks.items()},
+                      {i: np.concatenate([m, m, m], dtype=dtype)
+                       for i, m in masks.items()},
                       caches)
     ad.check_finite(out[2 * n:], "network output")
     grads = {}
@@ -244,16 +266,20 @@ def generator_step(model: GanModel, rng):
     g_params, d_params = model.g_params.tensors, model.d_params.tensors
     z = rng.standard_normal((n, model.noise_dim))
     g_caches = []
-    fake = nn._forward(model.g_spec, g_params, z, caches=g_caches)
+    fake = nn._forward(model.g_spec, g_params,
+                       z.astype(model.g_params.dtype), caches=g_caches)
     masks = nn.dropout_masks(model.d_spec, n, rng)
+    dtype = model.d_params.dtype
     d_caches = []
-    out = nn._forward(model.d_spec, d_params, fake, masks, d_caches)
+    out = nn._forward(model.d_spec, d_params, fake,
+                      {i: m.astype(dtype) for i, m in masks.items()},
+                      d_caches)
     loss_g = -(np.sum(out) * (1.0 / out.size))
     # checked before the update, so a non-finite loss leaves G and its
     # optimizer state as they were
     ad.check_finite(loss_g, "generator loss")
     g_fake = nn._backward(model.d_spec, d_params, d_caches,
-                          np.full(out.shape, -1.0 / out.size))
+                          np.full(out.shape, -1.0 / out.size, dtype))
     grads = {}
     nn._backward(model.g_spec, g_params, g_caches, g_fake, grads=grads)
     model.g_params = nn.adam_step(model.g_params, grads, model.g_opt)
@@ -284,7 +310,7 @@ def _train_loop(model: GanModel, data: Dataset, cfg: GanConfig, stop_delta):
     if not data.encoded:
         raise ValueError("GAN training expects an encoded dataset")
     rng = np.random.default_rng(cfg.seed)
-    matrix = np.asarray(data.features, dtype=np.float64)
+    matrix = np.asarray(data.features, dtype=model.d_params.dtype)
     trace = TrainTrace()
     stop = _StopRule(stop_delta, cfg.stop_window)
     step = 0
@@ -341,8 +367,8 @@ def finetune(pretrained: GanModel, minority_data: Dataset, cfg: GanConfig = None
     model = pretrained.copy()
     model.cfg = cfg
     if fresh_init:
-        model.g_params = nn.init_params(model.g_spec, cfg.seed + 101)
-        model.d_params = nn.init_params(model.d_spec, cfg.seed + 102)
+        model.g_params = init_params(model.g_spec, cfg.seed + 101)
+        model.d_params = init_params(model.d_spec, cfg.seed + 102)
     model.reset_optimizers()
     trace = _train_loop(model, minority_data, cfg, cfg.finetune_stop_delta)
     model.phase = f"{_TUNED}{class_name}"
@@ -363,7 +389,8 @@ def synthesize(generator: GanModel, n, plan: PreprocessPlan, seed, schema,
     while remaining > 0:
         k = min(remaining, 512)
         z = rng.standard_normal((k, generator.noise_dim))
-        out = nn._forward(generator.g_spec, generator.g_params.tensors, z)
+        out = nn._forward(generator.g_spec, generator.g_params.tensors,
+                          z.astype(generator.g_params.dtype))
         ad.check_finite(out, "network output")
         outs.append(np.clip(out, 0.0, 1.0))
         remaining -= k

@@ -78,8 +78,7 @@ class BoostParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.goss_a < 0 or self.goss_b < 0 or self.goss_a + self.goss_b > 1:
-            raise InvalidFraction("GOSS fractions must satisfy a, b >= 0, a+b <= 1")
+        _check_fractions(self.goss_a, self.goss_b)
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         # one bin holds every value, so no tree could split
@@ -154,6 +153,14 @@ def bin_features(train: Dataset, max_bins):
 # GOSS
 
 
+def _check_fractions(a, b):
+    # in the positive form, which a NaN fails
+    if not (0 <= a and 0 <= b and a + b <= 1):
+        raise InvalidFraction(f"GOSS fractions must satisfy 0 <= goss_a, "
+                              f"0 <= goss_b and goss_a + goss_b <= 1, got "
+                              f"goss_a={a!r}, goss_b={b!r}")
+
+
 def goss_sample(gradients, a, b, seed):
     """Keep the top ceil(a*n) rows by |gradient|, sample ceil(b*n) of the
     rest uniformly with compensating weight (1-a)/b."""
@@ -161,8 +168,7 @@ def goss_sample(gradients, a, b, seed):
     n = len(g)
     if n == 0:
         raise InvalidFraction("empty gradient vector")
-    if a < 0 or b < 0 or a + b > 1:
-        raise InvalidFraction("require a, b >= 0 and a + b <= 1")
+    _check_fractions(a, b)
     order = np.argsort(-np.abs(g), kind="stable")
     top_n = int(np.ceil(a * n))
     rand_n = int(np.ceil(b * n))

@@ -7,11 +7,14 @@ tanh and inverted dropout.
 Two implementations run a network. Training, synthesis and the gradient
 penalty run layer-wise kernels on plain arrays (`_forward`, `_backward` and
 `_penalty`, below), with a hand-written backward pass, a closed-form double
-backward for the penalty and no graph. `forward`/`forward_var` compose the
-layers from the generic primitives of `autodiff` (an fc layer is `matmul`
-plus `add`, dropout a `mul`), and `grad_params`/`grad_input` differentiate
-them by the chain rule alone; only the tests call these, as the reference
-the kernels are checked against.
+backward for the penalty and no graph. The kernels and Adam compute in the
+dtype of the parameter set they are given, and every array they allocate
+takes that dtype: the GAN runs them in float32, the tests in float64.
+`forward`/`forward_var` compose the layers from the generic primitives of
+`autodiff` (an fc layer is `matmul` plus `add`, dropout a `mul`), and
+`grad_params`/`grad_input` differentiate them by the chain rule alone; only
+the tests call these, in float64, as the reference the kernels are checked
+against.
 """
 
 from __future__ import annotations
@@ -144,10 +147,22 @@ def param_shapes(spec: NetworkSpec):
 
 
 class ParamSet:
-    """Ordered name -> float64 array mapping with a content hash."""
+    """Ordered name -> float array mapping with a content hash.
+
+    The hash reads each array as its exact float64 upcast, so a float32 set
+    and its float64 cast hash alike.
+    """
 
     def __init__(self, tensors):
         self.tensors = dict(tensors)
+
+    @property
+    def dtype(self):
+        """The dtype the kernels compute this set's networks in."""
+        return _dtype(self.tensors)
+
+    def astype(self, dtype):
+        return ParamSet({k: v.astype(dtype) for k, v in self.tensors.items()})
 
     def content_hash(self):
         h = hashlib.sha256()
@@ -162,8 +177,14 @@ class ParamSet:
         return ParamSet({k: v.copy() for k, v in self.tensors.items()})
 
 
+def _dtype(tensors):
+    """The common dtype of a name -> array mapping; float64 when empty."""
+    return np.result_type(*tensors.values()) if tensors \
+        else np.dtype(np.float64)
+
+
 def init_params(spec: NetworkSpec, seed: int) -> ParamSet:
-    """Uniform +-sqrt(6/fan_in) weights, zero biases."""
+    """Uniform +-sqrt(6/fan_in) weights, zero biases, in float64."""
     rng = np.random.default_rng(seed)
     tensors = {}
     for name, shape in param_shapes(spec).items():
@@ -210,9 +231,9 @@ def dropout_masks(spec: NetworkSpec, batch_size: int, rng) -> dict:
     return masks
 
 
-def as_batch(spec: NetworkSpec, batch):
-    """`batch` as a float64 (B, input_width) array of finite values."""
-    batch = np.asarray(batch, dtype=np.float64)
+def as_batch(spec: NetworkSpec, batch, dtype=np.float64):
+    """`batch` as a (B, input_width) array of finite values in `dtype`."""
+    batch = np.asarray(batch, dtype=dtype)
     if batch.ndim != 2 or batch.shape[1] != spec.input_width:
         raise ShapeMismatch(
             f"batch width {batch.shape} does not match input width {spec.input_width}")
@@ -294,9 +315,12 @@ def gradient_penalty(spec: NetworkSpec, params: ParamSet, x_hat, lam,
                      masks=None, train=False):
     """The penalty lambda * mean_batch (||grad_x D(x)||_2 - 1)^2 and its
     parameter gradients, by the layer-wise kernels below."""
-    x_hat = penalty_batch(spec, x_hat)
+    dtype = params.dtype
+    x_hat = penalty_batch(spec, x_hat, dtype)
     if train and masks is None:
         masks = dropout_masks(spec, len(x_hat), np.random.default_rng(0))
+    if train:
+        masks = {i: m.astype(dtype, copy=False) for i, m in masks.items()}
     tensors = params.tensors
     caches = []
     out = _forward(spec, tensors, x_hat, masks if train else None, caches)
@@ -309,9 +333,9 @@ def gradient_penalty(spec: NetworkSpec, params: ParamSet, x_hat, lam,
     return value, grads
 
 
-def penalty_batch(spec: NetworkSpec, x_hat):
+def penalty_batch(spec: NetworkSpec, x_hat, dtype=np.float64):
     """The interpolates `x_hat` as a checked batch of at least one row."""
-    x_hat = as_batch(spec, x_hat)
+    x_hat = as_batch(spec, x_hat, dtype)
     if len(x_hat) == 0:
         raise EmptyBatch("the gradient penalty needs at least one row")
     return x_hat
@@ -327,6 +351,10 @@ def penalty_batch(spec: NetworkSpec, x_hat):
 # `forward_var` composes, so outputs are bit-identical to it; the backward
 # passes are written by hand, and the tests check them against the
 # engine's chain rule.
+#
+# Every pass computes in the dtype of its input and parameters, which the
+# caller keeps alike (dropout masks and cotangents included); each array a
+# pass allocates takes the dtype of the arrays it is computed from.
 #
 # Biases and the leaky ReLU, dropout and tanh factors are applied in place,
 # but only to an array the pass itself allocated: each pass keeps one flag,
@@ -402,7 +430,7 @@ def _forward(spec, params, x, masks=None, caches=None):
             else:
                 # exactly 1 or slope, in less time than np.where(pos, 1.0, slope)
                 pos = h > 0
-                cache = np.multiply(~pos, slope, dtype=np.float64)
+                cache = np.multiply(~pos, slope, dtype=h.dtype)
                 cache += pos
                 h = np.multiply(h, cache, out=h if own else None)
             own = True
@@ -523,8 +551,8 @@ def _penalty(spec, params, caches, out_shape, rows, lam, grads):
     own, so it is scaled in place throughout.
     """
     record = {}
-    gin = _backward(spec, params, caches, np.ones(out_shape), rows,
-                    record=record)
+    gin = _backward(spec, params, caches, np.ones(out_shape, _dtype(params)),
+                    rows, record=record)
     n = len(gin)
     norm = np.sqrt(np.sum(gin * gin, axis=1))
     value = float(np.sum(np.square(norm - 1.0)) * (1.0 / n) * lam)
@@ -577,9 +605,9 @@ def _penalty(spec, params, caches, out_shape, rows, lam, grads):
 class AdamState:
     """Adam's moments and step count for one parameter set.
 
-    `m` and `v` are one flat float64 vector each (`m_flat`, `v_flat`), in
-    the order of the parameter set's names; `m[name]` and `v[name]` are
-    views of one tensor's part.
+    `m` and `v` are one flat vector each (`m_flat`, `v_flat`) in the
+    parameter set's dtype, in the order of its names; `m[name]` and
+    `v[name]` are views of one tensor's part.
     """
 
     def __init__(self, params: ParamSet, lr=1e-4, beta1=0.9, beta2=0.999,
@@ -590,8 +618,8 @@ class AdamState:
             shape = np.shape(arr)
             self.layout.append((name, shape, size, size + math.prod(shape)))
             size += math.prod(shape)
-        self.m_flat = np.zeros(size)
-        self.v_flat = np.zeros(size)
+        self.m_flat = np.zeros(size, params.dtype)
+        self.v_flat = np.zeros(size, params.dtype)
         self.m = self._views(self.m_flat)
         self.v = self._views(self.v_flat)
         self.t = 0
@@ -607,23 +635,25 @@ class AdamState:
 
 def adam_step(params: ParamSet, grads: dict, state: AdamState) -> ParamSet:
     """One bias-corrected Adam descent step; updates `state` in place and
-    returns new params, views into one new vector. `params` is not written.
+    returns new params, views into one new vector in the state's dtype.
+    `params` is not written.
 
     The parameters and gradients are gathered into the state's order, and
     the update runs over the whole vector: per element, the operations of
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), in that order.
     """
+    dtype = state.m_flat.dtype
     ps, gs = [], []
     for name, shape, _, _ in state.layout:
         p = params.tensors[name]
-        g = np.asarray(grads[name], dtype=np.float64)
+        g = np.asarray(grads[name], dtype=dtype)
         if g.shape != shape or p.shape != shape:
             raise ShapeMismatch(f"gradient shape {g.shape} and param shape "
                                 f"{p.shape} for {name}, expected {shape}")
         ps.append(p.ravel())
         gs.append(g.ravel())
-    new = np.concatenate(ps, dtype=np.float64)
+    new = np.concatenate(ps, dtype=dtype)
     g = np.concatenate(gs)
     state.t += 1
     t = state.t

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import encoded_dataset, fd_param_grad, rel_err, singleton_bundles
+from conftest import (encoded_dataset, fd_param_grad, float64_model, rel_err,
+                      singleton_bundles)
 
 from ganids import autodiff as ad
 from ganids import gan, gbdt, imbalance, metrics, nn, pipeline
@@ -68,11 +69,33 @@ def _critic_loss_graph(spec, params, real, fake, x_hat, masks, lam):
     return loss, pen, grads, s1 + s2 + s3
 
 
+def _fd_probes(loss_fn, params, grads, rng, worst):
+    """Up to 5 finite-difference probes of `grads` at random entries, over
+    at most 40 draws; returns (probes done, worst relative error)."""
+    names = sorted(params.tensors)
+    done = 0
+    for _ in range(40):
+        if done >= 5:
+            break
+        name = names[rng.integers(len(names))]
+        idx = int(rng.integers(params.tensors[name].size))
+        fd = fd_param_grad(loss_fn, params, name, idx)
+        if fd is None:
+            continue  # probe stepped over an activation kink
+        worst = max(worst, rel_err(fd, grads[name].flat[idx], floor=1e-4))
+        done += 1
+    return done, worst
+
+
 def test_c01_critic_loss_gradients_match_finite_differences():
     t0 = time.time()
     dims = [8, 16, 41, 8, 16]
     worst = 0.0
     probes = 0
+    # the training step's own gradients, `gan.critic_grads` on a float64
+    # model, against finite differences of the critic loss it returns
+    step_worst = 0.0
+    step_probes = 0
     for i in range(20):
         dim = dims[i % len(dims)]
         rng = np.random.default_rng(100 + i)
@@ -112,10 +135,38 @@ def test_c01_critic_loss_gradients_match_finite_differences():
                                                  masks=masks, train=True)
         assert np.isclose(pen_val, pen.item(), atol=1e-10)
 
+        model = float64_model(gan.build_gan(
+            dim, gan.GanConfig(lam=10.0, batch_size=4, seed=100 + i)))
+        model.d_params = params
+        step_seed = 1000 + i
+        # the interpolates and mask critic_grads draws, for the probes' kinks
+        draws = np.random.default_rng(step_seed)
+        eps_k = draws.random((4, 1))
+        masks_k = nn.dropout_masks(spec, 4, draws)
+        x_hat_k = eps_k * real + (1 - eps_k) * fake
+
+        def step_loss(p, _m=model, _r=real, _f=fake, _x=x_hat_k, _mk=masks_k,
+                      _s=step_seed):
+            _m.d_params = p
+            loss_d = gan.critic_grads(_m, _r, np.random.default_rng(_s),
+                                      fake_batch=_f)[1]
+            signs = _critic_loss_graph(_m.d_spec, p, _r, _f, _x, _mk, 10.0)[3]
+            return loss_d, signs
+
+        step_grads = gan.critic_grads(model, real,
+                                      np.random.default_rng(step_seed),
+                                      fake_batch=fake)[0]
+        done, step_worst = _fd_probes(step_loss, params, step_grads, rng,
+                                      step_worst)
+        assert done >= 4
+        step_probes += done
+
     elapsed = time.time() - t0
     verdict("C1 gradient-correctness",
-            worst <= 1e-4 and probes >= 80 and elapsed < 120,
-            f"max rel err {worst:.2e} over {probes} probes, {elapsed:.1f}s")
+            worst <= 1e-4 and probes >= 80 and step_worst <= 1e-4
+            and step_probes >= 80 and elapsed < 120,
+            f"max rel err {worst:.2e} over {probes} probes, critic_grads "
+            f"{step_worst:.2e} over {step_probes} probes, {elapsed:.1f}s")
 
 
 def test_c02_gradient_penalty_closed_form():

@@ -1,13 +1,14 @@
 """Reading the pipeline config and the dataset schema from JSON."""
 
 import json
+import math
 from dataclasses import asdict, fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ganids import pipeline
+from ganids import cli, pipeline
 from ganids.data import DatasetSchema, FieldTypeError, SchemaInvalid, decode
 from ganids.demo import demo_schema_dict, write_demo_dataset
 from ganids.gan import GanConfig
@@ -87,3 +88,35 @@ def test_any_schema_value_is_read_or_rejected(demo, path, value):
         DatasetSchema.from_json(schema_path)
     except SchemaInvalid:
         pass
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (section, key, value)
+    for section, key in [("gan", "stop_delta"), ("gan", "finetune_stop_delta")]
+    for value in (math.nan, -1.0, -1e-9, math.inf)
+] + [
+    ("boost", "goss_a", math.nan), ("boost", "goss_b", math.nan),
+    ("boost", "goss_a", math.inf), ("boost", "goss_b", -0.1),
+])
+def test_a_value_that_no_phase_could_use_is_rejected(demo_config, section,
+                                                     key, value):
+    # a NaN, negative or infinite stop delta never lets the stop rule fire,
+    # and a NaN GOSS fraction fails only when training starts
+    with pytest.raises(pipeline.ConfigInvalid) as e:
+        pipeline.PipelineConfig.from_dict(
+            _replaced(demo_config, (section, key), value))
+    assert e.value.path == section and key in e.value.reason
+
+
+def test_run_with_a_nan_goss_fraction_fails_before_loading(demo, tmp_path,
+                                                            capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "dataset_paths": [str(demo["csv"])], "schema": str(demo["schema"]),
+        "out_dir": str(tmp_path / "o"), "skip_augment": True,
+        "boost": {"goss_a": math.nan}}))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: boost: "), err
+    assert "goss_a" in err[0]
+    assert not (tmp_path / "o").exists()

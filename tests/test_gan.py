@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import encoded_dataset
+from conftest import encoded_dataset, float64_model
 
 from ganids import autodiff as ad
 from ganids import archive, gan, nn
@@ -119,7 +119,7 @@ def _critic_grads_reference(model, real, rng):
 @pytest.mark.parametrize("dim,seed", [(3, 0), (8, 1), (11, 2)])
 def test_critic_grads_match_three_pass_reference(d_layers, dim, seed):
     cfg = small_cfg(seed=seed, lam=10.0)
-    model = gan.build_gan(dim, cfg)
+    model = float64_model(gan.build_gan(dim, cfg))
     if d_layers is not None:
         model.d_spec = nn.NetworkSpec(dim, d_layers)
         model.d_params = nn.init_params(model.d_spec, seed + 5)
@@ -182,7 +182,7 @@ def test_step_gradients_match_autodiff_on_random_critics(dim, body, head,
     # of every layer kind: conv with k up to 5 on lengths from 1, dropout
     # masks of both ranks, tanh anywhere
     cfg = small_cfg(seed=seed % 100, batch_size=batch, lam=10.0)
-    model = gan.build_gan(dim, cfg)
+    model = float64_model(gan.build_gan(dim, cfg))
     model.d_spec = nn.NetworkSpec(dim, tuple(body) + (nn.FullyConnected(1),)
                                   + head)
     model.d_params = nn.init_params(model.d_spec, seed)
@@ -443,7 +443,7 @@ def test_synthesize_matches_forward_and_builds_no_gradient_graph(monkeypatch):
     dim = 3
     plan = PreprocessPlan([(f"f{j}", "numeric", 0.0, 1.0)
                            for j in range(dim)], "x")
-    model = gan.build_gan(dim, small_cfg())
+    model = float64_model(gan.build_gan(dim, small_cfg()))
     model.phase = "finetuned:attack"
     schema = normal_dataset(5, dim).schema
     n = 600  # crosses the 512-row chunk boundary

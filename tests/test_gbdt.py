@@ -89,6 +89,15 @@ def test_goss_rejects_bad_fractions():
         gbdt.goss_sample(np.zeros(0), a=0.1, b=0.1, seed=0)
 
 
+@pytest.mark.parametrize("a, b", [(np.nan, 0.1), (0.2, np.nan),
+                                  (np.inf, 0.1), (-0.1, 0.1)])
+def test_goss_rejects_fractions_that_fail_the_positive_form(a, b):
+    with pytest.raises(gbdt.InvalidFraction, match="goss_a"):
+        gbdt.goss_sample(np.ones(4), a=a, b=b, seed=0)
+    with pytest.raises(gbdt.InvalidFraction, match="goss_a"):
+        gbdt.BoostParams(goss_a=a, goss_b=b)
+
+
 def test_goss_weighted_sum_unbiased(rng):
     g = rng.standard_normal(2000) + 0.5
     true = g.sum()
