@@ -38,6 +38,13 @@ Siblings: the histogram is built for the smaller child only; the larger
 child's is the parent's minus it (LightGBM's histogram subtraction). Counts
 are exact; g and h differ from a direct build only by rounding.
 
+Per-row state: the bin matrix is Fortran-ordered, one contiguous column
+per feature, so the row partition reads one contiguous column, and its
+type is the narrowest unsigned one that holds every bin id (uint8 at the
+default max_bins). The bundle columns, shifted into the slot space, are the
+narrowest unsigned type that holds the slot count. LightGBM also keeps its
+binned features per column in the narrowest integer type.
+
 Bundling is exact: the members of a bundle are never nonzero on the same
 row, so a bundle column decodes back to each member's bins. It packs each
 feature's nonzero mask into 64-bit words, so whether a feature overlaps
@@ -95,6 +102,10 @@ class BoostParams:
 # ---------------------------------------------------------------------------
 # binning
 
+# Rows of one-boundary columns compared at a time: the float copy one
+# comparison makes stays at 16 KB a column, whatever the row count.
+_BIN_BLOCK_ROWS = 1 << 11
+
 
 class BinMapper:
     """Quantile bin boundaries per feature; raw value -> bin id in [0, bins).
@@ -109,6 +120,13 @@ class BinMapper:
     @property
     def n_bins(self):
         return [len(b) + 1 for b in self.boundaries]
+
+    @property
+    def dtype(self):
+        """The narrowest unsigned type that holds every bin id: uint8 while
+        no feature has more than 256 bins (max_bins 255 gives at most 255),
+        else uint16."""
+        return np.min_scalar_type(max(self.n_bins, default=1) - 1)
 
     @staticmethod
     def fit(matrix, max_bins):
@@ -127,9 +145,23 @@ class BinMapper:
         return BinMapper(bounds)
 
     def transform(self, matrix):
-        out = np.empty(matrix.shape, dtype=np.int32)
+        """Bin ids of every value, as searchsorted(b, x, side="left") gives
+        them per column (NaN in the last bin), in a Fortran-ordered matrix
+        of self.dtype, so that one feature's bins are one contiguous
+        column. Columns of one boundary, most of a one-hot encoding, are
+        binned together by one comparison per block of rows."""
+        n = matrix.shape[0]
+        out = np.empty(matrix.shape, dtype=self.dtype, order="F")
+        single = [j for j, b in enumerate(self.boundaries) if len(b) == 1]
+        if single:
+            at = np.array([self.boundaries[j][0] for j in single])
+            for a in range(0, n, _BIN_BLOCK_ROWS):
+                block = matrix[a:a + _BIN_BLOCK_ROWS, single]
+                # bin 1 unless x <= b, so NaN falls in bin 1
+                out[a:a + _BIN_BLOCK_ROWS, single] = ~(block <= at)
         for j, b in enumerate(self.boundaries):
-            out[:, j] = np.searchsorted(b, matrix[:, j], side="left")
+            if len(b) != 1:
+                out[:, j] = np.searchsorted(b, matrix[:, j], side="left")
         return out
 
     def to_dict(self):
@@ -246,9 +278,11 @@ def efb_bundle(binned, n_bins) -> BundleMap:
 
 
 def bundle_columns(binned, bundle_map: BundleMap):
-    """Materialize one int column per bundle: 0 when every member is at bin
-    0, else offset + bin - 1 of the one nonzero member."""
-    cols = np.empty((binned.shape[0], len(bundle_map.bundles)), dtype=np.int32)
+    """Materialize one column per bundle: 0 when every member is at bin 0,
+    else offset + bin - 1 of the one nonzero member. The columns are of the
+    narrowest unsigned type that holds the bundles' slot count."""
+    dtype = np.min_scalar_type(sum(bundle_map.bundle_sizes()))
+    cols = np.empty((binned.shape[0], len(bundle_map.bundles)), dtype=dtype)
     for i, (bundle, offs) in enumerate(zip(bundle_map.bundles, bundle_map.offsets)):
         # efb_bundle gives every first member offset 1, so its bins are the
         # column as they are; members are exclusive, so later members fill
@@ -258,7 +292,9 @@ def bundle_columns(binned, bundle_map: BundleMap):
         for f, off in zip(bundle[1:], offs[1:]):
             v = binned[:, f]
             hit = v != 0
-            col[hit] = off + v[hit] - 1
+            # widened first: in a uint8 bin's own type, off + bin - 1 wraps
+            # past 255
+            col[hit] = v[hit].astype(dtype) + (off - 1)
     return cols
 
 
@@ -327,8 +363,11 @@ class _HistContext:
         sizes = np.asarray(bundle_map.bundle_sizes(), dtype=np.intp)
         starts = np.cumsum(sizes) - sizes
         self.n_slots = int(sizes.sum())
-        # bundle columns shifted into one slot space: one bincount per level
-        self.flat = bundle_cols.astype(np.intp) + starts
+        # bundle columns shifted into one slot space: one bincount per level;
+        # of the narrowest type that holds n_slots, as bundle_columns' are
+        dtype = np.min_scalar_type(self.n_slots)
+        self.flat = bundle_cols.astype(dtype)
+        self.flat += starts.astype(dtype)
         self.n_bundles = self.flat.shape[1]
         # every splittable feature reads its bins 0..nb-1 from the histogram;
         # ordered by (nb, feature), the features of one bin count form a
@@ -619,14 +658,13 @@ def fit(train: Dataset, params: BoostParams) -> Ensemble:
     priors = np.maximum(priors, 1e-12) / n
     base = np.log(priors)
     scores = np.tile(base, (n, 1))
-    onehot = np.eye(k_total)[y]
 
     trees = []
     for m in range(params.rounds):
         p = _softmax(scores)
         round_trees = []
         for k in range(k_total):
-            g = p[:, k] - onehot[:, k]
+            g = p[:, k] - (y == k)  # the one-hot target of class k
             h = np.maximum(p[:, k] * (1.0 - p[:, k]), 1e-12)
             idx, w = goss_sample(g, params.goss_a, params.goss_b,
                                  seed=params.seed * 100003 + m * 31 + k)

@@ -2,7 +2,9 @@
 
 An attack class is a minority class when n_normal / n_class >= gamma; its rows
 go to per-class fine-tuning, normal rows go to pretraining, and everything
-else passes through untouched.
+else passes through untouched. The routes are row indexes into the filtered
+dataset, so routing copies no feature row; a GAN phase selects its rows
+when it runs.
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ class ClassCensus:
 
 @dataclass
 class FilterOutput:
-    normal: Dataset
-    minority: dict        # class name -> single-class Dataset
-    passthrough: Dataset  # attack rows below the threshold
+    """Each route as sorted row indexes into the filtered dataset."""
+
+    normal: np.ndarray
+    minority: dict            # class name -> rows of that class
+    passthrough: np.ndarray   # attack rows below the threshold
     gamma: float
 
 
@@ -67,15 +71,10 @@ def filter_minority(dataset: Dataset, gamma=DEFAULT_GAMMA) -> FilterOutput:
         raise ValueError("gamma must be positive")
     census = class_census(dataset)
     schema = dataset.schema
-    normal_id = schema.normal_id
-    minority = {}
-    minority_ids = []
-    for name, ratio in census.ratios.items():
-        if ratio >= gamma:
-            cid = schema.class_id(name)
-            minority[name] = dataset.select(dataset.labels == cid)
-            minority_ids.append(cid)
-    normal = dataset.select(dataset.labels == normal_id)
-    keep = (dataset.labels != normal_id) & ~np.isin(dataset.labels, minority_ids)
-    passthrough = dataset.select(keep)
-    return FilterOutput(normal, minority, passthrough, gamma)
+    labels = dataset.labels
+    minority = {name: np.flatnonzero(labels == schema.class_id(name))
+                for name, ratio in census.ratios.items() if ratio >= gamma}
+    routed = np.zeros(len(schema.classes), dtype=bool)
+    routed[[schema.normal_id] + [schema.class_id(c) for c in minority]] = True
+    return FilterOutput(np.flatnonzero(labels == schema.normal_id), minority,
+                        np.flatnonzero(~routed[labels]), gamma)

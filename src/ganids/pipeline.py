@@ -185,13 +185,18 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         _write_csv(out_dir / "census.csv",
                    ["class", "samples", "imbalance_ratio"], census.rows())
 
+    # each table is dropped once its last reader is done, so that the
+    # training rows are held once from the encoding on
     with stage("split"):
         train_raw, test_raw = split_stratified(raw, config.train_fraction,
                                                SPLIT_SEED)
+        del raw
 
     with stage("encode"):
         train, plan = preprocess(train_raw)
+        del train_raw
         test, _ = preprocess(test_raw, plan)
+        del test_raw
         _write_json(out_dir / "plan.json", plan.to_dict())
 
     with stage("filter"):
@@ -206,7 +211,8 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             model = gan_mod.build_gan(feature_dim, gan_cfg)
             pre_cfg = gan_cfg if not config.skip_pretrain \
                 else replace(gan_cfg, max_steps=0)
-            model, pre_trace = gan_mod.pretrain(model, filtered.normal, pre_cfg)
+            model, pre_trace = gan_mod.pretrain(
+                model, train.select(filtered.normal), pre_cfg)
             traces["pretrain"] = pre_trace
             _write_trace(out_dir / "trace_pretrain.csv", pre_trace)
             pre_path = out_dir / "models" / "gan_pretrained.bin"
@@ -214,17 +220,17 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             gan_paths["pretrained"] = pre_path
 
         n_normal_train = len(filtered.normal)
-        for class_name, subset in sorted(filtered.minority.items()):
+        for class_name, rows in sorted(filtered.minority.items()):
             with stage(f"finetune:{class_name}"):
-                tuned, trace = gan_mod.finetune(model, subset, gan_cfg,
-                                                class_name=class_name)
+                tuned, trace = gan_mod.finetune(model, train.select(rows),
+                                                gan_cfg, class_name=class_name)
                 traces[class_name] = trace
                 _write_trace(out_dir / f"trace_{class_name}.csv", trace)
                 path = out_dir / "models" / f"gan_{class_name}.bin"
                 archive.save_gan(path, tuned)
                 gan_paths[class_name] = path
             with stage(f"synthesize:{class_name}"):
-                n = default_synth_count(n_normal_train, len(subset),
+                n = default_synth_count(n_normal_train, len(rows),
                                         config.gamma)
                 synth_raw = gan_mod.synthesize(
                     tuned, n, plan, seed=config.seed * 77 + 13,
@@ -235,6 +241,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
 
     with stage("augment"):
         train_aug = concat([train] + synth_sets) if synth_sets else train
+        del train, synth_sets
 
     if config.boruta_enabled:
         with stage("select"):

@@ -547,7 +547,8 @@ def test_packed_efb_matches_reference_loop(data):
 
 def _reference_bundle_columns(binned, bundle_map):
     """One masked fill per member, the first included: the loop that copying
-    each bundle's first member replaced, kept as its reference."""
+    each bundle's first member replaced, kept as its reference. It computes
+    in int32, whatever the width of the bins."""
     n = binned.shape[0]
     cols = np.zeros((n, len(bundle_map.bundles)), dtype=np.int32)
     for i, (bundle, offs) in enumerate(zip(bundle_map.bundles,
@@ -555,7 +556,7 @@ def _reference_bundle_columns(binned, bundle_map):
         col = cols[:, i]
         taken = np.zeros(n, dtype=bool)
         for f, off in zip(bundle, offs):
-            v = binned[:, f]
+            v = binned[:, f].astype(np.int32)
             hit = (v != 0) & ~taken
             col[hit] = off + v[hit] - 1
             taken |= hit
@@ -574,7 +575,132 @@ def test_bundle_columns_match_reference_loop(data):
                       (sparse, gbdt.efb_bundle(sparse, n_bins))):
         got = gbdt.bundle_columns(x, layout)
         want = _reference_bundle_columns(x, layout)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == np.min_scalar_type(sum(layout.bundle_sizes()))
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_transform_matches_searchsorted_per_column(data):
+    """transform against one searchsorted(side="left") per column, on values
+    that include NaN, infinities and the boundaries themselves, with row
+    blocks of any size."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(0, 40))
+    widths = data.draw(st.lists(st.sampled_from([0, 1, 1, 2, 7, 255, 256]),
+                                min_size=1, max_size=6))
+    boundaries = [np.unique(rng.standard_normal(k)) for k in widths]
+    x = np.stack([rng.choice(np.concatenate(
+        [b, [np.nan, np.inf, -np.inf], rng.standard_normal(4)]), n)
+        for b in boundaries], axis=1)
+    if data.draw(st.booleans()):
+        x = np.asfortranarray(x)
+    mapper = gbdt.BinMapper(boundaries)
+    block = data.draw(st.integers(1, 50))
+    with mock.patch.object(gbdt, "_BIN_BLOCK_ROWS", block):
+        got = mapper.transform(x)
+    assert got.flags.f_contiguous
+    # 256 boundaries make 257 bins, the first count past a byte
+    assert got.dtype == (np.uint16 if max(widths) >= 256 else np.uint8)
+    for j, b in enumerate(boundaries):
+        assert np.array_equal(got[:, j], np.searchsorted(b, x[:, j],
+                                                         side="left"))
+
+
+def _int32_row_major_bins(mapper, x):
+    """The oracle of the byte-wide layout: int32 bins in row-major order,
+    one searchsorted per column."""
+    out = np.empty(x.shape, dtype=np.int32)
+    for j, b in enumerate(mapper.boundaries):
+        out[:, j] = np.searchsorted(b, x[:, j], side="left")
+    return out
+
+
+def _int32_fit(ds, params, monkeypatch):
+    """fit on the oracle's bins."""
+    def bin_features(train, max_bins):
+        x = np.asarray(train.features, dtype=np.float64)
+        mapper = gbdt.BinMapper.fit(x, max_bins)
+        return mapper, _int32_row_major_bins(mapper, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(gbdt, "bin_features", bin_features)
+        return gbdt.fit(ds, params)
+
+
+def _int32_proba(ens, x):
+    """Ensemble.predict_proba walked on the oracle's bins."""
+    binned = _int32_row_major_bins(ens.mapper, x)
+    scores = np.tile(ens.base_scores, (len(x), 1))
+    for round_trees in ens.trees:
+        for k, tree in enumerate(round_trees):
+            scores[:, k] += ens.learning_rate * gbdt.predict_tree(tree, binned)
+    return gbdt._softmax(scores)
+
+
+def _assert_fit_matches_int32_binning(ds, params, monkeypatch):
+    """Bundle columns, trees and class probabilities of a fit on the
+    narrow bins equal those of the int32 oracle bit for bit."""
+    x = ds.features
+    mapper, binned = gbdt.bin_features(ds, params.max_bins)
+    bm = gbdt.efb_bundle(binned, mapper.n_bins)
+    oracle = _int32_row_major_bins(mapper, x)
+    assert np.array_equal(binned, oracle)
+    cols = gbdt.bundle_columns(binned, bm)
+    assert np.array_equal(cols, _reference_bundle_columns(oracle, bm))
+    got = gbdt.fit(ds, params)
+    want = _int32_fit(ds, params, monkeypatch)
+    assert [[t.to_dict() for t in r] for r in got.trees] \
+        == [[t.to_dict() for t in r] for r in want.trees]
+    assert np.array_equal(got.predict_proba(x), _int32_proba(want, x))
+    return mapper, binned, bm, cols, got
+
+
+def test_bundle_offsets_past_255_keep_training_lossless(monkeypatch):
+    """C8 past a byte: three exclusive features of about 200 bins each
+    share one bundle whose offsets run past 255, so its column needs two
+    bytes although every bin fits one. Bundle columns, trees and
+    probabilities equal the int32 oracle's, and the trees equal an
+    unbundled fit's."""
+    rng = np.random.default_rng(11)
+    n = 1500
+    owner = rng.integers(0, 4, n)  # owner 3: all three sparse features 0
+    x = np.zeros((n, 4))
+    for j in range(3):
+        rows = owner == j
+        x[rows, j] = rng.integers(1, 240, rows.sum()) / 240.0
+    x[:, 3] = rng.random(n)
+    y = (owner + (x[:, 3] > 0.5)) % 3
+    ds = encoded_dataset(x, y, ["a", "b", "c"])
+    params = gbdt.BoostParams(rounds=4, min_leaf=10, max_depth=4)
+    mapper, binned, bm, cols, got = _assert_fit_matches_int32_binning(
+        ds, params, monkeypatch)
+    assert binned.dtype == np.uint8
+    assert max(off for offs in bm.offsets for off in offs) > 255
+    assert cols.dtype == np.uint16 and cols.max() > 255
+    monkeypatch.setattr(gbdt, "efb_bundle", singleton_bundles)
+    unbundled = gbdt.fit(encoded_dataset(x.copy(), y, ["a", "b", "c"]),
+                         params)
+    for r_got, r_off in zip(got.trees, unbundled.trees):
+        for t_got, t_off in zip(r_got, r_off):
+            assert t_got.structure() == t_off.structure()
+
+
+def test_max_bins_300_fit_matches_int32_binning(monkeypatch):
+    """Above 256 bins a feature, bins are uint16: the fit equals the int32
+    oracle's."""
+    rng = np.random.default_rng(12)
+    n = 2000
+    x = rng.random((n, 3))
+    x[:, 2] = rng.random(n) < 0.3
+    y = ((x[:, 0] > 0.5).astype(int) + (x[:, 1] > 0.3) + x[:, 2]) % 3
+    ds = encoded_dataset(x, y, ["a", "b", "c"])
+    params = gbdt.BoostParams(rounds=4, max_bins=300, min_leaf=10,
+                              max_depth=4)
+    mapper, binned, _, _, _ = _assert_fit_matches_int32_binning(
+        ds, params, monkeypatch)
+    assert max(mapper.n_bins) > 256
+    assert binned.dtype == np.uint16 and binned.flags.f_contiguous
 
 
 def test_fit_zero_rounds_predicts_priors():

@@ -107,8 +107,23 @@ def test_filter_partitions_the_input(rng):
     total = len(out.normal) + len(out.passthrough) \
         + sum(len(v) for v in out.minority.values())
     assert total == len(ds)
-    for name, subset in out.minority.items():
-        assert np.all(subset.labels == ds.schema.class_id(name))
+    for name, rows in out.minority.items():
+        assert np.all(ds.labels[rows] == ds.schema.class_id(name))
+
+
+def test_filter_routes_are_sorted_row_indexes():
+    ds = dataset_with_counts([100, 50, 10, 2],
+                             ["normal", "dos", "probe", "rare"], "normal")
+    order = np.random.default_rng(0).permutation(len(ds))
+    ds = ds.select(order)
+    out = imbalance.filter_minority(ds, gamma=10.0)
+    routes = [out.normal, out.passthrough, *out.minority.values()]
+    for rows in routes:
+        assert rows.dtype == np.intp and np.all(np.diff(rows) > 0)
+    assert np.array_equal(np.sort(np.concatenate(routes)), np.arange(len(ds)))
+    assert np.array_equal(out.normal, np.flatnonzero(ds.labels == 0))
+    assert np.array_equal(out.minority["rare"], np.flatnonzero(ds.labels == 3))
+    assert np.array_equal(out.passthrough, np.flatnonzero(ds.labels == 1))
 
 
 def test_filter_rejects_nonpositive_gamma():
