@@ -1,4 +1,4 @@
-"""Versioned on-disk containers for trained models (format 4).
+"""Versioned on-disk containers for trained models (format 5).
 
 Layout: magic, format version, the SHA-256 of everything after it, then a
 length-prefixed JSON header and length-prefixed blobs. Any truncation or
@@ -6,19 +6,25 @@ flipped bit fails the digest, and every length prefix is bounds-checked, so
 a damaged file raises ArchiveError. Writing and reading round-trip
 bit-exactly.
 
-An archive stores values, not structure. A GAN header holds the phase,
-`feature_dim`, the config and a content hash per network; the networks'
-layers come from `gan.network_specs(feature_dim, cfg)`, and each network's
-blob is its parameters as one run of raw float64, in sorted-name order, with
-the shapes `nn.param_shapes` gives. A GAN trains in `gan.DTYPE` (float32):
-its blob holds the exact float64 upcasts, whose hash is checked before
-`load_gan` casts them back, so a model round-trips bit for bit. A blob whose
-length does not fit those shapes, or whose values fail the stored hash, or a
-phase that `gan.tuned_class` rejects, raises ArchiveError. An ensemble's blob is its
-JSON description, checked against the header's hash; it holds the encoding
-plan, so the file alone is enough to score a CSV. Its fitted columns must be
-its feature names, one each, and each a column of that plan, or saving
-raises ValueError and loading ArchiveError.
+Every JSON part is a dataclass written by `dataclasses.asdict`, with arrays
+as lists, and read back by `data.decode`: a key the dataclass does not
+declare, a missing key, a value of the wrong type and a value the
+dataclass's own checks reject each raise ArchiveError naming the file and
+the key path ("ens.bin: body: trees: [0]: [1]: left: feature: ...").
+
+An archive stores values, not structure. A GAN header (GanHeader) holds the
+phase, `feature_dim`, the config and a content hash per network; the
+networks' layers come from `gan.network_specs(feature_dim, cfg)`, and each
+network's blob is its parameters as one run of raw float64, in sorted-name
+order, with the shapes `nn.param_shapes` gives. A GAN trains in
+`gan.DTYPE` (float32): its blob holds the exact float64 upcasts, whose hash
+is checked before `load_gan` casts them back, so a model round-trips bit
+for bit. A blob whose length does not fit those shapes, or whose values
+fail the stored hash, raises ArchiveError. An ensemble's blob is its
+`gbdt.Ensemble`, checked against the hash in its header (EnsembleHeader);
+it holds the encoding plan, so the file alone is enough to score a CSV. Its
+fitted columns must be its feature names, one each, and each a column of
+that plan, or saving raises ValueError and loading ArchiveError.
 """
 
 from __future__ import annotations
@@ -26,16 +32,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import gan as gan_mod
 from . import gbdt, nn
-from .data import decode
+from .data import FieldTypeError, decode
 
 MAGIC = b"GANIDS\x00"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _PREFIX = len(MAGIC) + 2 + 32  # magic, version, body digest
 
 
@@ -43,9 +49,66 @@ class ArchiveError(ValueError):
     """A model archive is truncated or malformed."""
 
 
+def _check_kind(kind, expected):
+    if kind != expected:
+        raise ValueError(f"kind: {kind!r}, where a {expected} archive was "
+                         "expected")
+
+
+@dataclass
+class GanHeader:
+    """A GAN archive's header: its networks are those gan.network_specs
+    builds for feature_dim and cfg, in a phase a model goes through."""
+
+    kind: str  # "gan"
+    phase: str
+    feature_dim: int
+    cfg: gan_mod.GanConfig
+    g_hash: str
+    d_hash: str
+
+    def __post_init__(self):
+        _check_kind(self.kind, "gan")
+        gan_mod.network_specs(self.feature_dim, self.cfg)
+        try:
+            gan_mod.tuned_class(self.phase)
+        except gan_mod.WrongPhase as e:
+            raise ValueError(f"phase: {e}") from e
+
+
+@dataclass
+class EnsembleHeader:
+    """An ensemble archive's header: the SHA-256 of its body."""
+
+    kind: str  # "ensemble"
+    hash: str
+
+    def __post_init__(self):
+        _check_kind(self.kind, "ensemble")
+
+
+def _dumps(value) -> bytes:
+    """The JSON of a value asdict gives, with its arrays as lists."""
+    return json.dumps(value, sort_keys=True,
+                      default=np.ndarray.tolist).encode()
+
+
+def _decode(path, kind, blob, key):
+    """The `kind` that the JSON blob holds; ArchiveError naming the file
+    and the key path when it holds none."""
+    try:
+        return decode(kind, json.loads(blob.decode()), key)
+    except FieldTypeError as e:
+        raise ArchiveError(f"{path}: {e}") from e
+    except RecursionError as e:
+        raise ArchiveError(f"{path}: {key} nests too deeply to read") from e
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ArchiveError(f"{path}: unreadable {key}: {e}") from e
+
+
 def _write(path, header: dict, blobs: list):
     body = bytearray()
-    for chunk in [json.dumps(header, sort_keys=True).encode()] + blobs:
+    for chunk in [_dumps(header)] + blobs:
         body += len(chunk).to_bytes(8, "little")
         body += chunk
     with open(path, "wb") as f:
@@ -67,7 +130,8 @@ def read_length(buf, off, what):
     return n
 
 
-def _read(path):
+def _read(path, kind):
+    """The header, as a `kind`, and the blobs of the archive at path."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:len(MAGIC)] != MAGIC:
@@ -87,13 +151,7 @@ def _read(path):
         off += 8 + n
     if not chunks:
         raise ArchiveError(f"{path}: missing header")
-    try:
-        header = json.loads(chunks[0].decode())
-    except ValueError as e:
-        raise ArchiveError(f"{path}: unreadable header: {e}") from e
-    if not isinstance(header, dict):
-        raise ArchiveError(f"{path}: header is not an object")
-    return header, chunks[1:]
+    return _decode(path, kind, chunks[0], "header"), chunks[1:]
 
 
 def file_hash(path):
@@ -127,38 +185,26 @@ def save_gan(path, model: gan_mod.GanModel):
     if (model.g_spec, model.d_spec) != specs:
         raise ValueError(f"{path}: only the networks gan.network_specs "
                          "builds can be archived")
-    header = {
-        "kind": "gan",
-        "phase": model.phase,
-        "feature_dim": model.feature_dim,
-        "cfg": asdict(model.cfg),
-        "g_hash": model.g_params.content_hash(),
-        "d_hash": model.d_params.content_hash(),
-    }
-    _write(path, header, [_param_blob(model.g_params),
-                          _param_blob(model.d_params)])
+    header = GanHeader("gan", model.phase, model.feature_dim, model.cfg,
+                       model.g_params.content_hash(),
+                       model.d_params.content_hash())
+    _write(path, asdict(header), [_param_blob(model.g_params),
+                                  _param_blob(model.d_params)])
 
 
 def load_gan(path) -> gan_mod.GanModel:
-    header, blobs = _read(path)
-    if header.get("kind") != "gan" or len(blobs) != 2:
+    header, blobs = _read(path, GanHeader)
+    if len(blobs) != 2:
         raise ArchiveError(f"{path}: expected a gan archive")
-    try:
-        feature_dim, phase = header["feature_dim"], header["phase"]
-        gan_mod.tuned_class(phase)
-        cfg = decode(gan_mod.GanConfig, header["cfg"], "cfg")
-        g_spec, d_spec = gan_mod.network_specs(feature_dim, cfg)
-    except (KeyError, TypeError, ValueError, gan_mod.WrongPhase) as e:
-        raise ArchiveError(f"{path}: header does not describe a GAN "
-                           f"({type(e).__name__}: {e})") from e
+    g_spec, d_spec = gan_mod.network_specs(header.feature_dim, header.cfg)
     g_params = _param_set(path, g_spec, blobs[0])
     d_params = _param_set(path, d_spec, blobs[1])
-    if g_params.content_hash() != header.get("g_hash") \
-            or d_params.content_hash() != header.get("d_hash"):
+    if g_params.content_hash() != header.g_hash \
+            or d_params.content_hash() != header.d_hash:
         raise ArchiveError(f"{path}: content hash mismatch")
     return gan_mod.GanModel(g_spec, g_params.astype(gan_mod.DTYPE), d_spec,
-                            d_params.astype(gan_mod.DTYPE), feature_dim, cfg,
-                            phase=phase)
+                            d_params.astype(gan_mod.DTYPE), header.feature_dim,
+                            header.cfg, phase=header.phase)
 
 
 def _layout_mismatch(ensemble: gbdt.Ensemble):
@@ -186,23 +232,18 @@ def save_ensemble(path, ensemble: gbdt.Ensemble):
     mismatch = _layout_mismatch(ensemble)
     if mismatch:
         raise ValueError(f"{path}: {mismatch}")
-    blob = json.dumps(ensemble.to_dict(), sort_keys=True).encode()
-    header = {"kind": "ensemble",
-              "hash": hashlib.sha256(blob).hexdigest()}
-    _write(path, header, [blob])
+    blob = _dumps(asdict(ensemble))
+    header = EnsembleHeader("ensemble", hashlib.sha256(blob).hexdigest())
+    _write(path, asdict(header), [blob])
 
 
 def load_ensemble(path) -> gbdt.Ensemble:
-    header, blobs = _read(path)
-    if header.get("kind") != "ensemble" or len(blobs) != 1:
+    header, blobs = _read(path, EnsembleHeader)
+    if len(blobs) != 1:
         raise ArchiveError(f"{path}: expected an ensemble archive")
-    if hashlib.sha256(blobs[0]).hexdigest() != header.get("hash"):
+    if hashlib.sha256(blobs[0]).hexdigest() != header.hash:
         raise ArchiveError(f"{path}: content hash mismatch")
-    try:
-        ensemble = gbdt.Ensemble.from_dict(json.loads(blobs[0].decode()))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ArchiveError(f"{path}: body does not describe an ensemble "
-                           f"({type(e).__name__}: {e})") from e
+    ensemble = _decode(path, gbdt.Ensemble, blobs[0], "body")
     if ensemble.plan is None:
         raise ArchiveError(f"{path}: the ensemble carries no encoding plan")
     mismatch = _layout_mismatch(ensemble)

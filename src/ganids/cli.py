@@ -75,6 +75,11 @@ def cmd_ablate(args):
 def cmd_evaluate(args):
     ens = archive.load_ensemble(args.model)
     schema = load_schema(args.schema)
+    # class ids index the class list, so a model scores only under its own
+    if ens.classes != schema.classes:
+        raise PlanMismatch(f"{args.model}: the model's classes "
+                           f"{ens.classes} are not the schema's "
+                           f"{schema.classes}")
     enc, _ = preprocess(load_dataset(args.paths, schema), ens.plan)
     # a model trained on selected features reads only those columns
     pred = ens.predict(select_columns(enc, ens.feature_names).features)

@@ -13,9 +13,13 @@ that parse fails, or a label is unknown, the file is read again with
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
+import math
 import numbers
+import sys
+import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from importlib import resources
@@ -49,7 +53,7 @@ class UnknownLabel(ValueError):
 class BadNumber(ValueError):
     def __init__(self, path, line, column, name, value):
         super().__init__(f"{path}: line {line}, column {column} ({name}): "
-                         f"{value!r} is not a number")
+                         f"{value!r} is not a finite number")
         self.path = path
         self.line = line
         self.column = column  # 1-based, as in the file
@@ -151,13 +155,43 @@ class FieldTypeError(TypeError):
     """A JSON value that does not fit the field it is read into."""
 
     def __init__(self, key, reason):
-        super().__init__(f"{key}: {reason}")
+        # a key read from a file may hold a line break
+        super().__init__(f"{key if key.isprintable() else repr(key)}: "
+                         f"{reason}")
         self.key = key
         self.reason = reason
 
 
-# what a value must be an instance of to fit a field of the key's type
-_FITS = {int: numbers.Integral, float: numbers.Real}
+# what a value must be an instance of to fit a field of the key's type; the
+# builtin types first, which isinstance tests without the abstract classes
+_FITS = {int: (int, numbers.Integral), float: (float, int, numbers.Real)}
+
+
+def is_finite_real(x):
+    """Whether x is a number that fits a float field (a bool does not) and
+    that a float holds finitely (an int too large for a float does not)."""
+    return isinstance(x, _FITS[float]) and not isinstance(x, bool) \
+        and abs(x) <= sys.float_info.max
+
+
+@functools.cache
+def _form(kind):
+    """How decode reads a value of type kind, resolved once per type (a
+    model file holds a record per tree node): ("optional", T) for T | None,
+    ("array", None) for np.ndarray, ("record", (field types, names of the
+    fields without a default)) for a dataclass, and ("plain", (the type a
+    value must be an instance of, the item types)) otherwise."""
+    origin = typing.get_origin(kind)
+    if origin is types.UnionType or origin is typing.Union:
+        return "optional", next(a for a in typing.get_args(kind)
+                                if a is not type(None))
+    if kind is np.ndarray:
+        return "array", None
+    if is_dataclass(kind):
+        return "record", (typing.get_type_hints(kind), tuple(
+            f.name for f in fields(kind)
+            if f.default is MISSING and f.default_factory is MISSING))
+    return "plain", (origin or kind, typing.get_args(kind))
 
 
 def decode(kind, value, key=None):
@@ -166,8 +200,10 @@ def decode(kind, value, key=None):
     A dataclass reads from an object that names only its fields and every
     field without a default; each value is decoded by its field's
     annotation, then the dataclass's own checks run. `list[T]` and
-    `dict[str, T]` read item by item. Any other type takes an instance of
-    itself, where an int fits a float and a bool fits only a bool.
+    `dict[str, T]` read item by item, `T | None` reads null as None and
+    anything else as a T, and `np.ndarray` reads a list of JSON numbers as
+    a 1-D float64 array. Any other type takes an instance of itself, where
+    an int fits a float and a bool fits only a bool.
 
     Raises FieldTypeError(key, reason) for a value that does not fit or that
     a dataclass rejects, with a nested value's key leading the reason
@@ -176,30 +212,37 @@ def decode(kind, value, key=None):
     the dataclass's ValueError, or TypeError when it is not an object.
     """
     try:
-        record = is_dataclass(kind)
-        shape = dict if record else typing.get_origin(kind) or kind
+        form, detail = _form(kind)
+        if form == "optional":
+            return None if value is None else decode(detail, value)
+        if form == "array":
+            # the types json reads numbers as, so not a bool
+            if not (isinstance(value, list)
+                    and set(map(type, value)) <= {int, float}):
+                raise TypeError(f"must be a list of numbers, got {value!r}")
+            return np.array(value, dtype=np.float64)
+        shape, args = (dict, None) if form == "record" else detail
         if not isinstance(value, _FITS.get(shape, shape)) or (
                 shape is not bool and isinstance(value, bool)):
             raise TypeError(f"must be of type {shape.__name__}, got {value!r}")
-        if record:
-            hints = typing.get_type_hints(kind)
+        if form == "record":
+            hints, required = detail
             for name in value:
                 if name not in hints:
                     raise FieldTypeError(name, "unknown key")
-            for f in fields(kind):
-                if f.name not in value and f.default is MISSING \
-                        and f.default_factory is MISSING:
-                    raise FieldTypeError(f.name, "missing")
+            for name in required:
+                if name not in value:
+                    raise FieldTypeError(name, "missing")
             return kind(**{k: decode(hints[k], v, k)
                            for k, v in value.items()})
-        args = typing.get_args(kind)
         if shape is list and args:
             return [decode(args[0], v, f"[{i}]") for i, v in enumerate(value)]
         if shape is dict and args:
             return {decode(args[0], k, k): decode(args[1], v, k)
                     for k, v in value.items()}
         return value
-    except (TypeError, ValueError) as e:
+    # OverflowError: an integer too large for a float
+    except (TypeError, ValueError, OverflowError) as e:
         if key is None:
             raise
         raise FieldTypeError(key, str(e)) from e
@@ -320,11 +363,6 @@ def load_dataset(paths, schema: DatasetSchema) -> Dataset:
             features[:, k] = table[f"c{j}"]
         else:
             levels[k], features[:, k] = _factorize(table[f"c{j}"])
-    # level codes are always finite, so the first bad column is numeric
-    finite = np.isfinite(features).all(axis=0)
-    if not finite.all():
-        raise NonFiniteValue(
-            f"non-finite values in column {cols[np.argmin(finite)][1].name}")
     return Dataset(features, labels, schema, encoded=False,
                    feature_names=[c.name for _, c in cols], levels=levels)
 
@@ -347,6 +385,11 @@ def _parse_file(path, schema, row):
                 quotechar='"', ndmin=1)
         except ValueError as e:
             _raise_first_fault(path, schema, e)
+    # loadtxt reads "inf", "nan" and "1e400" as numbers
+    if not all(np.isfinite(table[f"c{j}"]).all()
+               for j, c in enumerate(schema.columns) if c.kind == "numeric"):
+        _raise_first_fault(path, schema,
+                           NonFiniteValue(f"{path}: a non-finite number"))
     label = [c.kind for c in schema.columns].index("label")
     raw, codes = _factorize(table[f"c{label}"])
     ids = [schema.resolve_label(v) for v in raw]
@@ -385,8 +428,9 @@ def _is_number(text):
 
 def _raise_first_fault(path, schema, cause):
     """Re-read one file with csv.reader and raise the typed error of its first
-    bad row: RowArity, UnknownLabel or BadNumber, with the line (record) and
-    the 1-based file column. Raises cause when no row is bad."""
+    bad row: RowArity, UnknownLabel or BadNumber (a numeric cell that is
+    not a finite number), with the line (record) and the 1-based file
+    column. Raises cause when no row is bad."""
     width = len(schema.columns)
     with open(path, encoding="utf-8", newline="") as f:
         header = schema.has_header
@@ -402,7 +446,8 @@ def _raise_first_fault(path, schema, cause):
                 if col.kind == "label" \
                         and schema.resolve_label(val.strip()) is None:
                     raise UnknownLabel(path, line, val.strip()) from None
-                if col.kind == "numeric" and not _is_number(val):
+                if col.kind == "numeric" and not (
+                        _is_number(val) and math.isfinite(float(val))):
                     raise BadNumber(path, line, j, col.name, val) from None
     raise cause
 
@@ -414,10 +459,23 @@ def _raise_first_fault(path, schema, cause):
 @dataclass
 class PreprocessPlan:
     """Fitted per-column transforms: min/max for numerics, level tables for
-    categoricals. Applying the plan never invents columns beyond this layout."""
+    categoricals. Applying the plan never invents columns beyond this layout.
+
+    Each transform is a tuple, however it was read: (name, "numeric", lo,
+    hi) with finite lo and hi, or (name, "categorical", levels) with a tuple
+    of level strings. The fingerprint is that of the transforms' names and
+    kinds, so a plan whose fingerprint matches a schema's encodes exactly
+    that schema's feature columns, in order."""
 
     transforms: list  # (name, 'numeric', lo, hi) | (name, 'categorical', levels)
     fingerprint: str
+
+    def __post_init__(self):
+        self.transforms = [_checked_transform(i, t)
+                           for i, t in enumerate(self.transforms)]
+        if self.fingerprint != _fingerprint(t[:2] for t in self.transforms):
+            raise ValueError("fingerprint: not that of the transforms' "
+                             "names and kinds")
 
     def encoded_names(self):
         names = []
@@ -434,18 +492,36 @@ class PreprocessPlan:
         return [None if t[1] == "numeric" else np.array(t[2], dtype=object)
                 for t in self.transforms]
 
-    def to_dict(self):
-        return {"transforms": [list(t) for t in self.transforms],
-                "fingerprint": self.fingerprint}
-
     @staticmethod
     def from_dict(d):
-        return PreprocessPlan([tuple(t) for t in d["transforms"]], d["fingerprint"])
+        return decode(PreprocessPlan, d)
+
+
+def _checked_transform(i, t):
+    """Transform i as a tuple; ValueError naming it when it is neither
+    form."""
+    if isinstance(t, (list, tuple)) and len(t) >= 2 and isinstance(t[0], str):
+        name, kind, *rest = t
+        if kind == "numeric" and len(rest) == 2 \
+                and all(map(is_finite_real, rest)):
+            return (name, kind, float(rest[0]), float(rest[1]))
+        if kind == "categorical" and len(rest) == 1 \
+                and isinstance(rest[0], (list, tuple)) \
+                and all(isinstance(v, str) for v in rest[0]):
+            return (name, kind, tuple(rest[0]))
+    raise ValueError(f"transforms: [{i}]: not a (name, \"numeric\", lo, hi) "
+                     "transform with finite lo and hi, nor a (name, "
+                     "\"categorical\", levels) one with string levels")
+
+
+def _fingerprint(columns):
+    """Of (name, kind) column pairs."""
+    blob = json.dumps([list(c) for c in columns])
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _schema_fingerprint(schema):
-    blob = json.dumps([(c.name, c.kind) for c in schema.feature_columns])
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return _fingerprint((c.name, c.kind) for c in schema.feature_columns)
 
 
 def fit_plan(dataset: Dataset) -> PreprocessPlan:

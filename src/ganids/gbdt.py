@@ -61,7 +61,7 @@ from itertools import accumulate
 import numpy as np
 
 from .autodiff import ShapeMismatch
-from .data import Dataset, EmptyDataset, PreprocessPlan
+from .data import Dataset, EmptyDataset, PreprocessPlan, is_finite_real
 
 
 class SingleClass(ValueError):
@@ -107,15 +107,23 @@ class BoostParams:
 _BIN_BLOCK_ROWS = 1 << 11
 
 
+@dataclass
 class BinMapper:
     """Quantile bin boundaries per feature; raw value -> bin id in [0, bins).
 
     Values equal to a boundary fall in the lower bin. Features with few
-    distinct values get one bin per distinct value.
+    distinct values get one bin per distinct value. A feature's boundaries
+    are a 1-D float64 array of finite values in ascending order.
     """
 
-    def __init__(self, boundaries):
-        self.boundaries = boundaries  # list of ascending float arrays
+    boundaries: list[np.ndarray]
+
+    def __post_init__(self):
+        for j, b in enumerate(self.boundaries):
+            if b.ndim != 1 or not np.isfinite(b).all() \
+                    or np.any(b[1:] < b[:-1]):
+                raise ValueError(f"boundaries: [{j}]: not finite numbers "
+                                 "in ascending order")
 
     @property
     def n_bins(self):
@@ -163,13 +171,6 @@ class BinMapper:
             if len(b) != 1:
                 out[:, j] = np.searchsorted(b, matrix[:, j], side="left")
         return out
-
-    def to_dict(self):
-        return {"boundaries": [b.tolist() for b in self.boundaries]}
-
-    @staticmethod
-    def from_dict(d):
-        return BinMapper([np.asarray(b, dtype=np.float64) for b in d["boundaries"]])
 
 
 def bin_features(train: Dataset, max_bins):
@@ -304,12 +305,25 @@ def bundle_columns(binned, bundle_map: BundleMap):
 
 @dataclass
 class TreeNode:
+    """A leaf (feature -1, no children), or a split on a feature >= 0 with
+    a bin_threshold >= 0 and two children; gain and value are finite."""
+
     feature: int = -1
     bin_threshold: int = -1   # go left when bin <= threshold
     gain: float = 0.0
     value: float = 0.0
-    left: "TreeNode" = None
-    right: "TreeNode" = None
+    left: TreeNode | None = None
+    right: TreeNode | None = None
+
+    def __post_init__(self):
+        children = (self.left is not None) + (self.right is not None)
+        if not (self.feature == -1 and children == 0 or self.feature >= 0
+                and self.bin_threshold >= 0 and children == 2):
+            raise ValueError("not a leaf (feature -1, no children) nor a "
+                             "split (feature and bin_threshold >= 0, two "
+                             "children)")
+        if not (is_finite_real(self.gain) and is_finite_real(self.value)):
+            raise ValueError("gain and value must be finite")
 
     @property
     def is_leaf(self):
@@ -320,22 +334,6 @@ class TreeNode:
             return ("leaf", round(self.value, 12))
         return ("split", self.feature, self.bin_threshold,
                 self.left.structure(), self.right.structure())
-
-    def to_dict(self):
-        if self.is_leaf:
-            return {"value": self.value}
-        return {"feature": self.feature, "bin": self.bin_threshold,
-                "gain": self.gain, "left": self.left.to_dict(),
-                "right": self.right.to_dict()}
-
-    @staticmethod
-    def from_dict(d):
-        if "feature" not in d:
-            return TreeNode(value=d["value"])
-        return TreeNode(feature=d["feature"], bin_threshold=d["bin"],
-                        gain=d.get("gain", 0.0),
-                        left=TreeNode.from_dict(d["left"]),
-                        right=TreeNode.from_dict(d["right"]))
 
 
 def _leaf_value(gsum, hsum, lam):
@@ -562,15 +560,46 @@ def predict_tree(node: TreeNode, binned):
 
 @dataclass
 class Ensemble:
-    trees: list                 # trees[round][class]
-    base_scores: np.ndarray     # (K,)
+    """A fitted model. Each round has one tree per class, base_scores one
+    finite score per class, the learning rate is positive and finite, and
+    every split reads a fitted column at a bin threshold below that
+    column's boundary count."""
+
+    trees: list[list[TreeNode]]  # trees[round][class]
+    base_scores: np.ndarray      # (K,)
     mapper: BinMapper
-    n_classes: int
+    classes: list[str]           # the class list of the training schema
     learning_rate: float
-    feature_names: list = field(default_factory=list)
+    feature_names: list[str] = field(default_factory=list)
     # the encoding whose columns feature_names selects from; fit leaves it
     # None, and the pipeline attaches the training run's plan
-    plan: PreprocessPlan = None
+    plan: PreprocessPlan | None = None
+
+    def __post_init__(self):
+        k = len(self.classes)
+        if self.base_scores.shape != (k,) \
+                or not np.isfinite(self.base_scores).all():
+            raise ValueError(f"base_scores: not {k} finite scores, one per "
+                             "class")
+        if not (is_finite_real(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate: must be positive and finite")
+        widths = [len(b) for b in self.mapper.boundaries]
+        for r, rnd in enumerate(self.trees):
+            if len(rnd) != k:
+                raise ValueError(f"trees: [{r}]: {len(rnd)} trees for {k} "
+                                 "classes")
+            stack = [(t, f"trees: [{r}]: [{c}]") for c, t in enumerate(rnd)]
+            while stack:
+                nd, at = stack.pop()
+                if nd.is_leaf:
+                    continue
+                if not (nd.feature < len(widths)
+                        and nd.bin_threshold < widths[nd.feature]):
+                    raise ValueError(
+                        f"{at}: a split at bin {nd.bin_threshold} of feature "
+                        f"{nd.feature}, beyond the {len(widths)} fitted "
+                        "columns' boundaries")
+                stack += [(nd.left, f"{at}: left"), (nd.right, f"{at}: right")]
 
     def raw_scores(self, matrix):
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -607,30 +636,6 @@ class Ensemble:
                 imp[nd.feature] += nd.gain
                 stack.extend([nd.left, nd.right])
         return imp
-
-    def to_dict(self):
-        return {
-            "trees": [[t.to_dict() for t in rnd] for rnd in self.trees],
-            "base_scores": self.base_scores.tolist(),
-            "mapper": self.mapper.to_dict(),
-            "n_classes": self.n_classes,
-            "learning_rate": self.learning_rate,
-            "feature_names": list(self.feature_names),
-            "plan": None if self.plan is None else self.plan.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return Ensemble(
-            trees=[[TreeNode.from_dict(t) for t in rnd] for rnd in d["trees"]],
-            base_scores=np.asarray(d["base_scores"]),
-            mapper=BinMapper.from_dict(d["mapper"]),
-            n_classes=d["n_classes"],
-            learning_rate=d["learning_rate"],
-            feature_names=list(d.get("feature_names", [])),
-            plan=None if d.get("plan") is None
-            else PreprocessPlan.from_dict(d["plan"]),
-        )
 
 
 def _softmax(scores):
@@ -672,5 +677,5 @@ def fit(train: Dataset, params: BoostParams) -> Ensemble:
             scores[:, k] += params.learning_rate * predict_tree(tree, binned)
             round_trees.append(tree)
         trees.append(round_trees)
-    return Ensemble(trees, base, mapper, k_total,
+    return Ensemble(trees, base, mapper, list(train.schema.classes),
                     params.learning_rate, list(train.feature_names))

@@ -197,7 +197,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         del train_raw
         test, _ = preprocess(test_raw, plan)
         del test_raw
-        _write_json(out_dir / "plan.json", plan.to_dict())
+        _write_json(out_dir / "plan.json", asdict(plan))
 
     with stage("filter"):
         filtered = imbalance.filter_minority(train, config.gamma)

@@ -1,10 +1,13 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ganids import gbdt
-from ganids.data import Column, Dataset, DatasetSchema
+from ganids.data import Column, Dataset, DatasetSchema, fit_plan
 
 
 def make_schema(n_features, classes, normal=None):
@@ -52,12 +55,38 @@ def raw_dataset(rows, labels, kinds, classes, normal=None):
                    levels=levels)
 
 
+def unit_plan(n_features):
+    """The plan fitted on numeric columns f0, f1, ... that span [0, 1]."""
+    return fit_plan(raw_dataset([[0.0] * n_features, [1.0] * n_features],
+                                [0, 1], ["numeric"] * n_features,
+                                ["normal", "attack"]))
+
+
 def column(ds, j):
     """Values of feature column j of a dataset: numbers, or level strings for
     a categorical column of a raw dataset."""
     table = None if ds.levels is None else ds.levels[j]
     vals = ds.features[:, j]
     return vals if table is None else table[vals.astype(np.intp)]
+
+
+# any JSON value, NaN and the infinities included, as Python's json reads
+# and writes them
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the value at path (a tuple of keys) replaced."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
 
 
 def fd_param_grad(loss_fn, params, name, index, h=1e-5):

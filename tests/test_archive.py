@@ -1,7 +1,11 @@
 """Model archive round-trip and integrity tests."""
 
 import hashlib
+import io
 import json
+import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 
 import numpy as np
@@ -9,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import encoded_dataset, raw_dataset
+from conftest import encoded_dataset, json_values, raw_dataset, replaced
 
-from ganids import archive, gan, gbdt, nn
+from ganids import archive, cli, gan, gbdt, nn
 from ganids.data import load_dataset, load_schema, preprocess
 from ganids.demo import write_demo_dataset
 
@@ -52,7 +56,7 @@ def test_ensemble_roundtrip(tmp_path):
     x = rng.random((5, 3))
     assert np.array_equal(loaded.raw_scores(x), ens.raw_scores(x))
     assert np.array_equal(loaded.predict_proba(x), ens.predict_proba(x))
-    assert json.dumps(loaded.plan.to_dict()) == json.dumps(ens.plan.to_dict())
+    assert loaded.plan == ens.plan
     assert loaded.feature_names == ["f0", "f1=tcp", "f1=udp"]
 
 
@@ -237,9 +241,9 @@ def test_gan_header_that_does_not_build_raises_archive_error(tmp_path, edit):
 
 
 # the body fit writes for a one-feature, two-class ensemble with no plan
-NO_PLAN = (b'{"base_scores": [0.0, 0.0], "feature_names": ["f0"], '
-           b'"learning_rate": 0.1, "mapper": {"boundaries": [[0.5]]}, '
-           b'"n_classes": 2, "plan": null, "trees": []}')
+NO_PLAN = (b'{"base_scores": [0.0, 0.0], "classes": ["a", "b"], '
+           b'"feature_names": ["f0"], "learning_rate": 0.1, '
+           b'"mapper": {"boundaries": [[0.5]]}, "plan": null, "trees": []}')
 
 
 @pytest.mark.parametrize("header,body", [
@@ -279,15 +283,112 @@ def test_ensemble_whose_columns_disagree_with_its_plan_is_refused(
     if rename:
         names = names[:-1] + [rename]
     ens = gbdt.Ensemble([], np.zeros(5),
-                        gbdt.BinMapper([np.array([0.5])] * n_fitted), 5, 0.1,
-                        names, demo_plan)
+                        gbdt.BinMapper([np.array([0.5])] * n_fitted),
+                        list("abcde"), 0.1, names, demo_plan)
     path = tmp_path / "ens.bin"
     with pytest.raises(ValueError, match="ens.bin"):
         archive.save_ensemble(path, ens)
     assert not path.exists()
     # the same ensemble written around the check does not load
-    body = json.dumps(ens.to_dict(), sort_keys=True).encode()
+    body = archive._dumps(asdict(ens))
     archive._write(path, {"kind": "ensemble",
                           "hash": hashlib.sha256(body).hexdigest()}, [body])
     with pytest.raises(archive.ArchiveError, match="ens.bin"):
         archive.load_ensemble(path)
+
+
+def _body_paths(value, at=()):
+    """The key path of every value inside a JSON document."""
+    items = value.items() if isinstance(value, dict) \
+        else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield at + (key,)
+        yield from _body_paths(inner, at + (key,))
+
+
+@pytest.fixture(scope="module")
+def scored_model(tmp_path_factory):
+    """A demo model's body as JSON, every key path in it, and the schema
+    and CSV to score with it."""
+    demo = write_demo_dataset(tmp_path_factory.mktemp("bodyfuzz"), rows=200,
+                              seed=2)
+    ens = _fit_with_plan(load_dataset([demo["csv"]],
+                                      load_schema(str(demo["schema"]))),
+                         rounds=2, max_depth=3, min_leaf=5)
+    body = json.loads(archive._dumps(asdict(ens)))
+    return body, list(_body_paths(body)), demo
+
+
+def _evaluate_body(tmp_path, demo, body: bytes):
+    """Exit code and stderr of `ganids evaluate` on a model file holding
+    body, with its hash and digest recomputed."""
+    model = tmp_path / "ens.bin"
+    archive._write(model, {"kind": "ensemble",
+                           "hash": hashlib.sha256(body).hexdigest()}, [body])
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = cli.main(["evaluate", "--model", str(model), "--schema",
+                         str(demo["schema"]), str(demo["csv"])])
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), value=json_values)
+def test_any_body_value_is_scored_or_one_error_line(
+        scored_model, tmp_path_factory, data, value):
+    body, paths, demo = scored_model
+    path = data.draw(st.sampled_from(paths))
+    code, err = _evaluate_body(
+        tmp_path_factory.getbasetemp(), demo,
+        json.dumps(replaced(body, path, value), sort_keys=True).encode())
+    assert (code, err) == (0, "") or code == 1 \
+        and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+
+
+def _deep_split(depth):
+    """A tree whose left branch is depth splits long, as JSON text."""
+    leaf = ('{"bin_threshold": -1, "feature": -1, "gain": 0.0, "left": null, '
+            '"right": null, "value": 0.0}')
+    return ('{"bin_threshold": 0, "feature": 0, "gain": 1.0, "left": ' * depth
+            + leaf + (f', "right": {leaf}, "value": 0.0}}') * depth)
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda b: b["trees"][0][0].update(feature=-1), r"trees: \[0\]: \[0\]: "),
+    (lambda b: b.update(learning_rate="0.1"), "learning_rate: "),
+    (lambda b: b["trees"][0][0]["left"].update(bin_threshold=10**6),
+     r"trees: \[0\]: \[0\]: "),
+    (lambda b: b.update(classes=b["classes"][:-1]), "base_scores: "),
+    (lambda b: b["mapper"]["boundaries"][0].reverse(),
+     r"mapper: boundaries: \[0\]: "),
+    (lambda b: b["plan"]["transforms"].reverse(), "plan: fingerprint: "),
+    (lambda b: b.update(base_scores=[10**400] * 5), "base_scores: "),
+], ids=["split with feature -1", "learning_rate a string",
+        "threshold past the boundaries", "a tree per class too many",
+        "boundaries descending", "plan transforms reordered",
+        "int past float range"])
+def test_body_value_that_would_score_wrongly_is_an_error_line(
+        scored_model, tmp_path, edit, where):
+    body, _, demo = scored_model
+    body = json.loads(json.dumps(body))
+    assert body["trees"][0][0]["feature"] >= 0  # a split at the root
+    edit(body)
+    code, err = _evaluate_body(tmp_path, demo,
+                               json.dumps(body, sort_keys=True).encode())
+    assert code == 1 and err.count("\n") == 1
+    assert re.match(rf"error: {re.escape(str(tmp_path))}/ens.bin: body: "
+                    rf"{where}", err), err
+
+
+@pytest.mark.parametrize("depth", [400, 4 * sys.getrecursionlimit()],
+                         ids=["past decode's recursion", "past JSON's"])
+def test_body_nested_past_the_recursion_limit_is_an_archive_error(
+        scored_model, tmp_path, depth):
+    body, _, demo = scored_model
+    text = json.dumps(body, sort_keys=True)
+    first = json.dumps(body["trees"][0][0], sort_keys=True)
+    text = text.replace(first, _deep_split(depth), 1)
+    # a RecursionError would leave cli.main as an exception
+    code, err = _evaluate_body(tmp_path, demo, text.encode())
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: {tmp_path}/ens.bin: body nests too deeply")

@@ -7,8 +7,10 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from conftest import unit_plan
+
 from ganids import archive, cli, gan, gbdt, pipeline
-from ganids.data import (PreprocessPlan, load_dataset, load_schema,
+from ganids.data import (load_dataset, load_schema, preprocess,
                          split_stratified)
 from ganids.demo import write_demo_dataset
 
@@ -217,10 +219,61 @@ def test_census_reports_bad_number(demo, tmp_path, capsys):
     assert "line 3, column 4 (f3)" in err
 
 
+@pytest.mark.parametrize("value", ["1e400", "inf", "nan"])
+def test_census_names_the_cell_of_a_non_finite_number(demo, tmp_path, capsys,
+                                                      value):
+    lines = demo["csv"].read_text().splitlines()
+    cells = lines[10].split(",")
+    cells[0] = value
+    lines[10] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert cli.main(["census", "--schema", str(demo["schema"]),
+                     str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {bad}: line 11, column 1 (f0): {value!r} is not "
+                   "a finite number\n")
+
+
+@pytest.fixture(scope="module")
+def demo_model(demo, tmp_path_factory):
+    """A model fitted on the demo rows and saved with its plan, as a run
+    saves it."""
+    enc, plan = preprocess(load_dataset([demo["csv"]],
+                                        load_schema(str(demo["schema"]))))
+    ens = gbdt.fit(enc, gbdt.BoostParams(rounds=2, min_leaf=5, max_depth=3))
+    ens.plan = plan
+    path = tmp_path_factory.mktemp("model") / "ensemble.bin"
+    archive.save_ensemble(path, ens)
+    return path
+
+
+@pytest.mark.parametrize("classes", [
+    ["normal", "attack"], ["normal", "flood", "scan", "escalate", "backdoor"]],
+    ids=["two classes", "reordered"])
+def test_evaluate_refuses_a_schema_with_other_classes(demo, demo_model,
+                                                      tmp_path, capsys,
+                                                      classes):
+    schema = json.loads(demo["schema"].read_text())
+    assert schema["classes"] != classes
+    # every row still has a class: the CSV loads under this schema
+    schema["label_map"] = {c: "attack" for c in schema["classes"]
+                           if c not in classes}
+    schema["classes"] = classes
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(schema))
+    assert cli.main(["evaluate", "--model", str(demo_model), "--schema",
+                     str(path), str(demo["csv"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {demo_model}: the model's classes ") \
+        and err.count("\n") == 1
+    assert cli.main(["evaluate", "--model", str(demo_model), "--schema",
+                     str(demo["schema"]), str(demo["csv"])]) == 0
+
+
 def test_evaluate_reports_truncated_archive(demo, tmp_path, capsys):
-    ens = gbdt.Ensemble([], np.zeros(2), gbdt.BinMapper([np.array([0.5])]), 2,
-                        0.1, ["f0"],
-                        PreprocessPlan([("f0", "numeric", 0.0, 1.0)], "x"))
+    ens = gbdt.Ensemble([], np.zeros(2), gbdt.BinMapper([np.array([0.5])]),
+                        ["normal", "attack"], 0.1, ["f0"], unit_plan(1))
     model = tmp_path / "ensemble.bin"
     archive.save_ensemble(model, ens)
     model.write_bytes(model.read_bytes()[:-5])

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import json_values, replaced
+
 from ganids import cli, pipeline
 from ganids.data import DatasetSchema, FieldTypeError, SchemaInvalid, decode
 from ganids.demo import demo_schema_dict, write_demo_dataset
@@ -28,23 +30,6 @@ def demo_config(demo):
     return asdict(cfg)
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(), inner, max_size=3),
-    max_leaves=6)
-
-
-def _replaced(doc, path, value):
-    """A copy of doc with the value at path (a tuple of keys) replaced."""
-    doc = json.loads(json.dumps(doc))
-    inner = doc
-    for key in path[:-1]:
-        inner = inner[key]
-    inner[path[-1]] = value
-    return doc
-
-
 def test_decode_names_the_key_of_a_nested_value():
     with pytest.raises(pipeline.ConfigInvalid) as e:
         pipeline.PipelineConfig.from_dict({
@@ -61,6 +46,12 @@ def test_decode_names_the_key_of_a_nested_value():
     assert decode(list[float], [1, 2.5], "xs") == [1, 2.5]
 
 
+def test_a_key_that_would_break_the_error_line_is_quoted():
+    with pytest.raises(FieldTypeError) as e:
+        decode(dict[str, int], {"a\nb": "x"}, "caps")
+    assert str(e.value) == "caps: 'a\\nb': must be of type int, got 'x'"
+
+
 _CONFIG_PATHS = [(f.name,) for f in fields(pipeline.PipelineConfig)] \
     + [("gan", f.name) for f in fields(GanConfig)] \
     + [("boost", f.name) for f in fields(BoostParams)]
@@ -74,7 +65,7 @@ _SCHEMA_PATHS = [(k,) for k in _SCHEMA] \
 def test_any_config_value_is_read_or_rejected(demo_config, path, value):
     try:
         pipeline.PipelineConfig.from_dict(
-            _replaced(demo_config, path, value)).validate()
+            replaced(demo_config, path, value)).validate()
     except pipeline.ConfigInvalid:
         pass
 
@@ -83,7 +74,7 @@ def test_any_config_value_is_read_or_rejected(demo_config, path, value):
 @given(path=st.sampled_from(_SCHEMA_PATHS), value=json_values)
 def test_any_schema_value_is_read_or_rejected(demo, path, value):
     schema_path = demo["csv"].parent / "drawn_schema.json"
-    schema_path.write_text(json.dumps(_replaced(_SCHEMA, path, value)))
+    schema_path.write_text(json.dumps(replaced(_SCHEMA, path, value)))
     try:
         DatasetSchema.from_json(schema_path)
     except SchemaInvalid:
@@ -104,7 +95,7 @@ def test_a_value_that_no_phase_could_use_is_rejected(demo_config, section,
     # and a NaN GOSS fraction fails only when training starts
     with pytest.raises(pipeline.ConfigInvalid) as e:
         pipeline.PipelineConfig.from_dict(
-            _replaced(demo_config, (section, key), value))
+            replaced(demo_config, (section, key), value))
     assert e.value.path == section and key in e.value.reason
 
 

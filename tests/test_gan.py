@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import encoded_dataset, float64_model
+from conftest import encoded_dataset, float64_model, unit_plan
 
 from ganids import autodiff as ad
 from ganids import archive, gan, nn
-from ganids.data import PreprocessPlan, inverse_transform, preprocess
+from ganids.data import inverse_transform, preprocess
 
 
 def small_cfg(**kw):
@@ -419,8 +419,7 @@ def test_synthesize_identity_stub_matches_clamped_noise():
 
 
 def test_synthesize_zero_rows_and_determinism():
-    plan = PreprocessPlan([("f0", "numeric", 0.0, 1.0),
-                           ("f1", "numeric", 0.0, 1.0)], "x")
+    plan = unit_plan(2)
     model = _finetuned_stub(plan, 2)
     schema = normal_dataset(5, 2).schema
     empty = gan.synthesize(model, 0, plan, seed=3, schema=schema,
@@ -432,7 +431,7 @@ def test_synthesize_zero_rows_and_determinism():
 
 
 def test_synthesize_requires_finetuned_phase():
-    plan = PreprocessPlan([("f0", "numeric", 0.0, 1.0)], "x")
+    plan = unit_plan(1)
     model = gan.build_gan(1, small_cfg())
     with pytest.raises(gan.WrongPhase):
         gan.synthesize(model, 3, plan, seed=0,
@@ -441,8 +440,7 @@ def test_synthesize_requires_finetuned_phase():
 
 def test_synthesize_matches_forward_and_builds_no_gradient_graph(monkeypatch):
     dim = 3
-    plan = PreprocessPlan([(f"f{j}", "numeric", 0.0, 1.0)
-                           for j in range(dim)], "x")
+    plan = unit_plan(dim)
     model = float64_model(gan.build_gan(dim, small_cfg()))
     model.phase = "finetuned:attack"
     schema = normal_dataset(5, dim).schema
@@ -475,8 +473,7 @@ def test_synthesize_matches_forward_and_builds_no_gradient_graph(monkeypatch):
 
 def _synthesize_600(model):
     model.phase = "finetuned:attack"
-    plan = PreprocessPlan([(f"f{j}", "numeric", 0.0, 1.0)
-                           for j in range(model.feature_dim)], "x")
+    plan = unit_plan(model.feature_dim)
     schema = normal_dataset(5, model.feature_dim).schema
     gan.synthesize(model, 600, plan, seed=3, schema=schema,
                    class_name="attack")

@@ -1,5 +1,7 @@
 """Boosted-tree tests: binning, sampling, bundling, split search, training."""
 
+import json
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import encoded_dataset, singleton_bundles
 
-from ganids import gbdt
+from ganids import archive, gbdt
+from ganids.data import decode
 
 
 def test_binning_quantile_boundary():
@@ -41,7 +44,8 @@ def test_binning_roundtrip_on_training_rows(rng):
     matrix = rng.random((200, 3))
     mapper = gbdt.BinMapper.fit(matrix, 16)
     a = mapper.transform(matrix)
-    b = gbdt.BinMapper.from_dict(mapper.to_dict()).transform(matrix)
+    b = decode(gbdt.BinMapper, json.loads(archive._dumps(asdict(mapper)))) \
+        .transform(matrix)
     assert np.array_equal(a, b)
     assert a.min() >= 0
     for j, nb in enumerate(mapper.n_bins):
@@ -650,8 +654,8 @@ def _assert_fit_matches_int32_binning(ds, params, monkeypatch):
     assert np.array_equal(cols, _reference_bundle_columns(oracle, bm))
     got = gbdt.fit(ds, params)
     want = _int32_fit(ds, params, monkeypatch)
-    assert [[t.to_dict() for t in r] for r in got.trees] \
-        == [[t.to_dict() for t in r] for r in want.trees]
+    assert [[asdict(t) for t in r] for r in got.trees] \
+        == [[asdict(t) for t in r] for r in want.trees]
     assert np.array_equal(got.predict_proba(x), _int32_proba(want, x))
     return mapper, binned, bm, cols, got
 
@@ -824,16 +828,15 @@ def test_predict_rejects_wrong_width(rng):
 
 def test_fit_deterministic(rng):
     ds = _random_dataset(rng, 150, 4, 3)
-    import json
     a = gbdt.fit(ds, gbdt.BoostParams(rounds=5, min_leaf=5, seed=3))
     b = gbdt.fit(ds, gbdt.BoostParams(rounds=5, min_leaf=5, seed=3))
-    assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+    assert archive._dumps(asdict(a)) == archive._dumps(asdict(b))
 
 
 def test_ensemble_serialization_roundtrip(rng):
     ds = _random_dataset(rng, 80, 3, 2)
     ens = gbdt.fit(ds, gbdt.BoostParams(rounds=3, min_leaf=5))
-    clone = gbdt.Ensemble.from_dict(ens.to_dict())
+    clone = decode(gbdt.Ensemble, json.loads(archive._dumps(asdict(ens))))
     x = rng.random((7, 3))
     assert np.array_equal(clone.raw_scores(x), ens.raw_scores(x))
 

@@ -8,7 +8,8 @@ import pytest
 
 from ganids import archive, gan, gbdt, pipeline
 from ganids import autodiff as ad
-from ganids.data import load_dataset, load_schema, preprocess
+from ganids.data import (PreprocessPlan, load_dataset, load_schema,
+                         preprocess)
 from ganids.demo import write_demo_dataset
 
 
@@ -143,8 +144,8 @@ def test_model_file_carries_the_run_plan(demo, tmp_path, monkeypatch):
     art = pipeline.run_pipeline(fast_config(demo, tmp_path / "run",
                                             skip_augment=True))
     loaded = archive.load_ensemble(art.ensemble_path)
-    assert loaded.plan.to_dict() \
-        == json.loads((art.out_dir / "plan.json").read_text())
+    assert loaded.plan == PreprocessPlan.from_dict(
+        json.loads((art.out_dir / "plan.json").read_text()))
     raw = load_dataset([demo["csv"]], load_schema(str(demo["schema"])))
     enc, _ = preprocess(raw, loaded.plan)
     assert np.array_equal(loaded.predict_proba(enc.features),

@@ -11,11 +11,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import encoded_dataset, float64_model
+from conftest import encoded_dataset, float64_model, unit_plan
 
 from ganids import archive, gan, nn
 from ganids import autodiff as ad
-from ganids.data import PreprocessPlan
 
 # float32 rounding leaves about 1e-6 of the largest |value| at these
 # widths; 1e-4 is two orders above that and far below any real error
@@ -137,8 +136,7 @@ def test_a_float32_model_computes_in_float32_throughout(monkeypatch):
     gan.generator_step(model, rng)
     nn.gradient_penalty(model.d_spec, model.d_params, real, 10.0, train=True)
     model.phase = "finetuned:attack"
-    plan = PreprocessPlan([(f"f{j}", "numeric", 0.0, 1.0)
-                           for j in range(11)], "x")
+    plan = unit_plan(11)
     schema = encoded_dataset(np.zeros((2, 11)), [0, 1],
                              ["normal", "attack"]).schema
     gan.synthesize(model, 20, plan, seed=3, schema=schema,
