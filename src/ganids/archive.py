@@ -39,13 +39,14 @@ import numpy as np
 from . import gan as gan_mod
 from . import gbdt, nn
 from .data import FieldTypeError, decode
+from .errors import InputError
 
 MAGIC = b"GANIDS\x00"
 FORMAT_VERSION = 5
 _PREFIX = len(MAGIC) + 2 + 32  # magic, version, body digest
 
 
-class ArchiveError(ValueError):
+class ArchiveError(InputError, ValueError):
     """A model archive is truncated or malformed."""
 
 

@@ -6,15 +6,15 @@ what the gradient-penalty term needs: parameter gradients of a function of
 input gradients (reverse-over-reverse).
 
 No program path builds a graph: GAN training and synthesis run `nn`'s
-layer-wise kernels on plain arrays, which use only `check_finite` and the
-conv data helpers below. This engine, through `nn.forward_var`, is their
-reference: the finite-difference oracles, C1 and the critic- and
-generator-gradient tests check the kernels against it. So it keeps generic
-primitives only, each with one vjp made of primitives. A 1-D convolution is
-a composition, `conv1d` (unfold, then one matmul), and `unfold1d` and
-`fold1d` are each other's vjp, so the gradient penalty's double backward
-through a conv layer comes from the chain rule alone, not from a copy of
-the kernels' hand-written backward.
+layer-wise kernels on plain arrays, which use only the conv data helpers
+below. This engine, through `nn.forward_var`, is their reference: the
+finite-difference oracles, C1 and the critic- and generator-gradient tests
+check the kernels against it. So it keeps generic primitives only, each
+with one vjp made of primitives. A 1-D convolution is a composition,
+`conv1d` (unfold, then one matmul), and `unfold1d` and `fold1d` are each
+other's vjp, so the gradient penalty's double backward through a conv
+layer comes from the chain rule alone, not from a copy of the kernels'
+hand-written backward.
 
 Graphs are acyclic, so reference counting frees a graph as soon as nothing
 outside it holds a node, with no work for the cyclic garbage collector. No
@@ -32,22 +32,9 @@ import weakref
 
 import numpy as np
 
-
-class NonFiniteValue(ArithmeticError):
-    """A NaN or Inf showed up where only finite values are allowed."""
-
-
-class ShapeMismatch(ValueError):
-    pass
-
+from .errors import ShapeMismatch
 
 _F64 = np.dtype(np.float64)
-
-
-def check_finite(arr, what="value"):
-    if not np.isfinite(arr).all():
-        raise NonFiniteValue(f"non-finite {what} encountered")
-    return arr
 
 
 class Var:

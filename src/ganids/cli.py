@@ -9,11 +9,16 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import archive, imbalance, metrics, pipeline
-from .archive import ArchiveError
-from .autodiff import NonFiniteValue
-from .data import (BadNumber, EmptyDataset, PlanMismatch, RowArity,
-                   SchemaInvalid, UnknownLabel, load_dataset, load_schema,
+from .data import (EmptyDataset, PlanMismatch, load_dataset, load_schema,
                    preprocess, select_columns)
+from .errors import ConfigInvalid, InputError
+
+
+def _one_line(text):
+    """text with each character that is not printable (a line break among
+    them) escaped, so that an error message stays one line whatever file
+    name or value it quotes."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
 def _load_config(args):
@@ -41,8 +46,7 @@ def cmd_census(args):
 
 
 def cmd_filter(args):
-    if args.gamma <= 0:
-        raise pipeline.ConfigInvalid("--gamma", "must be positive")
+    imbalance.check_gamma(args.gamma, "--gamma")
     result = _on_rows(args, imbalance.filter_minority, args.gamma)
     print(json.dumps({
         "gamma": result.gamma,
@@ -89,6 +93,8 @@ def cmd_evaluate(args):
 
 def cmd_demo_data(args):
     from .demo import write_demo_dataset
+    if args.rows < 1:
+        raise ConfigInvalid("--rows", f"must be at least 1, got {args.rows}")
     paths = write_demo_dataset(Path(args.out), rows=args.rows, seed=args.seed)
     print(json.dumps({k: str(v) for k, v in paths.items()}, indent=1))
 
@@ -116,7 +122,8 @@ def main(argv=None):
 
     for name, fn, help_ in (("run", cmd_run, "run the full pipeline"),
                             ("ablate", cmd_ablate,
-                             "pipeline twice: pretrained vs fresh fine-tune init")):
+                             "pipeline twice: fine-tune from pretrained vs "
+                             "untrained weights")):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", required=True, help="pipeline config JSON")
         sp.add_argument("--out", help="override output directory")
@@ -138,14 +145,13 @@ def main(argv=None):
     sp.set_defaults(func=cmd_demo_data)
 
     args = p.parse_args(argv)
-    # OSError covers data.IoFailure and a model file that cannot be opened
+    # the one error contract: a failure the input caused is one error line;
+    # any other exception is a bug and leaves with its traceback. OSError
+    # covers data.IoFailure and a file that cannot be opened or written
     try:
         args.func(args)
-    except (pipeline.ConfigInvalid, pipeline.StageError, OSError, RowArity,
-            UnknownLabel, BadNumber, PlanMismatch, ArchiveError,
-            NonFiniteValue, SchemaInvalid, EmptyDataset,
-            imbalance.MissingNormalClass) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (InputError, OSError) as e:
+        print(f"error: {_one_line(str(e))}", file=sys.stderr)
         return 1
     return 0
 

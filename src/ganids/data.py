@@ -27,14 +27,14 @@ from itertools import chain
 
 import numpy as np
 
-from .autodiff import NonFiniteValue
+from .errors import InputError, NonFiniteValue
 
 
 class IoFailure(OSError):
     pass
 
 
-class RowArity(ValueError):
+class RowArity(InputError, ValueError):
     def __init__(self, path, line, expected, got):
         super().__init__(
             f"{path}: line {line}: expected {expected} columns, got {got}")
@@ -42,7 +42,7 @@ class RowArity(ValueError):
         self.line = line
 
 
-class UnknownLabel(ValueError):
+class UnknownLabel(InputError, ValueError):
     def __init__(self, path, line, value):
         super().__init__(f"{path}: line {line}: unknown label {value!r}")
         self.path = path
@@ -50,7 +50,7 @@ class UnknownLabel(ValueError):
         self.value = value
 
 
-class BadNumber(ValueError):
+class BadNumber(InputError, ValueError):
     def __init__(self, path, line, column, name, value):
         super().__init__(f"{path}: line {line}, column {column} ({name}): "
                          f"{value!r} is not a finite number")
@@ -60,15 +60,15 @@ class BadNumber(ValueError):
         self.value = value
 
 
-class PlanMismatch(ValueError):
+class PlanMismatch(InputError, ValueError):
     pass
 
 
-class EmptyDataset(ValueError):
+class EmptyDataset(InputError, ValueError):
     pass
 
 
-class SchemaInvalid(ValueError):
+class SchemaInvalid(InputError, ValueError):
     pass
 
 
@@ -102,6 +102,10 @@ class DatasetSchema:
         labels = [c for c in self.columns if c.kind == "label"]
         if len(labels) != 1:
             raise ValueError("schema must declare exactly one label column")
+        # with none, a run would fit a model that predicts the prior
+        if not self.feature_columns:
+            raise ValueError("schema must declare at least one numeric or "
+                             "categorical column")
         if self.normal_class not in self.classes:
             raise ValueError("normal class missing from class list")
         for name in self.class_caps:
@@ -139,9 +143,12 @@ class DatasetSchema:
 
 
 def builtin_schema(name):
-    """Schema shipped with the package (e.g. 'nslkdd')."""
-    text = resources.files("ganids.data_files").joinpath(f"{name}_schema.json").read_text()
-    return decode(DatasetSchema, json.loads(text))
+    """Schema shipped with the package (e.g. 'nslkdd'); SchemaInvalid for a
+    name that names none, a path or a NUL character included."""
+    path = resources.files("ganids.data_files").joinpath(f"{name}_schema.json")
+    if not (name.isidentifier() and path.is_file()):
+        raise SchemaInvalid(f"builtin:{name}: no such builtin schema")
+    return decode(DatasetSchema, json.loads(path.read_text()))
 
 
 def load_schema(spec) -> DatasetSchema:
@@ -374,16 +381,19 @@ def _parse_file(path, schema, row):
         f = open(path, encoding="utf-8", newline="")
     except OSError as e:
         raise IoFailure(str(e)) from e
+    # a UnicodeDecodeError is a ValueError: bytes that are not UTF-8 are
+    # found, with their line, like any other fault; and so is a header
+    # cell past csv's field size limit (csv.Error)
     with f:
-        if schema.has_header:
-            next((rec for rec in csv.reader(f) if rec), None)
-        # blank lines hold no row; with none left, loadtxt would warn
-        first = next((line for line in f if line.strip("\r\n")), None)
         try:
+            if schema.has_header:
+                next((rec for rec in csv.reader(f) if rec), None)
+            # blank lines hold no row; with none left, loadtxt would warn
+            first = next((line for line in f if line.strip("\r\n")), None)
             table = np.empty(0, row) if first is None else np.loadtxt(
                 chain([first], f), dtype=row, delimiter=",", comments=None,
                 quotechar='"', ndmin=1)
-        except ValueError as e:
+        except (ValueError, csv.Error) as e:
             _raise_first_fault(path, schema, e)
     # loadtxt reads "inf", "nan" and "1e400" as numbers
     if not all(np.isfinite(table[f"c{j}"]).all()
@@ -430,26 +440,47 @@ def _raise_first_fault(path, schema, cause):
     """Re-read one file with csv.reader and raise the typed error of its first
     bad row: RowArity, UnknownLabel or BadNumber (a numeric cell that is
     not a finite number), with the line (record) and the 1-based file
-    column. Raises cause when no row is bad."""
+    column, or an InputError naming the first line that is not UTF-8 or
+    that csv cannot read (a field past its size limit) when the reader
+    comes to it first. Raises cause when no row is bad."""
     width = len(schema.columns)
     with open(path, encoding="utf-8", newline="") as f:
         header = schema.has_header
-        for line, rec in enumerate(csv.reader(f), 1):
-            if not rec:
-                continue
-            if header:
-                header = False
-                continue
-            if len(rec) != width:
-                raise RowArity(path, line, width, len(rec)) from None
-            for j, (col, val) in enumerate(zip(schema.columns, rec), 1):
-                if col.kind == "label" \
-                        and schema.resolve_label(val.strip()) is None:
-                    raise UnknownLabel(path, line, val.strip()) from None
-                if col.kind == "numeric" and not (
-                        _is_number(val) and math.isfinite(float(val))):
-                    raise BadNumber(path, line, j, col.name, val) from None
+        reader = csv.reader(f)
+        try:
+            for line, rec in enumerate(reader, 1):
+                if not rec:
+                    continue
+                if header:
+                    header = False
+                    continue
+                if len(rec) != width:
+                    raise RowArity(path, line, width, len(rec)) from None
+                for j, (col, val) in enumerate(zip(schema.columns, rec), 1):
+                    if col.kind == "label" \
+                            and schema.resolve_label(val.strip()) is None:
+                        raise UnknownLabel(path, line, val.strip()) from None
+                    if col.kind == "numeric" and not (
+                            _is_number(val) and math.isfinite(float(val))):
+                        raise BadNumber(path, line, j, col.name, val) from None
+        except UnicodeDecodeError as e:
+            raise InputError(f"{path}: line {_first_non_utf8_line(path)}: "
+                             f"not UTF-8 text ({e.reason})") from None
+        except csv.Error as e:
+            raise InputError(f"{path}: line {reader.line_num}: {e}") from None
     raise cause
+
+
+def _first_non_utf8_line(path):
+    """The number of the first line of a file that is not UTF-8. A line
+    break is one byte that no multi-byte character holds, so each line
+    decodes on its own."""
+    with open(path, "rb") as f:
+        for line, data in enumerate(f, 1):
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError:
+                return line
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from . import nn
 from .data import Dataset, EmptyDataset, PreprocessPlan, inverse_transform
+from .errors import check_finite
 
 
 CRITIC_STEPS = 5  # critic updates per generator update
@@ -68,12 +68,14 @@ class GanConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # numpy takes no negative seed
         if not (0 <= self.lam < math.inf and self.batch_size >= 1
                 and self.noise_dim >= 0 and self.stop_window >= 1
-                and self.max_steps >= 0):
+                and self.max_steps >= 0 and self.seed >= 0):
             raise ValueError("invalid GAN configuration: needs a finite "
                              "lam >= 0, batch_size >= 1, noise_dim >= 0, "
-                             "stop_window >= 1 and max_steps >= 0")
+                             "stop_window >= 1, max_steps >= 0 and "
+                             "seed >= 0")
         # the stop rule's EMA is never <= a NaN or negative delta, and every
         # phase would run to max_steps
         for name in ("stop_delta", "finetune_stop_delta"):
@@ -231,7 +233,7 @@ def critic_grads(model: GanModel, real_batch, rng, fake_batch=None):
                       {i: np.concatenate([m, m, m], dtype=dtype)
                        for i, m in masks.items()},
                       caches)
-    ad.check_finite(out[2 * n:], "network output")
+    check_finite(out[2 * n:], "network output")
     grads = {}
     hat = slice(2 * n, None)
     gp_val, inject = nn._penalty(d_spec, params, caches, out[hat].shape, hat,
@@ -244,7 +246,7 @@ def critic_grads(model: GanModel, real_batch, rng, fake_batch=None):
     mean_f = float(out[:n].mean())
     mean_r = float(out[n:2 * n].mean())
     loss_d = mean_f - mean_r + gp_val
-    ad.check_finite([loss_d], "critic loss")
+    check_finite([loss_d], "critic loss")
     return grads, loss_d, mean_r - mean_f, gp_val
 
 
@@ -277,7 +279,7 @@ def generator_step(model: GanModel, rng):
     loss_g = -(np.sum(out) * (1.0 / out.size))
     # checked before the update, so a non-finite loss leaves G and its
     # optimizer state as they were
-    ad.check_finite(loss_g, "generator loss")
+    check_finite(loss_g, "generator loss")
     g_fake = nn._backward(model.d_spec, d_params, d_caches,
                           np.full(out.shape, -1.0 / out.size, dtype))
     grads = {}
@@ -355,20 +357,18 @@ def pretrain(model: GanModel, normal_data: Dataset, cfg: GanConfig = None):
 
 
 def finetune(pretrained: GanModel, minority_data: Dataset, cfg: GanConfig = None,
-             class_name="minority", fresh_init=False):
+             class_name="minority"):
     """Continue training on one minority class from the pretrained weights.
 
-    Weights are copied exactly; Adam accumulators start from zero. With
-    fresh_init=True the weights are re-initialized instead (ablation arm).
+    Weights are copied exactly; Adam accumulators start from zero. The
+    ablation's arm without pretraining fine-tunes a model pretrained for 0
+    steps: the untrained weights of `build_gan`.
     """
     if pretrained.phase != "pretrained":
         raise WrongPhase(f"finetune expects a pretrained model, got {pretrained.phase}")
     cfg = cfg or pretrained.cfg
     model = pretrained.copy()
     model.cfg = cfg
-    if fresh_init:
-        model.g_params = init_params(model.g_spec, cfg.seed + 101)
-        model.d_params = init_params(model.d_spec, cfg.seed + 102)
     model.reset_optimizers()
     trace = _train_loop(model, minority_data, cfg, cfg.finetune_stop_delta)
     model.phase = f"{_TUNED}{class_name}"
@@ -391,7 +391,7 @@ def synthesize(generator: GanModel, n, plan: PreprocessPlan, seed, schema,
         z = rng.standard_normal((k, generator.noise_dim))
         out = nn._forward(generator.g_spec, generator.g_params.tensors,
                           z.astype(generator.g_params.dtype))
-        ad.check_finite(out, "network output")
+        check_finite(out, "network output")
         outs.append(np.clip(out, 0.0, 1.0))
         remaining -= k
     matrix = np.vstack(outs) if outs else np.zeros((0, generator.feature_dim))

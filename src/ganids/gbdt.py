@@ -60,11 +60,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .autodiff import ShapeMismatch
 from .data import Dataset, EmptyDataset, PreprocessPlan, is_finite_real
+from .errors import InputError, NonFiniteValue, ShapeMismatch
 
 
-class SingleClass(ValueError):
+class SingleClass(InputError, ValueError):
     pass
 
 
@@ -88,6 +88,8 @@ class BoostParams:
         _check_fractions(self.goss_a, self.goss_b)
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
+        if self.seed < 0:  # numpy takes no negative seed
+            raise ValueError("seed must be >= 0")
         # one bin holds every value, so no tree could split
         if self.max_bins < 2:
             raise ValueError("max_bins must be >= 2")
@@ -336,8 +338,15 @@ class TreeNode:
                 self.left.structure(), self.right.structure())
 
 
-def _leaf_value(gsum, hsum, lam):
-    return -gsum / (hsum + lam)
+def _leaf(gsum, hsum, lam):
+    """The leaf of the optimal value for its rows' g and h sums. Extreme
+    settings (a huge learning rate, a GOSS weight (1 - goss_a) / goss_b
+    past float range) overflow the scores or the sums, and a leaf value
+    that is not finite raises NonFiniteValue."""
+    value = -gsum / (hsum + lam)
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"a boosting leaf value of {value}")
+    return TreeNode(value=value)
 
 
 def split_gain(gl, hl, gr, hr, lam):
@@ -485,7 +494,7 @@ class _HistContext:
         histograms; the larger child's is the parent's minus it."""
         p = self.params
         g_sum, h_sum = g.sum(), h.sum()
-        root = TreeNode(value=_leaf_value(g_sum, h_sum, p.lam_leaf))
+        root = _leaf(g_sum, h_sum, p.lam_leaf)
         if not self._splittable(len(rows), 0):
             return root
         gh = np.stack([g, h])
@@ -511,7 +520,7 @@ class _HistContext:
                 for side in (go_left, ~go_left):
                     kid_gh = run_gh.compress(side, axis=1)
                     gs, hs = kid_gh[0].sum(), kid_gh[1].sum()
-                    kid = TreeNode(value=_leaf_value(gs, hs, p.lam_leaf))
+                    kid = _leaf(gs, hs, p.lam_leaf)
                     kids.append((kid, run.compress(side), kid_gh, gs, hs))
                 node.left, node.right = kids[0][0], kids[1][0]
                 is_open = [self._splittable(len(k[1]), depth) for k in kids]

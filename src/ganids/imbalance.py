@@ -9,17 +9,29 @@ when it runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, EmptyDataset
+from .errors import ConfigInvalid, InputError
 
 DEFAULT_GAMMA = 10.0
 
 
-class MissingNormalClass(ValueError):
+class MissingNormalClass(InputError, ValueError):
     pass
+
+
+def check_gamma(gamma, key="gamma"):
+    """Raises ConfigInvalid naming key unless gamma is an imbalance
+    threshold: 1 <= gamma < inf, which a NaN is not. Below 1, classes
+    larger than the normal class would count as minorities, and a run
+    would top each up to n_normal / gamma rows: more than the normal
+    class, and more than memory holds as gamma nears 0."""
+    if not 1 <= gamma < math.inf:
+        raise ConfigInvalid(key, f"must be at least 1 and finite, got {gamma}")
 
 
 @dataclass
@@ -67,8 +79,7 @@ def class_census(dataset: Dataset) -> ClassCensus:
 
 
 def filter_minority(dataset: Dataset, gamma=DEFAULT_GAMMA) -> FilterOutput:
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    check_gamma(gamma)
     census = class_census(dataset)
     schema = dataset.schema
     labels = dataset.labels

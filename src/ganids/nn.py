@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NonFiniteValue, ShapeMismatch, Var, check_finite
+from .autodiff import Var
+from .errors import ShapeMismatch, check_finite
 
 
 # ---------------------------------------------------------------------------

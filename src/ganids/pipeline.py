@@ -21,20 +21,14 @@ from . import archive, boruta, gbdt, imbalance, metrics
 from . import gan as gan_mod
 from .data import (DatasetSchema, FieldTypeError, concat, decode, load_dataset,
                    load_schema, preprocess, select_columns, split_stratified)
+from .errors import ConfigInvalid, InputError
 
 
 SPLIT_SEED = 7
 BORUTA_ALPHA = 0.05
 
 
-class ConfigInvalid(ValueError):
-    def __init__(self, path, reason):
-        super().__init__(f"{path}: {reason}")
-        self.path = path
-        self.reason = reason
-
-
-class StageError(RuntimeError):
+class StageError(InputError, RuntimeError):
     def __init__(self, stage, cause):
         super().__init__(f"stage {stage}: {cause}")
         self.stage = stage
@@ -91,10 +85,14 @@ class PipelineConfig:
             raise ConfigInvalid("schema", f"missing file {self.schema}")
         if not self.out_dir:
             raise ConfigInvalid("out_dir", "output directory missing")
+        # no file name holds one; the OS calls would raise ValueError
+        if "\0" in self.out_dir:
+            raise ConfigInvalid("out_dir", "holds a NUL character")
+        if self.seed < 0:  # numpy takes no negative seed
+            raise ConfigInvalid("seed", "must be >= 0")
         if not 0 < self.train_fraction < 1:
             raise ConfigInvalid("train_fraction", "must be in (0, 1)")
-        if not 0 < self.gamma < math.inf:
-            raise ConfigInvalid("gamma", "must be positive and finite")
+        imbalance.check_gamma(self.gamma)
 
     def load_schema(self) -> DatasetSchema:
         return load_schema(self.schema)
@@ -166,7 +164,9 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             yield
         except StageError:
             raise
-        except Exception as exc:
+        # the user's fault, named with its stage; any other exception is a
+        # bug and keeps its traceback
+        except (InputError, OSError) as exc:
             raise StageError(name, exc) from exc
         finally:
             manifest["stages"][name] = round(time.perf_counter() - t0, 3)
@@ -290,8 +290,9 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
 
 
 def run_ablation(config: PipelineConfig) -> metrics.AblationReport:
-    """Run the pipeline twice on identical data and seeds, with pretrained
-    and with fresh fine-tune initialization, and compare."""
+    """Run the pipeline twice on identical data and seeds, fine-tuning from
+    the pretrained weights and from the untrained ones (a 0-step pretrain),
+    and compare."""
     base = Path(config.out_dir)
     cfg_with = replace(config, out_dir=str(base / "with_pretrain"),
                        skip_pretrain=False)

@@ -70,13 +70,17 @@ def column(ds, j):
     return vals if table is None else table[vals.astype(np.intp)]
 
 
-# any JSON value, NaN and the infinities included, as Python's json reads
-# and writes them
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(), inner, max_size=3),
-    max_leaves=6)
+def json_with(integers):
+    """Any JSON value, NaN and the infinities included, as Python's json
+    reads and writes them, with its integers drawn from `integers`."""
+    return st.recursive(
+        st.none() | st.booleans() | integers | st.floats() | st.text(),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(), inner, max_size=3),
+        max_leaves=6)
+
+
+json_values = json_with(st.integers())
 
 
 def replaced(doc, path, value):
@@ -87,6 +91,15 @@ def replaced(doc, path, value):
         inner = inner[key]
     inner[path[-1]] = value
     return doc
+
+
+def key_paths(value, at=()):
+    """The key path of every value inside a JSON document."""
+    items = value.items() if isinstance(value, dict) \
+        else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield at + (key,)
+        yield from key_paths(inner, at + (key,))
 
 
 def fd_param_grad(loss_fn, params, name, index, h=1e-5):

@@ -10,6 +10,7 @@ GANIDS_NSLKDD_DIR at a directory containing KDDTrain+.txt and KDDTest+.txt.
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -225,11 +226,14 @@ def test_c04_pretraining_reduces_finetune_steps():
                             stop_window=50, max_steps=6000, seed=seed)
         normal, minority = _gaussian_family(seed)
         model, _ = gan.pretrain(gan.build_gan(8, cfg), normal, cfg)
+        # the arm without pretraining, as run_ablation builds it: the same
+        # initial weights, pretrained for 0 steps
+        untrained, _ = gan.pretrain(gan.build_gan(8, cfg), normal,
+                                    replace(cfg, max_steps=0))
         ft_cfg = gan.GanConfig(stop_delta=0.05, finetune_stop_delta=0.05,
                                stop_window=50, max_steps=4000, seed=seed)
         _, warm = gan.finetune(model, minority, ft_cfg, class_name="rare")
-        _, cold = gan.finetune(model, minority, ft_cfg, class_name="rare",
-                               fresh_init=True)
+        _, cold = gan.finetune(untrained, minority, ft_cfg, class_name="rare")
         ratios.append(warm.steps_to_stop / cold.steps_to_stop)
     median = float(np.median(ratios))
     elapsed = time.time() - t0

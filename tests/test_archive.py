@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import encoded_dataset, json_values, raw_dataset, replaced
+from conftest import (encoded_dataset, json_values, key_paths, raw_dataset,
+                      replaced)
 
 from ganids import archive, cli, gan, gbdt, nn
 from ganids.data import load_dataset, load_schema, preprocess
@@ -205,6 +206,24 @@ def test_gan_header_with_a_bad_phase_raises_archive_error(tmp_path, phase):
         archive.load_gan(path)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), value=json_values)
+def test_any_gan_header_value_loads_or_raises_archive_error(
+        tmp_path_factory, data, value):
+    # no command reads a GAN archive, so the header fuzz calls load_gan: a
+    # model or an ArchiveError, never another exception
+    model = gan.build_gan(3, gan.GanConfig(seed=1))
+    header = _gan_header(model)
+    header = replaced(header, data.draw(st.sampled_from(
+        list(key_paths(header)))), value)
+    path = tmp_path_factory.getbasetemp() / "gan_header.bin"
+    archive._write(path, header, _param_blobs(model))
+    try:
+        archive.load_gan(path)
+    except archive.ArchiveError:
+        pass
+
+
 @pytest.mark.parametrize("phase", ["fresh", "pretrained", "finetuned:rare"])
 def test_gan_header_phases_that_load(tmp_path, phase):
     model = gan.build_gan(3, gan.GanConfig(seed=1))
@@ -297,15 +316,6 @@ def test_ensemble_whose_columns_disagree_with_its_plan_is_refused(
         archive.load_ensemble(path)
 
 
-def _body_paths(value, at=()):
-    """The key path of every value inside a JSON document."""
-    items = value.items() if isinstance(value, dict) \
-        else enumerate(value) if isinstance(value, list) else ()
-    for key, inner in items:
-        yield at + (key,)
-        yield from _body_paths(inner, at + (key,))
-
-
 @pytest.fixture(scope="module")
 def scored_model(tmp_path_factory):
     """A demo model's body as JSON, every key path in it, and the schema
@@ -316,7 +326,7 @@ def scored_model(tmp_path_factory):
                                       load_schema(str(demo["schema"]))),
                          rounds=2, max_depth=3, min_leaf=5)
     body = json.loads(archive._dumps(asdict(ens)))
-    return body, list(_body_paths(body)), demo
+    return body, list(key_paths(body)), demo
 
 
 def _evaluate_body(tmp_path, demo, body: bytes):

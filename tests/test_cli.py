@@ -1,13 +1,17 @@
 """Command-line interface tests."""
 
+import contextlib
 import hashlib
+import io
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import unit_plan
+from conftest import json_values, json_with, key_paths, replaced, unit_plan
 
 from ganids import archive, cli, gan, gbdt, pipeline
 from ganids.data import (load_dataset, load_schema, preprocess,
@@ -138,6 +142,8 @@ def test_evaluate_scores_a_model_trained_on_boruta_selected_features(
     ("gan", {"stop_window": 0}),
     ("gan", {"stop_window": -3}),
     ("gan", {"noise_dim": -1}),
+    ("gan", {"seed": -1}),
+    ("boost", {"seed": -1}),
 ])
 def test_run_reports_a_bad_nested_config_section(demo, tmp_path, capsys,
                                                  section, value):
@@ -168,7 +174,10 @@ def test_run_command_reports_config_error(tmp_path, capsys):
     ("gamma", True),
     ("gamma", float("nan")),
     ("gamma", float("inf")),
+    ("gamma", 0.5),
+    ("gamma", 5e-324),
     ("seed", 1.5),
+    ("seed", -1),
     ("boruta_rounds", False),
     ("skip_augment", "yes"),
     ("dataset_paths", "demo.csv"),
@@ -296,8 +305,8 @@ def test_evaluate_reports_an_ensemble_body_that_lacks_a_key(demo, tmp_path,
 
 
 def _malformed_input(case, demo, tmp_path):
-    """The argv of a command on one malformed input, and the file its
-    error must name (None when the fault is in an option)."""
+    """The argv of a command on one malformed input, and the file or
+    option its error must name (None for --gamma)."""
     lines = demo["csv"].read_text().splitlines(keepends=True)
     schema, csv_path = str(demo["schema"]), tmp_path / "rows.csv"
     if case == "empty csv":
@@ -307,15 +316,55 @@ def _malformed_input(case, demo, tmp_path):
         csv_path.write_text("".join(x for x in lines
                                     if not x.rstrip().endswith(",normal")))
         return [case.split()[0], "--schema", schema, str(csv_path)], csv_path
-    if case == "filter gamma 0":
-        return ["filter", "--schema", schema, "--gamma", "0",
+    if case.endswith("not UTF-8"):
+        # one 0xff byte in line 5
+        data = demo["csv"].read_bytes().split(b"\n")
+        data[4] = data[4][:3] + b"\xff" + data[4][4:]
+        csv_path.write_bytes(b"\n".join(data))
+        if case.startswith("census"):
+            return ["census", "--schema", schema, str(csv_path)], csv_path
+    if case == "census cell past the field limit":
+        cells = lines[2].split(",")
+        cells[0] = "9" * 200_000
+        lines[2] = ",".join(cells)
+        csv_path.write_text("".join(lines))
+        return (["census", "--schema", schema, str(csv_path)],
+                f"{csv_path}: line 3: ")
+    if case.startswith("run "):
+        cfg = {"dataset_paths": [str(demo["csv"])], "schema": schema,
+               "skip_augment": True, "out_dir": str(tmp_path / "o")}
+        if case == "run csv not UTF-8":
+            cfg["dataset_paths"], named = [str(csv_path)], \
+                f"{csv_path}: line 5: "
+        elif case == "run path with a line break":
+            cfg["dataset_paths"], named = [str(tmp_path / "a\nb.csv")], \
+                "a\\nb.csv"
+        elif case == "run out_dir with a NUL":
+            cfg["out_dir"], named = "o\0", "out_dir: "
+        elif case == "run builtin schema outside the package":
+            cfg["schema"], named = "builtin:../x", "builtin:../x: "
+        else:  # the scores overflow, and a leaf value with them
+            cfg["boost"], named = {"learning_rate": 1e308}, "stage train: "
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        return ["run", "--config", str(path)], named
+    if case.startswith("filter gamma"):
+        return ["filter", "--schema", schema, "--gamma", case.split()[-1],
                 str(demo["csv"])], None
+    if case == "demo-data rows -3":
+        return ["demo-data", "--out", str(tmp_path / "d"), "--rows",
+                "-3"], "--rows"
     if case.startswith("schema"):
         bad = tmp_path / "schema.json"
         doc = json.loads(demo["schema"].read_text())
-        del doc["columns"]
-        bad.write_text(json.dumps(doc) if case == "schema without columns"
-                       else "columns: none")
+        if case == "schema without feature columns":
+            for col in doc["columns"]:
+                if col["kind"] != "label":
+                    col["kind"] = "ignore"
+        else:
+            del doc["columns"]
+        bad.write_text("columns: none" if case == "schema not JSON"
+                       else json.dumps(doc))
         return ["census", "--schema", str(bad), str(demo["csv"])], bad
     bad = tmp_path / "config.json"
     bad.write_text("{dataset_paths: []")
@@ -324,14 +373,130 @@ def _malformed_input(case, demo, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "empty csv", "census no normal rows", "filter no normal rows",
-    "filter gamma 0", "schema without columns", "schema not JSON",
-    "config not JSON"])
+    "filter gamma 0", "filter gamma nan", "filter gamma inf",
+    "filter gamma 0.5", "schema without columns",
+    "schema without feature columns", "schema not JSON", "config not JSON",
+    "census csv not UTF-8", "run csv not UTF-8",
+    "census cell past the field limit", "run path with a line break",
+    "run out_dir with a NUL", "run builtin schema outside the package",
+    "run learning rate 1e308", "demo-data rows -3"])
 def test_malformed_input_is_one_error_line(demo, tmp_path, capsys, case):
     argv, named = _malformed_input(case, demo, tmp_path)
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(named or "--gamma") in err
+
+
+def test_a_bug_in_a_stage_is_not_an_error_line(demo, tmp_path, monkeypatch):
+    # only what the input caused is an error line: a bug in any stage
+    # leaves cli.main as itself, with its traceback
+    def broken(*args):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(gbdt, "fit", broken)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "dataset_paths": [str(demo["csv"])], "schema": str(demo["schema"]),
+        "out_dir": str(tmp_path / "o"), "skip_augment": True}))
+    with pytest.raises(KeyError, match="a bug"):
+        cli.main(["run", "--config", str(cfg_path)])
+
+
+# -- the fuzz gate: one input changed, and each command either runs or
+# -- prints one error line; any other exception fails the test
+
+# JSON values whose integers lie in [-2, 2], so that a config value keeps a
+# run within the budgets of the base config below (max_steps and rounds)
+small_json_values = json_with(st.integers(-2, 2))
+
+# every config key but the gan and boost sections as a whole: a section
+# replaced by {} takes its defaults (20000 GAN steps, 200 rounds), past the
+# run budget; test_config reads any value there
+_CONFIG_PATHS = [(f.name,) for f in fields(pipeline.PipelineConfig)
+                 if f.name not in ("gan", "boost")] \
+    + [("gan", f.name) for f in fields(gan.GanConfig)] \
+    + [("boost", f.name) for f in fields(gbdt.BoostParams)]
+
+_CELLS = st.text(max_size=6) | st.floats().map(repr) | st.sampled_from(
+    ["", "nan", "-inf", "1e400", "1_0", " 0.5 ", '"', '"0.5"', "0,5", "\n",
+     "\r", "\x00", "tcp", "normal", "escalate"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The unchanged inputs: a config, a schema and CSV lines, and a model
+    fitted on those rows for `evaluate`."""
+    work = tmp_path_factory.mktemp("fuzz") / "work"
+    demo = write_demo_dataset(work, rows=100, seed=5)
+    enc, plan = preprocess(load_dataset([demo["csv"]],
+                                        load_schema(str(demo["schema"]))))
+    ens = gbdt.fit(enc, gbdt.BoostParams(rounds=2, min_leaf=5, max_depth=3))
+    ens.plan = plan
+    archive.save_ensemble(work / "model.bin", ens)
+    config = {"dataset_paths": ["rows.csv"], "schema": "schema.json",
+              "out_dir": "out",
+              "gan": {"max_steps": 2, "batch_size": 8, "stop_window": 2},
+              "boost": {"rounds": 2, "min_leaf": 5, "max_depth": 3}}
+    return work, config, json.loads(demo["schema"].read_text()), \
+        demo["csv"].read_bytes().splitlines(keepends=True)
+
+
+def _changed_lines(data, kind, lines):
+    """The CSV lines with one cell, one row's arity or one byte changed."""
+    lines = list(lines)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[i].rstrip(b"\n").split(b",")
+    if kind == "cell":
+        j = data.draw(st.integers(0, len(cells) - 1))
+        cells[j] = data.draw(_CELLS).encode()
+    elif kind == "arity":
+        cells = data.draw(st.sampled_from(
+            [cells[:-1], cells + [b"0.5"], cells[:1], [b""]]))
+    else:
+        text = b"".join(lines)
+        at = data.draw(st.integers(0, len(text) - 1))
+        new = data.draw(st.binary(min_size=0, max_size=2))
+        return [text[:at] + new + text[at + data.draw(st.integers(0, 1)):]]
+    lines[i] = b",".join(cells) + b"\n"
+    return lines
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(),
+       kind=st.sampled_from(["config", "schema", "cell", "arity", "bytes"]))
+def test_one_changed_input_is_run_or_one_error_line(fuzz_inputs, data, kind):
+    work, config, schema, lines = fuzz_inputs
+    if kind == "config":
+        path = data.draw(st.sampled_from(_CONFIG_PATHS))
+        value = data.draw(small_json_values)
+        if path == ("out_dir",) and isinstance(value, str):
+            # an absolute or nested out_dir could write anywhere the test
+            # process may: keep every output under work/
+            value = value.replace("/", "_")
+        config = replaced(config, path, value)
+    elif kind == "schema":
+        schema = replaced(schema, data.draw(st.sampled_from(
+            list(key_paths(schema)))), data.draw(json_values))
+    else:
+        lines = _changed_lines(data, kind, lines)
+    (work / "config.json").write_text(json.dumps(config))
+    (work / "schema.json").write_text(json.dumps(schema))
+    (work / "rows.csv").write_bytes(b"".join(lines))
+    on_rows = ["--schema", "schema.json", "rows.csv"]
+    commands = [["run", "--config", "config.json"]]
+    if kind != "config":
+        commands += [["census", *on_rows], ["filter", *on_rows],
+                     ["evaluate", "--model", "model.bin", *on_rows]]
+    for argv in commands:
+        err = io.StringIO()
+        with contextlib.chdir(work), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        err = err.getvalue()
+        assert (code, err) == (0, "") or code == 1 \
+            and err.startswith("error: ") and err.count("\n") == 1, \
+            (argv, code, err)
 
 
 def test_unknown_command_exits_nonzero():

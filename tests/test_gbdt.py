@@ -13,6 +13,7 @@ from conftest import encoded_dataset, singleton_bundles
 
 from ganids import archive, gbdt
 from ganids.data import decode
+from ganids.errors import ShapeMismatch
 
 
 def test_binning_quantile_boundary():
@@ -822,7 +823,7 @@ def test_single_leaf_shifts_probability():
 def test_predict_rejects_wrong_width(rng):
     ds = _random_dataset(rng, 50, 3, 2)
     ens = gbdt.fit(ds, gbdt.BoostParams(rounds=1, min_leaf=5))
-    with pytest.raises(gbdt.ShapeMismatch):
+    with pytest.raises(ShapeMismatch):
         ens.predict(rng.random((2, 5)))
 
 

@@ -7,6 +7,7 @@ from conftest import fd_param_grad, rel_err
 
 from ganids import autodiff as ad
 from ganids import gan, nn
+from ganids.errors import NonFiniteValue, ShapeMismatch
 
 
 def fc_spec(width, out):
@@ -212,13 +213,13 @@ def test_param_count_generator_architecture():
 
 def test_forward_rejects_bad_width():
     spec = fc_spec(3, 1)
-    with pytest.raises(nn.ShapeMismatch):
+    with pytest.raises(ShapeMismatch):
         nn.forward(spec, nn.init_params(spec, 0), np.ones((2, 4)))
 
 
 def test_forward_rejects_nonfinite_input():
     spec = fc_spec(2, 1)
-    with pytest.raises(nn.NonFiniteValue):
+    with pytest.raises(NonFiniteValue):
         nn.forward(spec, nn.init_params(spec, 0), [[np.nan, 1.0]])
 
 
@@ -295,7 +296,7 @@ def test_adam_shape_mismatch():
     spec = fc_spec(2, 1)
     params = nn.init_params(spec, 0)
     state = nn.AdamState(params)
-    with pytest.raises(nn.ShapeMismatch):
+    with pytest.raises(ShapeMismatch):
         nn.adam_step(params, {"l0.w": np.zeros((3, 1)), "l0.b": np.zeros(1)},
                      state)
 

@@ -65,10 +65,10 @@ def test_build_gan_casts_the_float64_draw():
             assert np.array_equal(params.tensors[k], v.astype(np.float32))
     data = encoded_dataset(np.full((20, 7), 0.5), np.zeros(20),
                            ["normal", "attack"])
+    # the ablation's arm without pretraining: untrained weights, fine-tuned
     model, _ = gan.pretrain(model, data, small_cfg(max_steps=0))
-    fresh, _ = gan.finetune(model, data, small_cfg(max_steps=0),
-                            fresh_init=True)
-    assert fresh.g_params.dtype == fresh.d_params.dtype == np.float32
+    cold, _ = gan.finetune(model, data, small_cfg(max_steps=0))
+    assert cold.g_params.dtype == cold.d_params.dtype == np.float32
 
 
 @pytest.mark.parametrize("dim,seed", [(3, 0), (8, 1), (11, 2), (41, 3)])
