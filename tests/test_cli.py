@@ -174,15 +174,15 @@ def test_run_command_reports_config_error(tmp_path, capsys):
     ("gamma", True),
     ("gamma", float("nan")),
     ("gamma", float("inf")),
-    ("gamma", 0.5),
-    ("gamma", 5e-324),
     ("seed", 1.5),
-    ("seed", -1),
     ("boruta_rounds", False),
     ("skip_augment", "yes"),
     ("dataset_paths", "demo.csv"),
     ("dataset_paths", [3]),
     ("schema", 3),
+    ("gamma", 0.5),
+    ("gamma", 5e-324),
+    ("seed", -1),
 ])
 def test_run_reports_a_top_level_value_it_cannot_use(
         demo, tmp_path, capsys, key, value):
