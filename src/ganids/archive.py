@@ -1,4 +1,4 @@
-"""Versioned on-disk containers for trained models (format 5).
+"""Versioned on-disk containers for trained models (format 6).
 
 Layout: magic, format version, the SHA-256 of everything after it, then a
 length-prefixed JSON header and length-prefixed blobs. Any truncation or
@@ -6,15 +6,15 @@ flipped bit fails the digest, and every length prefix is bounds-checked, so
 a damaged file raises ArchiveError. Writing and reading round-trip
 bit-exactly.
 
-Every JSON part is a dataclass written by `dataclasses.asdict`, with arrays
-as lists, and read back by `data.decode`: a key the dataclass does not
+Every JSON part is a dataclass written as an object of its fields, with
+arrays as lists, and read back by `data.decode`: a key the dataclass does not
 declare, a missing key, a value of the wrong type and a value the
 dataclass's own checks reject each raise ArchiveError naming the file and
 the key path ("ens.bin: body: trees: [0]: [1]: left: feature: ...").
 
 An archive stores values, not structure. A GAN header (GanHeader) holds the
 phase, `feature_dim`, the config and a content hash per network; the
-networks' layers come from `gan.network_specs(feature_dim, cfg)`, and each
+networks' layers come from `gan.network_specs(feature_dim)`, and each
 network's blob is its parameters as one run of raw float64, in sorted-name
 order, with the shapes `nn.param_shapes` gives. A GAN trains in
 `gan.DTYPE` (float32): its blob holds the exact float64 upcasts, whose hash
@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .data import FieldTypeError, decode
 from .errors import InputError
 
 MAGIC = b"GANIDS\x00"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _PREFIX = len(MAGIC) + 2 + 32  # magic, version, body digest
 
 
@@ -59,7 +59,7 @@ def _check_kind(kind, expected):
 @dataclass
 class GanHeader:
     """A GAN archive's header: its networks are those gan.network_specs
-    builds for feature_dim and cfg, in a phase a model goes through."""
+    builds for feature_dim, in a phase a model goes through."""
 
     kind: str  # "gan"
     phase: str
@@ -70,7 +70,7 @@ class GanHeader:
 
     def __post_init__(self):
         _check_kind(self.kind, "gan")
-        gan_mod.network_specs(self.feature_dim, self.cfg)
+        gan_mod.network_specs(self.feature_dim)
         try:
             gan_mod.tuned_class(self.phase)
         except gan_mod.WrongPhase as e:
@@ -88,10 +88,19 @@ class EnsembleHeader:
         _check_kind(self.kind, "ensemble")
 
 
+def _plain(value):
+    """What json cannot write by itself: a dataclass as a dict of its
+    fields, read one by one (a cached_property lives in __dict__ too), and
+    an array as a list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return {f.name: getattr(value, f.name) for f in fields(value)}
+
+
 def _dumps(value) -> bytes:
-    """The JSON of a value asdict gives, with its arrays as lists."""
-    return json.dumps(value, sort_keys=True,
-                      default=np.ndarray.tolist).encode()
+    """The JSON of a value, as `asdict` would give it, with its arrays as
+    lists; no part of the value is copied."""
+    return json.dumps(value, sort_keys=True, default=_plain).encode()
 
 
 def _decode(path, kind, blob, key):
@@ -107,7 +116,7 @@ def _decode(path, kind, blob, key):
         raise ArchiveError(f"{path}: unreadable {key}: {e}") from e
 
 
-def _write(path, header: dict, blobs: list):
+def _write(path, header, blobs: list):
     body = bytearray()
     for chunk in [_dumps(header)] + blobs:
         body += len(chunk).to_bytes(8, "little")
@@ -181,15 +190,15 @@ def _param_set(path, spec, blob):
 
 def save_gan(path, model: gan_mod.GanModel):
     """Raises ValueError for a model whose networks are not the pair
-    `gan.network_specs` builds for its feature_dim and config."""
-    specs = gan_mod.network_specs(model.feature_dim, model.cfg)
+    `gan.network_specs` builds for its feature_dim."""
+    specs = gan_mod.network_specs(model.feature_dim)
     if (model.g_spec, model.d_spec) != specs:
         raise ValueError(f"{path}: only the networks gan.network_specs "
                          "builds can be archived")
     header = GanHeader("gan", model.phase, model.feature_dim, model.cfg,
                        model.g_params.content_hash(),
                        model.d_params.content_hash())
-    _write(path, asdict(header), [_param_blob(model.g_params),
+    _write(path, header, [_param_blob(model.g_params),
                                   _param_blob(model.d_params)])
 
 
@@ -197,7 +206,7 @@ def load_gan(path) -> gan_mod.GanModel:
     header, blobs = _read(path, GanHeader)
     if len(blobs) != 2:
         raise ArchiveError(f"{path}: expected a gan archive")
-    g_spec, d_spec = gan_mod.network_specs(header.feature_dim, header.cfg)
+    g_spec, d_spec = gan_mod.network_specs(header.feature_dim)
     g_params = _param_set(path, g_spec, blobs[0])
     d_params = _param_set(path, d_spec, blobs[1])
     if g_params.content_hash() != header.g_hash \
@@ -233,9 +242,9 @@ def save_ensemble(path, ensemble: gbdt.Ensemble):
     mismatch = _layout_mismatch(ensemble)
     if mismatch:
         raise ValueError(f"{path}: {mismatch}")
-    blob = _dumps(asdict(ensemble))
+    blob = _dumps(ensemble)
     header = EnsembleHeader("ensemble", hashlib.sha256(blob).hexdigest())
-    _write(path, asdict(header), [blob])
+    _write(path, header, [blob])
 
 
 def load_ensemble(path) -> gbdt.Ensemble:

@@ -7,7 +7,7 @@ shadow. Accept/reject decisions come from a two-sided binomial test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -51,7 +51,7 @@ def boruta_select(train: Dataset, rounds, alpha, boost_params: gbdt.BoostParams,
         both = np.hstack([matrix, shadow])
         ds = Dataset(both, train.labels, train.schema, encoded=True,
                      feature_names=names + [f"shadow_{n}" for n in names])
-        ens = gbdt.fit(ds, replace(boost_params, seed=boost_params.seed + r))
+        ens = gbdt.fit(ds, boost_params, r)
         imp = ens.feature_importance()
         shadow_max = imp[m:].max() if m else 0.0
         hits += imp[:m] > shadow_max

@@ -8,6 +8,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import archive, imbalance, metrics, pipeline
 from .data import (EmptyDataset, PlanMismatch, load_dataset, load_schema,
                    preprocess, select_columns)
@@ -84,7 +86,11 @@ def cmd_evaluate(args):
         raise PlanMismatch(f"{args.model}: the model's classes "
                            f"{ens.classes} are not the schema's "
                            f"{schema.classes}")
-    enc, _ = preprocess(load_dataset(args.paths, schema), ens.plan)
+    raw = load_dataset(args.paths, schema)
+    try:
+        enc, _ = preprocess(raw, ens.plan)
+    except PlanMismatch as e:
+        raise PlanMismatch(f"{args.model}: {e}") from e
     # a model trained on selected features reads only those columns
     pred = ens.predict(select_columns(enc, ens.feature_names).features)
     rep = metrics.evaluate(pred, enc.labels, len(schema.classes))
@@ -147,11 +153,18 @@ def main(argv=None):
     args = p.parse_args(argv)
     # the one error contract: a failure the input caused is one error line;
     # any other exception is a bug and leaves with its traceback. OSError
-    # covers data.IoFailure and a file that cannot be opened or written
+    # covers data.IoFailure and a file that cannot be opened or written.
+    # numpy's floating-point warnings stay off stderr: the program's own
+    # checks raise NonFiniteValue for each value that stops being finite
     try:
-        args.func(args)
+        with np.errstate(all="ignore"):
+            args.func(args)
     except (InputError, OSError) as e:
         print(f"error: {_one_line(str(e))}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # a config or an input too large for memory
+        detail = f": {_one_line(str(e))}" if str(e) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
     return 0
 

@@ -494,19 +494,14 @@ class PreprocessPlan:
 
     Each transform is a tuple, however it was read: (name, "numeric", lo,
     hi) with finite lo and hi, or (name, "categorical", levels) with a tuple
-    of level strings. The fingerprint is that of the transforms' names and
-    kinds, so a plan whose fingerprint matches a schema's encodes exactly
-    that schema's feature columns, in order."""
+    of level strings. `preprocess` applies a plan only to a schema whose
+    feature columns are the transforms' names and kinds, in order."""
 
     transforms: list  # (name, 'numeric', lo, hi) | (name, 'categorical', levels)
-    fingerprint: str
 
     def __post_init__(self):
         self.transforms = [_checked_transform(i, t)
                            for i, t in enumerate(self.transforms)]
-        if self.fingerprint != _fingerprint(t[:2] for t in self.transforms):
-            raise ValueError("fingerprint: not that of the transforms' "
-                             "names and kinds")
 
     def encoded_names(self):
         names = []
@@ -545,16 +540,6 @@ def _checked_transform(i, t):
                      "\"categorical\", levels) one with string levels")
 
 
-def _fingerprint(columns):
-    """Of (name, kind) column pairs."""
-    blob = json.dumps([list(c) for c in columns])
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _schema_fingerprint(schema):
-    return _fingerprint((c.name, c.kind) for c in schema.feature_columns)
-
-
 def fit_plan(dataset: Dataset) -> PreprocessPlan:
     if dataset.encoded:
         raise PlanMismatch("dataset is already encoded")
@@ -570,21 +555,29 @@ def fit_plan(dataset: Dataset) -> PreprocessPlan:
             seen = np.bincount(dataset.features[:, j].astype(np.intp),
                                minlength=len(table)) > 0
             transforms.append((col.name, "categorical", tuple(sorted(table[seen]))))
-    return PreprocessPlan(transforms, _schema_fingerprint(dataset.schema))
+    return PreprocessPlan(transforms)
 
 
 def preprocess(dataset: Dataset, plan: PreprocessPlan = None):
     """Min-max scale numerics to [0,1] and one-hot categoricals.
 
     Returns (encoded dataset, plan). Unseen categorical levels map to an
-    all-zero block; zero-range numerics map to 0.
+    all-zero block; zero-range numerics map to 0. A plan whose (name, kind)
+    pairs are not the schema's feature columns raises PlanMismatch.
     """
     if dataset.encoded:
         raise PlanMismatch("dataset is already encoded")
     if plan is None:
         plan = fit_plan(dataset)
-    elif plan.fingerprint != _schema_fingerprint(dataset.schema):
-        raise PlanMismatch("plan was fitted on an incompatible schema")
+    cols = [(c.name, c.kind) for c in dataset.schema.feature_columns]
+    if len(plan.transforms) != len(cols):
+        raise PlanMismatch(f"the plan encodes {len(plan.transforms)} "
+                           f"columns, the schema has {len(cols)}")
+    for i, (t, col) in enumerate(zip(plan.transforms, cols)):
+        if t[:2] != col:
+            raise PlanMismatch(f"column {i}: the plan encodes {t[0]!r} "
+                               f"({t[1]}) where the schema has {col[0]!r} "
+                               f"({col[1]})")
     names = plan.encoded_names()
     t = plan.transforms
     starts = np.cumsum([0] + [1 if x[1] == "numeric" else len(x[2]) for x in t])

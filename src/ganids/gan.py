@@ -60,7 +60,6 @@ def tuned_class(phase):
 class GanConfig:
     lam: float = 10.0
     batch_size: int = 64
-    noise_dim: int = 0             # 0 -> feature_dim
     stop_delta: float = 0.02
     finetune_stop_delta: float = 0.01
     stop_window: int = 50
@@ -70,12 +69,11 @@ class GanConfig:
     def __post_init__(self):
         # numpy takes no negative seed
         if not (0 <= self.lam < math.inf and self.batch_size >= 1
-                and self.noise_dim >= 0 and self.stop_window >= 1
-                and self.max_steps >= 0 and self.seed >= 0):
+                and self.stop_window >= 1 and self.max_steps >= 0
+                and self.seed >= 0):
             raise ValueError("invalid GAN configuration: needs a finite "
-                             "lam >= 0, batch_size >= 1, noise_dim >= 0, "
-                             "stop_window >= 1, max_steps >= 0 and "
-                             "seed >= 0")
+                             "lam >= 0, batch_size >= 1, stop_window >= 1, "
+                             "max_steps >= 0 and seed >= 0")
         # the stop rule's EMA is never <= a NaN or negative delta, and every
         # phase would run to max_steps
         for name in ("stop_delta", "finetune_stop_delta"):
@@ -118,7 +116,7 @@ class GanModel:
 
     @property
     def noise_dim(self):
-        return self.cfg.noise_dim or self.feature_dim
+        return self.g_spec.input_width
 
     def reset_optimizers(self):
         self.g_opt = nn.AdamState(self.g_params)
@@ -131,8 +129,8 @@ class GanModel:
         return m
 
 
-def generator_spec(feature_dim, noise_dim=None):
-    return nn.NetworkSpec(noise_dim or feature_dim, (
+def generator_spec(feature_dim):
+    return nn.NetworkSpec(feature_dim, (
         nn.FullyConnected(feature_dim), nn.LeakyRelu(0.2),
         nn.Conv1d(64, 3), nn.LeakyRelu(0.2),
         nn.Conv1d(32, 3), nn.LeakyRelu(0.2),
@@ -149,13 +147,12 @@ def critic_spec(feature_dim):
     ))
 
 
-def network_specs(feature_dim, cfg: GanConfig):
-    """The (generator, critic) specs of a GAN over `feature_dim` features;
-    the archive rebuilds a saved model's networks from these."""
+def network_specs(feature_dim):
+    """The (generator, critic) specs of a GAN over `feature_dim` features,
+    G drawing noise as wide; the archive rebuilds a saved model from them."""
     if feature_dim < 1:
         raise InvalidDimension(f"feature_dim must be >= 1, got {feature_dim}")
-    return (generator_spec(feature_dim, cfg.noise_dim or feature_dim),
-            critic_spec(feature_dim))
+    return generator_spec(feature_dim), critic_spec(feature_dim)
 
 
 def init_params(spec, seed):
@@ -164,7 +161,7 @@ def init_params(spec, seed):
 
 
 def build_gan(feature_dim, cfg: GanConfig) -> GanModel:
-    g_spec, d_spec = network_specs(feature_dim, cfg)
+    g_spec, d_spec = network_specs(feature_dim)
     g_params = init_params(g_spec, cfg.seed)
     d_params = init_params(d_spec, cfg.seed + 1)
     return GanModel(g_spec, g_params, d_spec, d_params, feature_dim, cfg)

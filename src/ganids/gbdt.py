@@ -61,7 +61,7 @@ from itertools import accumulate
 import numpy as np
 
 from .data import Dataset, EmptyDataset, PreprocessPlan, is_finite_real
-from .errors import InputError, NonFiniteValue, ShapeMismatch
+from .errors import InputError, NonFiniteValue, ShapeMismatch, check_finite
 
 
 class SingleClass(InputError, ValueError):
@@ -82,14 +82,11 @@ class BoostParams:
     goss_a: float = 0.2
     goss_b: float = 0.1
     lam_leaf: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         _check_fractions(self.goss_a, self.goss_b)
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
-        if self.seed < 0:  # numpy takes no negative seed
-            raise ValueError("seed must be >= 0")
         # one bin holds every value, so no tree could split
         if self.max_bins < 2:
             raise ValueError("max_bins must be >= 2")
@@ -465,6 +462,12 @@ class _HistContext:
             gains -= gt * gt / (ht + p.lam_leaf)
             gains[(cl < p.min_leaf) | (n - cl < p.min_leaf)] = -np.inf
             top = gains.max(axis=1, keepdims=True)
+            # a masked candidate stays -inf; an overflow (a GOSS weight
+            # (1 - goss_a) / goss_b past float range) makes a gain inf or
+            # NaN, and then no split would be found
+            bad = top[~(top < np.inf)]
+            if len(bad):
+                raise NonFiniteValue(f"a split gain of {bad[0]}")
             tol = 1e-12 * np.maximum(1.0, top)
             best = np.argmax((gains >= top - tol) & (gains > 0), axis=1)
             for j, i in enumerate(best):
@@ -621,7 +624,7 @@ class Ensemble:
         for round_trees in self.trees:
             for k, tree in enumerate(round_trees):
                 scores[:, k] += self.learning_rate * predict_tree(tree, binned)
-        return scores
+        return check_finite(scores, "boosting score")
 
     def predict_proba(self, matrix):
         one = np.asarray(matrix, dtype=np.float64)
@@ -653,7 +656,9 @@ def _softmax(scores):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def fit(train: Dataset, params: BoostParams) -> Ensemble:
+def fit(train: Dataset, params: BoostParams, seed=0) -> Ensemble:
+    """The ensemble of params.rounds rounds on train; seed (>= 0) drives
+    GOSS's row sampling, the one random draw of a fit."""
     if len(train) == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
     y = train.labels
@@ -681,10 +686,11 @@ def fit(train: Dataset, params: BoostParams) -> Ensemble:
             g = p[:, k] - (y == k)  # the one-hot target of class k
             h = np.maximum(p[:, k] * (1.0 - p[:, k]), 1e-12)
             idx, w = goss_sample(g, params.goss_a, params.goss_b,
-                                 seed=params.seed * 100003 + m * 31 + k)
+                                 seed=seed * 100003 + m * 31 + k)
             tree = ctx.build_tree(idx, g[idx] * w, h[idx] * w)
             scores[:, k] += params.learning_rate * predict_tree(tree, binned)
             round_trees.append(tree)
+        check_finite(scores, "boosting score")
         trees.append(round_trees)
     return Ensemble(trees, base, mapper, list(train.schema.classes),
                     params.learning_rate, list(train.feature_names))

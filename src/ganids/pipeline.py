@@ -262,15 +262,16 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
                 train_aug = select_columns(train_aug, keep)
 
     with stage("train"):
-        ensemble = gbdt.fit(train_aug, replace(config.boost, seed=config.seed))
+        ensemble = gbdt.fit(train_aug, config.boost, config.seed)
         ensemble.plan = plan
         ensemble_path = out_dir / "models" / "ensemble.bin"
         archive.save_ensemble(ensemble_path, ensemble)
 
     with stage("evaluate"):
-        # test-set purity: evaluation rows are real by construction
+        # test-set purity: evaluation rows are real by construction, so a
+        # synthetic one is a bug, not the input's fault
         if test.synthetic.any():
-            raise StageError("evaluate", "synthetic rows reached the test set")
+            raise RuntimeError("synthetic rows reached the test set")
         pred = ensemble.predict(
             select_columns(test, ensemble.feature_names).features)
         report = metrics.evaluate(pred, test.labels, len(schema.classes))

@@ -194,6 +194,33 @@ def test_version_3_ensemble_raises_archive_error(archive_bytes, tmp_path):
         archive.load_ensemble(path)
 
 
+@pytest.mark.parametrize("kind", ["gan", "ensemble"])
+def test_format_5_archive_raises_archive_error(archive_bytes, tmp_path, kind):
+    # format 5 stored gan.noise_dim and the plan's fingerprint
+    raw, load = archive_bytes[kind]
+    raw = bytearray(raw)
+    raw[len(archive.MAGIC):len(archive.MAGIC) + 2] = (5).to_bytes(2, "little")
+    path = tmp_path / "m.bin"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(archive.ArchiveError,
+                       match="m.bin: unsupported format version 5"):
+        load(path)
+
+
+def test_dumps_writes_the_json_of_asdict():
+    rng = np.random.default_rng(3)
+    raw = raw_dataset(rng.random((60, 2)), rng.integers(0, 3, 60),
+                      ["numeric", "numeric"], ["a", "b", "c"])
+    model = gan.build_gan(3, gan.GanConfig(seed=1))
+    header = archive.GanHeader("gan", model.phase, 3, model.cfg, "g", "d")
+    spec = model.g_spec
+    assert spec.walk  # a cached_property, kept in the instance's __dict__
+    for value in (_fit_with_plan(raw, rounds=3, min_leaf=5), header, spec):
+        assert archive._dumps(value) == json.dumps(
+            asdict(value), sort_keys=True,
+            default=np.ndarray.tolist).encode()
+
+
 @pytest.mark.parametrize("phase", [7, None, "finetuned", "finetuned:",
                                    "trained"])
 def test_gan_header_with_a_bad_phase_raises_archive_error(tmp_path, phase):
@@ -364,15 +391,18 @@ def _deep_split(depth):
 
 
 @pytest.mark.parametrize("edit, where", [
-    (lambda b: b["trees"][0][0].update(feature=-1), r"trees: \[0\]: \[0\]: "),
-    (lambda b: b.update(learning_rate="0.1"), "learning_rate: "),
+    (lambda b: b["trees"][0][0].update(feature=-1),
+     r"body: trees: \[0\]: \[0\]: "),
+    (lambda b: b.update(learning_rate="0.1"), "body: learning_rate: "),
     (lambda b: b["trees"][0][0]["left"].update(bin_threshold=10**6),
-     r"trees: \[0\]: \[0\]: "),
-    (lambda b: b.update(classes=b["classes"][:-1]), "base_scores: "),
+     r"body: trees: \[0\]: \[0\]: "),
+    (lambda b: b.update(classes=b["classes"][:-1]), "body: base_scores: "),
     (lambda b: b["mapper"]["boundaries"][0].reverse(),
-     r"mapper: boundaries: \[0\]: "),
-    (lambda b: b["plan"]["transforms"].reverse(), "plan: fingerprint: "),
-    (lambda b: b.update(base_scores=[10**400] * 5), "base_scores: "),
+     r"body: mapper: boundaries: \[0\]: "),
+    # decodes, but encodes no schema's columns: the line comes from scoring
+    (lambda b: b["plan"]["transforms"].reverse(),
+     "column 0: the plan encodes "),
+    (lambda b: b.update(base_scores=[10**400] * 5), "body: base_scores: "),
 ], ids=["split with feature -1", "learning_rate a string",
         "threshold past the boundaries", "a tree per class too many",
         "boundaries descending", "plan transforms reordered",
@@ -386,8 +416,8 @@ def test_body_value_that_would_score_wrongly_is_an_error_line(
     code, err = _evaluate_body(tmp_path, demo,
                                json.dumps(body, sort_keys=True).encode())
     assert code == 1 and err.count("\n") == 1
-    assert re.match(rf"error: {re.escape(str(tmp_path))}/ens.bin: body: "
-                    rf"{where}", err), err
+    assert re.match(rf"error: {re.escape(str(tmp_path))}/ens.bin: {where}",
+                    err), err
 
 
 @pytest.mark.parametrize("depth", [400, 4 * sys.getrecursionlimit()],

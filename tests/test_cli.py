@@ -4,7 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from ganids import archive, cli, gan, gbdt, pipeline
 from ganids.data import (load_dataset, load_schema, preprocess,
                          split_stratified)
 from ganids.demo import write_demo_dataset
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +349,17 @@ def _malformed_input(case, demo, tmp_path):
             cfg["out_dir"], named = "o\0", "out_dir: "
         elif case == "run builtin schema outside the package":
             cfg["schema"], named = "builtin:../x", "builtin:../x: "
+        elif case.startswith("run 100 rows"):
+            # each made a model that predicts the prior: an overflowed GOSS
+            # weight makes every gain inf or NaN, so no tree splits (the
+            # root needs 2 * min_leaf of GOSS's 17 rows), and a huge
+            # learning rate overflows the scores only
+            rows = write_demo_dataset(tmp_path / "d100", rows=100, seed=0)
+            cfg["dataset_paths"] = [str(rows["csv"])]
+            cfg["schema"] = str(rows["schema"])
+            key, value = case.split()[-2:]
+            cfg["boost"] = {"rounds": 2, "min_leaf": 5, key: float(value)}
+            named = "stage train: "
         else:  # the scores overflow, and a leaf value with them
             cfg["boost"], named = {"learning_rate": 1e308}, "stage train: "
         path = tmp_path / "config.json"
@@ -379,7 +396,8 @@ def _malformed_input(case, demo, tmp_path):
     "census csv not UTF-8", "run csv not UTF-8",
     "census cell past the field limit", "run path with a line break",
     "run out_dir with a NUL", "run builtin schema outside the package",
-    "run learning rate 1e308", "demo-data rows -3"])
+    "run learning rate 1e308", "demo-data rows -3",
+    "run 100 rows goss_b 1e-300", "run 100 rows learning_rate 1e308"])
 def test_malformed_input_is_one_error_line(demo, tmp_path, capsys, case):
     argv, named = _malformed_input(case, demo, tmp_path)
     assert cli.main(argv) == 1
@@ -401,6 +419,54 @@ def test_a_bug_in_a_stage_is_not_an_error_line(demo, tmp_path, monkeypatch):
         "out_dir": str(tmp_path / "o"), "skip_augment": True}))
     with pytest.raises(KeyError, match="a bug"):
         cli.main(["run", "--config", str(cfg_path)])
+
+
+def _run_argv(demo, tmp_path, **cfg):
+    """`ganids run` on the demo rows, skipping the GAN unless cfg says."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "dataset_paths": [str(demo["csv"])], "schema": str(demo["schema"]),
+        "out_dir": str(tmp_path / "o"), "skip_augment": True, **cfg}))
+    return ["run", "--config", str(path)]
+
+
+def test_a_synthetic_test_row_is_a_bug(demo, tmp_path, monkeypatch):
+    # only a bug can put one there, so it is no error line
+    split = pipeline.split_stratified
+
+    def tainted(ds, fraction, seed):
+        train, test = split(ds, fraction, seed)
+        test.synthetic[0] = True
+        return train, test
+
+    monkeypatch.setattr(pipeline, "split_stratified", tainted)
+    with pytest.raises(RuntimeError, match="synthetic rows"):
+        cli.main(_run_argv(demo, tmp_path))
+
+
+def test_out_of_memory_is_one_error_line(demo, tmp_path, monkeypatch,
+                                         capsys):
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 80.0 TiB for an array")
+
+    monkeypatch.setattr(gbdt, "fit", too_large)
+    assert cli.main(_run_argv(demo, tmp_path)) == 1
+    assert capsys.readouterr().err == \
+        "error: out of memory: Unable to allocate 80.0 TiB for an array\n"
+
+
+def test_stderr_holds_only_the_error_line(demo, tmp_path):
+    # pytest records warnings, so only a process of its own shows what a
+    # user sees: a lam past float range overflows the penalty's float32
+    # cast, and numpy would warn before the error line
+    argv = _run_argv(demo, tmp_path, skip_augment=False,
+                     gan={"lam": 1e308, "max_steps": 5})
+    proc = subprocess.run(
+        [sys.executable, "-m", "ganids.cli", *argv], capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: stage pretrain: ") \
+        and proc.stderr.count("\n") == 1, proc.stderr
 
 
 # -- the fuzz gate: one input changed, and each command either runs or

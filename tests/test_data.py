@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import tempfile
 import warnings
 from dataclasses import asdict
@@ -419,6 +420,22 @@ def test_preprocess_rejects_foreign_plan():
     _, plan = dio.preprocess(a)
     with pytest.raises(dio.PlanMismatch):
         dio.preprocess(b, plan)
+
+
+@pytest.mark.parametrize("kinds, order, named", [
+    (["numeric", "categorical"], [1, 0],
+     "column 0: the plan encodes 'f1' (categorical) where the schema has "
+     "'f0' (numeric)"),
+    (["numeric", "numeric"], [0],
+     "the plan encodes 1 columns, the schema has 2"),
+])
+def test_preprocess_names_the_plan_column_that_differs(kinds, order, named):
+    ds = raw_dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1], kinds,
+                     ["normal", "attack"])
+    _, plan = dio.preprocess(ds)
+    plan.transforms = [plan.transforms[i] for i in order]
+    with pytest.raises(dio.PlanMismatch, match=re.escape(named)):
+        dio.preprocess(ds, plan)
 
 
 def test_plan_serialization_roundtrip():

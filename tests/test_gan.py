@@ -382,7 +382,7 @@ def test_training_determinism_full_replay():
 
 def _finetuned_stub(plan, dim):
     """Model in the finetuned phase whose G is the identity on the noise."""
-    cfg = small_cfg(noise_dim=dim)
+    cfg = small_cfg()
     g_spec = nn.NetworkSpec(dim, (nn.FullyConnected(dim),))
     g_params = nn.ParamSet({"l0.w": np.eye(dim), "l0.b": np.zeros(dim)})
     d_spec = gan.critic_spec(dim)

@@ -829,8 +829,8 @@ def test_predict_rejects_wrong_width(rng):
 
 def test_fit_deterministic(rng):
     ds = _random_dataset(rng, 150, 4, 3)
-    a = gbdt.fit(ds, gbdt.BoostParams(rounds=5, min_leaf=5, seed=3))
-    b = gbdt.fit(ds, gbdt.BoostParams(rounds=5, min_leaf=5, seed=3))
+    a = gbdt.fit(ds, gbdt.BoostParams(rounds=5, min_leaf=5), 3)
+    b = gbdt.fit(ds, gbdt.BoostParams(rounds=5, min_leaf=5), 3)
     assert archive._dumps(asdict(a)) == archive._dumps(asdict(b))
 
 

@@ -11,6 +11,7 @@ from ganids import autodiff as ad
 from ganids.data import (PreprocessPlan, load_dataset, load_schema,
                          preprocess)
 from ganids.demo import write_demo_dataset
+from ganids.errors import InputError
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +70,11 @@ def test_synthetic_rows_in_test_split_stop_the_run(demo, tmp_path,
         return train, test
 
     monkeypatch.setattr(pipeline, "split_stratified", tainted)
-    with pytest.raises(pipeline.StageError, match="synthetic rows"):
+    # only a bug puts a synthetic row there: not the input's fault
+    with pytest.raises(RuntimeError, match="synthetic rows") as e:
         pipeline.run_pipeline(fast_config(demo, tmp_path / "tainted",
                                           skip_augment=True))
+    assert not isinstance(e.value, InputError)
 
 
 def test_skip_augment_runs_without_gan(demo, tmp_path):

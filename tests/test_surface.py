@@ -1,0 +1,69 @@
+"""The program's surface: the values a config can set and the modules the
+package imports. A new setting or dependency shows up in review as an edit
+to a list here."""
+
+import ast
+import re
+import sys
+import tomllib
+import typing
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+
+from ganids import pipeline
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# every value a config file can set, a section's as "section.key"
+SETTINGS = [
+    "dataset_paths", "schema", "out_dir", "gamma", "train_fraction", "seed",
+    "boruta_enabled", "boruta_rounds", "skip_pretrain", "skip_augment",
+    "gan.lam", "gan.batch_size", "gan.stop_delta", "gan.finetune_stop_delta",
+    "gan.stop_window", "gan.max_steps", "gan.seed",
+    "boost.rounds", "boost.learning_rate", "boost.max_depth",
+    "boost.max_bins", "boost.min_leaf", "boost.goss_a", "boost.goss_b",
+    "boost.lam_leaf",
+]
+
+DEPENDENCIES = {"numpy", "scipy"}
+
+
+def _settable(kind, at=""):
+    """The dotted key of every value a config of type kind can set; a
+    section (a nested dataclass) gives its keys, not its own."""
+    hints = typing.get_type_hints(kind)
+    for f in fields(kind):
+        if is_dataclass(hints[f.name]):
+            yield from _settable(hints[f.name], f"{at}{f.name}.")
+        else:
+            yield at + f.name
+
+
+def test_the_config_sets_exactly_the_listed_values():
+    assert len(SETTINGS) == 25
+    assert sorted(_settable(pipeline.PipelineConfig)) == sorted(SETTINGS)
+
+
+def _imported(path):
+    """The top-level name of every absolute import in a module."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_the_package_imports_only_its_dependencies():
+    allowed = set(sys.stdlib_module_names) | DEPENDENCIES | {"ganids"}
+    modules = sorted((ROOT / "src" / "ganids").rglob("*.py"))
+    assert modules
+    outside = {f"{p.relative_to(ROOT)}: {name}" for p in modules
+               for name in _imported(p) if name not in allowed}
+    assert not outside
+
+
+def test_the_declared_dependencies_are_numpy_and_scipy():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower()
+             for d in project["dependencies"]}
+    assert names == DEPENDENCIES
