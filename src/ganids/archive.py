@@ -15,8 +15,9 @@ the key path ("ens.bin: body: trees: [0]: [1]: left: feature: ...").
 An archive stores values, not structure. A GAN header (GanHeader) holds the
 phase, `feature_dim`, the config and a content hash per network; the
 networks' layers come from `gan.network_specs(feature_dim)`, and each
-network's blob is its parameters as one run of raw float64, in sorted-name
-order, with the shapes `nn.param_shapes` gives. A GAN trains in
+network's blob is its `nn.ParamSet.flat` vector as raw float64: its
+arrays in sorted-name order, with the shapes `nn.param_shapes` gives,
+read back with one `frombuffer`. A GAN trains in
 `gan.DTYPE` (float32): its blob holds the exact float64 upcasts, whose hash
 is checked before `load_gan` casts them back, so a model round-trips bit
 for bit. A blob whose length does not fit those shapes, or whose values
@@ -171,21 +172,14 @@ def file_hash(path):
     return h.hexdigest()
 
 
-def _param_blob(params: nn.ParamSet):
-    return b"".join(np.ascontiguousarray(params.tensors[n], dtype=np.float64)
-                    .tobytes() for n in sorted(params.tensors))
-
-
 def _param_set(path, spec, blob):
+    """The read-only float64 parameters of `spec` that `blob` holds."""
     shapes = nn.param_shapes(spec)
-    names = sorted(shapes)
-    sizes = [math.prod(shapes[n]) for n in names]
-    if len(blob) != 8 * sum(sizes):
+    size = sum(map(math.prod, shapes.values()))
+    if len(blob) != 8 * size:
         raise ArchiveError(f"{path}: a parameter blob of {len(blob)} bytes "
-                           f"where the header's network needs {8 * sum(sizes)}")
-    flat = np.frombuffer(blob, dtype=np.float64).copy()
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    return nn.ParamSet({n: a.reshape(shapes[n]) for n, a in zip(names, parts)})
+                           f"where the header's network needs {8 * size}")
+    return nn.ParamSet.of(shapes, np.frombuffer(blob, dtype=np.float64))
 
 
 def save_gan(path, model: gan_mod.GanModel):
@@ -198,8 +192,8 @@ def save_gan(path, model: gan_mod.GanModel):
     header = GanHeader("gan", model.phase, model.feature_dim, model.cfg,
                        model.g_params.content_hash(),
                        model.d_params.content_hash())
-    _write(path, header, [_param_blob(model.g_params),
-                                  _param_blob(model.d_params)])
+    _write(path, header, [p.flat.astype(np.float64).tobytes()
+                          for p in (model.g_params, model.d_params)])
 
 
 def load_gan(path) -> gan_mod.GanModel:

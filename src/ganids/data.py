@@ -108,10 +108,12 @@ class DatasetSchema:
                              "categorical column")
         if self.normal_class not in self.classes:
             raise ValueError("normal class missing from class list")
-        for name in self.class_caps:
+        for name, cap in self.class_caps.items():
             if name not in self.classes:
                 raise ValueError(f"class_caps names {name!r}, which is not "
                                  "in the class list")
+            if cap < 0:
+                raise ValueError(f"class_caps: {name}: {cap} is below 0")
 
     @property
     def feature_columns(self):
@@ -359,7 +361,7 @@ def load_dataset(paths, schema: DatasetSchema) -> Dataset:
         keep = np.ones(len(labels), dtype=bool)
         for name, cap in schema.class_caps.items():
             cid = schema.class_id(name)
-            keep[np.flatnonzero(labels == cid)[max(cap, 0):]] = False
+            keep[np.flatnonzero(labels == cid)[cap:]] = False
         table, labels = table[keep], labels[keep]
     cols = [(j, c) for j, c in enumerate(schema.columns)
             if c.kind in ("numeric", "categorical")]

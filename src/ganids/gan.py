@@ -197,15 +197,15 @@ def _keep_freed_heap():
 def critic_grads(model: GanModel, real_batch, rng, fake_batch=None):
     """Critic parameter gradients of mean D(fake) - mean D(real) + penalty.
 
-    Returns (grads, loss_d, wasserstein_estimate, gp_value). Fake, real and
-    interpolated rows go through one forward pass with the dropout mask
-    tiled three times. The penalty's input gradient and second-order sweep
-    run on the interpolated rows, and one backward pass over all rows
-    (cotangents +-1/n on the fake and real rows, the penalty's tanh terms
-    on the interpolated ones) gives the gradients. `fake_batch` overrides
-    the generator's samples (test harness hook). The noise, `eps` and the
-    mask are drawn in float64 and cast to the parameters' dtype, which
-    every array of the step then has."""
+    Returns (grads, loss_d, wasserstein_estimate, gp_value), `grads` a
+    ParamSet of the critic's layout. Fake, real and interpolated rows go
+    through one forward pass with the dropout mask tiled three times. The
+    penalty's input gradient and second-order sweep run on the interpolated
+    rows, and one backward pass over all rows (cotangents +-1/n on the fake
+    and real rows, the penalty's tanh terms on the interpolated ones) gives
+    the gradients. `fake_batch` overrides the generator's samples (test
+    harness hook). The noise, `eps` and the mask are drawn in float64 and
+    cast to the parameters' dtype, which every array of the step then has."""
     cfg = model.cfg
     d_spec, params = model.d_spec, model.d_params.tensors
     dtype = model.d_params.dtype
@@ -231,7 +231,7 @@ def critic_grads(model: GanModel, real_batch, rng, fake_batch=None):
                        for i, m in masks.items()},
                       caches)
     check_finite(out[2 * n:], "network output")
-    grads = {}
+    grads = model.d_params.zeros()
     hat = slice(2 * n, None)
     gp_val, inject = nn._penalty(d_spec, params, caches, out[hat].shape, hat,
                                  cfg.lam, grads)
@@ -279,7 +279,7 @@ def generator_step(model: GanModel, rng):
     check_finite(loss_g, "generator loss")
     g_fake = nn._backward(model.d_spec, d_params, d_caches,
                           np.full(out.shape, -1.0 / out.size, dtype))
-    grads = {}
+    grads = model.g_params.zeros()
     nn._backward(model.g_spec, g_params, g_caches, g_fake, grads=grads)
     model.g_params = nn.adam_step(model.g_params, grads, model.g_opt)
     return float(loss_g)

@@ -72,6 +72,11 @@ class InvalidFraction(ValueError):
     pass
 
 
+class TooFewRows(InputError, ValueError):
+    """GOSS keeps fewer training rows than a split needs, so no tree of a
+    fit could split."""
+
+
 @dataclass
 class BoostParams:
     rounds: int = 200
@@ -193,6 +198,12 @@ def _check_fractions(a, b):
                               f"goss_a={a!r}, goss_b={b!r}")
 
 
+def _goss_counts(n, a, b):
+    """(top rows, sampled rows) that goss_sample keeps of n."""
+    top_n = math.ceil(a * n)
+    return top_n, min(math.ceil(b * n), n - top_n)
+
+
 def goss_sample(gradients, a, b, seed):
     """Keep the top ceil(a*n) rows by |gradient|, sample ceil(b*n) of the
     rest uniformly with compensating weight (1-a)/b."""
@@ -202,12 +213,10 @@ def goss_sample(gradients, a, b, seed):
         raise InvalidFraction("empty gradient vector")
     _check_fractions(a, b)
     order = np.argsort(-np.abs(g), kind="stable")
-    top_n = int(np.ceil(a * n))
-    rand_n = int(np.ceil(b * n))
+    top_n, rand_n = _goss_counts(n, a, b)
     top = order[:top_n]
     rest = order[top_n:]
     rng = np.random.default_rng(seed)
-    rand_n = min(rand_n, len(rest))
     sampled = rng.choice(rest, size=rand_n, replace=False) if rand_n else rest[:0]
     idx = np.concatenate([top, sampled])
     weights = np.ones(len(idx))
@@ -404,17 +413,17 @@ class _HistContext:
         nodes whose rows are consecutive runs of counts[i] rows; the last
         slot of each node stays empty."""
         k, size = len(counts), self.n_slots + 1
-        keys = self.flat[rows]
+        # converted once, not by each bincount
+        keys = self.flat[rows].astype(np.intp)
         if k > 1:  # node i's slots start at i * size
-            keys = keys + np.repeat(np.arange(0, k * size, size),
-                                    counts)[:, None]
+            keys += np.repeat(np.arange(0, k * size, size), counts)[:, None]
         keys = keys.ravel()
+        weights = np.empty((len(rows), self.n_bundles))
         hist = np.empty((3, k * size))
         hist[0] = np.bincount(keys, minlength=k * size)
-        hist[1] = np.bincount(keys, np.repeat(g, self.n_bundles),
-                              minlength=k * size)
-        hist[2] = np.bincount(keys, np.repeat(h, self.n_bundles),
-                              minlength=k * size)
+        for i, w in ((1, g), (2, h)):
+            weights[...] = w[:, None]
+            hist[i] = np.bincount(keys, weights.ravel(), minlength=k * size)
         return hist.reshape(3, k, size).transpose(1, 0, 2)
 
     def histogram(self, rows, g, h):
@@ -667,6 +676,10 @@ def fit(train: Dataset, params: BoostParams, seed=0) -> Ensemble:
         raise SingleClass("training data contains a single class")
     k_total = len(train.schema.classes)
     n = len(train)
+    kept = sum(_goss_counts(n, params.goss_a, params.goss_b))
+    if params.rounds and kept < 2 * params.min_leaf:
+        raise TooFewRows(f"GOSS keeps {kept} of {n} training rows; a tree "
+                         f"needs 2 * min_leaf ({params.min_leaf}) to split")
 
     mapper, binned = bin_features(train, params.max_bins)
     bundle_map = efb_bundle(binned, mapper.n_bins)

@@ -9,7 +9,9 @@ penalty run layer-wise kernels on plain arrays (`_forward`, `_backward` and
 `_penalty`, below), with a hand-written backward pass, a closed-form double
 backward for the penalty and no graph. The kernels and Adam compute in the
 dtype of the parameter set they are given, and every array they allocate
-takes that dtype: the GAN runs them in float32, the tests in float64.
+takes that dtype: the GAN runs them in float32, the tests in float64. A
+set's arrays are views into one flat vector, in sorted-name order, and
+gradients (added into a zeroed set), Adam and the model file all use it.
 `forward`/`forward_var` compose the layers from the generic primitives of
 `autodiff` (an fc layer is `matmul` plus `add`, dropout a `mul`), and
 `grad_params`/`grad_input` differentiate them by the chain rule alone; only
@@ -148,40 +150,60 @@ def param_shapes(spec: NetworkSpec):
 
 
 class ParamSet:
-    """Ordered name -> float array mapping with a content hash.
-
-    The hash reads each array as its exact float64 upcast, so a float32 set
-    and its float64 cast hash alike.
-    """
+    """A network's arrays, one run each of the vector `flat` in sorted-name
+    order; `tensors` maps each name to its view. The hash reads each array
+    as its exact float64 upcast, so a float32 set and its float64 cast hash
+    alike."""
 
     def __init__(self, tensors):
-        self.tensors = dict(tensors)
+        shapes = {name: np.shape(arr) for name, arr in tensors.items()}
+        dtype = np.result_type(*tensors.values()) if tensors else np.float64
+        size = sum(map(math.prod, shapes.values()))
+        self._bind(shapes, np.empty(size, dtype))
+        for name, view in self.tensors.items():
+            view[...] = tensors[name]
+
+    @classmethod
+    def of(cls, shapes, flat):
+        """The set of `shapes` (name -> shape) over `flat`, not copied."""
+        params = cls.__new__(cls)
+        params._bind(shapes, flat)
+        return params
+
+    def _bind(self, shapes, flat):
+        """Sets `flat`, and the arrays as its runs in sorted-name order."""
+        self.flat, self.tensors, lo = flat, {}, 0
+        for name in sorted(shapes):
+            hi = lo + math.prod(shapes[name])
+            self.tensors[name] = flat[lo:hi].reshape(shapes[name])
+            lo = hi
+
+    def like(self, flat):
+        """A set of this one's names and shapes over `flat`, not copied."""
+        return ParamSet.of({k: v.shape for k, v in self.tensors.items()}, flat)
+
+    def zeros(self):
+        """A set of this one's names, shapes and dtype, all zero."""
+        return self.like(np.zeros_like(self.flat))
 
     @property
     def dtype(self):
         """The dtype the kernels compute this set's networks in."""
-        return _dtype(self.tensors)
+        return self.flat.dtype
 
     def astype(self, dtype):
-        return ParamSet({k: v.astype(dtype) for k, v in self.tensors.items()})
+        return self.like(self.flat.astype(dtype))
 
     def content_hash(self):
         h = hashlib.sha256()
-        for name in sorted(self.tensors):
-            arr = self.tensors[name]
+        for name, arr in self.tensors.items():
             h.update(name.encode())
             h.update(str(arr.shape).encode())
             h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
         return h.hexdigest()
 
     def copy(self):
-        return ParamSet({k: v.copy() for k, v in self.tensors.items()})
-
-
-def _dtype(tensors):
-    """The common dtype of a name -> array mapping; float64 when empty."""
-    return np.result_type(*tensors.values()) if tensors \
-        else np.dtype(np.float64)
+        return self.like(self.flat.copy())
 
 
 def init_params(spec: NetworkSpec, seed: int) -> ParamSet:
@@ -315,7 +337,7 @@ def grad_input(scalar, tape: Tape, create_graph=False):
 def gradient_penalty(spec: NetworkSpec, params: ParamSet, x_hat, lam,
                      masks=None, train=False):
     """The penalty lambda * mean_batch (||grad_x D(x)||_2 - 1)^2 and its
-    parameter gradients, by the layer-wise kernels below."""
+    parameter gradients by name, by the layer-wise kernels below."""
     dtype = params.dtype
     x_hat = penalty_batch(spec, x_hat, dtype)
     if train and masks is None:
@@ -326,12 +348,12 @@ def gradient_penalty(spec: NetworkSpec, params: ParamSet, x_hat, lam,
     caches = []
     out = _forward(spec, tensors, x_hat, masks if train else None, caches)
     check_finite(out, "network output")
-    grads = {}
+    grads = params.zeros()
     value, inject = _penalty(spec, tensors, caches, out.shape, slice(None),
                              lam, grads)
     _backward(spec, tensors, caches, np.zeros_like(out), grads=grads,
               inject=inject)
-    return value, grads
+    return value, grads.tensors
 
 
 def penalty_batch(spec: NetworkSpec, x_hat, dtype=np.float64):
@@ -468,21 +490,15 @@ def _rows_channels_last(w, shape):
     return w.reshape(c, length, -1).transpose(1, 0, 2).reshape(length * c, -1)
 
 
-def _add(grads, name, g):
-    if name in grads:
-        grads[name] += g
-    else:
-        grads[name] = g
-
-
 def _backward(spec, params, caches, g, rows=slice(None), grads=None,
               record=None, inject=None):
     """First-order backward pass from the output cotangent `g` (B', out)
     over the cached rows `rows`.
 
-    With a dict `grads`, adds each parameter's gradient to it and stops at
-    the first layer, returning None; without, skips the parameter gradients
-    and returns the input cotangent (B', input_width). A dict `record`
+    With `grads`, a zeroed ParamSet of the parameters' layout, adds each
+    parameter's gradient into it and stops at the first layer, returning
+    None; without, skips the parameter gradients and returns the input
+    cotangent (B', input_width). A dict `record`
     receives each layer's output cotangent; `inject` is (rows, {i: array})
     added to layer i's input cotangent on those rows.
     """
@@ -498,8 +514,8 @@ def _backward(spec, params, caches, g, rows=slice(None), grads=None,
         if kind == "fc":
             flat, w_lc = cache
             if grads is not None:
-                _add(grads, wn, flat[rows].T @ g)
-                _add(grads, bn, g.sum(axis=0))
+                grads.tensors[wn] += flat[rows].T @ g
+                grads.tensors[bn] += g.sum(axis=0)
                 if i == 0:
                     return None
             if w_lc is not None:
@@ -517,8 +533,8 @@ def _backward(spec, params, caches, g, rows=slice(None), grads=None,
             gm = g.transpose(0, 2, 1).reshape(n * length, o)
             if grads is not None:
                 cols = cache[rows].reshape(n * length, c * k)
-                _add(grads, wn, (gm.T @ cols).reshape(o, c, k))
-                _add(grads, bn, gm.sum(axis=0))
+                grads.tensors[wn] += (gm.T @ cols).reshape(o, c, k)
+                grads.tensors[bn] += gm.sum(axis=0)
                 if i == 0:
                     return None
             gcols = (gm @ w.reshape(o, c * k)).reshape(n, length, c * k)
@@ -552,7 +568,7 @@ def _penalty(spec, params, caches, out_shape, rows, lam, grads):
     own, so it is scaled in place throughout.
     """
     record = {}
-    gin = _backward(spec, params, caches, np.ones(out_shape, _dtype(params)),
+    gin = _backward(spec, params, caches, np.ones(out_shape, grads.dtype),
                     rows, record=record)
     n = len(gin)
     norm = np.sqrt(np.sum(gin * gin, axis=1))
@@ -568,7 +584,7 @@ def _penalty(spec, params, caches, out_shape, rows, lam, grads):
         kind = layer.kind
         if kind == "fc":
             v = _flat(v)
-            _add(grads, wn, v.T @ record[i])
+            grads.tensors[wn] += v.T @ record.pop(i)
             v = v @ params[wn]
         elif kind == "conv1d":
             v = _seq(v)
@@ -576,8 +592,9 @@ def _penalty(spec, params, caches, out_shape, rows, lam, grads):
             o, c, k = w.shape
             length = v.shape[2]
             vcols = _cols(v, k).reshape(n * length, c * k)
-            gm = record[i].transpose(0, 2, 1).reshape(n * length, o)
-            _add(grads, wn, (gm.T @ vcols).reshape(o, c, k))
+            gm = record.pop(i).transpose(0, 2, 1).reshape(n * length, o)
+            grads.tensors[wn] += (gm.T @ vcols).reshape(o, c, k)
+            del gm  # freed now, as each record once read: a lower peak
             v = (vcols @ w.reshape(o, c * k).T).reshape(n, length, o) \
                 .transpose(0, 2, 1)
         elif kind == "leaky_relu":
@@ -588,7 +605,7 @@ def _penalty(spec, params, caches, out_shape, rows, lam, grads):
             np.subtract(1.0, slope, out=slope)
             # -2 y g_out v (1 - y^2), multiplied in that order
             term = y * -2.0
-            term *= record[i]
+            term *= record.pop(i)
             term *= v
             term *= slope
             inject[i] = term
@@ -603,76 +620,47 @@ def _penalty(spec, params, caches, out_shape, rows, lam, grads):
 # Adam
 
 
+# Adam's step size, moment decay rates and denominator guard
+LR = 1e-4
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class AdamState:
-    """Adam's moments and step count for one parameter set.
+    """Adam's moments `m` and `v`, zero sets of the parameters' names,
+    shapes and dtype, and the step count `t`."""
 
-    `m` and `v` are one flat vector each (`m_flat`, `v_flat`) in the
-    parameter set's dtype, in the order of its names; `m[name]` and
-    `v[name]` are views of one tensor's part.
-    """
-
-    def __init__(self, params: ParamSet, lr=1e-4, beta1=0.9, beta2=0.999,
-                 eps=1e-8):
-        self.layout = []
-        size = 0
-        for name, arr in params.tensors.items():
-            shape = np.shape(arr)
-            self.layout.append((name, shape, size, size + math.prod(shape)))
-            size += math.prod(shape)
-        self.m_flat = np.zeros(size, params.dtype)
-        self.v_flat = np.zeros(size, params.dtype)
-        self.m = self._views(self.m_flat)
-        self.v = self._views(self.v_flat)
+    def __init__(self, params: ParamSet):
+        self.m = params.zeros()
+        self.v = params.zeros()
         self.t = 0
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-
-    def _views(self, flat):
-        return {name: flat[lo:hi].reshape(shape)
-                for name, shape, lo, hi in self.layout}
 
 
-def adam_step(params: ParamSet, grads: dict, state: AdamState) -> ParamSet:
-    """One bias-corrected Adam descent step; updates `state` in place and
-    returns new params, views into one new vector in the state's dtype.
-    `params` is not written.
-
-    The parameters and gradients are gathered into the state's order, and
-    the update runs over the whole vector: per element, the operations of
+def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> ParamSet:
+    """One bias-corrected Adam descent step over the flat vectors; updates
+    `state` in place, writes neither `params` nor `grads`, and returns new
+    params over one new vector. Per element it runs the operations of
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), in that order.
     """
-    dtype = state.m_flat.dtype
-    ps, gs = [], []
-    for name, shape, _, _ in state.layout:
-        p = params.tensors[name]
-        g = np.asarray(grads[name], dtype=dtype)
-        if g.shape != shape or p.shape != shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} and param shape "
-                                f"{p.shape} for {name}, expected {shape}")
-        ps.append(p.ravel())
-        gs.append(g.ravel())
-    new = np.concatenate(ps, dtype=dtype)
-    g = np.concatenate(gs)
+    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    if not p.shape == g.shape == m.shape:
+        raise ShapeMismatch(f"{g.size} gradients and {p.size} parameters, "
+                            f"where Adam's state holds {m.size}")
     state.t += 1
     t = state.t
-    b1, b2 = state.beta1, state.beta2
-    m, v = state.m_flat, state.v_flat
-    tmp = np.multiply(g, 1 - b1)
-    m *= b1
-    m += tmp
-    np.multiply(g, 1 - b2, out=tmp)
+    step = np.multiply(g, 1 - BETA1)  # the new params: allocated first
+    m *= BETA1
+    m += step
+    tmp = np.multiply(g, 1 - BETA2)
     tmp *= g
-    v *= b2
+    v *= BETA2
     v += tmp
-    np.divide(v, 1 - b2 ** t, out=tmp)
+    np.divide(v, 1 - BETA2 ** t, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += state.eps
-    np.divide(m, 1 - b1 ** t, out=g)
-    g *= state.lr
-    g /= tmp
-    new -= g
-    return ParamSet({name: new[lo:hi].reshape(shape)
-                     for name, shape, lo, hi in state.layout})
+    tmp += EPS
+    np.divide(m, 1 - BETA1 ** t, out=step)
+    step *= LR
+    step /= tmp
+    return params.like(np.subtract(p, step, out=step))

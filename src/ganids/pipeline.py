@@ -92,6 +92,8 @@ class PipelineConfig:
             raise ConfigInvalid("seed", "must be >= 0")
         if not 0 < self.train_fraction < 1:
             raise ConfigInvalid("train_fraction", "must be in (0, 1)")
+        if self.boruta_rounds < 0:
+            raise ConfigInvalid("boruta_rounds", "must be >= 0")
         imbalance.check_gamma(self.gamma)
 
     def load_schema(self) -> DatasetSchema:

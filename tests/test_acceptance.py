@@ -156,7 +156,7 @@ def test_c01_critic_loss_gradients_match_finite_differences():
 
         step_grads = gan.critic_grads(model, real,
                                       np.random.default_rng(step_seed),
-                                      fake_batch=fake)[0]
+                                      fake_batch=fake)[0].tensors
         done, step_worst = _fd_probes(step_loss, params, step_grads, rng,
                                       step_worst)
         assert done >= 4

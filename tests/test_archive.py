@@ -147,8 +147,29 @@ def _gan_header(model):
 
 
 def _param_blobs(model):
-    return [archive._param_blob(model.g_params),
-            archive._param_blob(model.d_params)]
+    return [p.flat.astype(np.float64).tobytes()
+            for p in (model.g_params, model.d_params)]
+
+
+@pytest.mark.parametrize("width", [1, 11, 122])
+def test_gan_blob_is_float64_runs_in_sorted_name_order(tmp_path, width):
+    # the format-6 blob of each network, built from nn.param_shapes alone:
+    # each array's float64 upcast, C order, the names in sorted order
+    rng = np.random.default_rng(width)
+    model = gan.build_gan(width, gan.GanConfig(seed=1))
+    arrays = [{name: rng.standard_normal(shape).astype(gan.DTYPE)
+               for name, shape in nn.param_shapes(spec).items()}
+              for spec in (model.g_spec, model.d_spec)]
+    model.g_params, model.d_params = map(nn.ParamSet, arrays)
+    path = tmp_path / "gan.bin"
+    archive.save_gan(path, model)
+    _, blobs = archive._read(path, archive.GanHeader)
+    assert blobs == [b"".join(a[name].astype(np.float64).tobytes()
+                              for name in sorted(a)) for a in arrays]
+    loaded = archive.load_gan(path)
+    for params, a in zip((loaded.g_params, loaded.d_params), arrays):
+        for name, arr in a.items():
+            assert params.tensors[name].tobytes() == arr.tobytes()
 
 
 def test_truncated_parameter_blob_raises_archive_error(tmp_path):

@@ -55,9 +55,10 @@ def test_census_command(demo, capsys):
     lambda s: s.update(class_caps={"flood": "3"}),
     lambda s: s.update(label_map=[["a", "flood"]]),
     lambda s: s.update(has_headr=True),
+    lambda s: s.update(class_caps={"flood": -5}),
 ], ids=["kind_typo", "cap_on_unknown_class", "caps_not_an_object",
         "header_flag_a_string", "cap_a_string", "label_map_not_an_object",
-        "unknown_key"])
+        "unknown_key", "cap_negative"])
 def test_census_reports_a_schema_it_cannot_use(demo, tmp_path, capsys, edit):
     schema = json.loads(demo["schema"].read_text())
     edit(schema)
@@ -189,6 +190,7 @@ def test_run_command_reports_config_error(tmp_path, capsys):
     ("gamma", 0.5),
     ("gamma", 5e-324),
     ("seed", -1),
+    ("boruta_rounds", -2),
 ])
 def test_run_reports_a_top_level_value_it_cannot_use(
         demo, tmp_path, capsys, key, value):
@@ -360,6 +362,12 @@ def _malformed_input(case, demo, tmp_path):
             key, value = case.split()[-2:]
             cfg["boost"] = {"rounds": 2, "min_leaf": 5, key: float(value)}
             named = "stage train: "
+        elif case == "run 150 rows 2 rounds":
+            # GOSS keeps 36 of the 120 training rows, and a split needs 40
+            rows = write_demo_dataset(tmp_path / "d150", rows=150, seed=0)
+            cfg["dataset_paths"] = [str(rows["csv"])]
+            cfg["schema"] = str(rows["schema"])
+            cfg["boost"], named = {"rounds": 2}, "stage train: GOSS keeps "
         else:  # the scores overflow, and a leaf value with them
             cfg["boost"], named = {"learning_rate": 1e308}, "stage train: "
         path = tmp_path / "config.json"
@@ -397,7 +405,8 @@ def _malformed_input(case, demo, tmp_path):
     "census cell past the field limit", "run path with a line break",
     "run out_dir with a NUL", "run builtin schema outside the package",
     "run learning rate 1e308", "demo-data rows -3",
-    "run 100 rows goss_b 1e-300", "run 100 rows learning_rate 1e308"])
+    "run 100 rows goss_b 1e-300", "run 100 rows learning_rate 1e308",
+    "run 150 rows 2 rounds"])
 def test_malformed_input_is_one_error_line(demo, tmp_path, capsys, case):
     argv, named = _malformed_input(case, demo, tmp_path)
     assert cli.main(argv) == 1

@@ -128,7 +128,7 @@ def test_critic_grads_match_three_pass_reference(d_layers, dim, seed):
     got = gan.critic_grads(model, real, np.random.default_rng(seed))
     want = _critic_grads_reference(model, real, np.random.default_rng(seed))
     for k, ref in want[0].items():
-        err = np.linalg.norm(got[0][k] - ref)
+        err = np.linalg.norm(got[0].tensors[k] - ref)
         assert err <= 1e-10 * max(np.linalg.norm(ref), 1e-300), k
     np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=1e-12)
 
@@ -190,7 +190,7 @@ def test_step_gradients_match_autodiff_on_random_critics(dim, body, head,
     real = np.random.default_rng(seed + 1).random((batch, dim))
     got = gan.critic_grads(model, real, np.random.default_rng(seed))
     want = _critic_grads_reference(model, real, np.random.default_rng(seed))
-    _assert_grads_close(got[0], want[0])
+    _assert_grads_close(got[0].tensors, want[0])
     np.testing.assert_allclose(got[1:], want[1:], rtol=1e-10, atol=1e-12)
 
     updates = []
@@ -199,7 +199,7 @@ def test_step_gradients_match_autodiff_on_random_critics(dim, body, head,
         loss_g = gan.generator_step(model, np.random.default_rng(seed))
     want_g, want_loss = _generator_grads_reference(
         model, np.random.default_rng(seed))
-    _assert_grads_close(updates[0], want_g)
+    _assert_grads_close(updates[0].tensors, want_g)
     assert np.isclose(loss_g, want_loss, rtol=1e-12, atol=1e-15)
 
 
@@ -263,13 +263,12 @@ def test_generator_step_nonfinite_loss_leaves_generator_unchanged():
     model = gan.build_gan(4, small_cfg())
     model.d_params.tensors["l0.w"][0, 0, 0] = np.nan
     g_hash = model.g_params.content_hash()
-    m_before = {k: v.copy() for k, v in model.g_opt.m.items()}
+    m_before = model.g_opt.m.flat.copy()
     with pytest.raises(NonFiniteValue):
         gan.generator_step(model, np.random.default_rng(0))
     assert model.g_params.content_hash() == g_hash
     assert model.g_opt.t == 0
-    for k, v in m_before.items():
-        assert np.array_equal(model.g_opt.m[k], v)
+    assert np.array_equal(model.g_opt.m.flat, m_before)
 
 
 def test_stop_rule_fires_after_window_below_delta():
@@ -573,7 +572,7 @@ def test_kernels_leave_input_cotangent_caches_and_params_unchanged(layers):
     arrays += [g, *cached]
     before = _freeze(arrays)
     rows = slice(4, None)
-    grads = {}
+    grads = params.zeros()
     _, inject = nn._penalty(spec, tensors, caches, out[rows].shape, rows,
                             10.0, grads)
     nn._backward(spec, tensors, caches, g, grads=grads, inject=inject)

@@ -13,7 +13,7 @@ from conftest import encoded_dataset, singleton_bundles
 
 from ganids import archive, gbdt
 from ganids.data import decode
-from ganids.errors import ShapeMismatch
+from ganids.errors import InputError, ShapeMismatch
 
 
 def test_binning_quantile_boundary():
@@ -723,6 +723,23 @@ def test_fit_rejects_single_class():
                          np.zeros(10), ["a", "b"])
     with pytest.raises(gbdt.SingleClass):
         gbdt.fit(ds, gbdt.BoostParams())
+
+
+@pytest.mark.parametrize("n, kept", [(130, 39), (131, 41)])
+def test_fit_refuses_a_set_on_which_goss_keeps_too_few_rows(n, kept):
+    # at the defaults GOSS keeps ceil(0.2 n) + ceil(0.1 n) rows, and a root
+    # split needs 2 * min_leaf = 40 of them
+    ds = _random_dataset(np.random.default_rng(n), n, 3, 2)
+    params = gbdt.BoostParams(rounds=2)
+    if kept >= 2 * params.min_leaf:
+        assert len(gbdt.fit(ds, params).trees) == 2
+        return
+    with pytest.raises(gbdt.TooFewRows,
+                       match=f"GOSS keeps {kept} of {n} training rows; a "
+                             r"tree needs 2 \* min_leaf \(20\) to split"
+                       ) as raised:
+        gbdt.fit(ds, params)
+    assert isinstance(raised.value, InputError)
 
 
 def test_depth_zero_leaf_is_weighted_mean():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fd_param_grad, rel_err
 
@@ -233,20 +235,20 @@ def test_content_hash_changes_with_any_value():
 def test_adam_first_step_magnitude():
     spec = fc_spec(1, 1)
     params = set_params(spec, **{"l0.w": [[1.0]]})
-    state = nn.AdamState(params, lr=0.001)
-    new = nn.adam_step(params, {"l0.w": np.array([[1.0]]),
-                                "l0.b": np.zeros(1)}, state)
+    state = nn.AdamState(params)
+    new = nn.adam_step(params, nn.ParamSet({"l0.w": np.array([[1.0]]),
+                                            "l0.b": np.zeros(1)}), state)
     assert state.t == 1
-    assert np.isclose(new.tensors["l0.w"][0, 0], 1.0 - 0.001, atol=1e-8)
+    assert np.isclose(new.tensors["l0.w"][0, 0], 1.0 - nn.LR, atol=1e-8)
     assert new.tensors["l0.b"][0] == 0.0  # zero grad leaves the bias alone
 
 
 def test_adam_two_steps_match_hand_replay():
-    lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
+    lr, b1, b2, eps = nn.LR, nn.BETA1, nn.BETA2, nn.EPS
     spec = fc_spec(1, 1)
     params = set_params(spec, **{"l0.w": [[0.5]]})
-    state = nn.AdamState(params, lr=lr, beta1=b1, beta2=b2)
-    g = {"l0.w": np.array([[1.0]]), "l0.b": np.zeros(1)}
+    state = nn.AdamState(params)
+    g = nn.ParamSet({"l0.w": np.array([[1.0]]), "l0.b": np.zeros(1)})
     p = nn.adam_step(params, g, state)
     p = nn.adam_step(p, g, state)
     # independent replay of the Adam recurrences
@@ -264,9 +266,9 @@ def test_adam_two_steps_match_hand_replay():
     gan.critic_spec(11),
 ], ids=["conv-fc", "generator", "critic"])
 def test_adam_in_place_moments_are_bit_identical_to_fresh_arrays(spec):
-    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    lr, b1, b2, eps = nn.LR, nn.BETA1, nn.BETA2, nn.EPS
     params = nn.init_params(spec, 4)
-    state = nn.AdamState(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    state = nn.AdamState(params)
     rng = np.random.default_rng(4)
     ref = {k: v.copy() for k, v in params.tensors.items()}
     m = {k: np.zeros_like(v) for k, v in ref.items()}
@@ -276,7 +278,7 @@ def test_adam_in_place_moments_are_bit_identical_to_fresh_arrays(spec):
         grads = {k: rng.standard_normal(x.shape) for k, x in ref.items()}
         given = {k: x.copy() for k, x in p.tensors.items()}
         p_in = p
-        p = nn.adam_step(p, grads, state)
+        p = nn.adam_step(p, nn.ParamSet(grads), state)
         # the parameter set passed in is left as it was
         for k, x in given.items():
             assert np.array_equal(p_in.tensors[k], x)
@@ -287,8 +289,8 @@ def test_adam_in_place_moments_are_bit_identical_to_fresh_arrays(spec):
             ref[k] = ref[k] - lr * (m[k] / (1 - b1 ** t)) \
                 / (np.sqrt(v[k] / (1 - b2 ** t)) + eps)
         for k in ref:
-            assert np.array_equal(state.m[k], m[k])
-            assert np.array_equal(state.v[k], v[k])
+            assert np.array_equal(state.m.tensors[k], m[k])
+            assert np.array_equal(state.v.tensors[k], v[k])
             assert np.array_equal(p.tensors[k], ref[k])
 
 
@@ -297,8 +299,47 @@ def test_adam_shape_mismatch():
     params = nn.init_params(spec, 0)
     state = nn.AdamState(params)
     with pytest.raises(ShapeMismatch):
-        nn.adam_step(params, {"l0.w": np.zeros((3, 1)), "l0.b": np.zeros(1)},
-                     state)
+        nn.adam_step(params, nn.ParamSet({"l0.w": np.zeros((3, 1)),
+                                          "l0.b": np.zeros(1)}), state)
+
+
+def _layout(params):
+    return [(name, t.shape) for name, t in params.tensors.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 6),
+       layers=st.lists(st.one_of(
+           st.builds(nn.FullyConnected, st.integers(1, 5)),
+           st.builds(nn.Conv1d, st.integers(1, 4), st.sampled_from([1, 3]))),
+           min_size=1, max_size=3),
+       seed=st.integers(0, 2**16))
+def test_param_set_arrays_are_views_of_one_vector(width, layers, seed):
+    spec = nn.NetworkSpec(width, tuple(layers))
+    params = nn.init_params(spec, seed)
+    # sorted-name order, each array one run of the vector
+    assert _layout(params) == sorted(nn.param_shapes(spec).items())
+    lo = 0
+    for t in params.tensors.values():
+        assert np.shares_memory(t, params.flat)
+        assert np.array_equal(t.ravel(), params.flat[lo:lo + t.size])
+        lo += t.size
+    assert lo == params.flat.size
+    for other in (params.copy(), params.astype(np.float32),
+                  params.like(params.flat * 2.0), params.zeros()):
+        assert _layout(other) == _layout(params)
+        assert not np.shares_memory(other.flat, params.flat)
+        assert all(np.shares_memory(t, other.flat)
+                   for t in other.tensors.values())
+    # Adam reads the parameter and gradient vectors and writes neither
+    grads = params.like(
+        np.random.default_rng(seed).standard_normal(params.flat.size))
+    before = params.flat.tobytes(), grads.flat.tobytes()
+    params.flat.flags.writeable = grads.flat.flags.writeable = False
+    new = nn.adam_step(params, grads, nn.AdamState(params))
+    assert (params.flat.tobytes(), grads.flat.tobytes()) == before
+    assert _layout(new) == _layout(params)
+    assert not np.shares_memory(new.flat, params.flat)
 
 
 @pytest.mark.parametrize("make", [

@@ -49,7 +49,7 @@ def _generator_grads(model, rng):
     with mock.patch.object(nn, "adam_step",
                            lambda p, g, state: updates.append(g) or p):
         loss = gan.generator_step(model, rng)
-    return updates[0], loss
+    return updates[0].tensors, loss
 
 
 def test_build_gan_casts_the_float64_draw():
@@ -85,9 +85,9 @@ def test_float32_steps_match_their_float64_cast(dim, seed):
     real = np.random.default_rng(seed + 9).random((16, dim))
     got = gan.critic_grads(m32, real, np.random.default_rng(seed))
     want = gan.critic_grads(m64, real, np.random.default_rng(seed))
-    assert set(got[0]) == set(want[0])
-    for k, ref in want[0].items():
-        _close(got[0][k], ref)
+    assert set(got[0].tensors) == set(want[0].tensors)
+    for k, ref in want[0].tensors.items():
+        _close(got[0].tensors[k], ref)
     np.testing.assert_allclose(got[1:], want[1:], rtol=TOL, atol=TOL)
 
     got_g, loss32 = _generator_grads(m32, np.random.default_rng(seed))
@@ -102,6 +102,8 @@ def _arrays(value):
     """Every ndarray in a kernel's arguments or result, however nested."""
     if isinstance(value, np.ndarray):
         yield value
+    elif isinstance(value, nn.ParamSet):
+        yield value.flat
     elif isinstance(value, (list, tuple)):
         for v in value:
             yield from _arrays(v)
@@ -150,7 +152,7 @@ def test_a_float32_model_computes_in_float32_throughout(monkeypatch):
         assert floats and all(a.dtype == np.float32 for a in floats), \
             (name, sorted({str(a.dtype) for a in floats}))
     for opt in (model.g_opt, model.d_opt):
-        assert opt.m_flat.dtype == opt.v_flat.dtype == np.float32
+        assert opt.m.dtype == opt.v.dtype == np.float32
     assert model.g_params.dtype == model.d_params.dtype == np.float32
 
 
