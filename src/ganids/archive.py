@@ -1,10 +1,10 @@
-"""Versioned on-disk containers for trained models (format 6).
+"""Versioned on-disk containers for trained models (format 7).
 
 Layout: magic, format version, the SHA-256 of everything after it, then a
-length-prefixed JSON header and length-prefixed blobs. Any truncation or
-flipped bit fails the digest, and every length prefix is bounds-checked, so
-a damaged file raises ArchiveError. Writing and reading round-trip
-bit-exactly.
+length-prefixed JSON header and length-prefixed blobs. That digest is the
+file's one hash: any truncation or flipped bit fails it, and every length
+prefix is bounds-checked, so a damaged file raises ArchiveError. Writing
+and reading round-trip bit-exactly.
 
 Every JSON part is a dataclass written as an object of its fields, with
 arrays as lists, and read back by `data.decode`: a key the dataclass does not
@@ -13,17 +13,16 @@ dataclass's own checks reject each raise ArchiveError naming the file and
 the key path ("ens.bin: body: trees: [0]: [1]: left: feature: ...").
 
 An archive stores values, not structure. A GAN header (GanHeader) holds the
-phase, `feature_dim`, the config and a content hash per network; the
-networks' layers come from `gan.network_specs(feature_dim)`, and each
-network's blob is its `nn.ParamSet.flat` vector as raw float64: its
-arrays in sorted-name order, with the shapes `nn.param_shapes` gives,
-read back with one `frombuffer`. A GAN trains in
-`gan.DTYPE` (float32): its blob holds the exact float64 upcasts, whose hash
-is checked before `load_gan` casts them back, so a model round-trips bit
-for bit. A blob whose length does not fit those shapes, or whose values
-fail the stored hash, raises ArchiveError. An ensemble's blob is its
-`gbdt.Ensemble`, checked against the hash in its header (EnsembleHeader);
-it holds the encoding plan, so the file alone is enough to score a CSV. Its
+phase, `feature_dim` and the config; the networks' layers come from
+`gan.network_specs(feature_dim)`, and each network's blob is its
+`nn.ParamSet.flat` vector as raw float64: its arrays in sorted-name order,
+with the shapes `nn.param_shapes` gives, read back with one `frombuffer`. A
+GAN trains in `gan.DTYPE` (float32): its blob holds the exact float64
+upcasts, which `load_gan` casts back, so a model round-trips bit for bit. A
+blob whose length does not fit those shapes raises ArchiveError. An
+ensemble's header (EnsembleHeader) holds only its kind, and its blob is its
+`gbdt.Ensemble`; it holds the encoding plan, so the file alone is enough to
+score a CSV. Its
 fitted columns must be its feature names, one each, and each a column of
 that plan, or saving raises ValueError and loading ArchiveError.
 """
@@ -43,7 +42,7 @@ from .data import FieldTypeError, decode
 from .errors import InputError
 
 MAGIC = b"GANIDS\x00"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 _PREFIX = len(MAGIC) + 2 + 32  # magic, version, body digest
 
 
@@ -66,8 +65,6 @@ class GanHeader:
     phase: str
     feature_dim: int
     cfg: gan_mod.GanConfig
-    g_hash: str
-    d_hash: str
 
     def __post_init__(self):
         _check_kind(self.kind, "gan")
@@ -80,10 +77,9 @@ class GanHeader:
 
 @dataclass
 class EnsembleHeader:
-    """An ensemble archive's header: the SHA-256 of its body."""
+    """An ensemble archive's header."""
 
     kind: str  # "ensemble"
-    hash: str
 
     def __post_init__(self):
         _check_kind(self.kind, "ensemble")
@@ -189,9 +185,7 @@ def save_gan(path, model: gan_mod.GanModel):
     if (model.g_spec, model.d_spec) != specs:
         raise ValueError(f"{path}: only the networks gan.network_specs "
                          "builds can be archived")
-    header = GanHeader("gan", model.phase, model.feature_dim, model.cfg,
-                       model.g_params.content_hash(),
-                       model.d_params.content_hash())
+    header = GanHeader("gan", model.phase, model.feature_dim, model.cfg)
     _write(path, header, [p.flat.astype(np.float64).tobytes()
                           for p in (model.g_params, model.d_params)])
 
@@ -201,14 +195,10 @@ def load_gan(path) -> gan_mod.GanModel:
     if len(blobs) != 2:
         raise ArchiveError(f"{path}: expected a gan archive")
     g_spec, d_spec = gan_mod.network_specs(header.feature_dim)
-    g_params = _param_set(path, g_spec, blobs[0])
-    d_params = _param_set(path, d_spec, blobs[1])
-    if g_params.content_hash() != header.g_hash \
-            or d_params.content_hash() != header.d_hash:
-        raise ArchiveError(f"{path}: content hash mismatch")
-    return gan_mod.GanModel(g_spec, g_params.astype(gan_mod.DTYPE), d_spec,
-                            d_params.astype(gan_mod.DTYPE), header.feature_dim,
-                            header.cfg, phase=header.phase)
+    g_params = _param_set(path, g_spec, blobs[0]).astype(gan_mod.DTYPE)
+    d_params = _param_set(path, d_spec, blobs[1]).astype(gan_mod.DTYPE)
+    return gan_mod.GanModel(g_spec, g_params, d_spec, d_params, header.cfg,
+                            phase=header.phase)
 
 
 def _layout_mismatch(ensemble: gbdt.Ensemble):
@@ -236,17 +226,13 @@ def save_ensemble(path, ensemble: gbdt.Ensemble):
     mismatch = _layout_mismatch(ensemble)
     if mismatch:
         raise ValueError(f"{path}: {mismatch}")
-    blob = _dumps(ensemble)
-    header = EnsembleHeader("ensemble", hashlib.sha256(blob).hexdigest())
-    _write(path, header, [blob])
+    _write(path, EnsembleHeader("ensemble"), [_dumps(ensemble)])
 
 
 def load_ensemble(path) -> gbdt.Ensemble:
-    header, blobs = _read(path, EnsembleHeader)
+    _, blobs = _read(path, EnsembleHeader)
     if len(blobs) != 1:
         raise ArchiveError(f"{path}: expected an ensemble archive")
-    if hashlib.sha256(blobs[0]).hexdigest() != header.hash:
-        raise ArchiveError(f"{path}: content hash mismatch")
     ensemble = _decode(path, gbdt.Ensemble, blobs[0], "body")
     if ensemble.plan is None:
         raise ArchiveError(f"{path}: the ensemble carries no encoding plan")

@@ -23,15 +23,6 @@ class FeatureDecision:
     rounds: int
     alpha: float
 
-    def accepted(self):
-        return [f for f, s in self.status.items() if s == "accepted"]
-
-    def rejected(self):
-        return [f for f, s in self.status.items() if s == "rejected"]
-
-    def tentative(self):
-        return [f for f, s in self.status.items() if s == "tentative"]
-
 
 def boruta_select(train: Dataset, rounds, alpha, boost_params: gbdt.BoostParams,
                   seed=0) -> FeatureDecision:

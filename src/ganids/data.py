@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import json
 import math
 import numbers
@@ -290,14 +289,6 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx], self.schema,
                        self.encoded, self.feature_names, self.synthetic[idx],
                        self.levels)
-
-    def content_hash(self):
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.labels).tobytes())
-        h.update(np.ascontiguousarray(self.features, dtype=np.float64).tobytes())
-        if self.levels is not None:
-            h.update(json.dumps(self.levels, default=list).encode())
-        return h.hexdigest()
 
 
 def select_columns(dataset: Dataset, names) -> Dataset:

@@ -2,8 +2,10 @@
 
 The critic trains on mean D(fake) - mean D(real) plus the gradient penalty;
 the generator on -mean D(G(z)). Pretraining runs this loop on normal traffic;
-fine-tuning copies the pretrained weights (optimizer state reset) and
-continues on a single minority class.
+fine-tuning copies the pretrained weights and continues on a single minority
+class. A model holds weights, not optimizer state: each phase builds one
+Adam state per network, starting from zero, and Adam updates the weights in
+place.
 
 The steps and synthesis run `nn`'s layer-wise kernels on plain arrays and
 build no autodiff graph; the graph engine is their test reference. A GAN's
@@ -14,6 +16,7 @@ float64 casts of them.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import functools
 import math
 import sys
@@ -102,31 +105,30 @@ class TrainTrace:
                 for r in self.records]
 
 
+@dataclass(eq=False)
 class GanModel:
-    def __init__(self, g_spec, g_params, d_spec, d_params, feature_dim, cfg,
-                 phase="fresh"):
-        self.g_spec = g_spec
-        self.g_params = g_params
-        self.d_spec = d_spec
-        self.d_params = d_params
-        self.feature_dim = feature_dim
-        self.cfg = cfg
-        self.phase = phase
-        self.reset_optimizers()
+    """A generator/critic pair: the networks' specs and weights, the config
+    they train under and the phase they are in."""
+
+    g_spec: nn.NetworkSpec
+    g_params: nn.ParamSet
+    d_spec: nn.NetworkSpec
+    d_params: nn.ParamSet
+    cfg: GanConfig
+    phase: str = "fresh"
+
+    @property
+    def feature_dim(self):
+        return self.d_spec.input_width
 
     @property
     def noise_dim(self):
         return self.g_spec.input_width
 
-    def reset_optimizers(self):
-        self.g_opt = nn.AdamState(self.g_params)
-        self.d_opt = nn.AdamState(self.d_params)
-
     def copy(self):
-        m = GanModel(self.g_spec, self.g_params.copy(), self.d_spec,
-                     self.d_params.copy(), self.feature_dim, self.cfg,
-                     self.phase)
-        return m
+        """The model with copies of its weights."""
+        return dataclasses.replace(self, g_params=self.g_params.copy(),
+                                   d_params=self.d_params.copy())
 
 
 def generator_spec(feature_dim):
@@ -164,7 +166,7 @@ def build_gan(feature_dim, cfg: GanConfig) -> GanModel:
     g_spec, d_spec = network_specs(feature_dim)
     g_params = init_params(g_spec, cfg.seed)
     d_params = init_params(d_spec, cfg.seed + 1)
-    return GanModel(g_spec, g_params, d_spec, d_params, feature_dim, cfg)
+    return GanModel(g_spec, g_params, d_spec, d_params, cfg)
 
 
 # glibc's mallopt parameter M_TOP_PAD, and the freed heap kept at its top
@@ -194,18 +196,19 @@ def _keep_freed_heap():
     mallopt(_M_TOP_PAD, _KEPT_HEAP_BYTES)
 
 
-def critic_grads(model: GanModel, real_batch, rng, fake_batch=None):
+def critic_grads(model: GanModel, grads, real_batch, rng, fake_batch=None):
     """Critic parameter gradients of mean D(fake) - mean D(real) + penalty.
 
-    Returns (grads, loss_d, wasserstein_estimate, gp_value), `grads` a
-    ParamSet of the critic's layout. Fake, real and interpolated rows go
-    through one forward pass with the dropout mask tiled three times. The
-    penalty's input gradient and second-order sweep run on the interpolated
-    rows, and one backward pass over all rows (cotangents +-1/n on the fake
-    and real rows, the penalty's tanh terms on the interpolated ones) gives
-    the gradients. `fake_batch` overrides the generator's samples (test
-    harness hook). The noise, `eps` and the mask are drawn in float64 and
-    cast to the parameters' dtype, which every array of the step then has."""
+    Adds the gradients into `grads`, a zeroed ParamSet of the critic's
+    layout, and returns (loss_d, wasserstein_estimate, gp_value). Fake, real
+    and interpolated rows go through one forward pass with the dropout mask
+    tiled three times. The penalty's input gradient and second-order sweep
+    run on the interpolated rows, and one backward pass over all rows
+    (cotangents +-1/n on the fake and real rows, the penalty's tanh terms on
+    the interpolated ones) gives the gradients. `fake_batch` overrides the
+    generator's samples (test harness hook). The noise, `eps` and the mask
+    are drawn in float64 and cast to the parameters' dtype, which every
+    array of the step then has."""
     cfg = model.cfg
     d_spec, params = model.d_spec, model.d_params.tensors
     dtype = model.d_params.dtype
@@ -231,7 +234,6 @@ def critic_grads(model: GanModel, real_batch, rng, fake_batch=None):
                        for i, m in masks.items()},
                       caches)
     check_finite(out[2 * n:], "network output")
-    grads = model.d_params.zeros()
     hat = slice(2 * n, None)
     gp_val, inject = nn._penalty(d_spec, params, caches, out[hat].shape, hat,
                                  cfg.lam, grads)
@@ -244,22 +246,25 @@ def critic_grads(model: GanModel, real_batch, rng, fake_batch=None):
     mean_r = float(out[n:2 * n].mean())
     loss_d = mean_f - mean_r + gp_val
     check_finite([loss_d], "critic loss")
-    return grads, loss_d, mean_r - mean_f, gp_val
+    return loss_d, mean_r - mean_f, gp_val
 
 
-def critic_step(model: GanModel, real_batch, rng, fake_batch=None):
-    """One critic update. Returns (loss_d, wasserstein_estimate, gp_value).
+def critic_step(model: GanModel, adam: nn.AdamState, real_batch, rng,
+                fake_batch=None):
+    """One critic update by `adam`, the phase's Adam state of the critic.
+    Returns (loss_d, wasserstein_estimate, gp_value).
 
     `fake_batch` overrides the generator's samples (test harness hook)."""
     _keep_freed_heap()
-    grads, loss_d, w_est, gp_val = critic_grads(model, real_batch, rng,
-                                                fake_batch)
-    model.d_params = nn.adam_step(model.d_params, grads, model.d_opt)
-    return loss_d, w_est, gp_val
+    grads = adam.zero_grads()
+    losses = critic_grads(model, grads, real_batch, rng, fake_batch)
+    nn.adam_step(model.d_params, grads, adam)
+    return losses
 
 
-def generator_step(model: GanModel, rng):
-    """One generator update on -mean D(G(z)); the critic is left untouched."""
+def generator_step(model: GanModel, adam: nn.AdamState, rng):
+    """One generator update on -mean D(G(z)) by `adam`, the phase's Adam
+    state of the generator; the critic is left untouched."""
     _keep_freed_heap()
     n = model.cfg.batch_size
     g_params, d_params = model.g_params.tensors, model.d_params.tensors
@@ -279,9 +284,9 @@ def generator_step(model: GanModel, rng):
     check_finite(loss_g, "generator loss")
     g_fake = nn._backward(model.d_spec, d_params, d_caches,
                           np.full(out.shape, -1.0 / out.size, dtype))
-    grads = model.g_params.zeros()
+    grads = adam.zero_grads()
     nn._backward(model.g_spec, g_params, g_caches, g_fake, grads=grads)
-    model.g_params = nn.adam_step(model.g_params, grads, model.g_opt)
+    nn.adam_step(model.g_params, grads, adam)
     return float(loss_g)
 
 
@@ -310,6 +315,7 @@ def _train_loop(model: GanModel, data: Dataset, cfg: GanConfig, stop_delta):
         raise ValueError("GAN training expects an encoded dataset")
     rng = np.random.default_rng(cfg.seed)
     matrix = np.asarray(data.features, dtype=model.d_params.dtype)
+    g_adam, d_adam = nn.AdamState(model.g_params), nn.AdamState(model.d_params)
     trace = TrainTrace()
     stop = _StopRule(stop_delta, cfg.stop_window)
     step = 0
@@ -326,13 +332,13 @@ def _train_loop(model: GanModel, data: Dataset, cfg: GanConfig, stop_delta):
                 pos = 0
             batch = matrix[order[pos:pos + cfg.batch_size]]
             pos += cfg.batch_size
-            loss_d, w_est, gp = critic_step(model, batch, rng)
+            loss_d, w_est, gp = critic_step(model, d_adam, batch, rng)
             step += 1
             trace.records.append(StepRecord(step, loss_d, loss_g, w_est, gp))
             if stop.update(w_est):
                 stopped = True
         if not stopped and step < cfg.max_steps:
-            loss_g = generator_step(model, rng)
+            loss_g = generator_step(model, g_adam, rng)
     trace.stop_reason = "criterion" if stopped else "max_steps"
     trace.steps_to_stop = step
     return trace
@@ -341,13 +347,12 @@ def _train_loop(model: GanModel, data: Dataset, cfg: GanConfig, stop_delta):
 def pretrain(model: GanModel, normal_data: Dataset, cfg: GanConfig = None):
     """Train on normal traffic until the stop rule fires; phase -> pretrained.
 
-    The model trains under `cfg` (default its own) and keeps it, with its
-    optimizer state reset for it, as `finetune` does."""
+    The model trains under `cfg` (default its own) and keeps it, as
+    `finetune` does."""
     if model.phase != "fresh":
         raise WrongPhase(f"pretrain expects a fresh model, got {model.phase}")
     cfg = cfg or model.cfg
     model.cfg = cfg
-    model.reset_optimizers()
     trace = _train_loop(model, normal_data, cfg, cfg.stop_delta)
     model.phase = "pretrained"
     return model, trace
@@ -357,7 +362,7 @@ def finetune(pretrained: GanModel, minority_data: Dataset, cfg: GanConfig = None
              class_name="minority"):
     """Continue training on one minority class from the pretrained weights.
 
-    Weights are copied exactly; Adam accumulators start from zero. The
+    Weights are copied exactly; Adam starts from zero, as in every phase. The
     ablation's arm without pretraining fine-tunes a model pretrained for 0
     steps: the untrained weights of `build_gan`.
     """
@@ -366,7 +371,6 @@ def finetune(pretrained: GanModel, minority_data: Dataset, cfg: GanConfig = None
     cfg = cfg or pretrained.cfg
     model = pretrained.copy()
     model.cfg = cfg
-    model.reset_optimizers()
     trace = _train_loop(model, minority_data, cfg, cfg.finetune_stop_delta)
     model.phase = f"{_TUNED}{class_name}"
     return model, trace

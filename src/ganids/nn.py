@@ -12,6 +12,8 @@ dtype of the parameter set they are given, and every array they allocate
 takes that dtype: the GAN runs them in float32, the tests in float64. A
 set's arrays are views into one flat vector, in sorted-name order, and
 gradients (added into a zeroed set), Adam and the model file all use it.
+Adam updates that vector in place and is the one writer of parameters; the
+kernels only read them.
 `forward`/`forward_var` compose the layers from the generic primitives of
 `autodiff` (an fc layer is `matmul` plus `add`, dropout a `mul`), and
 `grad_params`/`grad_input` differentiate them by the chain rule alone; only
@@ -382,9 +384,9 @@ def penalty_batch(spec: NetworkSpec, x_hat, dtype=np.float64):
 # Biases and the leaky ReLU, dropout and tanh factors are applied in place,
 # but only to an array the pass itself allocated: each pass keeps one flag,
 # `own`, for that. The caller's input, a cached array and a cotangent kept
-# in `record` are never written, and neither is a parameter. In place or
-# not, each element gets the same operations in the same order, so the
-# results are bit-identical.
+# in `record` are never written, and neither is a parameter (only Adam
+# writes those). In place or not, each element gets the same operations in
+# the same order, so the results are bit-identical.
 #
 # The penalty's double backward has a closed form on these layers. The
 # input gradient of sum D(x) is a backward pass, a chain of maps
@@ -499,18 +501,19 @@ def _backward(spec, params, caches, g, rows=slice(None), grads=None,
     parameter's gradient into it and stops at the first layer, returning
     None; without, skips the parameter gradients and returns the input
     cotangent (B', input_width). A dict `record`
-    receives each layer's output cotangent; `inject` is (rows, {i: array})
-    added to layer i's input cotangent on those rows.
+    receives the output cotangent of each fc, conv1d and tanh layer, the
+    ones `_penalty` reads; `inject` is (rows, {i: array}) added to layer
+    i's input cotangent on those rows.
     """
     n = len(g)
     g = g.reshape((n,) + caches[-1][0][1:])
     own = False
     for i, layer, _, wn, bn in reversed(spec.walk):
         shape, cache = caches[i]
-        if record is not None:
+        kind = layer.kind
+        if record is not None and kind in ("fc", "conv1d", "tanh"):
             record[i] = g
             own = False
-        kind = layer.kind
         if kind == "fc":
             flat, w_lc = cache
             if grads is not None:
@@ -628,20 +631,28 @@ EPS = 1e-8
 
 
 class AdamState:
-    """Adam's moments `m` and `v`, zero sets of the parameters' names,
-    shapes and dtype, and the step count `t`."""
+    """One training phase's Adam state for one network: the moments `m`
+    and `v`, the step count `t`, and `grads`, the set each step clears and
+    adds its gradients into. All three sets start as zero sets of the
+    parameters' names, shapes and dtype."""
 
     def __init__(self, params: ParamSet):
         self.m = params.zeros()
         self.v = params.zeros()
+        self.grads = params.zeros()
         self.t = 0
 
+    def zero_grads(self) -> ParamSet:
+        """`grads`, set to zero in place."""
+        self.grads.flat.fill(0)
+        return self.grads
 
-def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> ParamSet:
+
+def adam_step(params: ParamSet, grads: ParamSet, state: AdamState):
     """One bias-corrected Adam descent step over the flat vectors; updates
-    `state` in place, writes neither `params` nor `grads`, and returns new
-    params over one new vector. Per element it runs the operations of
-    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    `state` and `params.flat` in place and does not write `grads`. Per
+    element it runs the operations of m = b1 m + (1 - b1) g,
+    v = b2 v + (1 - b2) g g and
     p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), in that order.
     """
     p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
@@ -650,7 +661,7 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> ParamSet:
                             f"where Adam's state holds {m.size}")
     state.t += 1
     t = state.t
-    step = np.multiply(g, 1 - BETA1)  # the new params: allocated first
+    step = np.multiply(g, 1 - BETA1)
     m *= BETA1
     m += step
     tmp = np.multiply(g, 1 - BETA2)
@@ -663,4 +674,4 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> ParamSet:
     np.divide(m, 1 - BETA1 ** t, out=step)
     step *= LR
     step /= tmp
-    return params.like(np.subtract(p, step, out=step))
+    p -= step

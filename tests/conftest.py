@@ -127,10 +127,9 @@ def fd_param_grad(loss_fn, params, name, index, h=1e-5):
 
 def float64_model(model):
     """`model` with its networks cast to float64, the precision in which the
-    oracles check the kernels, and its optimizers reset for them."""
+    oracles check the kernels."""
     model.g_params = model.g_params.astype(np.float64)
     model.d_params = model.d_params.astype(np.float64)
-    model.reset_optimizers()
     return model
 
 

@@ -149,14 +149,16 @@ def test_c01_critic_loss_gradients_match_finite_differences():
         def step_loss(p, _m=model, _r=real, _f=fake, _x=x_hat_k, _mk=masks_k,
                       _s=step_seed):
             _m.d_params = p
-            loss_d = gan.critic_grads(_m, _r, np.random.default_rng(_s),
-                                      fake_batch=_f)[1]
+            loss_d = gan.critic_grads(_m, p.zeros(), _r,
+                                      np.random.default_rng(_s),
+                                      fake_batch=_f)[0]
             signs = _critic_loss_graph(_m.d_spec, p, _r, _f, _x, _mk, 10.0)[3]
             return loss_d, signs
 
-        step_grads = gan.critic_grads(model, real,
-                                      np.random.default_rng(step_seed),
-                                      fake_batch=fake)[0].tensors
+        step_grads = params.zeros()
+        gan.critic_grads(model, step_grads, real,
+                         np.random.default_rng(step_seed), fake_batch=fake)
+        step_grads = step_grads.tensors
         done, step_worst = _fd_probes(step_loss, params, step_grads, rng,
                                       step_worst)
         assert done >= 4

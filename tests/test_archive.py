@@ -1,6 +1,5 @@
 """Model archive round-trip and integrity tests."""
 
-import hashlib
 import io
 import json
 import re
@@ -141,9 +140,7 @@ def test_damaged_archive_raises_archive_error(archive_bytes, tmp_path_factory,
 def _gan_header(model):
     """The header save_gan writes for model."""
     return {"kind": "gan", "phase": model.phase,
-            "feature_dim": model.feature_dim, "cfg": asdict(model.cfg),
-            "g_hash": model.g_params.content_hash(),
-            "d_hash": model.d_params.content_hash()}
+            "feature_dim": model.feature_dim, "cfg": asdict(model.cfg)}
 
 
 def _param_blobs(model):
@@ -153,7 +150,7 @@ def _param_blobs(model):
 
 @pytest.mark.parametrize("width", [1, 11, 122])
 def test_gan_blob_is_float64_runs_in_sorted_name_order(tmp_path, width):
-    # the format-6 blob of each network, built from nn.param_shapes alone:
+    # the blob of each network, built from nn.param_shapes alone:
     # each array's float64 upcast, C order, the names in sorted order
     rng = np.random.default_rng(width)
     model = gan.build_gan(width, gan.GanConfig(seed=1))
@@ -228,12 +225,25 @@ def test_format_5_archive_raises_archive_error(archive_bytes, tmp_path, kind):
         load(path)
 
 
+@pytest.mark.parametrize("kind", ["gan", "ensemble"])
+def test_format_6_archive_raises_archive_error(archive_bytes, tmp_path, kind):
+    # format 6 stored a content hash per network and per ensemble body
+    raw, load = archive_bytes[kind]
+    raw = bytearray(raw)
+    raw[len(archive.MAGIC):len(archive.MAGIC) + 2] = (6).to_bytes(2, "little")
+    path = tmp_path / "m.bin"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(archive.ArchiveError,
+                       match="m.bin: unsupported format version 6"):
+        load(path)
+
+
 def test_dumps_writes_the_json_of_asdict():
     rng = np.random.default_rng(3)
     raw = raw_dataset(rng.random((60, 2)), rng.integers(0, 3, 60),
                       ["numeric", "numeric"], ["a", "b", "c"])
     model = gan.build_gan(3, gan.GanConfig(seed=1))
-    header = archive.GanHeader("gan", model.phase, 3, model.cfg, "g", "d")
+    header = archive.GanHeader("gan", model.phase, 3, model.cfg)
     spec = model.g_spec
     assert spec.walk  # a cached_property, kept in the instance's __dict__
     for value in (_fit_with_plan(raw, rounds=3, min_leaf=5), header, spec):
@@ -313,22 +323,19 @@ NO_PLAN = (b'{"base_scores": [0.0, 0.0], "classes": ["a", "b"], '
            b'"mapper": {"boundaries": [[0.5]]}, "plan": null, "trees": []}')
 
 
-@pytest.mark.parametrize("header,body", [
-    ({"kind": "ensemble"}, b"{}"),
-    (None, b"{not json"),
-    (None, b'{"base_scores": [0.0, 0.0]}'),
-    (None, b"[1, 2]"),
-    (None, NO_PLAN),
-    (None, NO_PLAN.replace(b'"plan": null', b'"plan": {}')),
-], ids=["no hash", "body not JSON", "body lacks trees", "body not an object",
-        "body without plan", "body with empty plan"])
-def test_ensemble_archive_that_does_not_load_raises_archive_error(
-        tmp_path, header, body):
-    if header is None:
-        header = {"kind": "ensemble",
-                  "hash": hashlib.sha256(body).hexdigest()}
+@pytest.mark.parametrize("body", [
+    b"{}",
+    b"{not json",
+    b'{"base_scores": [0.0, 0.0]}',
+    b"[1, 2]",
+    NO_PLAN,
+    NO_PLAN.replace(b'"plan": null', b'"plan": {}'),
+], ids=["empty body", "body not JSON", "body lacks trees",
+        "body not an object", "body without plan", "body with empty plan"])
+def test_ensemble_archive_that_does_not_load_raises_archive_error(tmp_path,
+                                                                  body):
     path = tmp_path / "ens.bin"
-    archive._write(path, header, [body])
+    archive._write(path, {"kind": "ensemble"}, [body])
     with pytest.raises(archive.ArchiveError, match="ens.bin"):
         archive.load_ensemble(path)
 
@@ -358,8 +365,7 @@ def test_ensemble_whose_columns_disagree_with_its_plan_is_refused(
     assert not path.exists()
     # the same ensemble written around the check does not load
     body = archive._dumps(asdict(ens))
-    archive._write(path, {"kind": "ensemble",
-                          "hash": hashlib.sha256(body).hexdigest()}, [body])
+    archive._write(path, {"kind": "ensemble"}, [body])
     with pytest.raises(archive.ArchiveError, match="ens.bin"):
         archive.load_ensemble(path)
 
@@ -379,10 +385,9 @@ def scored_model(tmp_path_factory):
 
 def _evaluate_body(tmp_path, demo, body: bytes):
     """Exit code and stderr of `ganids evaluate` on a model file holding
-    body, with its hash and digest recomputed."""
+    body, with its digest recomputed."""
     model = tmp_path / "ens.bin"
-    archive._write(model, {"kind": "ensemble",
-                           "hash": hashlib.sha256(body).hexdigest()}, [body])
+    archive._write(model, {"kind": "ensemble"}, [body])
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):
         code = cli.main(["evaluate", "--model", str(model), "--schema",

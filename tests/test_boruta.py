@@ -47,10 +47,9 @@ def test_shadow_columns_absent_from_output():
 def test_statuses_partition_features():
     decision = boruta.boruta_select(planted_dataset(), rounds=10, alpha=0.05,
                                     boost_params=SMALL_BOOST)
-    assert decision.accepted() + decision.rejected() + decision.tentative()
-    covered = set(decision.accepted()) | set(decision.rejected()) \
-        | set(decision.tentative())
-    assert covered == {"signal", "noise"}
+    assert set(decision.status) == {"signal", "noise"}
+    assert set(decision.status.values()) \
+        <= {"accepted", "rejected", "tentative"}
     assert all(h <= decision.rounds for h in decision.hits.values())
 
 

@@ -35,7 +35,25 @@ def linear_critic_model(w, cfg):
                             "l0.b": np.zeros(1)})
     g_spec = gan.generator_spec(2)
     return gan.GanModel(g_spec, nn.init_params(g_spec, 0), d_spec, d_params,
-                        2, cfg)
+                        cfg)
+
+
+def critic_step(model, real_batch, rng, fake_batch=None):
+    """One critic step with a fresh Adam state."""
+    return gan.critic_step(model, nn.AdamState(model.d_params), real_batch,
+                           rng, fake_batch)
+
+
+def generator_step(model, rng):
+    """One generator step with a fresh Adam state."""
+    return gan.generator_step(model, nn.AdamState(model.g_params), rng)
+
+
+def critic_grads(model, real, rng):
+    """`gan.critic_grads` into a zeroed set: (grads by name, loss_d,
+    wasserstein estimate, gp)."""
+    grads = model.d_params.zeros()
+    return (grads.tensors,) + gan.critic_grads(model, grads, real, rng)
 
 
 def test_build_gan_shapes():
@@ -63,7 +81,7 @@ def test_critic_step_zero_lambda_fake_equals_real():
     model = linear_critic_model([[3.0], [4.0]], small_cfg(lam=0.0))
     rng = np.random.default_rng(0)
     batch = np.array([[0.4, 0.6], [0.1, 0.9]])
-    loss_d, w_est, gp = gan.critic_step(model, batch, rng, fake_batch=batch)
+    loss_d, w_est, gp = critic_step(model, batch, rng, fake_batch=batch)
     assert loss_d == 0.0
     assert w_est == 0.0
     assert gp == 0.0
@@ -73,8 +91,8 @@ def test_critic_step_linear_closed_form():
     # w=(3,4), lam=10, real (1,0), fake (0,1): loss = (4-3) + 160 = 161
     model = linear_critic_model([[3.0], [4.0]], small_cfg(lam=10.0))
     rng = np.random.default_rng(0)
-    loss_d, w_est, gp = gan.critic_step(model, [[1.0, 0.0]], rng,
-                                        fake_batch=[[0.0, 1.0]])
+    loss_d, w_est, gp = critic_step(model, [[1.0, 0.0]], rng,
+                                    fake_batch=[[0.0, 1.0]])
     assert np.isclose(loss_d, 161.0, atol=1e-9)
     assert np.isclose(gp, 160.0, atol=1e-9)
     assert np.isclose(w_est, -1.0)
@@ -125,10 +143,10 @@ def test_critic_grads_match_three_pass_reference(d_layers, dim, seed):
         model.d_spec = nn.NetworkSpec(dim, d_layers)
         model.d_params = nn.init_params(model.d_spec, seed + 5)
     real = np.random.default_rng(seed + 9).random((cfg.batch_size, dim))
-    got = gan.critic_grads(model, real, np.random.default_rng(seed))
+    got = critic_grads(model, real, np.random.default_rng(seed))
     want = _critic_grads_reference(model, real, np.random.default_rng(seed))
     for k, ref in want[0].items():
-        err = np.linalg.norm(got[0].tensors[k] - ref)
+        err = np.linalg.norm(got[0][k] - ref)
         assert err <= 1e-10 * max(np.linalg.norm(ref), 1e-300), k
     np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=1e-12)
 
@@ -188,15 +206,15 @@ def test_step_gradients_match_autodiff_on_random_critics(dim, body, head,
                                   + head)
     model.d_params = nn.init_params(model.d_spec, seed)
     real = np.random.default_rng(seed + 1).random((batch, dim))
-    got = gan.critic_grads(model, real, np.random.default_rng(seed))
+    got = critic_grads(model, real, np.random.default_rng(seed))
     want = _critic_grads_reference(model, real, np.random.default_rng(seed))
-    _assert_grads_close(got[0].tensors, want[0])
+    _assert_grads_close(got[0], want[0])
     np.testing.assert_allclose(got[1:], want[1:], rtol=1e-10, atol=1e-12)
 
     updates = []
     with mock.patch.object(nn, "adam_step",
-                           lambda p, g, state: updates.append(g) or p):
-        loss_g = gan.generator_step(model, np.random.default_rng(seed))
+                           lambda p, g, state: updates.append(g)):
+        loss_g = generator_step(model, np.random.default_rng(seed))
     want_g, want_loss = _generator_grads_reference(
         model, np.random.default_rng(seed))
     _assert_grads_close(updates[0].tensors, want_g)
@@ -212,8 +230,8 @@ def test_training_steps_build_no_autodiff_nodes(monkeypatch):
         raise AssertionError("an autodiff node was built")
 
     monkeypatch.setattr(ad.Var, "__init__", refuse)
-    gan.critic_step(model, rng.random((16, 6)), rng)
-    gan.generator_step(model, rng)
+    critic_step(model, rng.random((16, 6)), rng)
+    generator_step(model, rng)
     nn.gradient_penalty(model.d_spec, model.d_params, rng.random((16, 6)),
                         10.0, train=True)
     _synthesize_600(model)
@@ -223,7 +241,7 @@ def test_critic_step_rejects_empty_batch():
     model = gan.build_gan(4, small_cfg())
     d_hash = model.d_params.content_hash()
     with pytest.raises(nn.EmptyBatch):
-        gan.critic_step(model, np.zeros((0, 4)), np.random.default_rng(0))
+        critic_step(model, np.zeros((0, 4)), np.random.default_rng(0))
     assert model.d_params.content_hash() == d_hash
 
 
@@ -231,10 +249,47 @@ def test_critic_step_updates_critic_only():
     model = gan.build_gan(4, small_cfg())
     g_hash = model.g_params.content_hash()
     d_hash = model.d_params.content_hash()
-    gan.critic_step(model, np.random.default_rng(1).random((16, 4)),
-                    np.random.default_rng(2))
+    critic_step(model, np.random.default_rng(1).random((16, 4)),
+                np.random.default_rng(2))
     assert model.g_params.content_hash() == g_hash
     assert model.d_params.content_hash() != d_hash
+
+
+def test_steps_update_the_weights_in_place():
+    model = gan.build_gan(4, small_cfg())
+    g_flat, d_flat = model.g_params.flat, model.d_params.flat
+    g_before, d_before = g_flat.copy(), d_flat.copy()
+    rng = np.random.default_rng(1)
+    critic_step(model, rng.random((16, 4)), rng)
+    generator_step(model, rng)
+    assert model.g_params.flat is g_flat and model.d_params.flat is d_flat
+    assert not np.array_equal(d_flat, d_before)
+    assert not np.array_equal(g_flat, g_before)
+
+
+def test_each_phase_starts_from_a_fresh_adam_state(monkeypatch):
+    calls = []  # (phase, Adam state, its t and zero moments before the step)
+    phase = ["pretrain"]
+    adam_step = nn.adam_step
+
+    def recording(params, grads, state):
+        assert grads is state.grads
+        zero = not (state.m.flat.any() or state.v.flat.any())
+        calls.append((phase[0], state, state.t, zero))
+        adam_step(params, grads, state)
+
+    monkeypatch.setattr(nn, "adam_step", recording)
+    cfg = small_cfg(max_steps=7)  # both phases take generator steps
+    model, _ = gan.pretrain(gan.build_gan(4, cfg), normal_dataset(), cfg)
+    phase[0] = "finetune"
+    gan.finetune(model, normal_dataset(seed=1), class_name="attack")
+    # `calls` keeps every state alive, so no two share an id
+    first = {}
+    for name, state, t, zero in calls:
+        first.setdefault(id(state), (name, t, zero))
+    # a critic and a generator state per phase, none carried into the next
+    assert sorted(first.values()) == [("finetune", 0, True)] * 2 \
+        + [("pretrain", 0, True)] * 2
 
 
 def test_generator_step_constant_critic():
@@ -244,7 +299,7 @@ def test_generator_step_constant_critic():
     zeroed["l5.b"] = np.array([0.3])  # critic output = tanh(0.3) everywhere
     model.d_params = nn.ParamSet(zeroed)
     g_hash = model.g_params.content_hash()
-    loss_g = gan.generator_step(model, np.random.default_rng(0))
+    loss_g = generator_step(model, np.random.default_rng(0))
     assert np.isclose(loss_g, -np.tanh(0.3))
     # constant critic -> zero generator gradient -> parameters unchanged
     assert model.g_params.content_hash() == g_hash
@@ -254,7 +309,7 @@ def test_generator_step_determinism():
     results = []
     for _ in range(2):
         model = gan.build_gan(4, small_cfg())
-        loss = gan.generator_step(model, np.random.default_rng(3))
+        loss = generator_step(model, np.random.default_rng(3))
         results.append((loss, model.g_params.content_hash()))
     assert results[0] == results[1]
 
@@ -263,12 +318,13 @@ def test_generator_step_nonfinite_loss_leaves_generator_unchanged():
     model = gan.build_gan(4, small_cfg())
     model.d_params.tensors["l0.w"][0, 0, 0] = np.nan
     g_hash = model.g_params.content_hash()
-    m_before = model.g_opt.m.flat.copy()
+    adam = nn.AdamState(model.g_params)
+    m_before = adam.m.flat.copy()
     with pytest.raises(NonFiniteValue):
-        gan.generator_step(model, np.random.default_rng(0))
+        gan.generator_step(model, adam, np.random.default_rng(0))
     assert model.g_params.content_hash() == g_hash
-    assert model.g_opt.t == 0
-    assert np.array_equal(model.g_opt.m.flat, m_before)
+    assert adam.t == 0
+    assert np.array_equal(adam.m.flat, m_before)
 
 
 def test_stop_rule_fires_after_window_below_delta():
@@ -360,7 +416,6 @@ def test_finetune_copies_pretrained_weights():
     assert tuned.d_params.content_hash() == d_hash
     assert model.phase == "pretrained"
     assert tuned.phase == "finetuned:attack"
-    assert tuned.d_opt.t == 0  # optimizer accumulators reset
 
 
 def test_finetune_requires_pretrained_phase():
@@ -386,7 +441,7 @@ def _finetuned_stub(plan, dim):
     g_params = nn.ParamSet({"l0.w": np.eye(dim), "l0.b": np.zeros(dim)})
     d_spec = gan.critic_spec(dim)
     model = gan.GanModel(g_spec, g_params, d_spec, nn.init_params(d_spec, 1),
-                         dim, cfg, phase="finetuned:attack")
+                         cfg, phase="finetuned:attack")
     return model
 
 
@@ -418,7 +473,8 @@ def test_synthesize_zero_rows_and_determinism():
     assert len(empty) == 0
     a = gan.synthesize(model, 5, plan, seed=3, schema=schema, class_name="attack")
     b = gan.synthesize(model, 5, plan, seed=3, schema=schema, class_name="attack")
-    assert a.content_hash() == b.content_hash()
+    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.labels, b.labels)
 
 
 def test_synthesize_requires_finetuned_phase():
@@ -471,8 +527,8 @@ def _synthesize_600(model):
 
 
 @pytest.mark.parametrize("call", [
-    lambda m, rng: gan.critic_step(m, rng.random((16, m.feature_dim)), rng),
-    lambda m, rng: gan.generator_step(m, rng),
+    lambda m, rng: critic_step(m, rng.random((16, m.feature_dim)), rng),
+    lambda m, rng: generator_step(m, rng),
     lambda m, rng: nn.gradient_penalty(m.d_spec, m.d_params,
                                        rng.random((16, m.feature_dim)), 10.0,
                                        train=True),
@@ -525,15 +581,17 @@ def _param_arrays(*params):
 
 
 @pytest.mark.parametrize("call", [
-    lambda m, real, rng: gan.critic_step(m, real, rng),
-    lambda m, real, rng: gan.generator_step(m, rng),
+    lambda m, real, rng: critic_step(m, real, rng),
+    lambda m, real, rng: generator_step(m, rng),
     lambda m, real, rng: _synthesize_600(m),
     lambda m, real, rng: nn.gradient_penalty(m.d_spec, m.d_params, real, 10.0,
                                              train=True),
 ], ids=["critic_step", "generator_step", "synthesize", "gradient_penalty"])
-def test_kernels_write_only_to_arrays_they_own(call):
+def test_kernels_write_only_to_arrays_they_own(call, monkeypatch):
     # in-place kernels on a read-only batch and read-only parameters: a
-    # write to either raises, and their bytes stay as they were
+    # write to either raises, and their bytes stay as they were. Adam, the
+    # one writer of parameters, is stubbed out
+    monkeypatch.setattr(nn, "adam_step", lambda params, grads, state: None)
     model = gan.build_gan(11, small_cfg(batch_size=16))
     rng = np.random.default_rng(0)
     real = rng.random((16, 11))

@@ -236,11 +236,11 @@ def test_adam_first_step_magnitude():
     spec = fc_spec(1, 1)
     params = set_params(spec, **{"l0.w": [[1.0]]})
     state = nn.AdamState(params)
-    new = nn.adam_step(params, nn.ParamSet({"l0.w": np.array([[1.0]]),
-                                            "l0.b": np.zeros(1)}), state)
+    nn.adam_step(params, nn.ParamSet({"l0.w": np.array([[1.0]]),
+                                      "l0.b": np.zeros(1)}), state)
     assert state.t == 1
-    assert np.isclose(new.tensors["l0.w"][0, 0], 1.0 - nn.LR, atol=1e-8)
-    assert new.tensors["l0.b"][0] == 0.0  # zero grad leaves the bias alone
+    assert np.isclose(params.tensors["l0.w"][0, 0], 1.0 - nn.LR, atol=1e-8)
+    assert params.tensors["l0.b"][0] == 0.0  # zero grad leaves the bias alone
 
 
 def test_adam_two_steps_match_hand_replay():
@@ -249,15 +249,15 @@ def test_adam_two_steps_match_hand_replay():
     params = set_params(spec, **{"l0.w": [[0.5]]})
     state = nn.AdamState(params)
     g = nn.ParamSet({"l0.w": np.array([[1.0]]), "l0.b": np.zeros(1)})
-    p = nn.adam_step(params, g, state)
-    p = nn.adam_step(p, g, state)
+    nn.adam_step(params, g, state)
+    nn.adam_step(params, g, state)
     # independent replay of the Adam recurrences
     w, m, v = 0.5, 0.0, 0.0
     for t in (1, 2):
         m = b1 * m + (1 - b1) * 1.0
         v = b2 * v + (1 - b2) * 1.0
         w -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
-    assert np.isclose(p.tensors["l0.w"][0, 0], w, atol=1e-12)
+    assert np.isclose(params.tensors["l0.w"][0, 0], w, atol=1e-12)
 
 
 @pytest.mark.parametrize("spec", [
@@ -273,15 +273,12 @@ def test_adam_in_place_moments_are_bit_identical_to_fresh_arrays(spec):
     ref = {k: v.copy() for k, v in params.tensors.items()}
     m = {k: np.zeros_like(v) for k, v in ref.items()}
     v = {k: np.zeros_like(x) for k, x in ref.items()}
-    p = params
+    flat = params.flat
     for t in (1, 2, 3):
         grads = {k: rng.standard_normal(x.shape) for k, x in ref.items()}
-        given = {k: x.copy() for k, x in p.tensors.items()}
-        p_in = p
-        p = nn.adam_step(p, nn.ParamSet(grads), state)
-        # the parameter set passed in is left as it was
-        for k, x in given.items():
-            assert np.array_equal(p_in.tensors[k], x)
+        nn.adam_step(params, nn.ParamSet(grads), state)
+        # the parameters are updated in place
+        assert params.flat is flat
         for k, g in grads.items():
             # the moment updates as fresh arrays
             m[k] = b1 * m[k] + (1 - b1) * g
@@ -291,7 +288,7 @@ def test_adam_in_place_moments_are_bit_identical_to_fresh_arrays(spec):
         for k in ref:
             assert np.array_equal(state.m.tensors[k], m[k])
             assert np.array_equal(state.v.tensors[k], v[k])
-            assert np.array_equal(p.tensors[k], ref[k])
+            assert np.array_equal(params.tensors[k], ref[k])
 
 
 def test_adam_shape_mismatch():
@@ -331,15 +328,17 @@ def test_param_set_arrays_are_views_of_one_vector(width, layers, seed):
         assert not np.shares_memory(other.flat, params.flat)
         assert all(np.shares_memory(t, other.flat)
                    for t in other.tensors.values())
-    # Adam reads the parameter and gradient vectors and writes neither
+    # Adam reads the gradient vector and updates the parameter vector in
+    # place: every value moves, and the views still see it
     grads = params.like(
         np.random.default_rng(seed).standard_normal(params.flat.size))
-    before = params.flat.tobytes(), grads.flat.tobytes()
-    params.flat.flags.writeable = grads.flat.flags.writeable = False
-    new = nn.adam_step(params, grads, nn.AdamState(params))
-    assert (params.flat.tobytes(), grads.flat.tobytes()) == before
-    assert _layout(new) == _layout(params)
-    assert not np.shares_memory(new.flat, params.flat)
+    before = params.flat.copy(), grads.flat.tobytes()
+    grads.flat.flags.writeable = False
+    flat, views = params.flat, list(params.tensors.values())
+    nn.adam_step(params, grads, nn.AdamState(params))
+    assert grads.flat.tobytes() == before[1]
+    assert params.flat is flat and np.all(flat != before[0])
+    assert all(a is b for a, b in zip(params.tensors.values(), views))
 
 
 @pytest.mark.parametrize("make", [
