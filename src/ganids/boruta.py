@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import bdtr, bdtrc
 
 from . import gbdt
 from .data import Dataset, EmptyDataset
@@ -56,9 +56,9 @@ def boruta_select(train: Dataset, rounds, alpha, boost_params: gbdt.BoostParams,
 def _decide(h, rounds, alpha):
     if rounds == 0:
         return "tentative"
-    # two-sided binomial test against p = 0.5
-    if stats.binom.sf(h - 1, rounds, 0.5) < alpha:
+    # two-sided binomial test against p = 0.5: P(X >= h), then P(X <= h)
+    if bdtrc(h - 1, rounds, 0.5) < alpha:
         return "accepted"
-    if stats.binom.cdf(h, rounds, 0.5) < alpha:
+    if bdtr(h, rounds, 0.5) < alpha:
         return "rejected"
     return "tentative"

@@ -24,7 +24,6 @@ against.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -153,9 +152,7 @@ def param_shapes(spec: NetworkSpec):
 
 class ParamSet:
     """A network's arrays, one run each of the vector `flat` in sorted-name
-    order; `tensors` maps each name to its view. The hash reads each array
-    as its exact float64 upcast, so a float32 set and its float64 cast hash
-    alike."""
+    order; `tensors` maps each name to its view."""
 
     def __init__(self, tensors):
         shapes = {name: np.shape(arr) for name, arr in tensors.items()}
@@ -195,14 +192,6 @@ class ParamSet:
 
     def astype(self, dtype):
         return self.like(self.flat.astype(dtype))
-
-    def content_hash(self):
-        h = hashlib.sha256()
-        for name, arr in self.tensors.items():
-            h.update(name.encode())
-            h.update(str(arr.shape).encode())
-            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-        return h.hexdigest()
 
     def copy(self):
         return self.like(self.flat.copy())
@@ -634,13 +623,16 @@ class AdamState:
     """One training phase's Adam state for one network: the moments `m`
     and `v`, the step count `t`, and `grads`, the set each step clears and
     adds its gradients into. All three sets start as zero sets of the
-    parameters' names, shapes and dtype."""
+    parameters' names, shapes and dtype. `step` and `tmp` are the flat
+    scratch vectors `adam_step` writes its intermediates into."""
 
     def __init__(self, params: ParamSet):
         self.m = params.zeros()
         self.v = params.zeros()
         self.grads = params.zeros()
         self.t = 0
+        self.step = np.empty_like(params.flat)
+        self.tmp = np.empty_like(params.flat)
 
     def zero_grads(self) -> ParamSet:
         """`grads`, set to zero in place."""
@@ -660,11 +652,11 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState):
         raise ShapeMismatch(f"{g.size} gradients and {p.size} parameters, "
                             f"where Adam's state holds {m.size}")
     state.t += 1
-    t = state.t
-    step = np.multiply(g, 1 - BETA1)
+    t, step, tmp = state.t, state.step, state.tmp
+    np.multiply(g, 1 - BETA1, out=step)
     m *= BETA1
     m += step
-    tmp = np.multiply(g, 1 - BETA2)
+    np.multiply(g, 1 - BETA2, out=tmp)
     tmp *= g
     v *= BETA2
     v += tmp

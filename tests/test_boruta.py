@@ -1,4 +1,8 @@
-"""Shadow-feature selection tests on planted-signal data."""
+"""Shadow-feature selection tests on planted-signal data, and the binomial
+test checked against exact arithmetic."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,3 +82,27 @@ def test_empty_dataset_rejected():
     ds = planted_dataset().select(np.zeros(0, dtype=np.int64))
     with pytest.raises(boruta.EmptyDataset):
         boruta.boruta_select(ds, 5, 0.05, SMALL_BOOST)
+
+
+def _exact_decisions(rounds, alpha):
+    """Every hit count's decision under the two-sided test against p = 0.5,
+    from exact tails: sums of comb(rounds, k) / 2**rounds."""
+    alpha = Fraction(alpha)  # the float's exact value, as `<` compares it
+    counts = [math.comb(rounds, k) for k in range(rounds + 1)]
+    decisions, below = [], 0   # below: sum of counts[k] for k < h
+    for h, count in enumerate(counts):
+        if Fraction(2 ** rounds - below, 2 ** rounds) < alpha:   # P(X >= h)
+            decisions.append("accepted")
+        elif Fraction(below + count, 2 ** rounds) < alpha:       # P(X <= h)
+            decisions.append("rejected")
+        else:
+            decisions.append("tentative")
+        below += count
+    return decisions
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+def test_decide_matches_exact_binomial_tails(alpha):
+    for rounds in range(301):
+        decided = [boruta._decide(h, rounds, alpha) for h in range(rounds + 1)]
+        assert decided == _exact_decisions(rounds, alpha), rounds

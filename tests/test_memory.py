@@ -16,7 +16,7 @@ import pytest
 
 from conftest import encoded_dataset
 
-from ganids import archive, gbdt, imbalance, pipeline
+from ganids import archive, gan, gbdt, imbalance, nn, pipeline
 from ganids.demo import write_demo_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +55,16 @@ def test_filter_minority_copies_no_feature_rows():
     out, peak = traced_peak(lambda: imbalance.filter_minority(ds, 10.0))
     assert sorted(out.minority) == ["r2l", "u2r"]
     assert peak < 0.05 * ds.features.nbytes
+
+
+def test_adam_step_allocates_no_parameter_sized_vector():
+    # the width-122 critic, in the GAN's float32
+    params = nn.init_params(gan.critic_spec(122), 0).astype(np.float32)
+    grads = params.like(np.random.default_rng(0).standard_normal(
+        params.flat.size).astype(np.float32))
+    state = nn.AdamState(params)
+    _, peak = traced_peak(lambda: nn.adam_step(params, grads, state))
+    assert peak < 0.05 * params.flat.nbytes
 
 
 @pytest.fixture(scope="module")

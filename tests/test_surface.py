@@ -3,7 +3,9 @@ package imports. A new setting or dependency shows up in review as an edit
 to a list here."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 import tomllib
 import typing
@@ -67,3 +69,15 @@ def test_the_declared_dependencies_are_numpy_and_scipy():
     names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower()
              for d in project["dependencies"]}
     assert names == DEPENDENCIES
+
+
+def test_the_cli_does_not_import_scipy_stats():
+    # scipy.stats costs most of a process's start-up and resident memory;
+    # the runtime needs only the binomial tails in scipy.special
+    probe = ("import sys, ganids.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
