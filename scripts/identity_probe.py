@@ -75,7 +75,7 @@ def probe(work):
             "dataset_paths": [str(demo["csv"])],
             "schema": str(demo["schema"]), "out_dir": str(work / command),
             "seed": 3, "gan": {"max_steps": 150}, "boost": {"rounds": 12},
-            "boruta_enabled": True, "boruta_rounds": 4})
+            "boruta_rounds": 4})
         if command == "run":
             pipeline.run_pipeline(cfg)
         else:

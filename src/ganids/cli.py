@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +20,6 @@ def _one_line(text):
     them) escaped, so that an error message stays one line whatever file
     name or value it quotes."""
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
-
-
-def _load_config(args):
-    given = {"out_dir": args.out, "seed": args.seed, "gamma": args.gamma}
-    return replace(pipeline.PipelineConfig.from_json(args.config),
-                   **{k: v for k, v in given.items() if v is not None})
 
 
 def _on_rows(args, fn, *extra):
@@ -59,16 +52,15 @@ def cmd_filter(args):
 
 
 def cmd_run(args):
-    cfg = _load_config(args)
-    art = pipeline.run_pipeline(cfg)
+    art = pipeline.run_pipeline(pipeline.PipelineConfig.from_json(args.config))
     rep = art.eval_report
     print(f"accuracy {rep.accuracy:.4f}  macro_f1 {rep.macro_f1:.4f}")
     print(f"artifacts in {art.out_dir}")
 
 
 def cmd_ablate(args):
-    cfg = _load_config(args)
-    report = pipeline.run_ablation(cfg)
+    report = pipeline.run_ablation(
+        pipeline.PipelineConfig.from_json(args.config))
     for name, e in report.per_class.items():
         speed = e.get("speedup")
         extra = f"  speedup {speed:.2f}" if speed else ""
@@ -132,9 +124,6 @@ def main(argv=None):
                              "untrained weights")):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", required=True, help="pipeline config JSON")
-        sp.add_argument("--out", help="override output directory")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--gamma", type=float)
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("evaluate", help="score a saved classifier on a CSV")

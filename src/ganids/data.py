@@ -311,24 +311,16 @@ def select_columns(dataset: Dataset, names) -> Dataset:
 
 
 def concat(datasets):
-    """The rows of datasets of one schema, in order. Raw categorical codes
-    are rewritten into the sorted union of the parts' level tables."""
+    """The rows of encoded datasets of one plan, in order. A raw part
+    raises ValueError: its categorical codes index its own level table."""
+    if not all(d.encoded for d in datasets):
+        raise ValueError("concat takes encoded datasets only")
     first = datasets[0]
-    features = np.concatenate([d.features for d in datasets])
-    levels = None if first.levels is None else list(first.levels)
-    for j, table in enumerate(levels or []):
-        if table is not None:
-            # codes into the parts' tables stacked, then into their union
-            levels[j], recode = np.unique(np.concatenate(
-                [d.levels[j] for d in datasets]), return_inverse=True)
-            shift = np.cumsum([0] + [len(d.levels[j]) for d in datasets])
-            features[:, j] = recode[np.concatenate([
-                d.features[:, j].astype(np.intp) + k
-                for d, k in zip(datasets, shift)])]
     return Dataset(
-        features, np.concatenate([d.labels for d in datasets]),
-        first.schema, first.encoded, first.feature_names,
-        np.concatenate([d.synthetic for d in datasets]), levels)
+        np.concatenate([d.features for d in datasets]),
+        np.concatenate([d.labels for d in datasets]),
+        first.schema, True, first.feature_names,
+        np.concatenate([d.synthetic for d in datasets]))
 
 
 def load_dataset(paths, schema: DatasetSchema) -> Dataset:
@@ -517,20 +509,23 @@ class PreprocessPlan:
 
 
 def _checked_transform(i, t):
-    """Transform i as a tuple; ValueError naming it when it is neither
-    form."""
+    """Transform i as a tuple; ValueError naming it when it is neither form
+    as fit_plan builds it: lo <= hi, levels sorted and distinct."""
     if isinstance(t, (list, tuple)) and len(t) >= 2 and isinstance(t[0], str):
         name, kind, *rest = t
         if kind == "numeric" and len(rest) == 2 \
-                and all(map(is_finite_real, rest)):
+                and all(map(is_finite_real, rest)) \
+                and float(rest[0]) <= float(rest[1]):
             return (name, kind, float(rest[0]), float(rest[1]))
         if kind == "categorical" and len(rest) == 1 \
                 and isinstance(rest[0], (list, tuple)) \
-                and all(isinstance(v, str) for v in rest[0]):
+                and all(isinstance(v, str) for v in rest[0]) \
+                and all(a < b for a, b in zip(rest[0], rest[0][1:])):
             return (name, kind, tuple(rest[0]))
     raise ValueError(f"transforms: [{i}]: not a (name, \"numeric\", lo, hi) "
-                     "transform with finite lo and hi, nor a (name, "
-                     "\"categorical\", levels) one with string levels")
+                     "transform with finite lo <= hi, nor a (name, "
+                     "\"categorical\", levels) one with string levels in "
+                     "ascending order without repeats")
 
 
 def fit_plan(dataset: Dataset) -> PreprocessPlan:

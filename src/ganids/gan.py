@@ -318,29 +318,26 @@ def _train_loop(model: GanModel, data: Dataset, cfg: GanConfig, stop_delta):
     g_adam, d_adam = nn.AdamState(model.g_params), nn.AdamState(model.d_params)
     trace = TrainTrace()
     stop = _StopRule(stop_delta, cfg.stop_window)
-    step = 0
     loss_g = float("nan")
     order = rng.permutation(len(matrix))
     pos = 0
-    stopped = False
-    while step < cfg.max_steps and not stopped:
-        for _ in range(CRITIC_STEPS):
-            if step >= cfg.max_steps or stopped:
-                break
-            if pos + cfg.batch_size > len(order):
-                order = rng.permutation(len(matrix))
-                pos = 0
-            batch = matrix[order[pos:pos + cfg.batch_size]]
-            pos += cfg.batch_size
-            loss_d, w_est, gp = critic_step(model, d_adam, batch, rng)
-            step += 1
-            trace.records.append(StepRecord(step, loss_d, loss_g, w_est, gp))
-            if stop.update(w_est):
-                stopped = True
-        if not stopped and step < cfg.max_steps:
+    trace.stop_reason = "max_steps"
+    # a generator step after every CRITIC_STEPS critic steps, unless the
+    # phase ends there
+    for step in range(1, cfg.max_steps + 1):
+        if pos + cfg.batch_size > len(order):
+            order = rng.permutation(len(matrix))
+            pos = 0
+        batch = matrix[order[pos:pos + cfg.batch_size]]
+        pos += cfg.batch_size
+        loss_d, w_est, gp = critic_step(model, d_adam, batch, rng)
+        trace.records.append(StepRecord(step, loss_d, loss_g, w_est, gp))
+        if stop.update(w_est):
+            trace.stop_reason = "criterion"
+            break
+        if step % CRITIC_STEPS == 0 and step < cfg.max_steps:
             loss_g = generator_step(model, g_adam, rng)
-    trace.stop_reason = "criterion" if stopped else "max_steps"
-    trace.steps_to_stop = step
+    trace.steps_to_stop = len(trace.records)
     return trace
 
 

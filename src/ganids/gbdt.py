@@ -6,11 +6,13 @@ the cross-entropy gradients, second-order leaf values -G/(H + lambda).
 Bundling only accelerates histogram construction; split search always runs
 per original feature, so bundling never changes the fitted trees.
 
-Histogram layout: bundle b owns slots [start_b, start_b + size_b) of one
-slot space, and each row's bundle columns are stored already shifted by
-start_b, so a node's histogram is one bincount each of count, g and h over
-those keys (plus one always-empty slot). A feature's bins 1..nb-1 are
-contiguous slots; its bin 0 is the node total minus those bins.
+Histogram layout: efb_bundle lays out one slot space. Bundle b owns the
+slot starts[b], where a row falls when every member is at bin 0, and
+feature f's bins 1..nb-1 are the contiguous slots from first[f] on, each
+bundle's members in turn. bundle_columns writes each row's slot per
+bundle, so a node's histogram is one bincount each of count, g and h over
+those keys (plus one always-empty slot). A feature's bin 0 is the node
+total minus its other bins.
 
 Level batches: a tree grows one depth level at a time. The rows of a level's
 nodes sit in consecutive runs, each in its parent's row order. Adding
@@ -41,9 +43,9 @@ are exact; g and h differ from a direct build only by rounding.
 Per-row state: the bin matrix is Fortran-ordered, one contiguous column
 per feature, so the row partition reads one contiguous column, and its
 type is the narrowest unsigned one that holds every bin id (uint8 at the
-default max_bins). The bundle columns, shifted into the slot space, are the
-narrowest unsigned type that holds the slot count. LightGBM also keeps its
-binned features per column in the narrowest integer type.
+default max_bins). The bundle columns are of the narrowest unsigned type
+that holds the slot count. LightGBM also keeps its binned features per
+column in the narrowest integer type.
 
 Bundling is exact: the members of a bundle are never nonzero on the same
 row, so a bundle column decodes back to each member's bins. It packs each
@@ -232,31 +234,31 @@ def goss_sample(gradients, a, b, seed):
 
 @dataclass
 class BundleMap:
-    """Groups of mutually exclusive features with disjoint offset ranges
-    inside a shared histogram column."""
+    """Groups of mutually exclusive features and their histogram slots:
+    bundle b's rows with every member at bin 0 fall in slot starts[b], and
+    feature f's bins 1..nb-1 in the slots from first[f] on."""
 
     bundles: list          # list of lists of feature ids
-    offsets: list          # parallel: feature id -> offset within its bundle
+    starts: list           # per bundle: its slot of every member at bin 0
+    first: list            # per original feature: the slot of its bin 1
+    n_slots: int           # of all bundles together
     n_bins: list           # per original feature
-
-    def bundle_sizes(self):
-        sizes = []
-        for bundle in self.bundles:
-            sizes.append(1 + sum(self.n_bins[f] - 1 for f in bundle))
-        return sizes
 
 
 def efb_bundle(binned, n_bins) -> BundleMap:
-    """Greedy exclusive-feature bundling on a binned matrix.
+    """Greedy exclusive-feature bundling on a binned matrix, and the slot
+    layout of the bundles.
 
     Features are taken by descending nonzero count; each joins the first
     bundle none of whose members is nonzero on a row where it is, else
     opens a new one. Nonzero masks are packed 64 rows to a word, so one AND
     with every open bundle's mask finds the bundles a feature overlaps.
+    Each bundle's slots follow the previous bundle's: its bin-0 slot, then
+    each member's bins 1..nb-1 in member order.
     """
     n, m = binned.shape
     if m == 0:
-        return BundleMap([], [], list(n_bins))
+        return BundleMap([], [], [], 0, list(n_bins))
     # one row of bytes per feature, zero-padded to whole 64-bit words
     packed = np.zeros((m, (n + 63) // 64 * 8), dtype=np.uint8)
     packed[:, :(n + 7) // 8] = np.packbits(
@@ -276,34 +278,38 @@ def efb_bundle(binned, n_bins) -> BundleMap:
             i = len(bundles)
             bundles.append([int(f)])
         masks[i] |= packed[f]
-    offsets = []
+    starts, first, slot = [], [0] * m, 0
     for bundle in bundles:
-        offs, off = [], 1
+        starts.append(slot)
+        slot += 1
         for f in bundle:
-            offs.append(off)
-            off += n_bins[f] - 1
-        offsets.append(offs)
-    return BundleMap(bundles, offsets, list(n_bins))
+            first[f] = slot
+            slot += n_bins[f] - 1
+    return BundleMap(bundles, starts, first, slot, list(n_bins))
 
 
 def bundle_columns(binned, bundle_map: BundleMap):
-    """Materialize one column per bundle: 0 when every member is at bin 0,
-    else offset + bin - 1 of the one nonzero member. The columns are of the
-    narrowest unsigned type that holds the bundles' slot count."""
-    dtype = np.min_scalar_type(sum(bundle_map.bundle_sizes()))
+    """Each row's histogram slot in each bundle: the bundle's start when
+    every member is at bin 0, else first[f] + bin - 1 of its one nonzero
+    member f. The columns are of the narrowest unsigned type that holds
+    the slot count."""
+    dtype = np.min_scalar_type(bundle_map.n_slots)
     cols = np.empty((binned.shape[0], len(bundle_map.bundles)), dtype=dtype)
-    for i, (bundle, offs) in enumerate(zip(bundle_map.bundles, bundle_map.offsets)):
-        # efb_bundle gives every first member offset 1, so its bins are the
-        # column as they are; members are exclusive, so later members fill
-        # rows still at 0
+    first = bundle_map.first
+    for i, (bundle, start) in enumerate(zip(bundle_map.bundles,
+                                            bundle_map.starts)):
+        # efb_bundle puts a first member's bin 1 right after the bundle's
+        # start, so its bins shifted by start are the column; members are
+        # exclusive, so later members fill rows still at the start
         col = cols[:, i]
         col[:] = binned[:, bundle[0]]
-        for f, off in zip(bundle[1:], offs[1:]):
+        col += start
+        for f in bundle[1:]:
             v = binned[:, f]
             hit = v != 0
-            # widened first: in a uint8 bin's own type, off + bin - 1 wraps
-            # past 255
-            col[hit] = v[hit].astype(dtype) + (off - 1)
+            # widened first: in a uint8 bin's own type, first + bin - 1
+            # wraps past 255
+            col[hit] = v[hit].astype(dtype) + (first[f] - 1)
     return cols
 
 
@@ -370,30 +376,20 @@ class _HistContext:
     """Shared per-fit state: binned columns, the histogram slot layout and
     the gather indexes the split scan reads it through."""
 
-    def __init__(self, binned, bundle_map, bundle_cols, params):
+    def __init__(self, binned, bundle_map, params):
         self.binned = binned
         self.params = params
-        sizes = np.asarray(bundle_map.bundle_sizes(), dtype=np.intp)
-        starts = np.cumsum(sizes) - sizes
-        self.n_slots = int(sizes.sum())
-        # bundle columns shifted into one slot space: one bincount per level;
-        # of the narrowest type that holds n_slots, as bundle_columns' are
-        dtype = np.min_scalar_type(self.n_slots)
-        self.flat = bundle_cols.astype(dtype)
-        self.flat += starts.astype(dtype)
+        self.n_slots = bundle_map.n_slots
+        # each row's slot in each bundle: one bincount per level
+        self.flat = bundle_columns(binned, bundle_map)
         self.n_bundles = self.flat.shape[1]
         # every splittable feature reads its bins 0..nb-1 from the histogram;
         # ordered by (nb, feature), the features of one bin count form a
         # (features, nb) block. Bin 0 reads the empty last slot and is filled
         # in per node.
-        n_bins = bundle_map.n_bins
-        first = {}  # feature -> global slot of its bin 1
-        for start, bundle, offs in zip(starts, bundle_map.bundles,
-                                       bundle_map.offsets):
-            for f, off in zip(bundle, offs):
-                first[f] = start + off
+        n_bins, first = bundle_map.n_bins, bundle_map.first
         gather, base, self.groups = [], {}, []
-        for nb, f in sorted((n_bins[f], f) for f in first if n_bins[f] >= 2):
+        for nb, f in sorted((nb, f) for f, nb in enumerate(n_bins) if nb >= 2):
             if not self.groups or self.groups[-1][2] != nb:
                 self.groups.append([len(gather), len(gather), nb])
             base[f] = len(gather)
@@ -682,9 +678,7 @@ def fit(train: Dataset, params: BoostParams, seed=0) -> Ensemble:
                          f"needs 2 * min_leaf ({params.min_leaf}) to split")
 
     mapper, binned = bin_features(train, params.max_bins)
-    bundle_map = efb_bundle(binned, mapper.n_bins)
-    ctx = _HistContext(binned, bundle_map,
-                       bundle_columns(binned, bundle_map), params)
+    ctx = _HistContext(binned, efb_bundle(binned, mapper.n_bins), params)
 
     priors = np.bincount(y, minlength=k_total).astype(np.float64)
     priors = np.maximum(priors, 1e-12) / n

@@ -45,8 +45,7 @@ class PipelineConfig:
     seed: int = 0
     gan: gan_mod.GanConfig = field(default_factory=gan_mod.GanConfig)
     boost: gbdt.BoostParams = field(default_factory=gbdt.BoostParams)
-    boruta_enabled: bool = False
-    boruta_rounds: int = 10
+    boruta_rounds: int = 0         # > 0: select features in that many rounds
     skip_pretrain: bool = False
     skip_augment: bool = False
 
@@ -71,9 +70,6 @@ class PipelineConfig:
         return PipelineConfig.from_dict(d)
 
     def validate(self):
-        # the values as read back from JSON: an override (say, from the
-        # command line) is type-checked like the config file
-        PipelineConfig.from_dict(asdict(self))
         if not self.dataset_paths:
             raise ConfigInvalid("dataset_paths", "no dataset files configured")
         for p in self.dataset_paths:
@@ -245,7 +241,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         train_aug = concat([train] + synth_sets) if synth_sets else train
         del train, synth_sets
 
-    if config.boruta_enabled:
+    if config.boruta_rounds:
         with stage("select"):
             bp = replace(config.boost, rounds=max(10, config.boost.rounds // 10))
             decision = boruta.boruta_select(

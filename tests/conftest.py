@@ -24,11 +24,25 @@ def encoded_dataset(matrix, labels, classes, normal=None):
                    feature_names=[f"f{i}" for i in range(matrix.shape[1])])
 
 
+def bundle_layout(bundles, n_bins):
+    """The BundleMap of the given bundles, laid out as efb_bundle lays out
+    its own: per bundle, its bin-0 slot, then each member's bins 1..nb-1."""
+    starts, first, slot = [], {}, 0
+    for bundle in bundles:
+        starts.append(slot)
+        for f in bundle:
+            first[f] = slot + 1
+            slot += n_bins[f] - 1
+        slot += 1
+    return gbdt.BundleMap([list(b) for b in bundles], starts,
+                          [first[f] for f in range(len(n_bins))], slot,
+                          list(n_bins))
+
+
 def singleton_bundles(binned, n_bins):
     """A stand-in for gbdt.efb_bundle that bundles nothing: one feature per
     bundle, so training runs unbundled."""
-    m = binned.shape[1]
-    return gbdt.BundleMap([[j] for j in range(m)], [[1]] * m, list(n_bins))
+    return bundle_layout([[j] for j in range(binned.shape[1])], n_bins)
 
 
 def raw_dataset(rows, labels, kinds, classes, normal=None):

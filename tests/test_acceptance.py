@@ -362,8 +362,7 @@ def test_c09_split_search_matches_brute_force():
                                   max_bins=8)
         mapper, binned = gbdt.bin_features(ds, params.max_bins)
         bm = gbdt.efb_bundle(binned, mapper.n_bins)
-        ctx = gbdt._HistContext(binned, bm, gbdt.bundle_columns(binned, bm),
-                                params)
+        ctx = gbdt._HistContext(binned, bm, params)
         g = rng.standard_normal(n)
         h = rng.random(n) + 0.1
         got = ctx.best_split(np.arange(n), g, h)

@@ -418,6 +418,14 @@ def _deep_split(depth):
             + leaf + (f', "right": {leaf}, "value": 0.0}}') * depth)
 
 
+def _swap_lo_hi(transform):
+    """A numeric transform with its lo and hi swapped: a column that
+    preprocess would encode as all zeros."""
+    name, kind, lo, hi = transform
+    assert kind == "numeric" and lo < hi
+    transform[2:] = [hi, lo]
+
+
 @pytest.mark.parametrize("edit, where", [
     (lambda b: b["trees"][0][0].update(feature=-1),
      r"body: trees: \[0\]: \[0\]: "),
@@ -431,10 +439,12 @@ def _deep_split(depth):
     (lambda b: b["plan"]["transforms"].reverse(),
      "column 0: the plan encodes "),
     (lambda b: b.update(base_scores=[10**400] * 5), "body: base_scores: "),
+    (lambda b: _swap_lo_hi(b["plan"]["transforms"][0]),
+     r"body: plan: transforms: \[0\]: "),
 ], ids=["split with feature -1", "learning_rate a string",
         "threshold past the boundaries", "a tree per class too many",
         "boundaries descending", "plan transforms reordered",
-        "int past float range"])
+        "int past float range", "plan range lo above hi"])
 def test_body_value_that_would_score_wrongly_is_an_error_line(
         scored_model, tmp_path, edit, where):
     body, _, demo = scored_model

@@ -101,7 +101,7 @@ def test_evaluate_scores_a_model_trained_on_boruta_selected_features(
         out_dir=str(tmp_path / "run"),
         gan=gan.GanConfig(max_steps=5, batch_size=16, stop_window=4),
         boost=gbdt.BoostParams(rounds=3, min_leaf=5, max_depth=4),
-        boruta_enabled=True, boruta_rounds=10)
+        boruta_rounds=10)
     art = pipeline.run_pipeline(cfg)
     status = json.loads((tmp_path / "run" / "feature_decision.json")
                         .read_text())["status"]
@@ -204,12 +204,18 @@ def test_run_reports_a_top_level_value_it_cannot_use(
     assert not (tmp_path / "o").exists()
 
 
-def test_validate_rejects_an_override_of_the_wrong_type(demo, tmp_path):
-    cfg = pipeline.PipelineConfig(
-        dataset_paths=[str(demo["csv"])], schema=str(demo["schema"]),
-        out_dir=str(tmp_path / "o"))
-    with pytest.raises(pipeline.ConfigInvalid, match="^gamma: "):
-        replace(cfg, gamma="10").validate()
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("option", [["--seed", "3"], ["--out", "o"],
+                                    ["--gamma", "10"]],
+                         ids=["seed", "out", "gamma"])
+def test_run_and_ablate_take_their_settings_from_the_config_alone(
+        tmp_path, capsys, command, option):
+    with pytest.raises(SystemExit) as e:
+        cli.main([command, "--config", str(tmp_path / "c.json"), *option])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ganids ")
+    assert f"error: unrecognized arguments: {' '.join(option)}\n" in err
 
 
 def test_evaluate_rejects_the_plan_option(demo, tmp_path, capsys):

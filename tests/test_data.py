@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import column, raw_dataset
+from conftest import column, encoded_dataset, raw_dataset
 
 from ganids import data as dio
 
@@ -344,17 +344,6 @@ def test_columnar_loader_matches_reference_loop(data):
             assert column(ds, j).tolist() == ref
 
 
-def test_concat_recodes_categorical_levels():
-    a = raw_dataset([["tcp", 1.0], ["udp", 2.0]], [0, 1],
-                    ["categorical", "numeric"], ["normal", "attack"])
-    b = raw_dataset([["icmp", 3.0], ["tcp", 4.0]], [1, 0],
-                    ["categorical", "numeric"], ["normal", "attack"])
-    both = dio.concat([a, b])
-    assert column(both, 0).tolist() == ["tcp", "udp", "icmp", "tcp"]
-    assert column(both, 1).tolist() == [1.0, 2.0, 3.0, 4.0]
-    assert both.levels[0].tolist() == ["icmp", "tcp", "udp"]
-
-
 def test_schema_requires_single_label_column():
     with pytest.raises(ValueError):
         dio.DatasetSchema(columns=[dio.Column("a", "numeric")],
@@ -453,6 +442,18 @@ def test_plan_serialization_roundtrip():
     assert clone == plan
 
 
+@pytest.mark.parametrize("transforms, at", [
+    ([("a", "numeric", 5.0, 1.0), ("b", "categorical", ("x", "x", "a"))], 0),
+    ([("a", "numeric", 1.0, 1.0), ("b", "categorical", ("x", "x"))], 1),
+    ([("a", "numeric", 1.0, 5.0), ("b", "categorical", ("x", "a"))], 1),
+], ids=["lo above hi", "repeated level", "levels descending"])
+def test_plan_that_no_fit_produces_is_refused(transforms, at):
+    # preprocess would map the column to zeros, or two one-hot columns
+    # would share a name
+    with pytest.raises(ValueError, match=rf"^transforms: \[{at}\]: "):
+        dio.PreprocessPlan(transforms)
+
+
 def test_inverse_transform_clamps_numeric():
     _, plan = dio.preprocess(raw_dataset([[10.0], [20.0]], [0, 1],
                                          ["numeric"], ["normal", "attack"]))
@@ -523,11 +524,23 @@ def test_split_rejects_bad_fraction():
 
 
 def test_concat_keeps_synthetic_flags():
-    a = raw_dataset([[0.0]], [0], ["numeric"], ["normal", "attack"])
-    b = raw_dataset([[1.0]], [1], ["numeric"], ["normal", "attack"])
+    a = encoded_dataset([[0.0]], [0], ["normal", "attack"])
+    b = encoded_dataset([[1.0]], [1], ["normal", "attack"])
     b.synthetic[:] = True
     both = dio.concat([a, b])
+    assert both.encoded
+    assert both.features[:, 0].tolist() == [0.0, 1.0]
+    assert both.labels.tolist() == [0, 1]
     assert both.synthetic.tolist() == [False, True]
+
+
+def test_concat_refuses_a_raw_part():
+    # a raw part's categorical codes index its own level table
+    a = encoded_dataset([[0.0]], [0], ["normal", "attack"])
+    b = raw_dataset([[1.0]], [1], ["numeric"], ["normal", "attack"])
+    for parts in ([a, b], [b, a], [b]):
+        with pytest.raises(ValueError, match="encoded datasets only"):
+            dio.concat(parts)
 
 
 def test_builtin_schema_loads():

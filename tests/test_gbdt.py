@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import encoded_dataset, singleton_bundles
+from conftest import bundle_layout, encoded_dataset, singleton_bundles
 
 from ganids import archive, gbdt
 from ganids.data import decode
@@ -119,17 +119,35 @@ def test_efb_bundles_exclusive_onehot_pair():
     bm = gbdt.efb_bundle(binned, [2, 2])
     assert len(bm.bundles) == 1
     cols = gbdt.bundle_columns(binned, bm)
-    # offsets disjoint: both features recoverable from the single column
+    # slots disjoint: both features recoverable from the single column
     f0, f1 = bm.bundles[0]
-    o0, o1 = bm.offsets[0]
-    assert np.array_equal(cols[:, 0] == o0, binned[:, f0] == 1)
-    assert np.array_equal(cols[:, 0] == o1, binned[:, f1] == 1)
+    assert np.array_equal(cols[:, 0] == bm.first[f0], binned[:, f0] == 1)
+    assert np.array_equal(cols[:, 0] == bm.first[f1], binned[:, f1] == 1)
 
 
 def test_efb_dense_features_not_bundled():
     binned = np.ones((10, 2), dtype=np.int32)
     bm = gbdt.efb_bundle(binned, [2, 2])
     assert len(bm.bundles) == 2
+
+
+def test_hist_context_keys_histograms_by_the_bundle_columns_as_written(
+        monkeypatch):
+    # bundle_columns writes each row's global slot, so the context keeps
+    # its array as the histogram keys: no copy, no shift
+    binned = np.array([[1, 0, 3], [0, 1, 0], [1, 0, 2], [0, 0, 1]],
+                      dtype=np.uint8)
+    bm = gbdt.efb_bundle(binned, [2, 2, 4])
+    written, bundle_columns = [], gbdt.bundle_columns
+
+    def recording(binned, bundle_map):
+        written.append(bundle_columns(binned, bundle_map))
+        return written[-1]
+
+    monkeypatch.setattr(gbdt, "bundle_columns", recording)
+    ctx = gbdt._HistContext(binned, bm, gbdt.BoostParams())
+    assert len(written) == 1 and ctx.flat is written[0]
+    assert np.array_equal(ctx.flat, _reference_bundle_columns(binned, bm))
 
 
 def test_efb_empty_matrix():
@@ -167,7 +185,7 @@ def test_split_search_matches_brute_force(seed):
     params = gbdt.BoostParams(min_leaf=3, max_bins=8)
     mapper, binned = gbdt.bin_features(ds, params.max_bins)
     bm = gbdt.efb_bundle(binned, mapper.n_bins)
-    ctx = gbdt._HistContext(binned, bm, gbdt.bundle_columns(binned, bm), params)
+    ctx = gbdt._HistContext(binned, bm, params)
     g = rng.standard_normal(n)
     h = rng.random(n) + 0.1
     rows = np.arange(n)
@@ -208,19 +226,19 @@ def _reference_best_split(bundle_map, bundle_cols, params, rows, g, h):
     """Per-bundle histograms sliced into per-feature bins, one feature at a
     time: the loop the vectorized scan replaced, kept as its reference."""
     p = params
-    sizes = bundle_map.bundle_sizes()
+    size = bundle_map.n_slots
     n_rows = len(rows)
     g_tot = float(g.sum())
     h_tot = float(h.sum())
     best = None  # (gain, feature, bin)
-    for bi, (bundle, offs) in enumerate(zip(bundle_map.bundles,
-                                            bundle_map.offsets)):
+    for bi, bundle in enumerate(bundle_map.bundles):
         col = bundle_cols[rows, bi]
-        cnt = np.bincount(col, minlength=sizes[bi])
-        gh = np.bincount(col, weights=g, minlength=sizes[bi])
-        hh = np.bincount(col, weights=h, minlength=sizes[bi])
-        for f, off in zip(bundle, offs):
+        cnt = np.bincount(col, minlength=size)
+        gh = np.bincount(col, weights=g, minlength=size)
+        hh = np.bincount(col, weights=h, minlength=size)
+        for f in bundle:
             nb = bundle_map.n_bins[f]
+            off = bundle_map.first[f]
             if nb < 2:
                 continue
             c, gs, hs = np.empty(nb), np.empty(nb), np.empty(nb)
@@ -277,8 +295,7 @@ def _layout(draw):
     if draw(st.booleans()):
         bm = gbdt.efb_bundle(binned, mapper.n_bins)
     else:
-        m = binned.shape[1]
-        bm = gbdt.BundleMap([[j] for j in range(m)], [[1]] * m, mapper.n_bins)
+        bm = singleton_bundles(binned, mapper.n_bins)
     return rng, binned, bm
 
 
@@ -287,7 +304,7 @@ def _check_split_against_reference_loop(draw):
     n = binned.shape[0]
     cols = gbdt.bundle_columns(binned, bm)
     params = gbdt.BoostParams(min_leaf=draw(st.integers(1, 12)))
-    ctx = gbdt._HistContext(binned, bm, cols, params)
+    ctx = gbdt._HistContext(binned, bm, params)
     rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
                               replace=False))
     g = rng.standard_normal(len(rows)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
@@ -326,10 +343,10 @@ def test_mirrored_columns_tie_at_large_gains(seed):
     x = np.column_stack([x, 1.0 - x])
     mapper = gbdt.BinMapper.fit(x, 16)
     binned = mapper.transform(x)
-    bm = gbdt.BundleMap([[0], [1]], [[1], [1]], mapper.n_bins)
+    bm = bundle_layout([[0], [1]], mapper.n_bins)
     cols = gbdt.bundle_columns(binned, bm)
     params = gbdt.BoostParams(min_leaf=5)
-    ctx = gbdt._HistContext(binned, bm, cols, params)
+    ctx = gbdt._HistContext(binned, bm, params)
     rows = np.arange(200)
     g = rng.standard_normal(200) * 100.0
     h = rng.random(200) + 0.05
@@ -343,8 +360,7 @@ def test_mirrored_columns_tie_at_large_gains(seed):
 def test_sibling_histogram_by_subtraction_matches_direct(data):
     rng, binned, bm = _layout(data.draw)
     n = binned.shape[0]
-    ctx = gbdt._HistContext(binned, bm, gbdt.bundle_columns(binned, bm),
-                            gbdt.BoostParams())
+    ctx = gbdt._HistContext(binned, bm, gbdt.BoostParams())
     rows = np.arange(n)
     g = rng.standard_normal(n) * 10.0
     h = rng.random(n) + 0.05
@@ -389,7 +405,7 @@ def test_tree_with_sibling_subtraction_matches_reference(seed):
     g = rng.standard_normal(n) + 2.0 * (x[:, 0] > 0.5)
     h = rng.random(n) + 0.1
     rows = np.arange(n)
-    ctx = gbdt._HistContext(binned, bm, cols, params)
+    ctx = gbdt._HistContext(binned, bm, params)
     got = ctx.build_tree(rows, g, h)
     want = _reference_tree(binned, bm, cols, params, rows, g, h)
     assert got.structure() == want.structure()
@@ -436,8 +452,7 @@ def test_level_grower_matches_recursive_reference(data):
     n = binned.shape[0]
     params = gbdt.BoostParams(min_leaf=data.draw(st.integers(1, 12)),
                               max_depth=data.draw(st.integers(1, 6)))
-    ctx = gbdt._HistContext(binned, bm, gbdt.bundle_columns(binned, bm),
-                            params)
+    ctx = gbdt._HistContext(binned, bm, params)
     rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
                               replace=False))
     g = rng.standard_normal(len(rows)) * data.draw(st.sampled_from([1e-3, 1.0, 50.0]))
@@ -464,8 +479,7 @@ def test_level_grower_builds_left_child_directly_on_a_tie(seed):
     binned = mapper.transform(x)
     bm = gbdt.efb_bundle(binned, mapper.n_bins)
     params = gbdt.BoostParams(min_leaf=5, max_depth=4)
-    ctx = gbdt._HistContext(binned, bm, gbdt.bundle_columns(binned, bm),
-                            params)
+    ctx = gbdt._HistContext(binned, bm, params)
     g = (rng.standard_normal(n) + 50.0 * x[:, 0]) * 1e3 / 7
     h = rng.random(n) + 0.05
     rows = np.arange(n)
@@ -483,8 +497,7 @@ def test_scan_of_k_nodes_matches_single_node_splits(data):
     rng, binned, bm = _layout(data.draw)
     n = binned.shape[0]
     params = gbdt.BoostParams(min_leaf=data.draw(st.integers(1, 12)))
-    ctx = gbdt._HistContext(binned, bm, gbdt.bundle_columns(binned, bm),
-                            params)
+    ctx = gbdt._HistContext(binned, bm, params)
     k = data.draw(st.integers(1, 6))
     counts = rng.integers(0, n + 1, k)
     rows = rng.integers(0, n, counts.sum())  # runs need not be sorted
@@ -506,9 +519,8 @@ def test_scan_of_k_nodes_matches_single_node_splits(data):
 def _reference_efb_bundle(binned, n_bins):
     """Greedy bundling one (feature, bundle) boolean mask pass at a time:
     the loop the packed-bit masks replaced, kept as its reference."""
-    m = binned.shape[1]
-    if m == 0:
-        return gbdt.BundleMap([], [], list(n_bins))
+    if binned.shape[1] == 0:
+        return bundle_layout([], n_bins)
     nonzero = binned != 0
     counts = nonzero.sum(axis=0)
     order = np.argsort(-counts, kind="stable")
@@ -524,14 +536,7 @@ def _reference_efb_bundle(binned, n_bins):
         if not placed:
             bundles.append([int(f)])
             bundle_masks.append(nonzero[:, f].copy())
-    offsets = []
-    for bundle in bundles:
-        offs, off = [], 1
-        for f in bundle:
-            offs.append(off)
-            off += n_bins[f] - 1
-        offsets.append(offs)
-    return gbdt.BundleMap(bundles, offsets, list(n_bins))
+    return bundle_layout(bundles, n_bins)
 
 
 @settings(max_examples=150, deadline=None)
@@ -546,8 +551,7 @@ def test_packed_efb_matches_reference_loop(data):
     n_bins = [4] * m
     got = gbdt.efb_bundle(binned, n_bins)
     want = _reference_efb_bundle(binned, n_bins)
-    assert got.bundles == want.bundles
-    assert got.offsets == want.offsets
+    assert got == want
 
 
 def _reference_bundle_columns(binned, bundle_map):
@@ -556,14 +560,15 @@ def _reference_bundle_columns(binned, bundle_map):
     in int32, whatever the width of the bins."""
     n = binned.shape[0]
     cols = np.zeros((n, len(bundle_map.bundles)), dtype=np.int32)
-    for i, (bundle, offs) in enumerate(zip(bundle_map.bundles,
-                                           bundle_map.offsets)):
+    for i, (bundle, start) in enumerate(zip(bundle_map.bundles,
+                                            bundle_map.starts)):
         col = cols[:, i]
+        col[:] = start
         taken = np.zeros(n, dtype=bool)
-        for f, off in zip(bundle, offs):
+        for f in bundle:
             v = binned[:, f].astype(np.int32)
             hit = (v != 0) & ~taken
-            col[hit] = off + v[hit] - 1
+            col[hit] = bundle_map.first[f] + v[hit] - 1
             taken |= hit
     return cols
 
@@ -580,7 +585,7 @@ def test_bundle_columns_match_reference_loop(data):
                       (sparse, gbdt.efb_bundle(sparse, n_bins))):
         got = gbdt.bundle_columns(x, layout)
         want = _reference_bundle_columns(x, layout)
-        assert got.dtype == np.min_scalar_type(sum(layout.bundle_sizes()))
+        assert got.dtype == np.min_scalar_type(layout.n_slots)
         assert np.array_equal(got, want)
 
 
@@ -663,8 +668,8 @@ def _assert_fit_matches_int32_binning(ds, params, monkeypatch):
 
 def test_bundle_offsets_past_255_keep_training_lossless(monkeypatch):
     """C8 past a byte: three exclusive features of about 200 bins each
-    share one bundle whose offsets run past 255, so its column needs two
-    bytes although every bin fits one. Bundle columns, trees and
+    share one bundle that spans more than 256 slots, so its column needs
+    two bytes although every bin fits one. Bundle columns, trees and
     probabilities equal the int32 oracle's, and the trees equal an
     unbundled fit's."""
     rng = np.random.default_rng(11)
@@ -681,7 +686,9 @@ def test_bundle_offsets_past_255_keep_training_lossless(monkeypatch):
     mapper, binned, bm, cols, got = _assert_fit_matches_int32_binning(
         ds, params, monkeypatch)
     assert binned.dtype == np.uint8
-    assert max(off for offs in bm.offsets for off in offs) > 255
+    sparse = next(b for b, bundle in enumerate(bm.bundles) if 0 in bundle)
+    assert sorted(bm.bundles[sparse]) == [0, 1, 2]
+    assert max(bm.first[f] for f in range(3)) - bm.starts[sparse] > 255
     assert cols.dtype == np.uint16 and cols.max() > 255
     monkeypatch.setattr(gbdt, "efb_bundle", singleton_bundles)
     unbundled = gbdt.fit(encoded_dataset(x.copy(), y, ["a", "b", "c"]),
@@ -751,8 +758,7 @@ def test_depth_zero_leaf_is_weighted_mean():
     residuals = rng.standard_normal(n)
     params = gbdt.BoostParams(max_depth=1, lam_leaf=0.0, min_leaf=1)
     binned = np.zeros((n, 1), dtype=np.int32)
-    bm = gbdt.BundleMap([[0]], [[1]], [1])
-    ctx = gbdt._HistContext(binned, bm, binned.copy(), params)
+    ctx = gbdt._HistContext(binned, bundle_layout([[0]], [1]), params)
     tree = ctx.build_tree(np.arange(n), residuals, np.ones(n))
     assert tree.is_leaf
     assert np.isclose(tree.value, -residuals.mean())

@@ -47,6 +47,9 @@ def test_run_pipeline_smoke(demo, tmp_path):
     assert manifest["config_hash"]
     assert set(manifest["synthesized"]) == {"backdoor", "escalate"}
     assert manifest["synthesized"]["backdoor"] > 0
+    # boruta_rounds 0, the default: no selection
+    assert "select" not in manifest["stages"]
+    assert not (art.out_dir / "feature_decision.json").exists()
 
 
 def test_synthetic_rows_never_reach_test(demo, tmp_path):
@@ -188,8 +191,7 @@ def test_the_program_never_runs_the_autodiff_engine(demo, tmp_path,
 
     monkeypatch.setattr(ad.Var, "__init__", refuse)
     monkeypatch.setattr(ad, "grad", refuse)
-    cfg = fast_config(demo, tmp_path / "abl", boruta_enabled=True,
-                      boruta_rounds=2)
+    cfg = fast_config(demo, tmp_path / "abl", boruta_rounds=2)
     report = pipeline.run_ablation(cfg)
     assert sorted(report.per_class) == ["backdoor", "escalate"]
     assert (tmp_path / "abl" / "with_pretrain" / "feature_decision.json").exists()

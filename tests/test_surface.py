@@ -1,8 +1,10 @@
-"""The program's surface: the values a config can set and the modules the
-package imports. A new setting or dependency shows up in review as an edit
-to a list here."""
+"""The program's surface: the values a config can set, the options of each
+command and the modules the package imports. A new setting, option or
+dependency shows up in review as an edit to a list here."""
 
 import ast
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -12,20 +14,32 @@ import typing
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
-from ganids import pipeline
+import pytest
+
+from ganids import cli, pipeline
 
 ROOT = Path(__file__).resolve().parent.parent
 
 # every value a config file can set, a section's as "section.key"
 SETTINGS = [
     "dataset_paths", "schema", "out_dir", "gamma", "train_fraction", "seed",
-    "boruta_enabled", "boruta_rounds", "skip_pretrain", "skip_augment",
+    "boruta_rounds", "skip_pretrain", "skip_augment",
     "gan.lam", "gan.batch_size", "gan.stop_delta", "gan.finetune_stop_delta",
     "gan.stop_window", "gan.max_steps", "gan.seed",
     "boost.rounds", "boost.learning_rate", "boost.max_depth",
     "boost.max_bins", "boost.min_leaf", "boost.goss_a", "boost.goss_b",
     "boost.lam_leaf",
 ]
+
+# every option of each command, as its --help lists it (-h/--help aside)
+OPTIONS = {
+    "census": ["--schema", "--out"],
+    "filter": ["--schema", "--gamma"],
+    "run": ["--config"],
+    "ablate": ["--config"],
+    "evaluate": ["--model", "--schema"],
+    "demo-data": ["--out", "--rows", "--seed"],
+}
 
 DEPENDENCIES = {"numpy", "scipy"}
 
@@ -42,8 +56,31 @@ def _settable(kind, at=""):
 
 
 def test_the_config_sets_exactly_the_listed_values():
-    assert len(SETTINGS) == 25
+    assert len(SETTINGS) == 24
     assert sorted(_settable(pipeline.PipelineConfig)) == sorted(SETTINGS)
+
+
+def _help(*argv):
+    """The --help text of `ganids *argv`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as e:
+        cli.main([*argv, "--help"])
+    assert e.value.code == 0
+    return out.getvalue()
+
+
+def test_the_cli_has_exactly_the_listed_commands():
+    usage = _help().split("\n\n")[0]
+    assert re.search(r"\{(\S+)\}", usage).group(1).split(",") == list(OPTIONS)
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_each_command_takes_exactly_the_listed_options(command):
+    # an option's line in the help starts with its flags: "  --out OUT  ..."
+    flags = [flag.split()[0] for line in _help(command).splitlines()
+             if (m := re.match(r"\s+(-.*?)(\s{2,}|$)", line))
+             for flag in m.group(1).split(", ")]
+    assert flags == ["-h", "--help"] + OPTIONS[command]
 
 
 def _imported(path):
