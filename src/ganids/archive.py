@@ -1,4 +1,4 @@
-"""Versioned on-disk containers for trained models (format 7).
+"""Versioned on-disk containers for trained models (format 8).
 
 Layout: magic, format version, the SHA-256 of everything after it, then a
 length-prefixed JSON header and length-prefixed blobs. That digest is the
@@ -12,8 +12,9 @@ declare, a missing key, a value of the wrong type and a value the
 dataclass's own checks reject each raise ArchiveError naming the file and
 the key path ("ens.bin: body: trees: [0]: [1]: left: feature: ...").
 
-An archive stores values, not structure. A GAN header (GanHeader) holds the
-phase, `feature_dim` and the config; the networks' layers come from
+An archive stores values, not structure. A GAN header (GanHeader) holds
+`feature_dim` and the config (a run names a fine-tuned GAN's class in its
+file name, `gan_<class>.bin`); the networks' layers come from
 `gan.network_specs(feature_dim)`, and each network's blob is its
 `nn.ParamSet.flat` vector as raw float64: its arrays in sorted-name order,
 with the shapes `nn.param_shapes` gives, read back with one `frombuffer`. A
@@ -21,10 +22,9 @@ GAN trains in `gan.DTYPE` (float32): its blob holds the exact float64
 upcasts, which `load_gan` casts back, so a model round-trips bit for bit. A
 blob whose length does not fit those shapes raises ArchiveError. An
 ensemble's header (EnsembleHeader) holds only its kind, and its blob is its
-`gbdt.Ensemble`; it holds the encoding plan, so the file alone is enough to
-score a CSV. Its
-fitted columns must be its feature names, one each, and each a column of
-that plan, or saving raises ValueError and loading ArchiveError.
+`gbdt.Ensemble`, with the encoding plan, so the file alone scores a CSV.
+The ensemble checks its column layout against that plan itself, so a body
+that breaks it loads as an ArchiveError naming `body:`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .data import FieldTypeError, decode
 from .errors import InputError
 
 MAGIC = b"GANIDS\x00"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 _PREFIX = len(MAGIC) + 2 + 32  # magic, version, body digest
 
 
@@ -59,20 +59,15 @@ def _check_kind(kind, expected):
 @dataclass
 class GanHeader:
     """A GAN archive's header: its networks are those gan.network_specs
-    builds for feature_dim, in a phase a model goes through."""
+    builds for feature_dim."""
 
     kind: str  # "gan"
-    phase: str
     feature_dim: int
     cfg: gan_mod.GanConfig
 
     def __post_init__(self):
         _check_kind(self.kind, "gan")
         gan_mod.network_specs(self.feature_dim)
-        try:
-            gan_mod.tuned_class(self.phase)
-        except gan_mod.WrongPhase as e:
-            raise ValueError(f"phase: {e}") from e
 
 
 @dataclass
@@ -185,7 +180,7 @@ def save_gan(path, model: gan_mod.GanModel):
     if (model.g_spec, model.d_spec) != specs:
         raise ValueError(f"{path}: only the networks gan.network_specs "
                          "builds can be archived")
-    header = GanHeader("gan", model.phase, model.feature_dim, model.cfg)
+    header = GanHeader("gan", model.feature_dim, model.cfg)
     _write(path, header, [p.flat.astype(np.float64).tobytes()
                           for p in (model.g_params, model.d_params)])
 
@@ -197,35 +192,14 @@ def load_gan(path) -> gan_mod.GanModel:
     g_spec, d_spec = gan_mod.network_specs(header.feature_dim)
     g_params = _param_set(path, g_spec, blobs[0]).astype(gan_mod.DTYPE)
     d_params = _param_set(path, d_spec, blobs[1]).astype(gan_mod.DTYPE)
-    return gan_mod.GanModel(g_spec, g_params, d_spec, d_params, header.cfg,
-                            phase=header.phase)
-
-
-def _layout_mismatch(ensemble: gbdt.Ensemble):
-    """Why an ensemble's fitted columns disagree with its feature names or
-    its plan's encoded columns; None when they agree."""
-    names = ensemble.feature_names
-    n_fitted = len(ensemble.mapper.boundaries)
-    if n_fitted != len(names):
-        return f"{n_fitted} fitted columns but {len(names)} feature names"
-    encoded = set(ensemble.plan.encoded_names())
-    unknown = [n for n in names if n not in encoded]
-    if unknown:
-        return (f"feature names {unknown} are not columns of the "
-                "encoding plan")
-    return None
+    return gan_mod.GanModel(g_spec, g_params, d_spec, d_params, header.cfg)
 
 
 def save_ensemble(path, ensemble: gbdt.Ensemble):
-    """Raises ValueError for an ensemble that carries no encoding plan, or
-    whose fitted columns are not its feature names, each a column of that
-    plan."""
+    """Raises ValueError for an ensemble that carries no encoding plan."""
     if ensemble.plan is None:
         raise ValueError(f"{path}: only an ensemble that carries its "
                          "encoding plan can be archived")
-    mismatch = _layout_mismatch(ensemble)
-    if mismatch:
-        raise ValueError(f"{path}: {mismatch}")
     _write(path, EnsembleHeader("ensemble"), [_dumps(ensemble)])
 
 
@@ -236,7 +210,4 @@ def load_ensemble(path) -> gbdt.Ensemble:
     ensemble = _decode(path, gbdt.Ensemble, blobs[0], "body")
     if ensemble.plan is None:
         raise ArchiveError(f"{path}: the ensemble carries no encoding plan")
-    mismatch = _layout_mismatch(ensemble)
-    if mismatch:
-        raise ArchiveError(f"{path}: {mismatch}")
     return ensemble

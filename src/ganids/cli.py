@@ -23,7 +23,8 @@ def _one_line(text):
 
 
 def _on_rows(args, fn, *extra):
-    """fn(rows of args.paths, *extra); a census error names the files."""
+    """fn(rows of args.paths, *extra); an error of too few rows or of no
+    normal rows names the files."""
     ds = load_dataset(args.paths, load_schema(args.schema))
     try:
         return fn(ds, *extra)
@@ -70,22 +71,24 @@ def cmd_ablate(args):
         print("metric deltas:", json.dumps(report.metric_deltas))
 
 
-def cmd_evaluate(args):
-    ens = archive.load_ensemble(args.model)
-    schema = load_schema(args.schema)
+def _score(raw, ens, model_path):
+    """The report of ens, the model at model_path, on the raw rows."""
     # class ids index the class list, so a model scores only under its own
-    if ens.classes != schema.classes:
-        raise PlanMismatch(f"{args.model}: the model's classes "
+    if ens.classes != raw.schema.classes:
+        raise PlanMismatch(f"{model_path}: the model's classes "
                            f"{ens.classes} are not the schema's "
-                           f"{schema.classes}")
-    raw = load_dataset(args.paths, schema)
+                           f"{raw.schema.classes}")
     try:
         enc, _ = preprocess(raw, ens.plan)
     except PlanMismatch as e:
-        raise PlanMismatch(f"{args.model}: {e}") from e
+        raise PlanMismatch(f"{model_path}: {e}") from e
     # a model trained on selected features reads only those columns
     pred = ens.predict(select_columns(enc, ens.feature_names).features)
-    rep = metrics.evaluate(pred, enc.labels, len(schema.classes))
+    return metrics.evaluate(pred, enc.labels, len(ens.classes))
+
+
+def cmd_evaluate(args):
+    rep = _on_rows(args, _score, archive.load_ensemble(args.model), args.model)
     print(json.dumps(rep.to_dict(), indent=1))
 
 
@@ -93,6 +96,8 @@ def cmd_demo_data(args):
     from .demo import write_demo_dataset
     if args.rows < 1:
         raise ConfigInvalid("--rows", f"must be at least 1, got {args.rows}")
+    if args.seed < 0:  # numpy takes no negative seed
+        raise ConfigInvalid("--seed", f"must be at least 0, got {args.seed}")
     paths = write_demo_dataset(Path(args.out), rows=args.rows, seed=args.seed)
     print(json.dumps({k: str(v) for k, v in paths.items()}, indent=1))
 

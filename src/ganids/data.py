@@ -292,9 +292,12 @@ class Dataset:
 
 
 def select_columns(dataset: Dataset, names) -> Dataset:
-    """The dataset with only the named feature columns, in that order; the
-    dataset itself, not a copy, when names are all of its columns in
-    order. A name the dataset lacks raises PlanMismatch."""
+    """The encoded dataset with only the named feature columns, in that
+    order; the dataset itself, not a copy, when names are all of its
+    columns in order. A name the dataset lacks raises PlanMismatch, and a
+    raw dataset ValueError."""
+    if not dataset.encoded:
+        raise ValueError("select_columns takes an encoded dataset only")
     names = list(names)
     if names == dataset.feature_names:
         return dataset
@@ -303,11 +306,9 @@ def select_columns(dataset: Dataset, names) -> Dataset:
     if missing:
         raise PlanMismatch(f"{len(missing)} column(s) missing from the "
                            f"dataset's encoding, first {missing[0]!r}")
-    cols = [index[n] for n in names]
-    levels = None if dataset.levels is None \
-        else [dataset.levels[j] for j in cols]
-    return Dataset(dataset.features[:, cols], dataset.labels, dataset.schema,
-                   dataset.encoded, names, dataset.synthetic, levels)
+    return Dataset(dataset.features[:, [index[n] for n in names]],
+                   dataset.labels, dataset.schema, True, names,
+                   dataset.synthetic)
 
 
 def concat(datasets):

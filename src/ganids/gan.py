@@ -3,9 +3,9 @@
 The critic trains on mean D(fake) - mean D(real) plus the gradient penalty;
 the generator on -mean D(G(z)). Pretraining runs this loop on normal traffic;
 fine-tuning copies the pretrained weights and continues on a single minority
-class. A model holds weights, not optimizer state: each phase builds one
-Adam state per network, starting from zero, and Adam updates the weights in
-place.
+class. A model is its values: weights and a config, no optimizer state and
+no phase. Each phase builds one Adam state per network, starting from zero,
+which updates the weights in place; the caller orders the phases.
 
 The steps and synthesis run `nn`'s layer-wise kernels on plain arrays and
 build no autodiff graph; the graph engine is their test reference. A GAN's
@@ -38,25 +38,6 @@ DTYPE = np.float32
 
 class InvalidDimension(ValueError):
     pass
-
-
-class WrongPhase(RuntimeError):
-    pass
-
-
-_TUNED = "finetuned:"
-
-
-def tuned_class(phase):
-    """The class a "finetuned:<class>" phase names, and None for "fresh" or
-    "pretrained"; raises WrongPhase for any other phase. These are the only
-    phases a model goes through."""
-    if phase in ("fresh", "pretrained"):
-        return None
-    if isinstance(phase, str) and phase.startswith(_TUNED) \
-            and len(phase) > len(_TUNED):
-        return phase[len(_TUNED):]
-    raise WrongPhase(f"unknown phase {phase!r}")
 
 
 @dataclass
@@ -107,15 +88,14 @@ class TrainTrace:
 
 @dataclass(eq=False)
 class GanModel:
-    """A generator/critic pair: the networks' specs and weights, the config
-    they train under and the phase they are in."""
+    """A generator/critic pair: the networks' specs and weights, and the
+    config they train under."""
 
     g_spec: nn.NetworkSpec
     g_params: nn.ParamSet
     d_spec: nn.NetworkSpec
     d_params: nn.ParamSet
     cfg: GanConfig
-    phase: str = "fresh"
 
     @property
     def feature_dim(self):
@@ -124,11 +104,6 @@ class GanModel:
     @property
     def noise_dim(self):
         return self.g_spec.input_width
-
-    def copy(self):
-        """The model with copies of its weights."""
-        return dataclasses.replace(self, g_params=self.g_params.copy(),
-                                   d_params=self.d_params.copy())
 
 
 def generator_spec(feature_dim):
@@ -342,45 +317,37 @@ def _train_loop(model: GanModel, data: Dataset, cfg: GanConfig, stop_delta):
 
 
 def pretrain(model: GanModel, normal_data: Dataset, cfg: GanConfig = None):
-    """Train on normal traffic until the stop rule fires; phase -> pretrained.
+    """Train on normal traffic until the stop rule fires; returns the model,
+    trained in place, and its trace.
 
     The model trains under `cfg` (default its own) and keeps it, as
     `finetune` does."""
-    if model.phase != "fresh":
-        raise WrongPhase(f"pretrain expects a fresh model, got {model.phase}")
     cfg = cfg or model.cfg
     model.cfg = cfg
     trace = _train_loop(model, normal_data, cfg, cfg.stop_delta)
-    model.phase = "pretrained"
     return model, trace
 
 
-def finetune(pretrained: GanModel, minority_data: Dataset, cfg: GanConfig = None,
-             class_name="minority"):
+def finetune(pretrained: GanModel, minority_data: Dataset,
+             cfg: GanConfig = None):
     """Continue training on one minority class from the pretrained weights.
 
     Weights are copied exactly; Adam starts from zero, as in every phase. The
     ablation's arm without pretraining fine-tunes a model pretrained for 0
     steps: the untrained weights of `build_gan`.
     """
-    if pretrained.phase != "pretrained":
-        raise WrongPhase(f"finetune expects a pretrained model, got {pretrained.phase}")
-    cfg = cfg or pretrained.cfg
-    model = pretrained.copy()
-    model.cfg = cfg
-    trace = _train_loop(model, minority_data, cfg, cfg.finetune_stop_delta)
-    model.phase = f"{_TUNED}{class_name}"
+    model = dataclasses.replace(
+        pretrained, g_params=pretrained.g_params.copy(),
+        d_params=pretrained.d_params.copy(), cfg=cfg or pretrained.cfg)
+    trace = _train_loop(model, minority_data, model.cfg,
+                        model.cfg.finetune_stop_delta)
     return model, trace
 
 
 def synthesize(generator: GanModel, n, plan: PreprocessPlan, seed, schema,
-               class_name=None) -> Dataset:
-    """Draw n rows from a fine-tuned generator, decoded into raw space."""
-    tuned = tuned_class(generator.phase)
-    if tuned is None:
-        raise WrongPhase(f"synthesize expects a finetuned model, got {generator.phase}")
-    if class_name is None:
-        class_name = tuned
+               class_name) -> Dataset:
+    """Draw n rows of class `class_name` from a fine-tuned generator,
+    decoded into raw space."""
     rng = np.random.default_rng(seed)
     outs = []
     remaining = n

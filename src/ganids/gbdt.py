@@ -57,7 +57,7 @@ popcount (np.bitwise_count, numpy >= 2.0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -580,16 +580,17 @@ class Ensemble:
     """A fitted model. Each round has one tree per class, base_scores one
     finite score per class, the learning rate is positive and finite, and
     every split reads a fitted column at a bin threshold below that
-    column's boundary count."""
+    column's boundary count. Each fitted column has its own feature name,
+    each an encoded column of the plan if there is one. `fit` leaves
+    the plan None; `dataclasses.replace` attaches one and checks again."""
 
     trees: list[list[TreeNode]]  # trees[round][class]
     base_scores: np.ndarray      # (K,)
     mapper: BinMapper
     classes: list[str]           # the class list of the training schema
     learning_rate: float
-    feature_names: list[str] = field(default_factory=list)
-    # the encoding whose columns feature_names selects from; fit leaves it
-    # None, and the pipeline attaches the training run's plan
+    feature_names: list[str]
+    # the encoding whose columns feature_names selects from
     plan: PreprocessPlan | None = None
 
     def __post_init__(self):
@@ -601,6 +602,15 @@ class Ensemble:
         if not (is_finite_real(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate: must be positive and finite")
         widths = [len(b) for b in self.mapper.boundaries]
+        names = self.feature_names
+        if not len(widths) == len(names) == len(set(names)):
+            raise ValueError(f"feature_names: {len(set(names))} distinct "
+                             f"names for {len(widths)} fitted columns")
+        encoded = set(self.plan.encoded_names() if self.plan else names)
+        unknown = [n for n in names if n not in encoded]
+        if unknown:
+            raise ValueError(f"feature_names: {unknown} are not columns of "
+                             "the encoding plan")
         for r, rnd in enumerate(self.trees):
             if len(rnd) != k:
                 raise ValueError(f"trees: [{r}]: {len(rnd)} trees for {k} "

@@ -6,6 +6,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data import EmptyDataset
+
 
 class LengthMismatch(ValueError):
     pass
@@ -36,15 +38,17 @@ def _safe_div(a, b):
 
 
 def evaluate(predicted, truth, n_classes) -> EvalReport:
+    """The report of predicted against truth; zero rows raise EmptyDataset."""
     predicted = np.asarray(predicted, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if predicted.shape != truth.shape:
         raise LengthMismatch(
             f"{len(predicted)} predictions vs {len(truth)} labels")
+    if len(truth) == 0:
+        raise EmptyDataset("no rows to score")
     conf = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(conf, (truth, predicted), 1)
-    n = len(truth)
-    accuracy = _safe_div(float(np.trace(conf)), n)
+    accuracy = float(np.trace(conf)) / len(truth)
     precision, recall, f1, support = [], [], [], []
     for k in range(n_classes):
         tp = conf[k, k]

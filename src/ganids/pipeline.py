@@ -221,7 +221,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         for class_name, rows in sorted(filtered.minority.items()):
             with stage(f"finetune:{class_name}"):
                 tuned, trace = gan_mod.finetune(model, train.select(rows),
-                                                gan_cfg, class_name=class_name)
+                                                gan_cfg)
                 traces[class_name] = trace
                 _write_trace(out_dir / f"trace_{class_name}.csv", trace)
                 path = out_dir / "models" / f"gan_{class_name}.bin"
@@ -260,8 +260,8 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
                 train_aug = select_columns(train_aug, keep)
 
     with stage("train"):
-        ensemble = gbdt.fit(train_aug, config.boost, config.seed)
-        ensemble.plan = plan
+        ensemble = replace(gbdt.fit(train_aug, config.boost, config.seed),
+                           plan=plan)
         ensemble_path = out_dir / "models" / "ensemble.bin"
         archive.save_ensemble(ensemble_path, ensemble)
 

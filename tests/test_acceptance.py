@@ -234,8 +234,8 @@ def test_c04_pretraining_reduces_finetune_steps():
                                     replace(cfg, max_steps=0))
         ft_cfg = gan.GanConfig(stop_delta=0.05, finetune_stop_delta=0.05,
                                stop_window=50, max_steps=4000, seed=seed)
-        _, warm = gan.finetune(model, minority, ft_cfg, class_name="rare")
-        _, cold = gan.finetune(untrained, minority, ft_cfg, class_name="rare")
+        _, warm = gan.finetune(model, minority, ft_cfg)
+        _, cold = gan.finetune(untrained, minority, ft_cfg)
         ratios.append(warm.steps_to_stop / cold.steps_to_stop)
     median = float(np.median(ratios))
     elapsed = time.time() - t0

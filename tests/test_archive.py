@@ -5,7 +5,7 @@ import json
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -24,14 +24,11 @@ def _fit_with_plan(raw, **boost):
     """An ensemble fitted on raw's encoding, carrying that plan, as a run
     archives it."""
     enc, plan = preprocess(raw)
-    ens = gbdt.fit(enc, gbdt.BoostParams(**boost))
-    ens.plan = plan
-    return ens
+    return replace(gbdt.fit(enc, gbdt.BoostParams(**boost)), plan=plan)
 
 
 def test_gan_roundtrip_bit_exact(tmp_path):
     model = gan.build_gan(6, gan.GanConfig(seed=4))
-    model.phase = "pretrained"
     path = tmp_path / "gan.bin"
     archive.save_gan(path, model)
     loaded = archive.load_gan(path)
@@ -39,7 +36,6 @@ def test_gan_roundtrip_bit_exact(tmp_path):
                          (loaded.d_params, model.d_params)):
         assert ours.flat.dtype == theirs.flat.dtype
         assert np.array_equal(ours.flat, theirs.flat)
-    assert loaded.phase == "pretrained"
     assert loaded.feature_dim == 6
     assert loaded.cfg == model.cfg
     assert loaded.g_spec == model.g_spec
@@ -141,8 +137,8 @@ def test_damaged_archive_raises_archive_error(archive_bytes, tmp_path_factory,
 
 def _gan_header(model):
     """The header save_gan writes for model."""
-    return {"kind": "gan", "phase": model.phase,
-            "feature_dim": model.feature_dim, "cfg": asdict(model.cfg)}
+    return {"kind": "gan", "feature_dim": model.feature_dim,
+            "cfg": asdict(model.cfg)}
 
 
 def _param_blobs(model):
@@ -240,30 +236,31 @@ def test_format_6_archive_raises_archive_error(archive_bytes, tmp_path, kind):
         load(path)
 
 
+@pytest.mark.parametrize("kind", ["gan", "ensemble"])
+def test_format_7_archive_raises_archive_error(archive_bytes, tmp_path, kind):
+    # format 7 stored a GAN's training phase in its header
+    raw, load = archive_bytes[kind]
+    raw = bytearray(raw)
+    raw[len(archive.MAGIC):len(archive.MAGIC) + 2] = (7).to_bytes(2, "little")
+    path = tmp_path / "m.bin"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(archive.ArchiveError,
+                       match="m.bin: unsupported format version 7"):
+        load(path)
+
+
 def test_dumps_writes_the_json_of_asdict():
     rng = np.random.default_rng(3)
     raw = raw_dataset(rng.random((60, 2)), rng.integers(0, 3, 60),
                       ["numeric", "numeric"], ["a", "b", "c"])
     model = gan.build_gan(3, gan.GanConfig(seed=1))
-    header = archive.GanHeader("gan", model.phase, 3, model.cfg)
+    header = archive.GanHeader("gan", 3, model.cfg)
     spec = model.g_spec
     assert spec.walk  # a cached_property, kept in the instance's __dict__
     for value in (_fit_with_plan(raw, rounds=3, min_leaf=5), header, spec):
         assert archive._dumps(value) == json.dumps(
             asdict(value), sort_keys=True,
             default=np.ndarray.tolist).encode()
-
-
-@pytest.mark.parametrize("phase", [7, None, "finetuned", "finetuned:",
-                                   "trained"])
-def test_gan_header_with_a_bad_phase_raises_archive_error(tmp_path, phase):
-    model = gan.build_gan(3, gan.GanConfig(seed=1))
-    header = _gan_header(model)
-    header["phase"] = phase
-    path = tmp_path / "gan.bin"
-    archive._write(path, header, _param_blobs(model))
-    with pytest.raises(archive.ArchiveError, match="gan.bin"):
-        archive.load_gan(path)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -284,16 +281,6 @@ def test_any_gan_header_value_loads_or_raises_archive_error(
         pass
 
 
-@pytest.mark.parametrize("phase", ["fresh", "pretrained", "finetuned:rare"])
-def test_gan_header_phases_that_load(tmp_path, phase):
-    model = gan.build_gan(3, gan.GanConfig(seed=1))
-    header = _gan_header(model)
-    header["phase"] = phase
-    path = tmp_path / "gan.bin"
-    archive._write(path, header, _param_blobs(model))
-    assert archive.load_gan(path).phase == phase
-
-
 def test_save_gan_rejects_networks_other_than_the_built_pair(tmp_path):
     model = gan.build_gan(3, gan.GanConfig(seed=1))
     model.d_spec = nn.NetworkSpec(3, (nn.FullyConnected(1),))
@@ -307,8 +294,9 @@ def test_save_gan_rejects_networks_other_than_the_built_pair(tmp_path):
     lambda h: h["cfg"].update(lam=-1.0),
     lambda h: h.pop("feature_dim"),
     lambda h: h.update(feature_dim=0),
+    lambda h: h.update(phase="pretrained"),
 ], ids=["cfg key GanConfig lacks", "invalid cfg value", "no feature_dim",
-        "feature_dim 0"])
+        "feature_dim 0", "format 7 phase key"])
 def test_gan_header_that_does_not_build_raises_archive_error(tmp_path, edit):
     model = gan.build_gan(3, gan.GanConfig(seed=1))
     header = _gan_header(model)
@@ -358,17 +346,17 @@ def test_ensemble_whose_columns_disagree_with_its_plan_is_refused(
     assert len(names) == 11
     if rename:
         names = names[:-1] + [rename]
-    ens = gbdt.Ensemble([], np.zeros(5),
-                        gbdt.BinMapper([np.array([0.5])] * n_fitted),
-                        list("abcde"), 0.1, names, demo_plan)
+    fields = {"trees": [], "base_scores": np.zeros(5),
+              "mapper": gbdt.BinMapper([np.array([0.5])] * n_fitted),
+              "classes": list("abcde"), "learning_rate": 0.1,
+              "feature_names": names, "plan": demo_plan}
+    with pytest.raises(ValueError, match="^feature_names: "):
+        gbdt.Ensemble(**fields)
+    # the same body written into a file does not load either
     path = tmp_path / "ens.bin"
-    with pytest.raises(ValueError, match="ens.bin"):
-        archive.save_ensemble(path, ens)
-    assert not path.exists()
-    # the same ensemble written around the check does not load
-    body = archive._dumps(asdict(ens))
-    archive._write(path, {"kind": "ensemble"}, [body])
-    with pytest.raises(archive.ArchiveError, match="ens.bin"):
+    archive._write(path, {"kind": "ensemble"}, [archive._dumps(fields)])
+    with pytest.raises(archive.ArchiveError, match=f"^{re.escape(str(path))}"
+                       ": body: feature_names: "):
         archive.load_ensemble(path)
 
 
@@ -441,10 +429,14 @@ def _swap_lo_hi(transform):
     (lambda b: b.update(base_scores=[10**400] * 5), "body: base_scores: "),
     (lambda b: _swap_lo_hi(b["plan"]["transforms"][0]),
      r"body: plan: transforms: \[0\]: "),
+    # the second fitted column would read the first one's values
+    (lambda b: b["feature_names"].__setitem__(1, b["feature_names"][0]),
+     "body: feature_names: "),
 ], ids=["split with feature -1", "learning_rate a string",
         "threshold past the boundaries", "a tree per class too many",
         "boundaries descending", "plan transforms reordered",
-        "int past float range", "plan range lo above hi"])
+        "int past float range", "plan range lo above hi",
+        "feature name repeated"])
 def test_body_value_that_would_score_wrongly_is_an_error_line(
         scored_model, tmp_path, edit, where):
     body, _, demo = scored_model

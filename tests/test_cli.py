@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -263,8 +264,8 @@ def demo_model(demo, tmp_path_factory):
     saves it."""
     enc, plan = preprocess(load_dataset([demo["csv"]],
                                         load_schema(str(demo["schema"]))))
-    ens = gbdt.fit(enc, gbdt.BoostParams(rounds=2, min_leaf=5, max_depth=3))
-    ens.plan = plan
+    ens = replace(gbdt.fit(enc, gbdt.BoostParams(rounds=2, min_leaf=5,
+                                                 max_depth=3)), plan=plan)
     path = tmp_path_factory.mktemp("model") / "ensemble.bin"
     archive.save_ensemble(path, ens)
     return path
@@ -316,13 +317,16 @@ def test_evaluate_reports_an_ensemble_body_that_lacks_a_key(demo, tmp_path,
     assert err.startswith("error: ") and str(model) in err and "trees" in err
 
 
-def _malformed_input(case, demo, tmp_path):
+def _malformed_input(case, demo, model, tmp_path):
     """The argv of a command on one malformed input, and the file or
     option its error must name (None for --gamma)."""
     lines = demo["csv"].read_text().splitlines(keepends=True)
     schema, csv_path = str(demo["schema"]), tmp_path / "rows.csv"
-    if case == "empty csv":
+    if case.endswith("empty csv"):
         csv_path.write_text("")
+        if case.startswith("evaluate"):
+            return ["evaluate", "--model", str(model), "--schema", schema,
+                    str(csv_path)], f"{csv_path}: no rows to score"
         return ["census", "--schema", schema, str(csv_path)], csv_path
     if case.endswith("no normal rows"):
         csv_path.write_text("".join(x for x in lines
@@ -366,6 +370,18 @@ def _malformed_input(case, demo, tmp_path):
             key, value = case.split()[-2:]
             cfg["boost"] = {"rounds": 2, "min_leaf": 5, key: float(value)}
             named = "stage train: "
+        elif case == "run empty test split":
+            # two rows of each class all go to the training split
+            seen, rows = Counter(), []
+            for line in lines:
+                label = line.rstrip().rsplit(",", 1)[-1]
+                seen[label] += 1
+                if seen[label] <= 2:
+                    rows.append(line)
+            csv_path.write_text("".join(rows))
+            cfg["dataset_paths"] = [str(csv_path)]
+            cfg["boost"] = {"min_leaf": 1}
+            named = "stage evaluate: no rows to score"
         elif case == "run 150 rows 2 rounds":
             # GOSS keeps 36 of the 120 training rows, and a split needs 40
             rows = write_demo_dataset(tmp_path / "d150", rows=150, seed=0)
@@ -380,9 +396,10 @@ def _malformed_input(case, demo, tmp_path):
     if case.startswith("filter gamma"):
         return ["filter", "--schema", schema, "--gamma", case.split()[-1],
                 str(demo["csv"])], None
-    if case == "demo-data rows -3":
-        return ["demo-data", "--out", str(tmp_path / "d"), "--rows",
-                "-3"], "--rows"
+    if case.startswith("demo-data"):
+        option, value = case.split()[1:]
+        return ["demo-data", "--out", str(tmp_path / "d"), f"--{option}",
+                value], f"--{option}"
     if case.startswith("schema"):
         bad = tmp_path / "schema.json"
         doc = json.loads(demo["schema"].read_text())
@@ -410,9 +427,11 @@ def _malformed_input(case, demo, tmp_path):
     "run out_dir with a NUL", "run builtin schema outside the package",
     "run learning rate 1e308", "demo-data rows -3",
     "run 100 rows goss_b 1e-300", "run 100 rows learning_rate 1e308",
-    "run 150 rows 2 rounds"])
-def test_malformed_input_is_one_error_line(demo, tmp_path, capsys, case):
-    argv, named = _malformed_input(case, demo, tmp_path)
+    "run 150 rows 2 rounds", "evaluate empty csv", "run empty test split",
+    "demo-data seed -1"])
+def test_malformed_input_is_one_error_line(demo, demo_model, tmp_path,
+                                           capsys, case):
+    argv, named = _malformed_input(case, demo, demo_model, tmp_path)
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -510,8 +529,8 @@ def fuzz_inputs(tmp_path_factory):
     demo = write_demo_dataset(work, rows=100, seed=5)
     enc, plan = preprocess(load_dataset([demo["csv"]],
                                         load_schema(str(demo["schema"]))))
-    ens = gbdt.fit(enc, gbdt.BoostParams(rounds=2, min_leaf=5, max_depth=3))
-    ens.plan = plan
+    ens = replace(gbdt.fit(enc, gbdt.BoostParams(rounds=2, min_leaf=5,
+                                                 max_depth=3)), plan=plan)
     archive.save_ensemble(work / "model.bin", ens)
     config = {"dataset_paths": ["rows.csv"], "schema": "schema.json",
               "out_dir": "out",

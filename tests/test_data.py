@@ -543,6 +543,15 @@ def test_concat_refuses_a_raw_part():
             dio.concat(parts)
 
 
+def test_select_columns_refuses_a_raw_dataset():
+    # every caller selects from an encoded set; a raw one has level tables
+    raw = raw_dataset([[1.0, 2.0]], [1], ["numeric", "numeric"],
+                      ["normal", "attack"])
+    for names in (raw.feature_names, raw.feature_names[:1]):
+        with pytest.raises(ValueError, match="encoded dataset only"):
+            dio.select_columns(raw, names)
+
+
 def test_builtin_schema_loads():
     schema = dio.builtin_schema("nslkdd")
     assert len(schema.feature_columns) == 41

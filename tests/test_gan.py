@@ -62,7 +62,6 @@ def test_build_gan_shapes():
     assert out.data.shape == (3, 41)
     d_out, _ = nn.forward(model.d_spec, model.d_params, out.data)
     assert d_out.data.shape == (3, 1)
-    assert model.phase == "fresh"
 
 
 def test_build_gan_rejects_zero_dim():
@@ -282,7 +281,7 @@ def test_each_phase_starts_from_a_fresh_adam_state(monkeypatch):
     cfg = small_cfg(max_steps=7)  # both phases take generator steps
     model, _ = gan.pretrain(gan.build_gan(4, cfg), normal_dataset(), cfg)
     phase[0] = "finetune"
-    gan.finetune(model, normal_dataset(seed=1), class_name="attack")
+    gan.finetune(model, normal_dataset(seed=1))
     # `calls` keeps every state alive, so no two share an id
     first = {}
     for name, state, t, zero in calls:
@@ -352,7 +351,6 @@ def test_pretrain_zero_steps():
     model = gan.build_gan(4, cfg)
     g_flat = model.g_params.flat.copy()
     model, trace = gan.pretrain(model, normal_dataset(), cfg)
-    assert model.phase == "pretrained"
     assert trace.records == []
     assert trace.stop_reason == "max_steps"
     assert np.array_equal(model.g_params.flat, g_flat)
@@ -376,13 +374,6 @@ def test_pretrain_trains_and_archives_under_its_config(monkeypatch, tmp_path):
     assert model.cfg == cfg
     archive.save_gan(tmp_path / "gan.bin", model)
     assert archive.load_gan(tmp_path / "gan.bin").cfg == cfg
-
-
-def test_pretrain_requires_fresh_phase():
-    cfg = small_cfg(max_steps=0)
-    model, _ = gan.pretrain(gan.build_gan(4, cfg), normal_dataset(), cfg)
-    with pytest.raises(gan.WrongPhase):
-        gan.pretrain(model, normal_dataset(), cfg)
 
 
 def test_pretrain_rejects_empty_dataset():
@@ -410,18 +401,12 @@ def test_finetune_copies_pretrained_weights():
     g_flat = model.g_params.flat.copy()
     d_flat = model.d_params.flat.copy()
     zero_cfg = small_cfg(max_steps=0)
-    tuned, trace = gan.finetune(model, normal_dataset(seed=1), zero_cfg,
-                                class_name="attack")
+    tuned, trace = gan.finetune(model, normal_dataset(seed=1), zero_cfg)
     # step 0: parameters are an exact copy; source model untouched
     assert np.array_equal(tuned.g_params.flat, g_flat)
     assert np.array_equal(tuned.d_params.flat, d_flat)
-    assert model.phase == "pretrained"
-    assert tuned.phase == "finetuned:attack"
-
-
-def test_finetune_requires_pretrained_phase():
-    with pytest.raises(gan.WrongPhase):
-        gan.finetune(gan.build_gan(4, small_cfg()), normal_dataset())
+    assert tuned.g_params.flat is not model.g_params.flat
+    assert tuned.d_params.flat is not model.d_params.flat
 
 
 def test_training_determinism_full_replay():
@@ -434,15 +419,14 @@ def test_training_determinism_full_replay():
         np.testing.assert_array_equal(x, y)  # includes nan == nan
 
 
-def _finetuned_stub(plan, dim):
-    """Model in the finetuned phase whose G is the identity on the noise."""
+def _identity_stub(plan, dim):
+    """Model whose G is the identity on the noise."""
     cfg = small_cfg()
     g_spec = nn.NetworkSpec(dim, (nn.FullyConnected(dim),))
     g_params = nn.ParamSet({"l0.w": np.eye(dim), "l0.b": np.zeros(dim)})
     d_spec = gan.critic_spec(dim)
-    model = gan.GanModel(g_spec, g_params, d_spec, nn.init_params(d_spec, 1),
-                         cfg, phase="finetuned:attack")
-    return model
+    return gan.GanModel(g_spec, g_params, d_spec, nn.init_params(d_spec, 1),
+                        cfg)
 
 
 def test_synthesize_identity_stub_matches_clamped_noise():
@@ -452,7 +436,7 @@ def test_synthesize_identity_stub_matches_clamped_noise():
     from conftest import raw_dataset
     ds = raw_dataset(rows, raw.labels, ["numeric"] * 3, ["normal", "attack"])
     enc, plan = preprocess(ds)
-    model = _finetuned_stub(plan, 3)
+    model = _identity_stub(plan, 3)
     out = gan.synthesize(model, 7, plan, seed=11, schema=ds.schema,
                          class_name="attack")
     expect = np.clip(np.random.default_rng(11).standard_normal((7, 3)), 0, 1)
@@ -466,7 +450,7 @@ def test_synthesize_identity_stub_matches_clamped_noise():
 
 def test_synthesize_zero_rows_and_determinism():
     plan = unit_plan(2)
-    model = _finetuned_stub(plan, 2)
+    model = _identity_stub(plan, 2)
     schema = normal_dataset(5, 2).schema
     empty = gan.synthesize(model, 0, plan, seed=3, schema=schema,
                            class_name="attack")
@@ -477,19 +461,10 @@ def test_synthesize_zero_rows_and_determinism():
     assert np.array_equal(a.labels, b.labels)
 
 
-def test_synthesize_requires_finetuned_phase():
-    plan = unit_plan(1)
-    model = gan.build_gan(1, small_cfg())
-    with pytest.raises(gan.WrongPhase):
-        gan.synthesize(model, 3, plan, seed=0,
-                       schema=normal_dataset(5, 1).schema, class_name="attack")
-
-
 def test_synthesize_matches_forward_and_builds_no_gradient_graph(monkeypatch):
     dim = 3
     plan = unit_plan(dim)
     model = float64_model(gan.build_gan(dim, small_cfg()))
-    model.phase = "finetuned:attack"
     schema = normal_dataset(5, dim).schema
     n = 600  # crosses the 512-row chunk boundary
     rng = np.random.default_rng(7)
@@ -519,7 +494,6 @@ def test_synthesize_matches_forward_and_builds_no_gradient_graph(monkeypatch):
 
 
 def _synthesize_600(model):
-    model.phase = "finetuned:attack"
     plan = unit_plan(model.feature_dim)
     schema = normal_dataset(5, model.feature_dim).schema
     gan.synthesize(model, 600, plan, seed=3, schema=schema,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ganids import metrics
+from ganids.data import EmptyDataset
 from ganids.gan import TrainTrace
 
 
@@ -53,6 +54,12 @@ def test_zero_denominator_metrics_are_zero():
 def test_length_mismatch():
     with pytest.raises(metrics.LengthMismatch):
         metrics.evaluate([0, 1], [0], 2)
+
+
+def test_zero_rows_are_an_error_not_a_score():
+    # a report of zero rows would read accuracy 0 and macro-F1 0
+    with pytest.raises(EmptyDataset, match="no rows to score"):
+        metrics.evaluate([], [], 2)
 
 
 @pytest.mark.parametrize("seed", range(20))
