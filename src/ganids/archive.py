@@ -1,4 +1,4 @@
-"""Versioned on-disk containers for trained models (format 8).
+"""Versioned on-disk containers for trained models (format 9).
 
 Layout: magic, format version, the SHA-256 of everything after it, then a
 length-prefixed JSON header and length-prefixed blobs. That digest is the
@@ -42,7 +42,7 @@ from .data import FieldTypeError, decode
 from .errors import InputError
 
 MAGIC = b"GANIDS\x00"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 _PREFIX = len(MAGIC) + 2 + 32  # magic, version, body digest
 
 

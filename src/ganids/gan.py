@@ -3,9 +3,10 @@
 The critic trains on mean D(fake) - mean D(real) plus the gradient penalty;
 the generator on -mean D(G(z)). Pretraining runs this loop on normal traffic;
 fine-tuning copies the pretrained weights and continues on a single minority
-class. A model is its values: weights and a config, no optimizer state and
-no phase. Each phase builds one Adam state per network, starting from zero,
-which updates the weights in place; the caller orders the phases.
+class. A model is its values: weights and a config, no optimizer state,
+phase or seed. Each phase builds one Adam state per network, starting from
+zero, which updates the weights in place; the caller orders the phases and
+gives each its seed.
 
 The steps and synthesis run `nn`'s layer-wise kernels on plain arrays and
 build no autodiff graph; the graph engine is their test reference. A GAN's
@@ -48,16 +49,13 @@ class GanConfig:
     finetune_stop_delta: float = 0.01
     stop_window: int = 50
     max_steps: int = 20000
-    seed: int = 0
 
     def __post_init__(self):
-        # numpy takes no negative seed
         if not (0 <= self.lam < math.inf and self.batch_size >= 1
-                and self.stop_window >= 1 and self.max_steps >= 0
-                and self.seed >= 0):
+                and self.stop_window >= 1 and self.max_steps >= 0):
             raise ValueError("invalid GAN configuration: needs a finite "
-                             "lam >= 0, batch_size >= 1, stop_window >= 1, "
-                             "max_steps >= 0 and seed >= 0")
+                             "lam >= 0, batch_size >= 1, stop_window >= 1 "
+                             "and max_steps >= 0")
         # the stop rule's EMA is never <= a NaN or negative delta, and every
         # phase would run to max_steps
         for name in ("stop_delta", "finetune_stop_delta"):
@@ -79,7 +77,10 @@ class StepRecord:
 class TrainTrace:
     records: list = field(default_factory=list)
     stop_reason: str = ""
-    steps_to_stop: int = 0
+
+    @property
+    def steps_to_stop(self):
+        return len(self.records)
 
     def rows(self):
         return [(r.step, r.loss_d, r.loss_g, r.wasserstein, r.gp)
@@ -132,15 +133,12 @@ def network_specs(feature_dim):
     return generator_spec(feature_dim), critic_spec(feature_dim)
 
 
-def init_params(spec, seed):
-    """`nn.init_params`' float64 draw, cast to `DTYPE`."""
-    return nn.init_params(spec, seed).astype(DTYPE)
-
-
-def build_gan(feature_dim, cfg: GanConfig) -> GanModel:
+def build_gan(feature_dim, cfg: GanConfig, seed) -> GanModel:
+    """G's weights are `nn.init_params`' float64 draw from `seed` (>= 0) and
+    D's the draw from `seed + 1`, each cast to `DTYPE`."""
     g_spec, d_spec = network_specs(feature_dim)
-    g_params = init_params(g_spec, cfg.seed)
-    d_params = init_params(d_spec, cfg.seed + 1)
+    g_params = nn.init_params(g_spec, seed).astype(DTYPE)
+    d_params = nn.init_params(d_spec, seed + 1).astype(DTYPE)
     return GanModel(g_spec, g_params, d_spec, d_params, cfg)
 
 
@@ -283,12 +281,13 @@ class _StopRule:
         return self.run >= self.window
 
 
-def _train_loop(model: GanModel, data: Dataset, cfg: GanConfig, stop_delta):
+def _train_loop(model: GanModel, data: Dataset, seed, stop_delta):
     if len(data) == 0:
         raise EmptyDataset("GAN training needs a non-empty dataset")
     if not data.encoded:
         raise ValueError("GAN training expects an encoded dataset")
-    rng = np.random.default_rng(cfg.seed)
+    cfg = model.cfg
+    rng = np.random.default_rng(seed)
     matrix = np.asarray(data.features, dtype=model.d_params.dtype)
     g_adam, d_adam = nn.AdamState(model.g_params), nn.AdamState(model.d_params)
     trace = TrainTrace()
@@ -312,36 +311,33 @@ def _train_loop(model: GanModel, data: Dataset, cfg: GanConfig, stop_delta):
             break
         if step % CRITIC_STEPS == 0 and step < cfg.max_steps:
             loss_g = generator_step(model, g_adam, rng)
-    trace.steps_to_stop = len(trace.records)
     return trace
 
 
-def pretrain(model: GanModel, normal_data: Dataset, cfg: GanConfig = None):
-    """Train on normal traffic until the stop rule fires; returns the model,
-    trained in place, and its trace.
+def pretrain(model: GanModel, normal_data: Dataset, seed,
+             cfg: GanConfig = None):
+    """Train on normal traffic, drawing from `seed`, until the stop rule
+    fires; returns the model, trained in place, and its trace.
 
     The model trains under `cfg` (default its own) and keeps it, as
     `finetune` does."""
-    cfg = cfg or model.cfg
-    model.cfg = cfg
-    trace = _train_loop(model, normal_data, cfg, cfg.stop_delta)
-    return model, trace
+    model.cfg = cfg or model.cfg
+    return model, _train_loop(model, normal_data, seed, model.cfg.stop_delta)
 
 
-def finetune(pretrained: GanModel, minority_data: Dataset,
+def finetune(pretrained: GanModel, minority_data: Dataset, seed,
              cfg: GanConfig = None):
     """Continue training on one minority class from the pretrained weights.
 
-    Weights are copied exactly; Adam starts from zero, as in every phase. The
-    ablation's arm without pretraining fine-tunes a model pretrained for 0
-    steps: the untrained weights of `build_gan`.
-    """
+    Weights are copied exactly; Adam starts from zero and the batches, noise
+    and masks draw from `seed` (>= 0), as in every phase. The ablation's arm
+    without pretraining fine-tunes a model pretrained for 0 steps: the
+    untrained weights of `build_gan`."""
     model = dataclasses.replace(
         pretrained, g_params=pretrained.g_params.copy(),
         d_params=pretrained.d_params.copy(), cfg=cfg or pretrained.cfg)
-    trace = _train_loop(model, minority_data, model.cfg,
-                        model.cfg.finetune_stop_delta)
-    return model, trace
+    return model, _train_loop(model, minority_data, seed,
+                              model.cfg.finetune_stop_delta)
 
 
 def synthesize(generator: GanModel, n, plan: PreprocessPlan, seed, schema,

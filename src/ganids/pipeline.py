@@ -1,9 +1,9 @@
 """End-to-end orchestration: filter -> pretrain -> per-class finetune ->
 synthesize -> augment -> select -> train -> evaluate, from one JSON config.
 
-Synthetic rows are flagged per row and never reach the test set. Every
-stochastic stage takes its seed from the config, so identical configs
-reproduce identical artifacts.
+Synthetic rows are flagged per row and never reach the test set. The
+split draws from the fixed `SPLIT_SEED`, every other stochastic stage from
+the config's `seed`, so identical configs reproduce identical artifacts.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from pathlib import Path
 
 from . import archive, boruta, gbdt, imbalance, metrics
 from . import gan as gan_mod
-from .data import (DatasetSchema, FieldTypeError, concat, decode, load_dataset,
-                   load_schema, preprocess, select_columns, split_stratified)
+from .data import (DatasetSchema, EmptyDataset, FieldTypeError, concat, decode,
+                   load_dataset, load_schema, preprocess, select_columns,
+                   split_stratified)
 from .errors import ConfigInvalid, InputError
 
 
@@ -189,6 +190,9 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         train_raw, test_raw = split_stratified(raw, config.train_fraction,
                                                SPLIT_SEED)
         del raw
+        if len(test_raw) == 0:  # found before any training
+            raise EmptyDataset("no rows to test: each class's rows all went "
+                               "to the training split")
 
     with stage("encode"):
         train, plan = preprocess(train_raw)
@@ -203,14 +207,14 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     gan_paths, traces, synthesized = {}, {}, {}
     synth_sets = []
     if not config.skip_augment and filtered.minority:
-        feature_dim = train.features.shape[1]
-        gan_cfg = replace(config.gan, seed=config.seed * 1000 + config.gan.seed)
+        gan_seed = config.seed * 1000  # every GAN phase draws from it
         with stage("pretrain"):
-            model = gan_mod.build_gan(feature_dim, gan_cfg)
-            pre_cfg = gan_cfg if not config.skip_pretrain \
-                else replace(gan_cfg, max_steps=0)
+            model = gan_mod.build_gan(train.features.shape[1], config.gan,
+                                      gan_seed)
+            pre_cfg = config.gan if not config.skip_pretrain \
+                else replace(config.gan, max_steps=0)
             model, pre_trace = gan_mod.pretrain(
-                model, train.select(filtered.normal), pre_cfg)
+                model, train.select(filtered.normal), gan_seed, pre_cfg)
             traces["pretrain"] = pre_trace
             _write_trace(out_dir / "trace_pretrain.csv", pre_trace)
             pre_path = out_dir / "models" / "gan_pretrained.bin"
@@ -221,7 +225,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         for class_name, rows in sorted(filtered.minority.items()):
             with stage(f"finetune:{class_name}"):
                 tuned, trace = gan_mod.finetune(model, train.select(rows),
-                                                gan_cfg)
+                                                gan_seed, config.gan)
                 traces[class_name] = trace
                 _write_trace(out_dir / f"trace_{class_name}.csv", trace)
                 path = out_dir / "models" / f"gan_{class_name}.bin"

@@ -28,7 +28,7 @@ def _fit_with_plan(raw, **boost):
 
 
 def test_gan_roundtrip_bit_exact(tmp_path):
-    model = gan.build_gan(6, gan.GanConfig(seed=4))
+    model = gan.build_gan(6, gan.GanConfig(), 4)
     path = tmp_path / "gan.bin"
     archive.save_gan(path, model)
     loaded = archive.load_gan(path)
@@ -69,7 +69,7 @@ def test_save_ensemble_without_plan_raises_value_error(tmp_path):
 
 
 def test_corrupted_archive_detected(tmp_path):
-    model = gan.build_gan(3, gan.GanConfig(seed=1))
+    model = gan.build_gan(3, gan.GanConfig(), 1)
     path = tmp_path / "gan.bin"
     archive.save_gan(path, model)
     raw = bytearray(path.read_bytes())
@@ -87,7 +87,7 @@ def test_wrong_magic_rejected(tmp_path):
 
 
 def test_kind_mismatch_rejected(tmp_path):
-    model = gan.build_gan(3, gan.GanConfig(seed=1))
+    model = gan.build_gan(3, gan.GanConfig(), 1)
     path = tmp_path / "gan.bin"
     archive.save_gan(path, model)
     with pytest.raises(archive.ArchiveError):
@@ -95,7 +95,7 @@ def test_kind_mismatch_rejected(tmp_path):
 
 
 def test_file_hash_stable(tmp_path):
-    model = gan.build_gan(3, gan.GanConfig(seed=2))
+    model = gan.build_gan(3, gan.GanConfig(), 2)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     archive.save_gan(p1, model)
     archive.save_gan(p2, model)
@@ -105,7 +105,7 @@ def test_file_hash_stable(tmp_path):
 @pytest.fixture(scope="module")
 def archive_bytes(tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz")
-    model = gan.build_gan(3, gan.GanConfig(seed=5))
+    model = gan.build_gan(3, gan.GanConfig(), 5)
     archive.save_gan(out / "gan.bin", model)
     rng = np.random.default_rng(1)
     raw = raw_dataset(rng.random((40, 2)), rng.integers(0, 2, 40),
@@ -151,7 +151,7 @@ def test_gan_blob_is_float64_runs_in_sorted_name_order(tmp_path, width):
     # the blob of each network, built from nn.param_shapes alone:
     # each array's float64 upcast, C order, the names in sorted order
     rng = np.random.default_rng(width)
-    model = gan.build_gan(width, gan.GanConfig(seed=1))
+    model = gan.build_gan(width, gan.GanConfig(), 1)
     arrays = [{name: rng.standard_normal(shape).astype(gan.DTYPE)
                for name, shape in nn.param_shapes(spec).items()}
               for spec in (model.g_spec, model.d_spec)]
@@ -168,7 +168,7 @@ def test_gan_blob_is_float64_runs_in_sorted_name_order(tmp_path, width):
 
 
 def test_truncated_parameter_blob_raises_archive_error(tmp_path):
-    model = gan.build_gan(3, gan.GanConfig(seed=1))
+    model = gan.build_gan(3, gan.GanConfig(), 1)
     g_blob, d_blob = _param_blobs(model)
     path = tmp_path / "gan.bin"
     n = len(g_blob)
@@ -180,7 +180,7 @@ def test_truncated_parameter_blob_raises_archive_error(tmp_path):
 
 
 def test_tensors_that_do_not_fit_feature_dim_raise_archive_error(tmp_path):
-    model = gan.build_gan(5, gan.GanConfig(seed=1))
+    model = gan.build_gan(5, gan.GanConfig(), 1)
     header = _gan_header(model)
     header["feature_dim"] = 6
     path = tmp_path / "gan.bin"
@@ -191,7 +191,7 @@ def test_tensors_that_do_not_fit_feature_dim_raise_archive_error(tmp_path):
 
 def test_other_format_version_raises_archive_error(tmp_path):
     path = tmp_path / "gan.bin"
-    archive.save_gan(path, gan.build_gan(3, gan.GanConfig(seed=1)))
+    archive.save_gan(path, gan.build_gan(3, gan.GanConfig(), 1))
     raw = bytearray(path.read_bytes())
     raw[len(archive.MAGIC):len(archive.MAGIC) + 2] = (2).to_bytes(2, "little")
     path.write_bytes(bytes(raw))
@@ -249,11 +249,24 @@ def test_format_7_archive_raises_archive_error(archive_bytes, tmp_path, kind):
         load(path)
 
 
+@pytest.mark.parametrize("kind", ["gan", "ensemble"])
+def test_format_8_archive_raises_archive_error(archive_bytes, tmp_path, kind):
+    # format 8 stored a GAN seed in its header's config
+    raw, load = archive_bytes[kind]
+    raw = bytearray(raw)
+    raw[len(archive.MAGIC):len(archive.MAGIC) + 2] = (8).to_bytes(2, "little")
+    path = tmp_path / "m.bin"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(archive.ArchiveError,
+                       match="m.bin: unsupported format version 8"):
+        load(path)
+
+
 def test_dumps_writes_the_json_of_asdict():
     rng = np.random.default_rng(3)
     raw = raw_dataset(rng.random((60, 2)), rng.integers(0, 3, 60),
                       ["numeric", "numeric"], ["a", "b", "c"])
-    model = gan.build_gan(3, gan.GanConfig(seed=1))
+    model = gan.build_gan(3, gan.GanConfig(), 1)
     header = archive.GanHeader("gan", 3, model.cfg)
     spec = model.g_spec
     assert spec.walk  # a cached_property, kept in the instance's __dict__
@@ -269,7 +282,7 @@ def test_any_gan_header_value_loads_or_raises_archive_error(
         tmp_path_factory, data, value):
     # no command reads a GAN archive, so the header fuzz calls load_gan: a
     # model or an ArchiveError, never another exception
-    model = gan.build_gan(3, gan.GanConfig(seed=1))
+    model = gan.build_gan(3, gan.GanConfig(), 1)
     header = _gan_header(model)
     header = replaced(header, data.draw(st.sampled_from(
         list(key_paths(header)))), value)
@@ -282,7 +295,7 @@ def test_any_gan_header_value_loads_or_raises_archive_error(
 
 
 def test_save_gan_rejects_networks_other_than_the_built_pair(tmp_path):
-    model = gan.build_gan(3, gan.GanConfig(seed=1))
+    model = gan.build_gan(3, gan.GanConfig(), 1)
     model.d_spec = nn.NetworkSpec(3, (nn.FullyConnected(1),))
     model.d_params = nn.init_params(model.d_spec, 0)
     with pytest.raises(ValueError):
@@ -295,10 +308,11 @@ def test_save_gan_rejects_networks_other_than_the_built_pair(tmp_path):
     lambda h: h.pop("feature_dim"),
     lambda h: h.update(feature_dim=0),
     lambda h: h.update(phase="pretrained"),
+    lambda h: h["cfg"].update(seed=0),
 ], ids=["cfg key GanConfig lacks", "invalid cfg value", "no feature_dim",
-        "feature_dim 0", "format 7 phase key"])
+        "feature_dim 0", "format 7 phase key", "format 8 seed key"])
 def test_gan_header_that_does_not_build_raises_archive_error(tmp_path, edit):
-    model = gan.build_gan(3, gan.GanConfig(seed=1))
+    model = gan.build_gan(3, gan.GanConfig(), 1)
     header = _gan_header(model)
     edit(header)
     path = tmp_path / "gan.bin"

@@ -135,7 +135,7 @@ def test_evaluate_scores_a_model_trained_on_boruta_selected_features(
     ("boost", [1, 2]),
     ("gan", {"max_steps": True}),
     ("gan", {"stop_delta": "x"}),
-    ("gan", {"seed": 1.5}),
+    ("gan", {"seed": 1.5}),  # the run's seed is the GAN's: no gan key
     ("boost", {"rounds": True}),
     ("boost", {"learning_rate": "0.5"}),
     ("boost", {"max_bins": 0}),
@@ -380,8 +380,7 @@ def _malformed_input(case, demo, model, tmp_path):
                     rows.append(line)
             csv_path.write_text("".join(rows))
             cfg["dataset_paths"] = [str(csv_path)]
-            cfg["boost"] = {"min_leaf": 1}
-            named = "stage evaluate: no rows to score"
+            named = "stage split: no rows to test"
         elif case == "run 150 rows 2 rounds":
             # GOSS keeps 36 of the 120 training rows, and a split needs 40
             rows = write_demo_dataset(tmp_path / "d150", rows=150, seed=0)

@@ -18,7 +18,7 @@ from ganids.errors import NonFiniteValue
 
 
 def small_cfg(**kw):
-    base = dict(batch_size=16, stop_window=5, max_steps=20, seed=0)
+    base = dict(batch_size=16, stop_window=5, max_steps=20)
     base.update(kw)
     return gan.GanConfig(**base)
 
@@ -57,7 +57,7 @@ def critic_grads(model, real, rng):
 
 
 def test_build_gan_shapes():
-    model = gan.build_gan(41, small_cfg())
+    model = gan.build_gan(41, small_cfg(), 0)
     out, _ = nn.forward(model.g_spec, model.g_params, np.zeros((3, 41)))
     assert out.data.shape == (3, 41)
     d_out, _ = nn.forward(model.d_spec, model.d_params, out.data)
@@ -66,11 +66,11 @@ def test_build_gan_shapes():
 
 def test_build_gan_rejects_zero_dim():
     with pytest.raises(gan.InvalidDimension):
-        gan.build_gan(0, small_cfg())
+        gan.build_gan(0, small_cfg(), 0)
 
 
 def test_critic_output_bounded_by_tanh():
-    model = gan.build_gan(8, small_cfg())
+    model = gan.build_gan(8, small_cfg(), 0)
     x = np.random.default_rng(0).standard_normal((64, 8)) * 5
     out, _ = nn.forward(model.d_spec, model.d_params, x)
     assert np.all(np.abs(out.data) <= 1.0)
@@ -136,8 +136,8 @@ def _critic_grads_reference(model, real, rng):
 ])
 @pytest.mark.parametrize("dim,seed", [(3, 0), (8, 1), (11, 2)])
 def test_critic_grads_match_three_pass_reference(d_layers, dim, seed):
-    cfg = small_cfg(seed=seed, lam=10.0)
-    model = float64_model(gan.build_gan(dim, cfg))
+    cfg = small_cfg(lam=10.0)
+    model = float64_model(gan.build_gan(dim, cfg, seed))
     if d_layers is not None:
         model.d_spec = nn.NetworkSpec(dim, d_layers)
         model.d_params = nn.init_params(model.d_spec, seed + 5)
@@ -199,8 +199,8 @@ def test_step_gradients_match_autodiff_on_random_critics(dim, body, head,
     # the layer-wise kernels against the graph engine on sequential critics
     # of every layer kind: conv with k up to 5 on lengths from 1, dropout
     # masks of both ranks, tanh anywhere
-    cfg = small_cfg(seed=seed % 100, batch_size=batch, lam=10.0)
-    model = float64_model(gan.build_gan(dim, cfg))
+    cfg = small_cfg(batch_size=batch, lam=10.0)
+    model = float64_model(gan.build_gan(dim, cfg, seed % 100))
     model.d_spec = nn.NetworkSpec(dim, tuple(body) + (nn.FullyConnected(1),)
                                   + head)
     model.d_params = nn.init_params(model.d_spec, seed)
@@ -222,7 +222,7 @@ def test_step_gradients_match_autodiff_on_random_critics(dim, body, head,
 
 def test_training_steps_build_no_autodiff_nodes(monkeypatch):
     # the training steps, the penalty and synthesis run on plain arrays
-    model = gan.build_gan(6, small_cfg())
+    model = gan.build_gan(6, small_cfg(), 0)
     rng = np.random.default_rng(0)
 
     def refuse(self, *args, **kwargs):
@@ -237,7 +237,7 @@ def test_training_steps_build_no_autodiff_nodes(monkeypatch):
 
 
 def test_critic_step_rejects_empty_batch():
-    model = gan.build_gan(4, small_cfg())
+    model = gan.build_gan(4, small_cfg(), 0)
     d_flat = model.d_params.flat.copy()
     with pytest.raises(nn.EmptyBatch):
         critic_step(model, np.zeros((0, 4)), np.random.default_rng(0))
@@ -245,7 +245,7 @@ def test_critic_step_rejects_empty_batch():
 
 
 def test_critic_step_updates_critic_only():
-    model = gan.build_gan(4, small_cfg())
+    model = gan.build_gan(4, small_cfg(), 0)
     g_flat = model.g_params.flat.copy()
     d_flat = model.d_params.flat.copy()
     critic_step(model, np.random.default_rng(1).random((16, 4)),
@@ -255,7 +255,7 @@ def test_critic_step_updates_critic_only():
 
 
 def test_steps_update_the_weights_in_place():
-    model = gan.build_gan(4, small_cfg())
+    model = gan.build_gan(4, small_cfg(), 0)
     g_flat, d_flat = model.g_params.flat, model.d_params.flat
     g_before, d_before = g_flat.copy(), d_flat.copy()
     rng = np.random.default_rng(1)
@@ -279,9 +279,9 @@ def test_each_phase_starts_from_a_fresh_adam_state(monkeypatch):
 
     monkeypatch.setattr(nn, "adam_step", recording)
     cfg = small_cfg(max_steps=7)  # both phases take generator steps
-    model, _ = gan.pretrain(gan.build_gan(4, cfg), normal_dataset(), cfg)
+    model, _ = gan.pretrain(gan.build_gan(4, cfg, 0), normal_dataset(), 0, cfg)
     phase[0] = "finetune"
-    gan.finetune(model, normal_dataset(seed=1))
+    gan.finetune(model, normal_dataset(seed=1), 0)
     # `calls` keeps every state alive, so no two share an id
     first = {}
     for name, state, t, zero in calls:
@@ -293,7 +293,7 @@ def test_each_phase_starts_from_a_fresh_adam_state(monkeypatch):
 
 def test_generator_step_constant_critic():
     cfg = small_cfg()
-    model = gan.build_gan(3, cfg)
+    model = gan.build_gan(3, cfg, 0)
     zeroed = {k: np.zeros_like(v) for k, v in model.d_params.tensors.items()}
     zeroed["l5.b"] = np.array([0.3])  # critic output = tanh(0.3) everywhere
     model.d_params = nn.ParamSet(zeroed)
@@ -307,7 +307,7 @@ def test_generator_step_constant_critic():
 def test_generator_step_determinism():
     results = []
     for _ in range(2):
-        model = gan.build_gan(4, small_cfg())
+        model = gan.build_gan(4, small_cfg(), 0)
         loss = generator_step(model, np.random.default_rng(3))
         results.append((loss, model.g_params.flat.copy()))
     assert results[0][0] == results[1][0]
@@ -315,7 +315,7 @@ def test_generator_step_determinism():
 
 
 def test_generator_step_nonfinite_loss_leaves_generator_unchanged():
-    model = gan.build_gan(4, small_cfg())
+    model = gan.build_gan(4, small_cfg(), 0)
     model.d_params.tensors["l0.w"][0, 0, 0] = np.nan
     g_flat = model.g_params.flat.copy()
     adam = nn.AdamState(model.g_params)
@@ -348,16 +348,16 @@ def test_stop_rule_ema_starts_high():
 
 def test_pretrain_zero_steps():
     cfg = small_cfg(max_steps=0)
-    model = gan.build_gan(4, cfg)
+    model = gan.build_gan(4, cfg, 0)
     g_flat = model.g_params.flat.copy()
-    model, trace = gan.pretrain(model, normal_dataset(), cfg)
+    model, trace = gan.pretrain(model, normal_dataset(), 0, cfg)
     assert trace.records == []
     assert trace.stop_reason == "max_steps"
     assert np.array_equal(model.g_params.flat, g_flat)
 
 
 def test_pretrain_trains_and_archives_under_its_config(monkeypatch, tmp_path):
-    model = gan.build_gan(4, small_cfg(batch_size=16))
+    model = gan.build_gan(4, small_cfg(batch_size=16), 0)
     cfg = small_cfg(batch_size=8, max_steps=12, lam=3.0)
     sizes = []
     masks = nn.dropout_masks
@@ -368,7 +368,7 @@ def test_pretrain_trains_and_archives_under_its_config(monkeypatch, tmp_path):
         return masks(spec, batch_size, rng)
 
     monkeypatch.setattr(nn, "dropout_masks", recording_masks)
-    model, trace = gan.pretrain(model, normal_dataset(), cfg)
+    model, trace = gan.pretrain(model, normal_dataset(), 0, cfg)
     assert len(sizes) > len(trace.records)  # generator steps ran too
     assert set(sizes) == {8}
     assert model.cfg == cfg
@@ -380,14 +380,17 @@ def test_pretrain_rejects_empty_dataset():
     cfg = small_cfg()
     ds = normal_dataset().select(np.zeros(0, dtype=np.int64))
     with pytest.raises(gan.EmptyDataset):
-        gan.pretrain(gan.build_gan(4, cfg), ds, cfg)
+        gan.pretrain(gan.build_gan(4, cfg, 0), ds, 0, cfg)
 
 
 def test_trace_records_are_complete():
     cfg = small_cfg(max_steps=12)
-    model, trace = gan.pretrain(gan.build_gan(4, cfg), normal_dataset(), cfg)
+    model, trace = gan.pretrain(gan.build_gan(4, cfg, 0), normal_dataset(), 0,
+                                cfg)
     assert [r.step for r in trace.records] == list(range(1, 13))
     assert trace.steps_to_stop == 12
+    with pytest.raises(AttributeError):  # read from the records only
+        trace.steps_to_stop = 3
     for r in trace.records:
         assert np.isfinite(r.loss_d) and np.isfinite(r.gp)
         assert r.gp >= 0.0
@@ -397,11 +400,11 @@ def test_trace_records_are_complete():
 
 def test_finetune_copies_pretrained_weights():
     cfg = small_cfg(max_steps=6)
-    model, _ = gan.pretrain(gan.build_gan(4, cfg), normal_dataset(), cfg)
+    model, _ = gan.pretrain(gan.build_gan(4, cfg, 0), normal_dataset(), 0, cfg)
     g_flat = model.g_params.flat.copy()
     d_flat = model.d_params.flat.copy()
     zero_cfg = small_cfg(max_steps=0)
-    tuned, trace = gan.finetune(model, normal_dataset(seed=1), zero_cfg)
+    tuned, trace = gan.finetune(model, normal_dataset(seed=1), 0, zero_cfg)
     # step 0: parameters are an exact copy; source model untouched
     assert np.array_equal(tuned.g_params.flat, g_flat)
     assert np.array_equal(tuned.d_params.flat, d_flat)
@@ -412,7 +415,8 @@ def test_finetune_copies_pretrained_weights():
 def test_training_determinism_full_replay():
     def run():
         cfg = small_cfg(max_steps=15)
-        model, trace = gan.pretrain(gan.build_gan(4, cfg), normal_dataset(), cfg)
+        model, trace = gan.pretrain(gan.build_gan(4, cfg, 0),
+                                    normal_dataset(), 0, cfg)
         return model.g_params.flat, model.d_params.flat, np.asarray(trace.rows())
     a, b = run(), run()
     for x, y in zip(a, b):
@@ -464,7 +468,7 @@ def test_synthesize_zero_rows_and_determinism():
 def test_synthesize_matches_forward_and_builds_no_gradient_graph(monkeypatch):
     dim = 3
     plan = unit_plan(dim)
-    model = float64_model(gan.build_gan(dim, small_cfg()))
+    model = float64_model(gan.build_gan(dim, small_cfg(), 0))
     schema = normal_dataset(5, dim).schema
     n = 600  # crosses the 512-row chunk boundary
     rng = np.random.default_rng(7)
@@ -510,7 +514,7 @@ def _synthesize_600(model):
 ], ids=["critic_step", "generator_step", "gradient_penalty", "synthesize"])
 def test_step_leaves_no_cyclic_garbage(call):
     # each step's graph is freed by reference counting when the step returns
-    model = gan.build_gan(6, small_cfg())
+    model = gan.build_gan(6, small_cfg(), 0)
     rng = np.random.default_rng(0)
     gc.collect()
     gc.disable()
@@ -524,7 +528,7 @@ def test_step_leaves_no_cyclic_garbage(call):
 def test_forward_on_constant_parameters_keeps_no_layer_alive(monkeypatch):
     # constants hold no history, so once forward_var returns only its
     # output is left of the nodes it built
-    model = gan.build_gan(6, small_cfg())
+    model = gan.build_gan(6, small_cfg(), 0)
     g_vars = {k: ad.asvar(v) for k, v in model.g_params.tensors.items()}
     z = ad.Var(np.random.default_rng(1).standard_normal((32, 6)))
     built = []
@@ -566,7 +570,7 @@ def test_kernels_write_only_to_arrays_they_own(call, monkeypatch):
     # write to either raises, and their bytes stay as they were. Adam, the
     # one writer of parameters, is stubbed out
     monkeypatch.setattr(nn, "adam_step", lambda params, grads, state: None)
-    model = gan.build_gan(11, small_cfg(batch_size=16))
+    model = gan.build_gan(11, small_cfg(batch_size=16), 0)
     rng = np.random.default_rng(0)
     real = rng.random((16, 11))
     arrays = [real] + _param_arrays(model.g_params, model.d_params)

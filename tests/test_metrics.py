@@ -5,7 +5,7 @@ import pytest
 
 from ganids import metrics
 from ganids.data import EmptyDataset
-from ganids.gan import TrainTrace
+from ganids.gan import StepRecord, TrainTrace
 
 
 def binary_case():
@@ -87,10 +87,9 @@ def test_matches_naive_recount(seed):
 
 
 def _trace(steps, reason="criterion"):
-    t = TrainTrace()
-    t.steps_to_stop = steps
-    t.stop_reason = reason
-    return t
+    """A trace of `steps` critic steps, so steps_to_stop == steps."""
+    return TrainTrace([StepRecord(s, 0.0, 0.0, 0.0, 0.0)
+                       for s in range(1, steps + 1)], reason)
 
 
 def test_ablation_speedup_examples():

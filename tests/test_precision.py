@@ -23,7 +23,7 @@ TOL = 1e-4
 
 
 def small_cfg(**kw):
-    base = dict(batch_size=16, stop_window=5, max_steps=20, seed=0)
+    base = dict(batch_size=16, stop_window=5, max_steps=20)
     base.update(kw)
     return gan.GanConfig(**base)
 
@@ -36,11 +36,11 @@ def _close(got, want):
 
 def _models(dim, seed):
     """A float32 GAN after a few training steps, and its float64 cast."""
-    cfg = small_cfg(seed=seed, max_steps=12)
+    cfg = small_cfg(max_steps=12)
     rng = np.random.default_rng(seed)
     x = np.clip(rng.normal(0.5, 0.1, size=(64, dim)), 0, 1)
     data = encoded_dataset(x, np.zeros(64), ["normal", "attack"])
-    m32, _ = gan.pretrain(gan.build_gan(dim, cfg), data, cfg)
+    m32, _ = gan.pretrain(gan.build_gan(dim, cfg, seed), data, seed, cfg)
     # float64_model sets new casts on a second model; m32 keeps its own
     return m32, float64_model(replace(m32))
 
@@ -63,8 +63,7 @@ def _critic_grads(model, real, rng):
 def test_build_gan_casts_the_float64_draw():
     # a seed keeps its meaning: the float32 parameters are the float64
     # draw of nn.init_params, rounded
-    cfg = small_cfg(seed=3)
-    model = gan.build_gan(7, cfg)
+    model = gan.build_gan(7, small_cfg(), 3)
     for params, spec, seed in [(model.g_params, model.g_spec, 3),
                                (model.d_params, model.d_spec, 4)]:
         want = nn.init_params(spec, seed)
@@ -74,8 +73,8 @@ def test_build_gan_casts_the_float64_draw():
     data = encoded_dataset(np.full((20, 7), 0.5), np.zeros(20),
                            ["normal", "attack"])
     # the ablation's arm without pretraining: untrained weights, fine-tuned
-    model, _ = gan.pretrain(model, data, small_cfg(max_steps=0))
-    cold, _ = gan.finetune(model, data, small_cfg(max_steps=0))
+    model, _ = gan.pretrain(model, data, 0, small_cfg(max_steps=0))
+    cold, _ = gan.finetune(model, data, 0, small_cfg(max_steps=0))
     assert cold.g_params.dtype == cold.d_params.dtype == np.float32
 
 
@@ -139,7 +138,7 @@ def test_a_float32_model_computes_in_float32_throughout(monkeypatch):
     for name in ("_unfold_data", "_fold_data"):
         recording(ad, name)
 
-    model = gan.build_gan(11, small_cfg())
+    model = gan.build_gan(11, small_cfg(), 0)
     rng = np.random.default_rng(0)
     real = rng.random((16, 11))  # the caller's batch, float64
     adams = nn.AdamState(model.d_params), nn.AdamState(model.g_params)
@@ -183,7 +182,7 @@ def test_float32_gan_archive_round_trips_bit_exactly(tmp_path):
 def test_a_float64_gan_archive_loads_as_float32(tmp_path):
     # an archive of float64 parameters, as the float64 trainer wrote them
     # in the same format, is cast on loading
-    model = float64_model(gan.build_gan(5, small_cfg(seed=2)))
+    model = float64_model(gan.build_gan(5, small_cfg(), 2))
     model.g_params = nn.init_params(model.g_spec, 2)
     model.d_params = nn.init_params(model.d_spec, 3)
     path = tmp_path / "gan64.bin"
