@@ -1,4 +1,4 @@
-"""Versioned on-disk containers for trained models (format 9).
+"""Versioned on-disk containers for trained models (format 10).
 
 Layout: magic, format version, the SHA-256 of everything after it, then a
 length-prefixed JSON header and length-prefixed blobs. That digest is the
@@ -10,11 +10,13 @@ Every JSON part is a dataclass written as an object of its fields, with
 arrays as lists, and read back by `data.decode`: a key the dataclass does not
 declare, a missing key, a value of the wrong type and a value the
 dataclass's own checks reject each raise ArchiveError naming the file and
-the key path ("ens.bin: body: trees: [0]: [1]: left: feature: ...").
+the key path ("ens.bin: body: trees: [0]: [1]: left: feature: ..."); a
+header's `kind` first, so that a file of the other kind says so.
 
-An archive stores values, not structure. A GAN header (GanHeader) holds
-`feature_dim` and the config (a run names a fine-tuned GAN's class in its
-file name, `gan_<class>.bin`); the networks' layers come from
+An archive stores values, not structure, and no training setting: those
+are the run's config, in its manifest. A GAN header (GanHeader) holds
+`feature_dim` (a run names a fine-tuned GAN's class in its file name,
+`gan_<class>.bin`); the networks' layers come from
 `gan.network_specs(feature_dim)`, and each network's blob is its
 `nn.ParamSet.flat` vector as raw float64: its arrays in sorted-name order,
 with the shapes `nn.param_shapes` gives, read back with one `frombuffer`. A
@@ -42,7 +44,7 @@ from .data import FieldTypeError, decode
 from .errors import InputError
 
 MAGIC = b"GANIDS\x00"
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 _PREFIX = len(MAGIC) + 2 + 32  # magic, version, body digest
 
 
@@ -50,23 +52,16 @@ class ArchiveError(InputError, ValueError):
     """A model archive is truncated or malformed."""
 
 
-def _check_kind(kind, expected):
-    if kind != expected:
-        raise ValueError(f"kind: {kind!r}, where a {expected} archive was "
-                         "expected")
-
-
 @dataclass
 class GanHeader:
     """A GAN archive's header: its networks are those gan.network_specs
     builds for feature_dim."""
 
-    kind: str  # "gan"
+    KIND = "gan"  # what `kind` holds; not a field
+    kind: str
     feature_dim: int
-    cfg: gan_mod.GanConfig
 
     def __post_init__(self):
-        _check_kind(self.kind, "gan")
         gan_mod.network_specs(self.feature_dim)
 
 
@@ -74,10 +69,8 @@ class GanHeader:
 class EnsembleHeader:
     """An ensemble archive's header."""
 
-    kind: str  # "ensemble"
-
-    def __post_init__(self):
-        _check_kind(self.kind, "ensemble")
+    KIND = "ensemble"
+    kind: str
 
 
 def _plain(value):
@@ -97,9 +90,17 @@ def _dumps(value) -> bytes:
 
 def _decode(path, kind, blob, key):
     """The `kind` that the JSON blob holds; ArchiveError naming the file
-    and the key path when it holds none."""
+    and the key path when it holds none. A header's `kind` key is checked
+    first, against its type's KIND."""
     try:
-        return decode(kind, json.loads(blob.decode()), key)
+        value = json.loads(blob.decode())
+        want = getattr(kind, "KIND", None)
+        if want and isinstance(value, dict) \
+                and value.get("kind", want) != want:
+            a = "an" if want[0] in "aeiou" else "a"
+            raise FieldTypeError(key, f"kind: {value['kind']!r}, where {a} "
+                                      f"{want} archive was expected")
+        return decode(kind, value, key)
     except FieldTypeError as e:
         raise ArchiveError(f"{path}: {e}") from e
     except RecursionError as e:
@@ -138,8 +139,10 @@ def _read(path, kind):
         raw = f.read()
     if raw[:len(MAGIC)] != MAGIC:
         raise ArchiveError(f"{path}: not a model archive")
+    if len(raw) < len(MAGIC) + 2:
+        raise ArchiveError(f"{path}: truncated in its format version")
     version = int.from_bytes(raw[len(MAGIC):len(MAGIC) + 2], "little")
-    if len(raw) < len(MAGIC) + 2 or version != FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise ArchiveError(f"{path}: unsupported format version {version}")
     body = raw[_PREFIX:]
     if len(raw) < _PREFIX \
@@ -180,7 +183,7 @@ def save_gan(path, model: gan_mod.GanModel):
     if (model.g_spec, model.d_spec) != specs:
         raise ValueError(f"{path}: only the networks gan.network_specs "
                          "builds can be archived")
-    header = GanHeader("gan", model.feature_dim, model.cfg)
+    header = GanHeader("gan", model.feature_dim)
     _write(path, header, [p.flat.astype(np.float64).tobytes()
                           for p in (model.g_params, model.d_params)])
 
@@ -192,7 +195,7 @@ def load_gan(path) -> gan_mod.GanModel:
     g_spec, d_spec = gan_mod.network_specs(header.feature_dim)
     g_params = _param_set(path, g_spec, blobs[0]).astype(gan_mod.DTYPE)
     d_params = _param_set(path, d_spec, blobs[1]).astype(gan_mod.DTYPE)
-    return gan_mod.GanModel(g_spec, g_params, d_spec, d_params, header.cfg)
+    return gan_mod.GanModel(g_spec, g_params, d_spec, d_params)
 
 
 def save_ensemble(path, ensemble: gbdt.Ensemble):

@@ -3,10 +3,10 @@
 The critic trains on mean D(fake) - mean D(real) plus the gradient penalty;
 the generator on -mean D(G(z)). Pretraining runs this loop on normal traffic;
 fine-tuning copies the pretrained weights and continues on a single minority
-class. A model is its values: weights and a config, no optimizer state,
-phase or seed. Each phase builds one Adam state per network, starting from
-zero, which updates the weights in place; the caller orders the phases and
-gives each its seed.
+class. A model is its networks' specs and weights: no training setting,
+optimizer state, phase or seed. Each phase takes its seed and config as
+arguments and builds one Adam state per network, starting from zero, which
+updates the weights in place; the caller orders the phases.
 
 The steps and synthesis run `nn`'s layer-wise kernels on plain arrays and
 build no autodiff graph; the graph engine is their test reference. A GAN's
@@ -89,14 +89,12 @@ class TrainTrace:
 
 @dataclass(eq=False)
 class GanModel:
-    """A generator/critic pair: the networks' specs and weights, and the
-    config they train under."""
+    """A generator/critic pair: the networks' specs and weights."""
 
     g_spec: nn.NetworkSpec
     g_params: nn.ParamSet
     d_spec: nn.NetworkSpec
     d_params: nn.ParamSet
-    cfg: GanConfig
 
     @property
     def feature_dim(self):
@@ -133,13 +131,13 @@ def network_specs(feature_dim):
     return generator_spec(feature_dim), critic_spec(feature_dim)
 
 
-def build_gan(feature_dim, cfg: GanConfig, seed) -> GanModel:
+def build_gan(feature_dim, seed) -> GanModel:
     """G's weights are `nn.init_params`' float64 draw from `seed` (>= 0) and
     D's the draw from `seed + 1`, each cast to `DTYPE`."""
     g_spec, d_spec = network_specs(feature_dim)
     g_params = nn.init_params(g_spec, seed).astype(DTYPE)
     d_params = nn.init_params(d_spec, seed + 1).astype(DTYPE)
-    return GanModel(g_spec, g_params, d_spec, d_params, cfg)
+    return GanModel(g_spec, g_params, d_spec, d_params)
 
 
 # glibc's mallopt parameter M_TOP_PAD, and the freed heap kept at its top
@@ -169,8 +167,10 @@ def _keep_freed_heap():
     mallopt(_M_TOP_PAD, _KEPT_HEAP_BYTES)
 
 
-def critic_grads(model: GanModel, grads, real_batch, rng, fake_batch=None):
-    """Critic parameter gradients of mean D(fake) - mean D(real) + penalty.
+def critic_grads(model: GanModel, grads, real_batch, rng, lam,
+                 fake_batch=None):
+    """Critic parameter gradients of mean D(fake) - mean D(real) + penalty,
+    the penalty weighted by `lam`.
 
     Adds the gradients into `grads`, a zeroed ParamSet of the critic's
     layout, and returns (loss_d, wasserstein_estimate, gp_value). Fake, real
@@ -182,7 +182,6 @@ def critic_grads(model: GanModel, grads, real_batch, rng, fake_batch=None):
     generator's samples (test harness hook). The noise, `eps` and the mask
     are drawn in float64 and cast to the parameters' dtype, which every
     array of the step then has."""
-    cfg = model.cfg
     d_spec, params = model.d_spec, model.d_params.tensors
     dtype = model.d_params.dtype
     real = nn.as_batch(d_spec, real_batch, dtype)
@@ -209,7 +208,7 @@ def critic_grads(model: GanModel, grads, real_batch, rng, fake_batch=None):
     check_finite(out[2 * n:], "network output")
     hat = slice(2 * n, None)
     gp_val, inject = nn._penalty(d_spec, params, caches, out[hat].shape, hat,
-                                 cfg.lam, grads)
+                                 lam, grads)
     sign = np.zeros_like(out)
     sign[:n] = 1.0 / n
     sign[n:2 * n] = -1.0 / n
@@ -222,7 +221,7 @@ def critic_grads(model: GanModel, grads, real_batch, rng, fake_batch=None):
     return loss_d, mean_r - mean_f, gp_val
 
 
-def critic_step(model: GanModel, adam: nn.AdamState, real_batch, rng,
+def critic_step(model: GanModel, adam: nn.AdamState, real_batch, rng, lam,
                 fake_batch=None):
     """One critic update by `adam`, the phase's Adam state of the critic.
     Returns (loss_d, wasserstein_estimate, gp_value).
@@ -230,16 +229,15 @@ def critic_step(model: GanModel, adam: nn.AdamState, real_batch, rng,
     `fake_batch` overrides the generator's samples (test harness hook)."""
     _keep_freed_heap()
     grads = adam.zero_grads()
-    losses = critic_grads(model, grads, real_batch, rng, fake_batch)
+    losses = critic_grads(model, grads, real_batch, rng, lam, fake_batch)
     nn.adam_step(model.d_params, grads, adam)
     return losses
 
 
-def generator_step(model: GanModel, adam: nn.AdamState, rng):
-    """One generator update on -mean D(G(z)) by `adam`, the phase's Adam
-    state of the generator; the critic is left untouched."""
+def generator_step(model: GanModel, adam: nn.AdamState, rng, n):
+    """One generator update on -mean D(G(z)) over n noise rows by `adam`,
+    the phase's Adam state of the generator; D is left untouched."""
     _keep_freed_heap()
-    n = model.cfg.batch_size
     g_params, d_params = model.g_params.tensors, model.d_params.tensors
     z = rng.standard_normal((n, model.noise_dim))
     g_caches = []
@@ -281,12 +279,12 @@ class _StopRule:
         return self.run >= self.window
 
 
-def _train_loop(model: GanModel, data: Dataset, seed, stop_delta):
+def _train_loop(model: GanModel, data: Dataset, seed, cfg: GanConfig,
+                stop_delta):
     if len(data) == 0:
         raise EmptyDataset("GAN training needs a non-empty dataset")
     if not data.encoded:
         raise ValueError("GAN training expects an encoded dataset")
-    cfg = model.cfg
     rng = np.random.default_rng(seed)
     matrix = np.asarray(data.features, dtype=model.d_params.dtype)
     g_adam, d_adam = nn.AdamState(model.g_params), nn.AdamState(model.d_params)
@@ -304,30 +302,27 @@ def _train_loop(model: GanModel, data: Dataset, seed, stop_delta):
             pos = 0
         batch = matrix[order[pos:pos + cfg.batch_size]]
         pos += cfg.batch_size
-        loss_d, w_est, gp = critic_step(model, d_adam, batch, rng)
+        loss_d, w_est, gp = critic_step(model, d_adam, batch, rng, cfg.lam)
         trace.records.append(StepRecord(step, loss_d, loss_g, w_est, gp))
         if stop.update(w_est):
             trace.stop_reason = "criterion"
             break
         if step % CRITIC_STEPS == 0 and step < cfg.max_steps:
-            loss_g = generator_step(model, g_adam, rng)
+            loss_g = generator_step(model, g_adam, rng, cfg.batch_size)
     return trace
 
 
-def pretrain(model: GanModel, normal_data: Dataset, seed,
-             cfg: GanConfig = None):
-    """Train on normal traffic, drawing from `seed`, until the stop rule
-    fires; returns the model, trained in place, and its trace.
-
-    The model trains under `cfg` (default its own) and keeps it, as
-    `finetune` does."""
-    model.cfg = cfg or model.cfg
-    return model, _train_loop(model, normal_data, seed, model.cfg.stop_delta)
+def pretrain(model: GanModel, normal_data: Dataset, seed, cfg: GanConfig):
+    """Train on normal traffic under `cfg`, drawing from `seed`, until the
+    stop rule fires at `cfg.stop_delta`; returns the model, trained in
+    place, and its trace."""
+    return model, _train_loop(model, normal_data, seed, cfg, cfg.stop_delta)
 
 
 def finetune(pretrained: GanModel, minority_data: Dataset, seed,
-             cfg: GanConfig = None):
-    """Continue training on one minority class from the pretrained weights.
+             cfg: GanConfig):
+    """Continue training on one minority class from the pretrained weights,
+    under `cfg` and its `finetune_stop_delta`.
 
     Weights are copied exactly; Adam starts from zero and the batches, noise
     and masks draw from `seed` (>= 0), as in every phase. The ablation's arm
@@ -335,9 +330,9 @@ def finetune(pretrained: GanModel, minority_data: Dataset, seed,
     untrained weights of `build_gan`."""
     model = dataclasses.replace(
         pretrained, g_params=pretrained.g_params.copy(),
-        d_params=pretrained.d_params.copy(), cfg=cfg or pretrained.cfg)
-    return model, _train_loop(model, minority_data, seed,
-                              model.cfg.finetune_stop_delta)
+        d_params=pretrained.d_params.copy())
+    return model, _train_loop(model, minority_data, seed, cfg,
+                              cfg.finetune_stop_delta)
 
 
 def synthesize(generator: GanModel, n, plan: PreprocessPlan, seed, schema,

@@ -2,7 +2,8 @@
 bundling, used as the intrusion-detection classifier.
 
 Multiclass is handled as softmax boosting: one tree per class per round on
-the cross-entropy gradients, second-order leaf values -G/(H + lambda).
+the cross-entropy gradients. A leaf stores the second-order value
+-G/(H + lambda) shrunk by the learning rate, so scoring sums leaf values.
 Bundling only accelerates histogram construction; split search always runs
 per original feature, so bundling never changes the fitted trees.
 
@@ -320,7 +321,8 @@ def bundle_columns(binned, bundle_map: BundleMap):
 @dataclass
 class TreeNode:
     """A leaf (feature -1, no children), or a split on a feature >= 0 with
-    a bin_threshold >= 0 and two children; gain and value are finite."""
+    a bin_threshold >= 0 and two children; gain and value are finite. A
+    leaf's value is the score it adds, the learning rate already applied."""
 
     feature: int = -1
     bin_threshold: int = -1   # go left when bin <= threshold
@@ -350,12 +352,13 @@ class TreeNode:
                 self.left.structure(), self.right.structure())
 
 
-def _leaf(gsum, hsum, lam):
-    """The leaf of the optimal value for its rows' g and h sums. Extreme
-    settings (a huge learning rate, a GOSS weight (1 - goss_a) / goss_b
-    past float range) overflow the scores or the sums, and a leaf value
-    that is not finite raises NonFiniteValue."""
-    value = -gsum / (hsum + lam)
+def _leaf(gsum, hsum, p: BoostParams):
+    """The leaf that adds the optimal value for its rows' g and h sums,
+    shrunk by the learning rate, to their scores. Extreme settings (a huge
+    learning rate, a GOSS weight (1 - goss_a) / goss_b past float range)
+    overflow the sums or the value, and a leaf value that is not finite
+    raises NonFiniteValue."""
+    value = p.learning_rate * (-gsum / (hsum + p.lam_leaf))
     if not math.isfinite(value):
         raise NonFiniteValue(f"a boosting leaf value of {value}")
     return TreeNode(value=value)
@@ -502,7 +505,7 @@ class _HistContext:
         histograms; the larger child's is the parent's minus it."""
         p = self.params
         g_sum, h_sum = g.sum(), h.sum()
-        root = _leaf(g_sum, h_sum, p.lam_leaf)
+        root = _leaf(g_sum, h_sum, p)
         if not self._splittable(len(rows), 0):
             return root
         gh = np.stack([g, h])
@@ -528,7 +531,7 @@ class _HistContext:
                 for side in (go_left, ~go_left):
                     kid_gh = run_gh.compress(side, axis=1)
                     gs, hs = kid_gh[0].sum(), kid_gh[1].sum()
-                    kid = _leaf(gs, hs, p.lam_leaf)
+                    kid = _leaf(gs, hs, p)
                     kids.append((kid, run.compress(side), kid_gh, gs, hs))
                 node.left, node.right = kids[0][0], kids[1][0]
                 is_open = [self._splittable(len(k[1]), depth) for k in kids]
@@ -578,17 +581,17 @@ def predict_tree(node: TreeNode, binned):
 @dataclass
 class Ensemble:
     """A fitted model. Each round has one tree per class, base_scores one
-    finite score per class, the learning rate is positive and finite, and
-    every split reads a fitted column at a bin threshold below that
-    column's boundary count. Each fitted column has its own feature name,
-    each an encoded column of the plan if there is one. `fit` leaves
-    the plan None; `dataclasses.replace` attaches one and checks again."""
+    finite score per class, and every split reads a fitted column at a bin
+    threshold below that column's boundary count. A row's scores are the
+    base scores plus its leaf values, which hold the learning rate. Each
+    fitted column has its own feature name, each an encoded column of the
+    plan if there is one. `fit` leaves the plan None; `dataclasses.replace`
+    attaches one and checks again."""
 
     trees: list[list[TreeNode]]  # trees[round][class]
     base_scores: np.ndarray      # (K,)
     mapper: BinMapper
     classes: list[str]           # the class list of the training schema
-    learning_rate: float
     feature_names: list[str]
     # the encoding whose columns feature_names selects from
     plan: PreprocessPlan | None = None
@@ -599,8 +602,6 @@ class Ensemble:
                 or not np.isfinite(self.base_scores).all():
             raise ValueError(f"base_scores: not {k} finite scores, one per "
                              "class")
-        if not (is_finite_real(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate: must be positive and finite")
         widths = [len(b) for b in self.mapper.boundaries]
         names = self.feature_names
         if not len(widths) == len(names) == len(set(names)):
@@ -638,7 +639,7 @@ class Ensemble:
         scores = np.tile(self.base_scores, (matrix.shape[0], 1))
         for round_trees in self.trees:
             for k, tree in enumerate(round_trees):
-                scores[:, k] += self.learning_rate * predict_tree(tree, binned)
+                scores[:, k] += predict_tree(tree, binned)
         return check_finite(scores, "boosting score")
 
     def predict_proba(self, matrix):
@@ -705,9 +706,9 @@ def fit(train: Dataset, params: BoostParams, seed=0) -> Ensemble:
             idx, w = goss_sample(g, params.goss_a, params.goss_b,
                                  seed=seed * 100003 + m * 31 + k)
             tree = ctx.build_tree(idx, g[idx] * w, h[idx] * w)
-            scores[:, k] += params.learning_rate * predict_tree(tree, binned)
+            scores[:, k] += predict_tree(tree, binned)
             round_trees.append(tree)
         check_finite(scores, "boosting score")
         trees.append(round_trees)
     return Ensemble(trees, base, mapper, list(train.schema.classes),
-                    params.learning_rate, list(train.feature_names))
+                    list(train.feature_names))

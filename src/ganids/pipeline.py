@@ -209,8 +209,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     if not config.skip_augment and filtered.minority:
         gan_seed = config.seed * 1000  # every GAN phase draws from it
         with stage("pretrain"):
-            model = gan_mod.build_gan(train.features.shape[1], config.gan,
-                                      gan_seed)
+            model = gan_mod.build_gan(train.features.shape[1], gan_seed)
             pre_cfg = config.gan if not config.skip_pretrain \
                 else replace(config.gan, max_steps=0)
             model, pre_trace = gan_mod.pretrain(

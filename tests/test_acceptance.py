@@ -139,8 +139,7 @@ def test_c01_critic_loss_gradients_match_finite_differences():
                                                  masks=masks, train=True)
         assert np.isclose(pen_val, pen.item(), atol=1e-10)
 
-        model = float64_model(gan.build_gan(
-            dim, gan.GanConfig(lam=10.0, batch_size=4), 100 + i))
+        model = float64_model(gan.build_gan(dim, 100 + i))
         model.d_params = params
         step_seed = 1000 + i
         # the interpolates and mask critic_grads draws, for the probes' kinks
@@ -153,14 +152,15 @@ def test_c01_critic_loss_gradients_match_finite_differences():
                       _s=step_seed):
             _m.d_params = p
             loss_d = gan.critic_grads(_m, p.zeros(), _r,
-                                      np.random.default_rng(_s),
+                                      np.random.default_rng(_s), 10.0,
                                       fake_batch=_f)[0]
             signs = _critic_loss_graph(_m.d_spec, p, _r, _f, _x, _mk, 10.0)[3]
             return loss_d, signs
 
         step_grads = params.zeros()
         gan.critic_grads(model, step_grads, real,
-                         np.random.default_rng(step_seed), fake_batch=fake)
+                         np.random.default_rng(step_seed), 10.0,
+                         fake_batch=fake)
         step_grads = step_grads.tensors
         done, step_worst = _fd_probes(step_loss, params, step_grads, rng,
                                       step_worst)
@@ -232,10 +232,10 @@ def _c04_ratio(seed):
     cfg = gan.GanConfig(stop_delta=0.05, finetune_stop_delta=0.05,
                         stop_window=50, max_steps=6000)
     normal, minority = _gaussian_family(seed)
-    model, _ = gan.pretrain(gan.build_gan(8, cfg, seed), normal, seed)
+    model, _ = gan.pretrain(gan.build_gan(8, seed), normal, seed, cfg)
     # the arm without pretraining, as run_ablation builds it: the same
     # initial weights, pretrained for 0 steps
-    untrained, _ = gan.pretrain(gan.build_gan(8, cfg, seed), normal, seed,
+    untrained, _ = gan.pretrain(gan.build_gan(8, seed), normal, seed,
                                 replace(cfg, max_steps=0))
     ft_cfg = replace(cfg, max_steps=4000)
     _, warm = gan.finetune(model, minority, seed, ft_cfg)

@@ -28,7 +28,7 @@ def _fit_with_plan(raw, **boost):
 
 
 def test_gan_roundtrip_bit_exact(tmp_path):
-    model = gan.build_gan(6, gan.GanConfig(), 4)
+    model = gan.build_gan(6, 4)
     path = tmp_path / "gan.bin"
     archive.save_gan(path, model)
     loaded = archive.load_gan(path)
@@ -37,8 +37,7 @@ def test_gan_roundtrip_bit_exact(tmp_path):
         assert ours.flat.dtype == theirs.flat.dtype
         assert np.array_equal(ours.flat, theirs.flat)
     assert loaded.feature_dim == 6
-    assert loaded.cfg == model.cfg
-    assert loaded.g_spec == model.g_spec
+    assert (loaded.g_spec, loaded.d_spec) == (model.g_spec, model.d_spec)
 
 
 def test_ensemble_roundtrip(tmp_path):
@@ -69,7 +68,7 @@ def test_save_ensemble_without_plan_raises_value_error(tmp_path):
 
 
 def test_corrupted_archive_detected(tmp_path):
-    model = gan.build_gan(3, gan.GanConfig(), 1)
+    model = gan.build_gan(3, 1)
     path = tmp_path / "gan.bin"
     archive.save_gan(path, model)
     raw = bytearray(path.read_bytes())
@@ -87,15 +86,34 @@ def test_wrong_magic_rejected(tmp_path):
 
 
 def test_kind_mismatch_rejected(tmp_path):
-    model = gan.build_gan(3, gan.GanConfig(), 1)
+    model = gan.build_gan(3, 1)
     path = tmp_path / "gan.bin"
     archive.save_gan(path, model)
-    with pytest.raises(archive.ArchiveError):
+    with pytest.raises(archive.ArchiveError, match="gan.bin: header: kind: "
+                       "'gan', where an ensemble archive was expected"):
         archive.load_ensemble(path)
 
 
+def test_ensemble_archive_loaded_as_a_gan_names_its_kind(archive_bytes,
+                                                        tmp_path):
+    path = tmp_path / "ens.bin"
+    path.write_bytes(archive_bytes["ensemble"][0])
+    with pytest.raises(archive.ArchiveError, match="ens.bin: header: kind: "
+                       "'ensemble', where a gan archive was expected"):
+        archive.load_gan(path)
+
+
+def test_archive_cut_inside_its_version_field_is_truncated(tmp_path):
+    path = tmp_path / "gan.bin"
+    archive.save_gan(path, gan.build_gan(3, 1))
+    path.write_bytes(path.read_bytes()[:len(archive.MAGIC) + 1])
+    with pytest.raises(archive.ArchiveError,
+                       match="gan.bin: truncated in its format version"):
+        archive.load_gan(path)
+
+
 def test_file_hash_stable(tmp_path):
-    model = gan.build_gan(3, gan.GanConfig(), 2)
+    model = gan.build_gan(3, 2)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     archive.save_gan(p1, model)
     archive.save_gan(p2, model)
@@ -105,7 +123,7 @@ def test_file_hash_stable(tmp_path):
 @pytest.fixture(scope="module")
 def archive_bytes(tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz")
-    model = gan.build_gan(3, gan.GanConfig(), 5)
+    model = gan.build_gan(3, 5)
     archive.save_gan(out / "gan.bin", model)
     rng = np.random.default_rng(1)
     raw = raw_dataset(rng.random((40, 2)), rng.integers(0, 2, 40),
@@ -137,8 +155,7 @@ def test_damaged_archive_raises_archive_error(archive_bytes, tmp_path_factory,
 
 def _gan_header(model):
     """The header save_gan writes for model."""
-    return {"kind": "gan", "feature_dim": model.feature_dim,
-            "cfg": asdict(model.cfg)}
+    return {"kind": "gan", "feature_dim": model.feature_dim}
 
 
 def _param_blobs(model):
@@ -151,7 +168,7 @@ def test_gan_blob_is_float64_runs_in_sorted_name_order(tmp_path, width):
     # the blob of each network, built from nn.param_shapes alone:
     # each array's float64 upcast, C order, the names in sorted order
     rng = np.random.default_rng(width)
-    model = gan.build_gan(width, gan.GanConfig(), 1)
+    model = gan.build_gan(width, 1)
     arrays = [{name: rng.standard_normal(shape).astype(gan.DTYPE)
                for name, shape in nn.param_shapes(spec).items()}
               for spec in (model.g_spec, model.d_spec)]
@@ -168,7 +185,7 @@ def test_gan_blob_is_float64_runs_in_sorted_name_order(tmp_path, width):
 
 
 def test_truncated_parameter_blob_raises_archive_error(tmp_path):
-    model = gan.build_gan(3, gan.GanConfig(), 1)
+    model = gan.build_gan(3, 1)
     g_blob, d_blob = _param_blobs(model)
     path = tmp_path / "gan.bin"
     n = len(g_blob)
@@ -180,7 +197,7 @@ def test_truncated_parameter_blob_raises_archive_error(tmp_path):
 
 
 def test_tensors_that_do_not_fit_feature_dim_raise_archive_error(tmp_path):
-    model = gan.build_gan(5, gan.GanConfig(), 1)
+    model = gan.build_gan(5, 1)
     header = _gan_header(model)
     header["feature_dim"] = 6
     path = tmp_path / "gan.bin"
@@ -191,7 +208,7 @@ def test_tensors_that_do_not_fit_feature_dim_raise_archive_error(tmp_path):
 
 def test_other_format_version_raises_archive_error(tmp_path):
     path = tmp_path / "gan.bin"
-    archive.save_gan(path, gan.build_gan(3, gan.GanConfig(), 1))
+    archive.save_gan(path, gan.build_gan(3, 1))
     raw = bytearray(path.read_bytes())
     raw[len(archive.MAGIC):len(archive.MAGIC) + 2] = (2).to_bytes(2, "little")
     path.write_bytes(bytes(raw))
@@ -262,12 +279,26 @@ def test_format_8_archive_raises_archive_error(archive_bytes, tmp_path, kind):
         load(path)
 
 
+@pytest.mark.parametrize("kind", ["gan", "ensemble"])
+def test_format_9_archive_raises_archive_error(archive_bytes, tmp_path, kind):
+    # format 9 stored a GAN's config in its header and an ensemble's
+    # learning rate in its body
+    raw, load = archive_bytes[kind]
+    raw = bytearray(raw)
+    raw[len(archive.MAGIC):len(archive.MAGIC) + 2] = (9).to_bytes(2, "little")
+    path = tmp_path / "m.bin"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(archive.ArchiveError,
+                       match="m.bin: unsupported format version 9"):
+        load(path)
+
+
 def test_dumps_writes_the_json_of_asdict():
     rng = np.random.default_rng(3)
     raw = raw_dataset(rng.random((60, 2)), rng.integers(0, 3, 60),
                       ["numeric", "numeric"], ["a", "b", "c"])
-    model = gan.build_gan(3, gan.GanConfig(), 1)
-    header = archive.GanHeader("gan", 3, model.cfg)
+    model = gan.build_gan(3, 1)
+    header = archive.GanHeader("gan", 3)
     spec = model.g_spec
     assert spec.walk  # a cached_property, kept in the instance's __dict__
     for value in (_fit_with_plan(raw, rounds=3, min_leaf=5), header, spec):
@@ -282,7 +313,7 @@ def test_any_gan_header_value_loads_or_raises_archive_error(
         tmp_path_factory, data, value):
     # no command reads a GAN archive, so the header fuzz calls load_gan: a
     # model or an ArchiveError, never another exception
-    model = gan.build_gan(3, gan.GanConfig(), 1)
+    model = gan.build_gan(3, 1)
     header = _gan_header(model)
     header = replaced(header, data.draw(st.sampled_from(
         list(key_paths(header)))), value)
@@ -295,7 +326,7 @@ def test_any_gan_header_value_loads_or_raises_archive_error(
 
 
 def test_save_gan_rejects_networks_other_than_the_built_pair(tmp_path):
-    model = gan.build_gan(3, gan.GanConfig(), 1)
+    model = gan.build_gan(3, 1)
     model.d_spec = nn.NetworkSpec(3, (nn.FullyConnected(1),))
     model.d_params = nn.init_params(model.d_spec, 0)
     with pytest.raises(ValueError):
@@ -303,16 +334,15 @@ def test_save_gan_rejects_networks_other_than_the_built_pair(tmp_path):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda h: h["cfg"].update(weight_decay=0.0),
-    lambda h: h["cfg"].update(lam=-1.0),
     lambda h: h.pop("feature_dim"),
     lambda h: h.update(feature_dim=0),
     lambda h: h.update(phase="pretrained"),
-    lambda h: h["cfg"].update(seed=0),
-], ids=["cfg key GanConfig lacks", "invalid cfg value", "no feature_dim",
-        "feature_dim 0", "format 7 phase key", "format 8 seed key"])
+    lambda h: h.update(cfg={**asdict(gan.GanConfig()), "seed": 0}),
+    lambda h: h.update(cfg=asdict(gan.GanConfig())),
+], ids=["no feature_dim", "feature_dim 0", "format 7 phase key",
+        "format 8 seed key", "format 9 cfg key"])
 def test_gan_header_that_does_not_build_raises_archive_error(tmp_path, edit):
-    model = gan.build_gan(3, gan.GanConfig(), 1)
+    model = gan.build_gan(3, 1)
     header = _gan_header(model)
     edit(header)
     path = tmp_path / "gan.bin"
@@ -323,7 +353,7 @@ def test_gan_header_that_does_not_build_raises_archive_error(tmp_path, edit):
 
 # the body fit writes for a one-feature, two-class ensemble with no plan
 NO_PLAN = (b'{"base_scores": [0.0, 0.0], "classes": ["a", "b"], '
-           b'"feature_names": ["f0"], "learning_rate": 0.1, '
+           b'"feature_names": ["f0"], '
            b'"mapper": {"boundaries": [[0.5]]}, "plan": null, "trees": []}')
 
 
@@ -362,8 +392,8 @@ def test_ensemble_whose_columns_disagree_with_its_plan_is_refused(
         names = names[:-1] + [rename]
     fields = {"trees": [], "base_scores": np.zeros(5),
               "mapper": gbdt.BinMapper([np.array([0.5])] * n_fitted),
-              "classes": list("abcde"), "learning_rate": 0.1,
-              "feature_names": names, "plan": demo_plan}
+              "classes": list("abcde"), "feature_names": names,
+              "plan": demo_plan}
     with pytest.raises(ValueError, match="^feature_names: "):
         gbdt.Ensemble(**fields)
     # the same body written into a file does not load either
@@ -431,6 +461,7 @@ def _swap_lo_hi(transform):
 @pytest.mark.parametrize("edit, where", [
     (lambda b: b["trees"][0][0].update(feature=-1),
      r"body: trees: \[0\]: \[0\]: "),
+    # format 9's key: the leaf values hold the learning rate
     (lambda b: b.update(learning_rate="0.1"), "body: learning_rate: "),
     (lambda b: b["trees"][0][0]["left"].update(bin_threshold=10**6),
      r"body: trees: \[0\]: \[0\]: "),

@@ -296,7 +296,7 @@ def test_evaluate_refuses_a_schema_with_other_classes(demo, demo_model,
 
 def test_evaluate_reports_truncated_archive(demo, tmp_path, capsys):
     ens = gbdt.Ensemble([], np.zeros(2), gbdt.BinMapper([np.array([0.5])]),
-                        ["normal", "attack"], 0.1, ["f0"], unit_plan(1))
+                        ["normal", "attack"], ["f0"], unit_plan(1))
     model = tmp_path / "ensemble.bin"
     archive.save_ensemble(model, ens)
     model.write_bytes(model.read_bytes()[:-5])
@@ -322,6 +322,12 @@ def _malformed_input(case, demo, model, tmp_path):
     option its error must name (None for --gamma)."""
     lines = demo["csv"].read_text().splitlines(keepends=True)
     schema, csv_path = str(demo["schema"]), tmp_path / "rows.csv"
+    if case == "evaluate a gan archive":
+        gan_path = tmp_path / "gan_pretrained.bin"
+        archive.save_gan(gan_path, gan.build_gan(3, 0))
+        return ["evaluate", "--model", str(gan_path), "--schema", schema,
+                str(demo["csv"])], (f"{gan_path}: header: kind: 'gan', where "
+                                    "an ensemble archive was expected")
     if case.endswith("empty csv"):
         csv_path.write_text("")
         if case.startswith("evaluate"):
@@ -363,7 +369,7 @@ def _malformed_input(case, demo, model, tmp_path):
             # each made a model that predicts the prior: an overflowed GOSS
             # weight makes every gain inf or NaN, so no tree splits (the
             # root needs 2 * min_leaf of GOSS's 17 rows), and a huge
-            # learning rate overflows the scores only
+            # learning rate overflows the leaf values only
             rows = write_demo_dataset(tmp_path / "d100", rows=100, seed=0)
             cfg["dataset_paths"] = [str(rows["csv"])]
             cfg["schema"] = str(rows["schema"])
@@ -387,7 +393,7 @@ def _malformed_input(case, demo, model, tmp_path):
             cfg["dataset_paths"] = [str(rows["csv"])]
             cfg["schema"] = str(rows["schema"])
             cfg["boost"], named = {"rounds": 2}, "stage train: GOSS keeps "
-        else:  # the scores overflow, and a leaf value with them
+        else:  # a leaf value overflows
             cfg["boost"], named = {"learning_rate": 1e308}, "stage train: "
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
@@ -427,7 +433,7 @@ def _malformed_input(case, demo, model, tmp_path):
     "run learning rate 1e308", "demo-data rows -3",
     "run 100 rows goss_b 1e-300", "run 100 rows learning_rate 1e308",
     "run 150 rows 2 rounds", "evaluate empty csv", "run empty test split",
-    "demo-data seed -1"])
+    "demo-data seed -1", "evaluate a gan archive"])
 def test_malformed_input_is_one_error_line(demo, demo_model, tmp_path,
                                            capsys, case):
     argv, named = _malformed_input(case, demo, demo_model, tmp_path)

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import encoded_dataset, float64_model, unit_plan
 
 from ganids import autodiff as ad
-from ganids import archive, gan, nn
+from ganids import gan, nn
 from ganids.data import inverse_transform, preprocess
 from ganids.errors import NonFiniteValue
 
@@ -23,41 +24,43 @@ def small_cfg(**kw):
     return gan.GanConfig(**base)
 
 
+LAM = small_cfg().lam  # the penalty weight the steps take by default
+
+
 def normal_dataset(n=200, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     x = np.clip(rng.normal(0.5, 0.1, size=(n, dim)), 0, 1)
     return encoded_dataset(x, np.zeros(n), ["normal", "attack"])
 
 
-def linear_critic_model(w, cfg):
+def linear_critic_model(w):
     d_spec = nn.NetworkSpec(2, (nn.FullyConnected(1),))
     d_params = nn.ParamSet({"l0.w": np.asarray(w, dtype=np.float64),
                             "l0.b": np.zeros(1)})
     g_spec = gan.generator_spec(2)
-    return gan.GanModel(g_spec, nn.init_params(g_spec, 0), d_spec, d_params,
-                        cfg)
+    return gan.GanModel(g_spec, nn.init_params(g_spec, 0), d_spec, d_params)
 
 
-def critic_step(model, real_batch, rng, fake_batch=None):
+def critic_step(model, real_batch, rng, fake_batch=None, lam=LAM):
     """One critic step with a fresh Adam state."""
     return gan.critic_step(model, nn.AdamState(model.d_params), real_batch,
-                           rng, fake_batch)
+                           rng, lam, fake_batch)
 
 
-def generator_step(model, rng):
-    """One generator step with a fresh Adam state."""
-    return gan.generator_step(model, nn.AdamState(model.g_params), rng)
+def generator_step(model, rng, n=16):
+    """One generator step on n noise rows with a fresh Adam state."""
+    return gan.generator_step(model, nn.AdamState(model.g_params), rng, n)
 
 
-def critic_grads(model, real, rng):
+def critic_grads(model, real, rng, lam=LAM):
     """`gan.critic_grads` into a zeroed set: (grads by name, loss_d,
     wasserstein estimate, gp)."""
     grads = model.d_params.zeros()
-    return (grads.tensors,) + gan.critic_grads(model, grads, real, rng)
+    return (grads.tensors,) + gan.critic_grads(model, grads, real, rng, lam)
 
 
 def test_build_gan_shapes():
-    model = gan.build_gan(41, small_cfg(), 0)
+    model = gan.build_gan(41, 0)
     out, _ = nn.forward(model.g_spec, model.g_params, np.zeros((3, 41)))
     assert out.data.shape == (3, 41)
     d_out, _ = nn.forward(model.d_spec, model.d_params, out.data)
@@ -66,21 +69,22 @@ def test_build_gan_shapes():
 
 def test_build_gan_rejects_zero_dim():
     with pytest.raises(gan.InvalidDimension):
-        gan.build_gan(0, small_cfg(), 0)
+        gan.build_gan(0, 0)
 
 
 def test_critic_output_bounded_by_tanh():
-    model = gan.build_gan(8, small_cfg(), 0)
+    model = gan.build_gan(8, 0)
     x = np.random.default_rng(0).standard_normal((64, 8)) * 5
     out, _ = nn.forward(model.d_spec, model.d_params, x)
     assert np.all(np.abs(out.data) <= 1.0)
 
 
 def test_critic_step_zero_lambda_fake_equals_real():
-    model = linear_critic_model([[3.0], [4.0]], small_cfg(lam=0.0))
+    model = linear_critic_model([[3.0], [4.0]])
     rng = np.random.default_rng(0)
     batch = np.array([[0.4, 0.6], [0.1, 0.9]])
-    loss_d, w_est, gp = critic_step(model, batch, rng, fake_batch=batch)
+    loss_d, w_est, gp = critic_step(model, batch, rng, fake_batch=batch,
+                                    lam=0.0)
     assert loss_d == 0.0
     assert w_est == 0.0
     assert gp == 0.0
@@ -88,20 +92,20 @@ def test_critic_step_zero_lambda_fake_equals_real():
 
 def test_critic_step_linear_closed_form():
     # w=(3,4), lam=10, real (1,0), fake (0,1): loss = (4-3) + 160 = 161
-    model = linear_critic_model([[3.0], [4.0]], small_cfg(lam=10.0))
+    model = linear_critic_model([[3.0], [4.0]])
     rng = np.random.default_rng(0)
     loss_d, w_est, gp = critic_step(model, [[1.0, 0.0]], rng,
-                                    fake_batch=[[0.0, 1.0]])
+                                    fake_batch=[[0.0, 1.0]], lam=10.0)
     assert np.isclose(loss_d, 161.0, atol=1e-9)
     assert np.isclose(gp, 160.0, atol=1e-9)
     assert np.isclose(w_est, -1.0)
 
 
-def _critic_grads_reference(model, real, rng):
+def _critic_grads_reference(model, real, rng, lam):
     """Critic gradients as three forward passes and four `grad` calls:
     fake and real losses each differentiated on their own tape, and the
-    penalty through an input gradient and a parameter gradient."""
-    cfg = model.cfg
+    penalty, weighted by lam, through an input gradient and a parameter
+    gradient."""
     n = real.shape[0]
     z = rng.standard_normal((n, model.noise_dim))
     fake = nn.forward(model.g_spec, model.g_params, z)[0].data
@@ -116,7 +120,7 @@ def _critic_grads_reference(model, real, rng):
                                train=True, masks=masks)
     gin = nn.grad_input(ad.sum_(out_h), tape_h, create_graph=True)
     norm = ad.sqrt(ad.sum_(ad.square(gin), axis=1))
-    penalty = cfg.lam * ad.mean(ad.square(norm - 1.0))
+    penalty = lam * ad.mean(ad.square(norm - 1.0))
     g_p = nn.grad_params(penalty, tape_h)
     g_f = nn.grad_params(ad.mean(out_f), tape_f)
     g_r = nn.grad_params(ad.mean(out_r), tape_r)
@@ -137,13 +141,14 @@ def _critic_grads_reference(model, real, rng):
 @pytest.mark.parametrize("dim,seed", [(3, 0), (8, 1), (11, 2)])
 def test_critic_grads_match_three_pass_reference(d_layers, dim, seed):
     cfg = small_cfg(lam=10.0)
-    model = float64_model(gan.build_gan(dim, cfg, seed))
+    model = float64_model(gan.build_gan(dim, seed))
     if d_layers is not None:
         model.d_spec = nn.NetworkSpec(dim, d_layers)
         model.d_params = nn.init_params(model.d_spec, seed + 5)
     real = np.random.default_rng(seed + 9).random((cfg.batch_size, dim))
-    got = critic_grads(model, real, np.random.default_rng(seed))
-    want = _critic_grads_reference(model, real, np.random.default_rng(seed))
+    got = critic_grads(model, real, np.random.default_rng(seed), cfg.lam)
+    want = _critic_grads_reference(model, real, np.random.default_rng(seed),
+                                   cfg.lam)
     for k, ref in want[0].items():
         err = np.linalg.norm(got[0][k] - ref)
         assert err <= 1e-10 * max(np.linalg.norm(ref), 1e-300), k
@@ -162,9 +167,9 @@ def _assert_grads_close(got, want):
         assert err <= 1e-10 * max(np.linalg.norm(ref), 1e-3 * total, 1e-4), k
 
 
-def _generator_grads_reference(model, rng):
-    """Generator gradients of -mean D(G(z)) through the autodiff engine."""
-    n = model.cfg.batch_size
+def _generator_grads_reference(model, rng, n):
+    """Generator gradients of -mean D(G(z)) over n noise rows through the
+    autodiff engine."""
     z = rng.standard_normal((n, model.noise_dim))
     g_vars = {k: ad.leaf(v) for k, v in model.g_params.tensors.items()}
     fake, _ = nn.forward_var(model.g_spec, g_vars, ad.Var(z), train=True)
@@ -200,29 +205,31 @@ def test_step_gradients_match_autodiff_on_random_critics(dim, body, head,
     # of every layer kind: conv with k up to 5 on lengths from 1, dropout
     # masks of both ranks, tanh anywhere
     cfg = small_cfg(batch_size=batch, lam=10.0)
-    model = float64_model(gan.build_gan(dim, cfg, seed % 100))
+    model = float64_model(gan.build_gan(dim, seed % 100))
     model.d_spec = nn.NetworkSpec(dim, tuple(body) + (nn.FullyConnected(1),)
                                   + head)
     model.d_params = nn.init_params(model.d_spec, seed)
     real = np.random.default_rng(seed + 1).random((batch, dim))
-    got = critic_grads(model, real, np.random.default_rng(seed))
-    want = _critic_grads_reference(model, real, np.random.default_rng(seed))
+    got = critic_grads(model, real, np.random.default_rng(seed), cfg.lam)
+    want = _critic_grads_reference(model, real, np.random.default_rng(seed),
+                                   cfg.lam)
     _assert_grads_close(got[0], want[0])
     np.testing.assert_allclose(got[1:], want[1:], rtol=1e-10, atol=1e-12)
 
     updates = []
     with mock.patch.object(nn, "adam_step",
                            lambda p, g, state: updates.append(g)):
-        loss_g = generator_step(model, np.random.default_rng(seed))
+        loss_g = generator_step(model, np.random.default_rng(seed),
+                                cfg.batch_size)
     want_g, want_loss = _generator_grads_reference(
-        model, np.random.default_rng(seed))
+        model, np.random.default_rng(seed), cfg.batch_size)
     _assert_grads_close(updates[0].tensors, want_g)
     assert np.isclose(loss_g, want_loss, rtol=1e-12, atol=1e-15)
 
 
 def test_training_steps_build_no_autodiff_nodes(monkeypatch):
     # the training steps, the penalty and synthesis run on plain arrays
-    model = gan.build_gan(6, small_cfg(), 0)
+    model = gan.build_gan(6, 0)
     rng = np.random.default_rng(0)
 
     def refuse(self, *args, **kwargs):
@@ -237,7 +244,7 @@ def test_training_steps_build_no_autodiff_nodes(monkeypatch):
 
 
 def test_critic_step_rejects_empty_batch():
-    model = gan.build_gan(4, small_cfg(), 0)
+    model = gan.build_gan(4, 0)
     d_flat = model.d_params.flat.copy()
     with pytest.raises(nn.EmptyBatch):
         critic_step(model, np.zeros((0, 4)), np.random.default_rng(0))
@@ -245,7 +252,7 @@ def test_critic_step_rejects_empty_batch():
 
 
 def test_critic_step_updates_critic_only():
-    model = gan.build_gan(4, small_cfg(), 0)
+    model = gan.build_gan(4, 0)
     g_flat = model.g_params.flat.copy()
     d_flat = model.d_params.flat.copy()
     critic_step(model, np.random.default_rng(1).random((16, 4)),
@@ -255,7 +262,7 @@ def test_critic_step_updates_critic_only():
 
 
 def test_steps_update_the_weights_in_place():
-    model = gan.build_gan(4, small_cfg(), 0)
+    model = gan.build_gan(4, 0)
     g_flat, d_flat = model.g_params.flat, model.d_params.flat
     g_before, d_before = g_flat.copy(), d_flat.copy()
     rng = np.random.default_rng(1)
@@ -279,9 +286,9 @@ def test_each_phase_starts_from_a_fresh_adam_state(monkeypatch):
 
     monkeypatch.setattr(nn, "adam_step", recording)
     cfg = small_cfg(max_steps=7)  # both phases take generator steps
-    model, _ = gan.pretrain(gan.build_gan(4, cfg, 0), normal_dataset(), 0, cfg)
+    model, _ = gan.pretrain(gan.build_gan(4, 0), normal_dataset(), 0, cfg)
     phase[0] = "finetune"
-    gan.finetune(model, normal_dataset(seed=1), 0)
+    gan.finetune(model, normal_dataset(seed=1), 0, cfg)
     # `calls` keeps every state alive, so no two share an id
     first = {}
     for name, state, t, zero in calls:
@@ -292,8 +299,7 @@ def test_each_phase_starts_from_a_fresh_adam_state(monkeypatch):
 
 
 def test_generator_step_constant_critic():
-    cfg = small_cfg()
-    model = gan.build_gan(3, cfg, 0)
+    model = gan.build_gan(3, 0)
     zeroed = {k: np.zeros_like(v) for k, v in model.d_params.tensors.items()}
     zeroed["l5.b"] = np.array([0.3])  # critic output = tanh(0.3) everywhere
     model.d_params = nn.ParamSet(zeroed)
@@ -307,7 +313,7 @@ def test_generator_step_constant_critic():
 def test_generator_step_determinism():
     results = []
     for _ in range(2):
-        model = gan.build_gan(4, small_cfg(), 0)
+        model = gan.build_gan(4, 0)
         loss = generator_step(model, np.random.default_rng(3))
         results.append((loss, model.g_params.flat.copy()))
     assert results[0][0] == results[1][0]
@@ -315,13 +321,13 @@ def test_generator_step_determinism():
 
 
 def test_generator_step_nonfinite_loss_leaves_generator_unchanged():
-    model = gan.build_gan(4, small_cfg(), 0)
+    model = gan.build_gan(4, 0)
     model.d_params.tensors["l0.w"][0, 0, 0] = np.nan
     g_flat = model.g_params.flat.copy()
     adam = nn.AdamState(model.g_params)
     m_before = adam.m.flat.copy()
     with pytest.raises(NonFiniteValue):
-        gan.generator_step(model, adam, np.random.default_rng(0))
+        gan.generator_step(model, adam, np.random.default_rng(0), 16)
     assert np.array_equal(model.g_params.flat, g_flat)
     assert adam.t == 0
     assert np.array_equal(adam.m.flat, m_before)
@@ -348,7 +354,7 @@ def test_stop_rule_ema_starts_high():
 
 def test_pretrain_zero_steps():
     cfg = small_cfg(max_steps=0)
-    model = gan.build_gan(4, cfg, 0)
+    model = gan.build_gan(4, 0)
     g_flat = model.g_params.flat.copy()
     model, trace = gan.pretrain(model, normal_dataset(), 0, cfg)
     assert trace.records == []
@@ -356,36 +362,54 @@ def test_pretrain_zero_steps():
     assert np.array_equal(model.g_params.flat, g_flat)
 
 
-def test_pretrain_trains_and_archives_under_its_config(monkeypatch, tmp_path):
-    model = gan.build_gan(4, small_cfg(batch_size=16), 0)
+def test_pretrain_trains_under_the_config_it_is_given(monkeypatch):
     cfg = small_cfg(batch_size=8, max_steps=12, lam=3.0)
-    sizes = []
-    masks = nn.dropout_masks
+    sizes, lams = [], []
+    masks, penalty = nn.dropout_masks, nn._penalty
 
     def recording_masks(spec, batch_size, rng):
         # each critic and generator step draws one mask set for its batch
         sizes.append(batch_size)
         return masks(spec, batch_size, rng)
 
+    def recording_penalty(spec, params, caches, shape, rows, lam, grads):
+        lams.append(lam)
+        return penalty(spec, params, caches, shape, rows, lam, grads)
+
     monkeypatch.setattr(nn, "dropout_masks", recording_masks)
-    model, trace = gan.pretrain(model, normal_dataset(), 0, cfg)
+    monkeypatch.setattr(nn, "_penalty", recording_penalty)
+    model, trace = gan.pretrain(gan.build_gan(4, 0), normal_dataset(), 0, cfg)
     assert len(sizes) > len(trace.records)  # generator steps ran too
     assert set(sizes) == {8}
-    assert model.cfg == cfg
-    archive.save_gan(tmp_path / "gan.bin", model)
-    assert archive.load_gan(tmp_path / "gan.bin").cfg == cfg
+    assert lams == [3.0] * 12
+
+
+def test_a_gan_model_is_its_networks():
+    assert [f.name for f in fields(gan.GanModel)] \
+        == ["g_spec", "g_params", "d_spec", "d_params"]
+
+
+def test_finetune_after_a_zero_step_pretrain_trains_its_own_budget():
+    # the ablation's arm without pretraining: a 0-step pretrain does not
+    # carry its budget into the fine-tune
+    model, pre = gan.pretrain(gan.build_gan(4, 0), normal_dataset(), 0,
+                              small_cfg(max_steps=0))
+    cfg = small_cfg(max_steps=7, finetune_stop_delta=0.0)
+    _, trace = gan.finetune(model, normal_dataset(seed=1), 0, cfg)
+    assert (len(pre.records), len(trace.records)) == (0, 7)
+    assert trace.stop_reason == "max_steps"
 
 
 def test_pretrain_rejects_empty_dataset():
     cfg = small_cfg()
     ds = normal_dataset().select(np.zeros(0, dtype=np.int64))
     with pytest.raises(gan.EmptyDataset):
-        gan.pretrain(gan.build_gan(4, cfg, 0), ds, 0, cfg)
+        gan.pretrain(gan.build_gan(4, 0), ds, 0, cfg)
 
 
 def test_trace_records_are_complete():
     cfg = small_cfg(max_steps=12)
-    model, trace = gan.pretrain(gan.build_gan(4, cfg, 0), normal_dataset(), 0,
+    model, trace = gan.pretrain(gan.build_gan(4, 0), normal_dataset(), 0,
                                 cfg)
     assert [r.step for r in trace.records] == list(range(1, 13))
     assert trace.steps_to_stop == 12
@@ -400,7 +424,7 @@ def test_trace_records_are_complete():
 
 def test_finetune_copies_pretrained_weights():
     cfg = small_cfg(max_steps=6)
-    model, _ = gan.pretrain(gan.build_gan(4, cfg, 0), normal_dataset(), 0, cfg)
+    model, _ = gan.pretrain(gan.build_gan(4, 0), normal_dataset(), 0, cfg)
     g_flat = model.g_params.flat.copy()
     d_flat = model.d_params.flat.copy()
     zero_cfg = small_cfg(max_steps=0)
@@ -415,7 +439,7 @@ def test_finetune_copies_pretrained_weights():
 def test_training_determinism_full_replay():
     def run():
         cfg = small_cfg(max_steps=15)
-        model, trace = gan.pretrain(gan.build_gan(4, cfg, 0),
+        model, trace = gan.pretrain(gan.build_gan(4, 0),
                                     normal_dataset(), 0, cfg)
         return model.g_params.flat, model.d_params.flat, np.asarray(trace.rows())
     a, b = run(), run()
@@ -425,12 +449,10 @@ def test_training_determinism_full_replay():
 
 def _identity_stub(plan, dim):
     """Model whose G is the identity on the noise."""
-    cfg = small_cfg()
     g_spec = nn.NetworkSpec(dim, (nn.FullyConnected(dim),))
     g_params = nn.ParamSet({"l0.w": np.eye(dim), "l0.b": np.zeros(dim)})
     d_spec = gan.critic_spec(dim)
-    return gan.GanModel(g_spec, g_params, d_spec, nn.init_params(d_spec, 1),
-                        cfg)
+    return gan.GanModel(g_spec, g_params, d_spec, nn.init_params(d_spec, 1))
 
 
 def test_synthesize_identity_stub_matches_clamped_noise():
@@ -468,7 +490,7 @@ def test_synthesize_zero_rows_and_determinism():
 def test_synthesize_matches_forward_and_builds_no_gradient_graph(monkeypatch):
     dim = 3
     plan = unit_plan(dim)
-    model = float64_model(gan.build_gan(dim, small_cfg(), 0))
+    model = float64_model(gan.build_gan(dim, 0))
     schema = normal_dataset(5, dim).schema
     n = 600  # crosses the 512-row chunk boundary
     rng = np.random.default_rng(7)
@@ -514,7 +536,7 @@ def _synthesize_600(model):
 ], ids=["critic_step", "generator_step", "gradient_penalty", "synthesize"])
 def test_step_leaves_no_cyclic_garbage(call):
     # each step's graph is freed by reference counting when the step returns
-    model = gan.build_gan(6, small_cfg(), 0)
+    model = gan.build_gan(6, 0)
     rng = np.random.default_rng(0)
     gc.collect()
     gc.disable()
@@ -528,7 +550,7 @@ def test_step_leaves_no_cyclic_garbage(call):
 def test_forward_on_constant_parameters_keeps_no_layer_alive(monkeypatch):
     # constants hold no history, so once forward_var returns only its
     # output is left of the nodes it built
-    model = gan.build_gan(6, small_cfg(), 0)
+    model = gan.build_gan(6, 0)
     g_vars = {k: ad.asvar(v) for k, v in model.g_params.tensors.items()}
     z = ad.Var(np.random.default_rng(1).standard_normal((32, 6)))
     built = []
@@ -570,7 +592,7 @@ def test_kernels_write_only_to_arrays_they_own(call, monkeypatch):
     # write to either raises, and their bytes stay as they were. Adam, the
     # one writer of parameters, is stubbed out
     monkeypatch.setattr(nn, "adam_step", lambda params, grads, state: None)
-    model = gan.build_gan(11, small_cfg(batch_size=16), 0)
+    model = gan.build_gan(11, 0)
     rng = np.random.default_rng(0)
     real = rng.random((16, 11))
     arrays = [real] + _param_arrays(model.g_params, model.d_params)

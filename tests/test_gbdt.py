@@ -375,7 +375,8 @@ def test_sibling_histogram_by_subtraction_matches_direct(data):
 
 
 def _reference_tree(binned, bm, cols, params, rows, g, h, depth=0):
-    node = gbdt.TreeNode(value=-g.sum() / (h.sum() + params.lam_leaf))
+    node = gbdt.TreeNode(value=params.learning_rate
+                         * (-g.sum() / (h.sum() + params.lam_leaf)))
     if depth >= params.max_depth or len(rows) < 2 * params.min_leaf:
         return node
     best = _reference_best_split(bm, cols, params, rows, g, h)
@@ -416,7 +417,8 @@ def _reference_recursive_tree(ctx, rows, g, h, depth=0, hist=None):
     reference: the same one-node split scan and the same sibling
     subtraction, so gains must agree bit for bit."""
     p = ctx.params
-    node = gbdt.TreeNode(value=-g.sum() / (h.sum() + p.lam_leaf))
+    node = gbdt.TreeNode(value=p.learning_rate
+                         * (-g.sum() / (h.sum() + p.lam_leaf)))
     if depth >= p.max_depth or len(rows) < 2 * p.min_leaf:
         return node
     if hist is None:
@@ -644,7 +646,7 @@ def _int32_proba(ens, x):
     scores = np.tile(ens.base_scores, (len(x), 1))
     for round_trees in ens.trees:
         for k, tree in enumerate(round_trees):
-            scores[:, k] += ens.learning_rate * gbdt.predict_tree(tree, binned)
+            scores[:, k] += gbdt.predict_tree(tree, binned)
     return gbdt._softmax(scores)
 
 
@@ -750,13 +752,14 @@ def test_fit_refuses_a_set_on_which_goss_keeps_too_few_rows(n, kept):
 
 
 def test_depth_zero_leaf_is_weighted_mean():
-    # squared-error harness: with hessians 1 and lam 0, the root leaf value
-    # -sum(g)/n is the mean residual, the squared-loss minimizer; a column
-    # of one bin cannot split, so the root stays a leaf
+    # squared-error harness: with hessians 1, lam 0 and no shrinkage, the
+    # root leaf value -sum(g)/n is the mean residual, the squared-loss
+    # minimizer; a column of one bin cannot split, so the root stays a leaf
     rng = np.random.default_rng(1)
     n = 30
     residuals = rng.standard_normal(n)
-    params = gbdt.BoostParams(max_depth=1, lam_leaf=0.0, min_leaf=1)
+    params = gbdt.BoostParams(max_depth=1, lam_leaf=0.0, min_leaf=1,
+                              learning_rate=1.0)
     binned = np.zeros((n, 1), dtype=np.int32)
     ctx = gbdt._HistContext(binned, bundle_layout([[0]], [1]), params)
     tree = ctx.build_tree(np.arange(n), residuals, np.ones(n))
@@ -790,7 +793,7 @@ def test_fit_training_loss_monotone():
     binned = ens.mapper.transform(x)
     for round_trees in [[]] + ens.trees:
         for k, tree in enumerate(round_trees):
-            scores[:, k] += ens.learning_rate * gbdt.predict_tree(tree, binned)
+            scores[:, k] += gbdt.predict_tree(tree, binned)
         p = gbdt._softmax(scores)
         losses.append(-np.mean(np.sum(onehot * np.log(p), axis=1)))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -821,6 +824,55 @@ def test_efb_training_is_lossless(monkeypatch):
             assert t_on.structure() == t_off.structure()
 
 
+def _leaves_with_rows(node, binned, rows):
+    """(leaf, the positions in rows of the rows it holds), in rows' order."""
+    stack = [(node, np.arange(len(rows)))]
+    while stack:
+        nd, pos = stack.pop()
+        if nd.is_leaf:
+            yield nd, pos
+            continue
+        left = binned[rows[pos], nd.feature] <= nd.bin_threshold
+        stack += [(nd.left, pos[left]), (nd.right, pos[~left])]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_leaves_hold_shrunk_values_and_scores_are_their_sums(seed):
+    # each leaf of a fit holds learning_rate * (-G / (H + lam_leaf)) of the
+    # GOSS-weighted rows it holds, bit for bit, so that scoring is the base
+    # scores plus the plain sum of the trees' outputs
+    rng = np.random.default_rng(seed)
+    ds = _random_dataset(rng, 300, 4, 3)
+    params = gbdt.BoostParams(rounds=4, learning_rate=0.3, min_leaf=5,
+                              max_depth=3)
+    ens = gbdt.fit(ds, params, seed)
+    _, binned = gbdt.bin_features(ds, params.max_bins)
+    y = ds.labels
+    scores = np.tile(ens.base_scores, (len(ds), 1))
+    leaves = 0
+    for m, round_trees in enumerate(ens.trees):
+        p = gbdt._softmax(scores)
+        for k, tree in enumerate(round_trees):
+            g = p[:, k] - (y == k)
+            h = np.maximum(p[:, k] * (1.0 - p[:, k]), 1e-12)
+            idx, w = gbdt.goss_sample(g, params.goss_a, params.goss_b,
+                                      seed=seed * 100003 + m * 31 + k)
+            gw, hw = g[idx] * w, h[idx] * w
+            for leaf, pos in _leaves_with_rows(tree, binned, idx):
+                want = params.learning_rate * (
+                    -gw[pos].sum() / (hw[pos].sum() + params.lam_leaf))
+                assert leaf.value == want
+                leaves += 1
+            scores[:, k] += gbdt.predict_tree(tree, binned)
+    assert leaves > len(ens.trees) * 3  # the trees split
+    x = rng.random((50, 4))
+    want = np.tile(ens.base_scores, (50, 1))
+    for round_trees in ens.trees:
+        for k, tree in enumerate(round_trees):
+            want[:, k] += gbdt.predict_tree(tree, ens.mapper.transform(x))
+    assert np.array_equal(ens.raw_scores(x), want)
+
+
 def test_predict_proba_sums_to_one(rng):
     ds = _random_dataset(rng, 120, 4, 3)
     ens = gbdt.fit(ds, gbdt.BoostParams(rounds=4, min_leaf=5))
@@ -837,8 +889,9 @@ def test_single_leaf_shifts_probability():
     ens.trees.append([gbdt.TreeNode(value=1.0), gbdt.TreeNode(value=0.0)])
     after = ens.predict_proba(row)
     assert after[0] > before[0]
-    # hand softmax: logits shift by (lr * 1, 0)
-    z = np.log(before) + np.array([ens.learning_rate, 0.0])
+    # hand softmax: a leaf's value is the score it adds, so the logits
+    # shift by (1, 0)
+    z = np.log(before) + np.array([1.0, 0.0])
     expect = np.exp(z) / np.exp(z).sum()
     assert np.allclose(after, expect)
 

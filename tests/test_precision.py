@@ -40,7 +40,7 @@ def _models(dim, seed):
     rng = np.random.default_rng(seed)
     x = np.clip(rng.normal(0.5, 0.1, size=(64, dim)), 0, 1)
     data = encoded_dataset(x, np.zeros(64), ["normal", "attack"])
-    m32, _ = gan.pretrain(gan.build_gan(dim, cfg, seed), data, seed, cfg)
+    m32, _ = gan.pretrain(gan.build_gan(dim, seed), data, seed, cfg)
     # float64_model sets new casts on a second model; m32 keeps its own
     return m32, float64_model(replace(m32))
 
@@ -50,20 +50,21 @@ def _generator_grads(model, rng):
     updates = []
     with mock.patch.object(nn, "adam_step",
                            lambda p, g, state: updates.append(g)):
-        loss = gan.generator_step(model, nn.AdamState(model.g_params), rng)
+        loss = gan.generator_step(model, nn.AdamState(model.g_params), rng,
+                                  16)
     return updates[0].tensors, loss
 
 
 def _critic_grads(model, real, rng):
     """The critic's gradients by name, loss, distance estimate and penalty."""
     grads = model.d_params.zeros()
-    return (grads.tensors,) + gan.critic_grads(model, grads, real, rng)
+    return (grads.tensors,) + gan.critic_grads(model, grads, real, rng, 10.0)
 
 
 def test_build_gan_casts_the_float64_draw():
     # a seed keeps its meaning: the float32 parameters are the float64
     # draw of nn.init_params, rounded
-    model = gan.build_gan(7, small_cfg(), 3)
+    model = gan.build_gan(7, 3)
     for params, spec, seed in [(model.g_params, model.g_spec, 3),
                                (model.d_params, model.d_spec, 4)]:
         want = nn.init_params(spec, seed)
@@ -138,12 +139,12 @@ def test_a_float32_model_computes_in_float32_throughout(monkeypatch):
     for name in ("_unfold_data", "_fold_data"):
         recording(ad, name)
 
-    model = gan.build_gan(11, small_cfg(), 0)
+    model = gan.build_gan(11, 0)
     rng = np.random.default_rng(0)
     real = rng.random((16, 11))  # the caller's batch, float64
     adams = nn.AdamState(model.d_params), nn.AdamState(model.g_params)
-    gan.critic_step(model, adams[0], real, rng)
-    gan.generator_step(model, adams[1], rng)
+    gan.critic_step(model, adams[0], real, rng, 10.0)
+    gan.generator_step(model, adams[1], rng, 16)
     nn.gradient_penalty(model.d_spec, model.d_params, real, 10.0, train=True)
     plan = unit_plan(11)
     schema = encoded_dataset(np.zeros((2, 11)), [0, 1],
@@ -182,7 +183,7 @@ def test_float32_gan_archive_round_trips_bit_exactly(tmp_path):
 def test_a_float64_gan_archive_loads_as_float32(tmp_path):
     # an archive of float64 parameters, as the float64 trainer wrote them
     # in the same format, is cast on loading
-    model = float64_model(gan.build_gan(5, small_cfg(), 2))
+    model = float64_model(gan.build_gan(5, 2))
     model.g_params = nn.init_params(model.g_spec, 2)
     model.d_params = nn.init_params(model.d_spec, 3)
     path = tmp_path / "gan64.bin"

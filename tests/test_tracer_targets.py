@@ -55,6 +55,6 @@ def test_training_steps_run_through_the_traced_names(monkeypatch):
     data = encoded_dataset(rng.random((64, 4)), np.zeros(64),
                            ["normal", "attack"])
     cfg = gan.GanConfig(batch_size=16, max_steps=12)
-    _, trace = gan.pretrain(gan.build_gan(4, cfg, 0), data, 0)
+    _, trace = gan.pretrain(gan.build_gan(4, 0), data, 0, cfg)
     assert trace.steps_to_stop == 12
     assert calls == {"critic_step": 12, "generator_step": 2, "adam_step": 14}
