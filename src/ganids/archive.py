@@ -1,4 +1,4 @@
-"""Versioned on-disk containers for trained models (format 10).
+"""Versioned on-disk containers for trained models (format 11).
 
 Layout: magic, format version, the SHA-256 of everything after it, then a
 length-prefixed JSON header and length-prefixed blobs. That digest is the
@@ -19,7 +19,9 @@ are the run's config, in its manifest. A GAN header (GanHeader) holds
 `gan_<class>.bin`); the networks' layers come from
 `gan.network_specs(feature_dim)`, and each network's blob is its
 `nn.ParamSet.flat` vector as raw float64: its arrays in sorted-name order,
-with the shapes `nn.param_shapes` gives, read back with one `frombuffer`. A
+with the shapes `nn.param_shapes` gives, read back with one `frombuffer`.
+Since format 11 a conv kernel is stored as (out, k, in) and an fc layer
+after a conv reads its rows in (length, channel) order, the `nn` layout. A
 GAN trains in `gan.DTYPE` (float32): its blob holds the exact float64
 upcasts, which `load_gan` casts back, so a model round-trips bit for bit. A
 blob whose length does not fit those shapes raises ArchiveError. An
@@ -44,7 +46,7 @@ from .data import FieldTypeError, decode
 from .errors import InputError
 
 MAGIC = b"GANIDS\x00"
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 _PREFIX = len(MAGIC) + 2 + 32  # magic, version, body digest
 
 

@@ -11,10 +11,10 @@ below. This engine, through `nn.forward_var`, is their reference: the
 finite-difference oracles, C1 and the critic- and generator-gradient tests
 check the kernels against it. So it keeps generic primitives only, each
 with one vjp made of primitives. A 1-D convolution is a composition,
-`conv1d` (unfold, then one matmul), and `unfold1d` and `fold1d` are each
-other's vjp, so the gradient penalty's double backward through a conv
-layer comes from the chain rule alone, not from a copy of the kernels'
-hand-written backward.
+`conv1d` (unfold, then one matmul, on sequences laid out (B, L, C) as in
+the kernels), and `unfold1d` and `fold1d` are each other's vjp, so the
+gradient penalty's double backward through a conv layer comes from the
+chain rule alone, not from a copy of the kernels' hand-written backward.
 
 Graphs are acyclic, so reference counting frees a graph as soon as nothing
 outside it holds a node, with no work for the cyclic garbage collector. No
@@ -314,9 +314,10 @@ def sqrt(a):
 
 # ---------------------------------------------------------------------------
 # 1-D convolution: stride 1, odd kernel width k, zero same-padding of
-# (k - 1) // 2 on each side. The data helpers unfold a (B, C, L) array into
-# (B, L, C*k) windows and fold windows back (the exact adjoint), each in
-# the dtype of the array it is given.
+# (k - 1) // 2 on each side. A sequence is (B, L, C), channels last, and a
+# kernel (O, k, C). The data helpers unfold a sequence into (B, L, k*C)
+# windows, tap-major, and fold windows back (the exact adjoint), each in the
+# dtype of the array it is given.
 
 
 def _shifts(k, pad, length):
@@ -330,9 +331,8 @@ def _shifts(k, pad, length):
 
 
 def _unfold_data(x, k, pad):
-    b, c, length = x.shape
-    xt = x.transpose(0, 2, 1)                       # (B, L, C)
-    cols = np.empty((b, length, c, k), x.dtype)
+    b, length, c = x.shape
+    cols = np.empty((b, length, k, c), x.dtype)
     for j in range(k):
         # positions [lo, hi) read input l + s; the rest are padding, all of
         # them when the tap lies wholly outside the input (length <= |s|)
@@ -340,53 +340,53 @@ def _unfold_data(x, k, pad):
         lo = min(length, max(0, -s))
         hi = max(lo, min(length, length - s))
         if lo:
-            cols[:, :lo, :, j] = 0.0
+            cols[:, :lo, j] = 0.0
         if hi < length:
-            cols[:, hi:, :, j] = 0.0
+            cols[:, hi:, j] = 0.0
         if lo < hi:
-            cols[:, lo:hi, :, j] = xt[:, lo + s:hi + s]
-    return cols.reshape(b, length, c * k)
+            cols[:, lo:hi, j] = x[:, lo + s:hi + s]
+    return cols.reshape(b, length, k * c)
 
 
 def _fold_data(g, k, pad, c, length):
     b = g.shape[0]
-    gc = g.reshape(b, length, c, k)
+    gc = g.reshape(b, length, k, c)
     out = np.zeros((b, length, c), g.dtype)
     # taps in descending order add each position's terms in the order of
     # increasing window start
     for j, s, lo, hi in reversed(list(_shifts(k, pad, length))):
-        out[:, lo + s:hi + s] += gc[:, lo:hi, :, j]
-    return out.transpose(0, 2, 1)                   # (B, C, L)
+        out[:, lo + s:hi + s] += gc[:, lo:hi, j]
+    return out
 
 
 def unfold1d(a, k, pad):
-    """(B, C, L) -> (B, L, C*k) sliding windows with zero padding."""
+    """(B, L, C) -> (B, L, k*C) sliding windows with zero padding."""
     a = asvar(a)
-    b, c, length = a.data.shape
+    b, length, c = a.data.shape
     return Var(_unfold_data(a.data, k, pad), (a,),
                lambda g: (fold1d(g, k, pad, c, length),))
 
 
 def fold1d(a, k, pad, c, length):
-    """Adjoint of unfold1d: scatter-add windows back to (B, C, L)."""
+    """Adjoint of unfold1d: scatter-add windows back to (B, L, C)."""
     a = asvar(a)
     return Var(_fold_data(a.data, k, pad, c, length), (a,),
                lambda g: (unfold1d(g, k, pad),))
 
 
 def conv1d(x, w, b=None):
-    """(B, C, L) * (O, C, k) [+ (O,)] -> (B, O, L), stride 1, odd k, zero
-    same-padding: the unfolded windows (B*L, C*k) times the kernel's rows
-    (O, C*k) transposed, plus the bias, back to channels first."""
+    """(B, L, C) * (O, k, C) [+ (O,)] -> (B, L, O), stride 1, odd k, zero
+    same-padding: the unfolded windows (B*L, k*C) times the kernel's rows
+    (O, k*C) transposed, plus the bias, reshaped."""
     x, w = asvar(x), asvar(w)
-    if x.data.ndim != 3 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1] \
-            or w.data.shape[2] % 2 == 0:
+    if x.data.ndim != 3 or w.data.ndim != 3 or x.data.shape[2] != w.data.shape[2] \
+            or w.data.shape[1] % 2 == 0:
         raise ShapeMismatch(f"conv1d cannot take input {x.data.shape} with "
                             f"kernel {w.data.shape}")
-    bsz, c, length = x.data.shape
-    o, _, k = w.data.shape
-    cols = reshape(unfold1d(x, k, (k - 1) // 2), (bsz * length, c * k))
-    y = matmul(cols, transpose(reshape(w, (o, c * k))))
+    bsz, length, c = x.data.shape
+    o, k, _ = w.data.shape
+    cols = reshape(unfold1d(x, k, (k - 1) // 2), (bsz * length, k * c))
+    y = matmul(cols, transpose(reshape(w, (o, k * c))))
     if b is not None:
         y = add(y, b)
-    return transpose(reshape(y, (bsz, length, o)), (0, 2, 1))
+    return reshape(y, (bsz, length, o))

@@ -4,6 +4,12 @@ The five layer kinds here are exactly what the generator/critic pair needs:
 fully-connected, 1-D convolution (stride 1, zero same-padding), leaky ReLU,
 tanh and inverted dropout.
 
+A sequence is (B, L, C), channels last, in both implementations below: a
+flat width d entering a conv is d positions of one channel, a conv's kernel
+is (out, k, in) and its output is its (B*L, out) matmul result reshaped, and
+an fc layer reads a sequence flattened in (length, channel) order, which is
+its memory order.
+
 Two implementations run a network. Training, synthesis and the gradient
 penalty run layer-wise kernels on plain arrays (`_forward`, `_backward` and
 `_penalty`, below), with a hand-written backward pass, a closed-form double
@@ -112,9 +118,10 @@ class NetworkSpec:
         """Per layer (i, layer, in_desc, weight name, bias name), computed
         once per spec; the names are None for a layer without parameters.
 
-        in_desc is the layer's input shape, ("flat", w) or ("seq", c, l). A
+        in_desc is the layer's input shape, ("flat", w) or ("seq", l, c). A
         flat width d entering a conv is a single-channel sequence of length
-        d; a sequence entering an fc layer is flattened to channels*length.
+        d; a sequence entering an fc layer is flattened, in (length,
+        channel) order, to length*channels.
         """
         walk = []
         cur = ("flat", self.input_width)
@@ -126,9 +133,9 @@ class NetworkSpec:
                 cur = ("flat", layer.out_size)
             elif layer.kind == "conv1d":
                 if cur[0] == "flat":
-                    cur = ("seq", 1, cur[1])
+                    cur = ("seq", cur[1], 1)
                 walk.append((i, layer, cur, f"l{i}.w", f"l{i}.b"))
-                cur = ("seq", layer.out_channels, cur[2])
+                cur = ("seq", cur[1], layer.out_channels)
             else:
                 walk.append((i, layer, cur, None, None))
         return tuple(walk)
@@ -141,7 +148,7 @@ def param_shapes(spec: NetworkSpec):
             shapes[wn] = (in_desc[1], layer.out_size)
             shapes[bn] = (layer.out_size,)
         elif layer.kind == "conv1d":
-            shapes[wn] = (layer.out_channels, in_desc[1], layer.kernel_width)
+            shapes[wn] = (layer.out_channels, layer.kernel_width, in_desc[2])
             shapes[bn] = (layer.out_channels,)
     return shapes
 
@@ -233,12 +240,8 @@ def dropout_masks(spec: NetworkSpec, batch_size: int, rng) -> dict:
     for i, layer, in_desc, _, _ in spec.walk:
         if layer.kind == "dropout":
             keep = 1.0 - layer.rate
-            if in_desc[0] == "flat":
-                shape = (batch_size, in_desc[1])
-            else:
-                shape = (batch_size, in_desc[1], in_desc[2])
             # (draw < keep) / keep, on the draw's own array
-            m = rng.random(shape)
+            m = rng.random((batch_size,) + in_desc[1:])
             np.less(m, keep, out=m)
             m /= keep
             masks[i] = m
@@ -281,20 +284,15 @@ def forward_var(spec: NetworkSpec, param_vars: dict, x: Var, train=False,
     Returns (output Var flattened to (B, out), relu sign patterns).
     """
     h = x
-    cur_seq = False
     relu_signs = []
-    for i, layer, _, wn, bn in spec.walk:
+    for i, layer, in_desc, wn, bn in spec.walk:
         if layer.kind == "fc":
-            if cur_seq:
-                b, c, length = h.data.shape
-                h = ad.reshape(h, (b, c * length))
-                cur_seq = False
+            if h.data.ndim == 3:
+                h = ad.reshape(h, (len(h.data), in_desc[1]))
             h = ad.add(ad.matmul(h, param_vars[wn]), param_vars[bn])
         elif layer.kind == "conv1d":
-            if not cur_seq:
-                b, w = h.data.shape
-                h = ad.reshape(h, (b, 1, w))
-                cur_seq = True
+            if h.data.ndim == 2:
+                h = ad.reshape(h, (len(h.data),) + in_desc[1:])
             h = ad.conv1d(h, param_vars[wn], param_vars[bn])
         elif layer.kind == "leaky_relu":
             pos = h.data > 0
@@ -307,9 +305,8 @@ def forward_var(spec: NetworkSpec, param_vars: dict, x: Var, train=False,
                 h = ad.mul(h, masks[i])
         else:  # pragma: no cover
             raise ValueError(f"unknown layer kind {layer.kind}")
-    if cur_seq:
-        b, c, length = h.data.shape
-        h = ad.reshape(h, (b, c * length))
+    if h.data.ndim == 3:
+        h = ad.reshape(h, (len(h.data), -1))
     return h, relu_signs
 
 
@@ -396,7 +393,7 @@ def _flat(h):
 
 
 def _seq(h):
-    return h.reshape(h.shape[0], 1, h.shape[1]) if h.ndim == 2 else h
+    return h.reshape(h.shape[0], h.shape[1], 1) if h.ndim == 2 else h
 
 
 def _forward(spec, params, x, masks=None, caches=None):
@@ -404,8 +401,7 @@ def _forward(spec, params, x, masks=None, caches=None):
 
     Dropout multiplies by `masks[i]`, and is skipped when `masks` is None.
     With a list `caches`, appends per layer its input shape and cache (an fc
-    layer's flat input and, after a conv, its weight rows in (length,
-    channel) order; a conv's unfolded `cols`; the leaky ReLU or dropout
+    layer's flat input; a conv's unfolded `cols`; the leaky ReLU or dropout
     mask; the tanh output), then the output's shape. The arithmetic is that
     of `forward_var`, so the output is bit-identical to it.
     """
@@ -416,22 +412,18 @@ def _forward(spec, params, x, masks=None, caches=None):
         kind = layer.kind
         if kind == "fc":
             cache = _flat(h)
-            w = params[wn]
-            h = cache @ w
+            h = cache @ params[wn]
             h += params[bn]
             own = True
-            if caches is not None:
-                cache = (cache, _rows_channels_last(w, shape)
-                         if len(shape) == 3 else None)
         elif kind == "conv1d":
             h = _seq(h)
             w = params[wn]
-            o, c, k = w.shape
-            bsz, _, length = h.shape
+            o, k, c = w.shape
+            bsz, length, _ = h.shape
             cache = _cols(h, k)
-            y = cache.reshape(bsz * length, c * k) @ w.reshape(o, c * k).T
-            y += params[bn]
-            h = y.reshape(bsz, length, o).transpose(0, 2, 1)
+            h = cache.reshape(bsz * length, k * c) @ w.reshape(o, k * c).T
+            h += params[bn]
+            h = h.reshape(bsz, length, o)
             own = True
         elif kind == "leaky_relu":
             slope = layer.slope
@@ -467,18 +459,9 @@ def _forward(spec, params, x, masks=None, caches=None):
 
 
 def _cols(h, k):
-    """A conv's unfolded input (B, L, C*k). A window of width 1 is the
-    input itself, channels last, so it is a view."""
-    if k == 1:
-        return h.transpose(0, 2, 1)
-    return ad._unfold_data(h, k, (k - 1) // 2)
-
-
-def _rows_channels_last(w, shape):
-    """The rows of an fc weight that reads a flattened (c, length) sequence,
-    in (length, channel) order."""
-    _, c, length = shape
-    return w.reshape(c, length, -1).transpose(1, 0, 2).reshape(length * c, -1)
+    """A conv's unfolded input (B, L, k*C): for a window of width 1, the
+    input itself."""
+    return h if k == 1 else ad._unfold_data(h, k, (k - 1) // 2)
 
 
 def _backward(spec, params, caches, g, rows=slice(None), grads=None,
@@ -504,32 +487,25 @@ def _backward(spec, params, caches, g, rows=slice(None), grads=None,
             record[i] = g
             own = False
         if kind == "fc":
-            flat, w_lc = cache
             if grads is not None:
-                grads.tensors[wn] += flat[rows].T @ g
+                grads.tensors[wn] += cache[rows].T @ g
                 grads.tensors[bn] += g.sum(axis=0)
                 if i == 0:
                     return None
-            if w_lc is not None:
-                # rows of w in (length, channel) order give the cotangent
-                # channels-last, the layout of the conv output it meets
-                _, c, length = shape
-                g = (g @ w_lc.T).reshape(n, length, c).transpose(0, 2, 1)
-            else:
-                g = g @ params[wn].T
+            g = g @ params[wn].T
             own = True
         elif kind == "conv1d":
             w = params[wn]
-            o, c, k = w.shape
-            length = g.shape[2]
-            gm = g.transpose(0, 2, 1).reshape(n * length, o)
+            o, k, c = w.shape
+            length = g.shape[1]
+            gm = g.reshape(n * length, o)
             if grads is not None:
-                cols = cache[rows].reshape(n * length, c * k)
-                grads.tensors[wn] += (gm.T @ cols).reshape(o, c, k)
+                cols = cache[rows].reshape(n * length, k * c)
+                grads.tensors[wn] += (gm.T @ cols).reshape(o, k, c)
                 grads.tensors[bn] += gm.sum(axis=0)
                 if i == 0:
                     return None
-            gcols = (gm @ w.reshape(o, c * k)).reshape(n, length, c * k)
+            gcols = (gm @ w.reshape(o, k * c)).reshape(n, length, k * c)
             g = ad._fold_data(gcols, k, (k - 1) // 2, c, length)
             own = True
         elif grads is not None and i == 0:
@@ -581,14 +557,13 @@ def _penalty(spec, params, caches, out_shape, rows, lam, grads):
         elif kind == "conv1d":
             v = _seq(v)
             w = params[wn]
-            o, c, k = w.shape
-            length = v.shape[2]
-            vcols = _cols(v, k).reshape(n * length, c * k)
-            gm = record.pop(i).transpose(0, 2, 1).reshape(n * length, o)
-            grads.tensors[wn] += (gm.T @ vcols).reshape(o, c, k)
+            o, k, c = w.shape
+            length = v.shape[1]
+            vcols = _cols(v, k).reshape(n * length, k * c)
+            gm = record.pop(i).reshape(n * length, o)
+            grads.tensors[wn] += (gm.T @ vcols).reshape(o, k, c)
             del gm  # freed now, as each record once read: a lower peak
-            v = (vcols @ w.reshape(o, c * k).T).reshape(n, length, o) \
-                .transpose(0, 2, 1)
+            v = (vcols @ w.reshape(o, k * c).T).reshape(n, length, o)
         elif kind == "leaky_relu":
             v *= cache[rows]
         elif kind == "tanh":

@@ -13,24 +13,23 @@ from ganids.errors import NonFiniteValue, ShapeMismatch, check_finite
 
 
 def _unfold_reference(x, k, pad):
-    """Fancy-index gather: out[b, l, c*k + j] = xpad[b, c, l + j]."""
-    b, c, length = x.shape
-    xp = np.zeros((b, c, length + 2 * pad), dtype=np.float64)
-    xp[:, :, pad:pad + length] = x
+    """Fancy-index gather: out[b, l, j*c + ci] = xpad[b, l + j, ci]."""
+    b, length, c = x.shape
+    xp = np.zeros((b, length + 2 * pad, c), dtype=np.float64)
+    xp[:, pad:pad + length] = x
     idx = np.arange(length)[:, None] + np.arange(k)[None, :]  # (L, k)
-    cols = xp[:, :, idx]                 # (B, C, L, k)
-    cols = cols.transpose(0, 2, 1, 3)    # (B, L, C, k)
-    return cols.reshape(b, length, c * k)
+    cols = xp[:, idx]                    # (B, L, k, C)
+    return cols.reshape(b, length, k * c)
 
 
 def _fold_reference(g, k, pad, c, length):
     """Scatter-add with np.add.at, the adjoint of _unfold_reference."""
     b = g.shape[0]
-    gc = g.reshape(b, length, c, k).transpose(0, 2, 1, 3)  # (B, C, L, k)
-    buf = np.zeros((b, c, length + 2 * pad), dtype=np.float64)
+    gc = g.reshape(b, length, k, c)
+    buf = np.zeros((b, length + 2 * pad, c), dtype=np.float64)
     idx = np.arange(length)[:, None] + np.arange(k)[None, :]
-    np.add.at(buf, (slice(None), slice(None), idx), gc)
-    return buf[:, :, pad:pad + length]
+    np.add.at(buf, (slice(None), idx), gc)
+    return buf[:, pad:pad + length]
 
 
 def test_add_mul_scalars():
@@ -119,7 +118,7 @@ def test_mean_gradient():
 
 def test_unfold_fold_are_adjoint():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((2, 3, 5))
+    x = rng.standard_normal((2, 5, 3))
     y = rng.standard_normal((2, 5, 9))
     # <unfold(x), y> == <x, fold(y)> for exact adjoints
     ux = ad.unfold1d(ad.leaf(x), 3, 1).data
@@ -133,8 +132,8 @@ def test_unfold_fold_are_adjoint():
 def test_unfold_fold_match_references_on_random_shapes(b, c, length, half, seed):
     k, pad = 2 * half + 1, half
     rng = np.random.default_rng(seed)
-    # a transposed view, like a conv layer's output
-    x = rng.standard_normal((b, length, c)).transpose(0, 2, 1)
+    # a transposed view: the helpers take any strides
+    x = rng.standard_normal((b, c, length)).transpose(0, 2, 1)
     y = rng.standard_normal((b, length, c * k))
     ux = ad.unfold1d(ad.leaf(x), k, pad).data
     fy = ad.fold1d(ad.leaf(y), k, pad, c, length).data
@@ -147,11 +146,11 @@ def test_unfold_fold_match_references_on_random_shapes(b, c, length, half, seed)
 
 def _conv_reference(x, w, b):
     """conv1d as the reference unfold followed by one matmul plus bias."""
-    bsz, c, length = x.shape
-    o, _, k = w.shape
+    bsz, length, c = x.shape
+    o, k, _ = w.shape
     cols = _unfold_reference(x, k, (k - 1) // 2)
-    y = cols.reshape(bsz * length, c * k) @ w.reshape(o, c * k).T + b
-    return y.reshape(bsz, length, o).transpose(0, 2, 1)
+    y = cols.reshape(bsz * length, k * c) @ w.reshape(o, k * c).T + b
+    return y.reshape(bsz, length, o)
 
 
 conv_shapes = dict(b=st.integers(1, 3), c=st.integers(1, 4),
@@ -162,9 +161,9 @@ conv_shapes = dict(b=st.integers(1, 3), c=st.integers(1, 4),
 
 def _conv_operands(b, c, o, length, k, seed):
     rng = np.random.default_rng(seed)
-    return (rng.standard_normal((b, c, length)),
-            0.5 * rng.standard_normal((o, c, k)),
-            rng.standard_normal(o), rng.standard_normal((b, o, length)))
+    return (rng.standard_normal((b, length, c)),
+            0.5 * rng.standard_normal((o, k, c)),
+            rng.standard_normal(o), rng.standard_normal((b, length, o)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,7 +172,7 @@ def test_conv1d_matches_unfold_reference(b, c, o, length, k, seed):
     assume(c != o)
     x, w, bias, _ = _conv_operands(b, c, o, length, k, seed)
     got = ad.conv1d(ad.leaf(x), ad.leaf(w), ad.leaf(bias)).data
-    assert got.shape == (b, o, length)
+    assert got.shape == (b, length, o)
     assert np.array_equal(got, _conv_reference(x, w, bias))
 
 
@@ -227,11 +226,11 @@ def test_conv_trio_second_derivative_matches_finite_differences(
 
 
 def test_conv1d_rejects_mismatched_operands():
-    x = ad.leaf(np.ones((2, 3, 5)))
+    x = ad.leaf(np.ones((2, 5, 3)))
     with pytest.raises(ShapeMismatch):
-        ad.conv1d(x, ad.leaf(np.ones((4, 2, 3))))   # channel count
+        ad.conv1d(x, ad.leaf(np.ones((4, 3, 2))))   # channel count
     with pytest.raises(ShapeMismatch):
-        ad.conv1d(x, ad.leaf(np.ones((4, 3, 2))))   # even kernel width
+        ad.conv1d(x, ad.leaf(np.ones((4, 2, 3))))   # even kernel width
 
 
 @pytest.mark.parametrize("slope", [0.01, 0.2, 0.3, 1 / 3])
@@ -319,7 +318,7 @@ def _second_order_graph(op, seed):
         leaves = [ad.leaf(x)]
         y = ad.safe_recip(leaves[0])
     else:  # conv1d
-        leaves = [ad.leaf(x), ad.leaf(rng.standard_normal((4, 3, 3)))]
+        leaves = [ad.leaf(x), ad.leaf(rng.standard_normal((4, 3, 5)))]
         y = ad.conv1d(leaves[0], leaves[1], rng.standard_normal(4))
     loss = ad.sum_(ad.mul(ad.tanh(y), rng.standard_normal(y.data.shape)))
     g1 = ad.grad(loss, leaves, create_graph=True)
@@ -356,7 +355,7 @@ def test_graph_of_a_grad_of_a_grad_is_freed_on_del(op, seed):
     lambda c: ad.safe_recip(c),
     lambda c: ad.leaky_relu(c),
     lambda c: ad.add(c, c),
-    lambda c: ad.conv1d(c, ad.asvar(np.ones((2, 3, 3))), np.zeros(2)),
+    lambda c: ad.conv1d(c, ad.asvar(np.ones((2, 3, 5))), np.zeros(2)),
 ], ids=["tanh", "sqrt", "safe_recip", "leaky_relu", "add", "conv1d"])
 def test_constant_node_keeps_no_history(build):
     c = ad.asvar(np.random.default_rng(0).standard_normal((2, 3, 5)))

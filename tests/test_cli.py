@@ -125,32 +125,35 @@ def test_evaluate_scores_a_model_trained_on_boruta_selected_features(
     assert rep["macro_f1"] == art.eval_report.macro_f1
 
 
+# each case keeps the id it was first collected under, so adding or
+# removing a case renames no other
 @pytest.mark.parametrize("section, value", [
-    ("gan", {"bogus": 1}),
-    ("gan", {"lam": -1}),
-    ("gan", {"weight_decay": 0}),
-    ("gan", 5),
-    ("boost", {"bogus": 1}),
-    ("boost", {"goss_a": 0.9, "goss_b": 0.5}),
-    ("boost", [1, 2]),
-    ("gan", {"max_steps": True}),
-    ("gan", {"stop_delta": "x"}),
-    ("gan", {"seed": 1.5}),  # the run's seed is the GAN's: no gan key
-    ("boost", {"rounds": True}),
-    ("boost", {"learning_rate": "0.5"}),
-    ("boost", {"max_bins": 0}),
-    ("boost", {"max_bins": 1}),
-    ("boost", {"learning_rate": -1.0}),
-    ("boost", {"learning_rate": 0}),
-    ("boost", {"learning_rate": float("nan")}),
-    ("boost", {"max_depth": 0}),
-    ("boost", {"min_leaf": 0}),
-    ("boost", {"lam_leaf": -0.5}),
-    ("gan", {"stop_window": 0}),
-    ("gan", {"stop_window": -3}),
-    ("gan", {"noise_dim": -1}),
-    ("gan", {"seed": -1}),
-    ("boost", {"seed": -1}),
+    pytest.param("gan", {"bogus": 1}, id="gan-value0"),
+    pytest.param("gan", {"lam": -1}, id="gan-value1"),
+    pytest.param("gan", {"weight_decay": 0}, id="gan-value2"),
+    pytest.param("gan", 5, id="gan-5"),
+    pytest.param("boost", {"bogus": 1}, id="boost-value4"),
+    pytest.param("boost", {"goss_a": 0.9, "goss_b": 0.5}, id="boost-value5"),
+    pytest.param("boost", [1, 2], id="boost-value6"),
+    pytest.param("gan", {"max_steps": True}, id="gan-value7"),
+    pytest.param("gan", {"stop_delta": "x"}, id="gan-value8"),
+    # the run's seed is the GAN's: no gan key
+    pytest.param("gan", {"seed": 1.5}, id="gan-value9"),
+    pytest.param("boost", {"rounds": True}, id="boost-value10"),
+    pytest.param("boost", {"learning_rate": "0.5"}, id="boost-value11"),
+    pytest.param("boost", {"max_bins": 0}, id="boost-value12"),
+    pytest.param("boost", {"max_bins": 1}, id="boost-value13"),
+    pytest.param("boost", {"learning_rate": -1.0}, id="boost-value14"),
+    pytest.param("boost", {"learning_rate": 0}, id="boost-value15"),
+    pytest.param("boost", {"learning_rate": float("nan")}, id="boost-value16"),
+    pytest.param("boost", {"max_depth": 0}, id="boost-value17"),
+    pytest.param("boost", {"min_leaf": 0}, id="boost-value18"),
+    pytest.param("boost", {"lam_leaf": -0.5}, id="boost-value19"),
+    pytest.param("gan", {"stop_window": 0}, id="gan-value20"),
+    pytest.param("gan", {"stop_window": -3}, id="gan-value21"),
+    pytest.param("gan", {"noise_dim": -1}, id="gan-value22"),
+    pytest.param("gan", {"seed": -1}, id="gan-value23"),
+    pytest.param("boost", {"seed": -1}, id="boost-value24"),
 ])
 def test_run_reports_a_bad_nested_config_section(demo, tmp_path, capsys,
                                                  section, value):

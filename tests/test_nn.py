@@ -39,7 +39,7 @@ def test_leaky_relu_layer_values():
 def test_conv_hand_oracle():
     # kernel [1,1,1], zero same-padding on [1,2,3,4] -> [3,6,9,7]
     spec = nn.NetworkSpec(4, (nn.Conv1d(1, 3),))
-    params = set_params(spec, **{"l0.w": np.ones((1, 1, 3))})
+    params = set_params(spec, **{"l0.w": np.ones((1, 3, 1))})
     out, _ = nn.forward(spec, params, [[1.0, 2.0, 3.0, 4.0]])
     assert np.allclose(out.data, [[3.0, 6.0, 9.0, 7.0]])
 
@@ -347,3 +347,20 @@ def test_param_set_arrays_are_views_of_one_vector(width, layers, seed):
 def test_layer_specs_reject_unbuildable_sizes(make):
     with pytest.raises(nn.InvalidSpec):
         make()
+
+
+@pytest.mark.parametrize("spec", gan.network_specs(11),
+                         ids=["generator", "critic"])
+def test_kernel_forward_equals_the_engine_bit_for_bit(spec):
+    # the critic's fc reads its conv's output flattened in (length, channel)
+    # order, in the kernels as in the engine
+    params = nn.init_params(spec, 9)
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((6, spec.input_width))
+    pv = {k: ad.leaf(v) for k, v in params.tensors.items()}
+    for masks in (None, nn.dropout_masks(spec, len(x), rng)):
+        want, _ = nn.forward_var(spec, pv, ad.leaf(x), train=masks is not None,
+                                 masks=masks)
+        for caches in (None, []):
+            got = nn._forward(spec, params.tensors, x, masks, caches)
+            assert np.array_equal(got, want.data)
