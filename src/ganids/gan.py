@@ -32,6 +32,9 @@ from .errors import check_finite
 
 CRITIC_STEPS = 5  # critic updates per generator update
 
+# the most rows G synthesizes in one pass: the default training batch
+SYNTH_ROWS = 64
+
 # the precision of a GAN's parameters, and so of its steps and synthesis;
 # WGAN-GP (Gulrajani et al., 2017) trains in single precision
 DTYPE = np.float32
@@ -338,18 +341,33 @@ def finetune(pretrained: GanModel, minority_data: Dataset, seed,
 def synthesize(generator: GanModel, n, plan: PreprocessPlan, seed, schema,
                class_name) -> Dataset:
     """Draw n rows of class `class_name` from a fine-tuned generator,
-    decoded into raw space."""
+    decoded into raw space.
+
+    G runs on the fewest chunks of at most `SYNTH_ROWS` rows, so it holds
+    one chunk's unfolded windows at a time; the chunks draw their noise in
+    turn from one stream. They split n evenly in whole 8-row blocks, and
+    the last one also takes the n mod 8 rows left over, so no chunk has 1
+    row unless n is 1: BLAS computes a 1-row product by another path,
+    about 1e-5 off in float32. G's last conv is a matrix-vector product,
+    which OpenBLAS sums 4 rows at a time, and the rows past the last whole
+    4 of a product, or of a thread's share of it, another way. Whole 8-row
+    blocks leave such rows only at the end of the last chunk, as one pass
+    over all n rows does on one BLAS thread, so the rows are that pass's;
+    and they are the same on one BLAS thread as on two, where one pass
+    over 125 rows at width 122 is not."""
     rng = np.random.default_rng(seed)
     outs = []
-    remaining = n
-    while remaining > 0:
-        k = min(remaining, 512)
+    parts = math.ceil(n / SYNTH_ROWS)
+    blocks, odd = divmod(n, 8)
+    for j in range(parts):
+        k = 8 * (blocks // parts + (j < blocks % parts))
+        if j == parts - 1:
+            k += odd
         z = rng.standard_normal((k, generator.noise_dim))
         out = nn._forward(generator.g_spec, generator.g_params.tensors,
                           z.astype(generator.g_params.dtype))
         check_finite(out, "network output")
         outs.append(np.clip(out, 0.0, 1.0))
-        remaining -= k
     matrix = np.vstack(outs) if outs else np.zeros((0, generator.feature_dim))
     raw = inverse_transform(matrix, plan)
     labels = np.full(n, schema.class_id(class_name), dtype=np.int64)

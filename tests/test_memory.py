@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import encoded_dataset
+from conftest import encoded_dataset, unit_plan
 
 from ganids import archive, gan, gbdt, imbalance, nn, pipeline
 from ganids.demo import write_demo_dataset
@@ -65,6 +65,77 @@ def test_adam_step_allocates_no_parameter_sized_vector():
     state = nn.AdamState(params)
     _, peak = traced_peak(lambda: nn.adam_step(params, grads, state))
     assert peak < 0.05 * params.flat.nbytes
+
+
+# The GAN at the paper's width, NSL-KDD's 122 encoded features, and its
+# training batch. The step bounds count in channels: one channel is a (B, L)
+# float32 activation, 64 x 122 x 4 bytes (31 kB).
+WIDE, BATCH = 122, 64
+CHANNEL = BATCH * WIDE * np.dtype(gan.DTYPE).itemsize
+
+
+@pytest.fixture(scope="module")
+def wide_gan():
+    model = gan.build_gan(WIDE, 0)
+    g_adam, d_adam = nn.AdamState(model.g_params), nn.AdamState(model.d_params)
+    rng = np.random.default_rng(1)
+    real = rng.random((BATCH, WIDE)).astype(gan.DTYPE)
+    # the first steps set the process's kept heap and numpy's caches
+    gan.critic_step(model, d_adam, real, rng, 10.0)
+    gan.generator_step(model, g_adam, rng, BATCH)
+    return model, g_adam, d_adam, real, rng
+
+
+def test_generator_step_frees_each_cache_before_its_cotangent(wide_gan):
+    model, g_adam, _, _, rng = wide_gan
+    # G's caches live from its forward pass to its backward pass: the fc
+    # input 1, the leaky ReLU masks 1 + 64 + 32, the conv windows
+    # 3 + 192 + 32 (the last conv's window is its input), 325 channels.
+    # D's forward over G's rows adds at most 96: its windows 3 and conv
+    # output 32, that output's leaky ReLU mask 32 and the mask's two boolean
+    # temporaries 2 x 8, G's output 1, the float64 noise 2, and under 10
+    # for D's fc rows and dropout masks. The backward passes free each
+    # cache before they allocate its cotangent, so they stay below that;
+    # holding G's 192 windows while allocating their cotangent took 687.
+    _, peak = traced_peak(
+        lambda: gan.generator_step(model, g_adam, rng, BATCH))
+    assert peak < (325 + 96) * CHANNEL
+
+
+def test_critic_step_holds_one_pass_at_a_time(wide_gan):
+    model, _, d_adam, real, rng = wide_gan
+    # G's forward without caches holds at most its second conv's input and
+    # windows, 64 + 192 = 256 channels. D's caches over the fake, real and
+    # interpolated rows are 3 x (windows 3 + leaky ReLU mask 32 + fc input
+    # 32) = 201; the penalty's sweep over the interpolated rows adds the
+    # recorded conv output cotangent 32, the cotangent v 32 and its windows
+    # 3, and the batches, their concatenation and the input gradient, under
+    # 10: at most 278 at once. Keeping G's first leaky ReLU temporary
+    # through its second conv took 355.
+    _, peak = traced_peak(
+        lambda: gan.critic_step(model, d_adam, real, rng, 10.0))
+    assert peak < 290 * CHANNEL
+
+
+def test_synthesize_unfolds_one_batch_at_a_time():
+    model = gan.build_gan(WIDE, 0)
+    plan = unit_plan(WIDE)
+    schema = encoded_dataset(np.zeros((2, WIDE)), [0, 1],
+                             ["normal", "attack"]).schema
+    n = 600
+
+    def call():
+        return gan.synthesize(model, n, plan, 3, schema, "attack")
+
+    call()
+    out, peak = traced_peak(call)
+    assert len(out) == n
+    # one pass of G over a chunk of at most 64 rows holds its second conv's
+    # input and windows, 256 channels; the output is held at most as the
+    # float32 chunks, their stack, and the float64 matrix and rows that
+    # `inverse_transform` makes, 24 bytes a cell. A 512-row chunk unfolded
+    # eight times the windows: 88.7 MB.
+    assert peak < 256 * CHANNEL + n * WIDE * 24
 
 
 @pytest.fixture(scope="module")

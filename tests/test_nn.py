@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_param_grad, rel_err
+from conftest import ELEMENTWISE_FIRST, fd_param_grad, rel_err
 
 from ganids import autodiff as ad
 from ganids import gan, nn
@@ -364,3 +364,46 @@ def test_kernel_forward_equals_the_engine_bit_for_bit(spec):
         for caches in (None, []):
             got = nn._forward(spec, params.tensors, x, masks, caches)
             assert np.array_equal(got, want.data)
+
+
+def _kernel_case(spec, seed=3):
+    """Parameters, a batch, dropout masks and the forward pass's caches."""
+    params = nn.init_params(spec, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.random((8, spec.input_width))
+    masks = nn.dropout_masks(spec, len(x), rng)
+    caches = []
+    out = nn._forward(spec, params.tensors, x, masks, caches)
+    return params, caches, rng.standard_normal(out.shape)
+
+
+@pytest.mark.parametrize("spec", [*gan.network_specs(7),
+                                  nn.NetworkSpec(7, ELEMENTWISE_FIRST)],
+                         ids=["generator", "critic", "elementwise first"])
+@pytest.mark.parametrize("grads", [False, True], ids=["input", "params"])
+def test_backward_consumes_the_caches_it_walks(spec, grads):
+    params, caches, g = _kernel_case(spec)
+    untouched = [(shape, None if c is None else c.copy())
+                 for shape, c in caches]
+    runs = []
+    for walked in (caches, untouched):
+        into = params.zeros() if grads else None
+        rows = slice(2, None)
+        got = nn._backward(spec, params.tensors, walked, g[rows], rows,
+                           grads=into, record={})
+        runs.append(into.flat.tobytes() if grads else got.tobytes())
+        assert walked == [None] * (len(spec.layers) + 1)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("spec", [gan.critic_spec(7),
+                                  nn.NetworkSpec(7, ELEMENTWISE_FIRST)],
+                         ids=["critic", "elementwise first"])
+def test_penalty_leaves_its_caches_whole(spec):
+    params, caches, _ = _kernel_case(spec)
+    before = list(caches)
+    rows = slice(3, None)
+    nn._penalty(spec, params.tensors, caches, (5, 1), rows, 10.0,
+                params.zeros())
+    assert len(caches) == len(before)
+    assert all(a is b for a, b in zip(caches, before))
