@@ -15,7 +15,15 @@ temporary directory that is removed at the end. Prints one JSON line:
 - `content`: the SHA-256 of what each archive holds, read back: per GAN
   archive, the bytes of each network's parameter vector (`path:g`,
   `path:d`); per ensemble archive, the bytes of its `predict_proba` on the
-  demo rows, encoded with its plan.
+  demo rows, encoded with its plan;
+- `synth`: per GAN archive of the `run` directory and n in SYNTH_ROWS, the
+  SHA-256 of the rows `gan.synthesize` draws from it (`path:n`), decoded
+  with the plan of that run's `ensemble.bin`, seed 0, as the first class
+  the run fine-tuned. The run itself synthesizes at most a few dozen rows
+  per class, all in one chunk; these n also cover one row, 1 and 2 rows
+  past a whole number of 64-row chunks, and nine or more chunks, so a
+  change to how synthesis chunks its rows shows when it changes any of
+  these rows' bytes.
 
 A change that should compute nothing differently prints the same line as
 its parent commit: run the script in both checkouts and diff the output.
@@ -33,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PATTERNS = ("models/*.bin", "trace_*.csv", "plan.json", "census.json",
             "feature_decision.json", "ablation.json")
+SYNTH_ROWS = (1, 65, 130, 599)
 
 
 def _sha256(path):
@@ -63,6 +72,26 @@ def _content(work, demo):
     return out
 
 
+def _synth(run, demo):
+    """The `synth` hashes of the GAN archives under `run`, by path and n."""
+    from ganids import archive, gan
+    from ganids.data import load_schema
+
+    schema = load_schema(str(demo["schema"]))
+    plan = archive.load_ensemble(run / "models" / "ensemble.bin").plan
+    paths = sorted(run.glob("models/gan_*.bin"))
+    tuned = sorted(p.stem.removeprefix("gan_") for p in paths
+                   if p.stem != "gan_pretrained")
+    out = {}
+    for path in paths:
+        model = archive.load_gan(path)
+        for n in SYNTH_ROWS:
+            rows = gan.synthesize(model, n, plan, 0, schema, tuned[0])
+            out[f"{path.relative_to(run.parent)}:{n}"] = \
+                hashlib.sha256(rows.features.tobytes()).hexdigest()
+    return out
+
+
 def probe(work):
     """The JSON record of the demo run and ablation written under `work`."""
     sys.path.insert(0, str(ROOT / "src"))
@@ -86,7 +115,7 @@ def probe(work):
     files = {str(p.relative_to(work)): _sha256(p)
              for pattern in PATTERNS for p in sorted(work.rglob(pattern))}
     return {"eval_hash": eval_hash, "files": dict(sorted(files.items())),
-            "content": _content(work, demo)}
+            "content": _content(work, demo), "synth": _synth(work / "run", demo)}
 
 
 def main():

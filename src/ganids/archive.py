@@ -36,13 +36,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gan as gan_mod
 from . import gbdt, nn
-from .data import FieldTypeError, decode
+from .data import FieldTypeError, decode, plain
 from .errors import InputError
 
 MAGIC = b"GANIDS\x00"
@@ -75,19 +75,10 @@ class EnsembleHeader:
     kind: str
 
 
-def _plain(value):
-    """What json cannot write by itself: a dataclass as a dict of its
-    fields, read one by one (a cached_property lives in __dict__ too), and
-    an array as a list."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return {f.name: getattr(value, f.name) for f in fields(value)}
-
-
 def _dumps(value) -> bytes:
     """The JSON of a value, as `asdict` would give it, with its arrays as
     lists; no part of the value is copied."""
-    return json.dumps(value, sort_keys=True, default=_plain).encode()
+    return json.dumps(value, sort_keys=True, default=plain).encode()
 
 
 def _decode(path, kind, blob, key):

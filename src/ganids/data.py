@@ -202,6 +202,17 @@ def _form(kind):
     return "plain", (origin or kind, typing.get_args(kind))
 
 
+def plain(value):
+    """json's `default` hook, the one encoder of what `decode` reads: a
+    dataclass as a dict of its fields, read one by one (a cached_property
+    lives in __dict__ too), and an array as a list. `json.dumps(x,
+    default=plain)` writes what `json.dumps(dataclasses.asdict(x))` does,
+    without copying any part of x."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return {f.name: getattr(value, f.name) for f in fields(value)}
+
+
 def decode(kind, value, key=None):
     """The value of type `kind` that the JSON value `value` holds.
 

@@ -8,10 +8,11 @@ optimizer state, phase or seed. Each phase takes its seed and config as
 arguments and builds one Adam state per network, starting from zero, which
 updates the weights in place; the caller orders the phases.
 
-The steps and synthesis run `nn`'s layer-wise kernels on plain arrays and
-build no autodiff graph; the graph engine is their test reference. A GAN's
-networks train and synthesize in `DTYPE`; the tests run the same kernels on
-float64 casts of them.
+The steps and synthesis call `nn`'s layer-wise kernels, `nn.forward`,
+`nn.backward` and `nn.penalty`, on plain arrays and build no autodiff
+graph; the tests check them against the autodiff engine. A GAN's networks
+train and synthesize in `DTYPE`; the tests run the same kernels on float64
+casts of them.
 """
 
 from __future__ import annotations
@@ -191,8 +192,8 @@ def critic_grads(model: GanModel, grads, real_batch, rng, lam,
     n = real.shape[0]
     if fake_batch is None:
         z = rng.standard_normal((n, model.noise_dim))
-        fake = nn._forward(model.g_spec, model.g_params.tensors,
-                           z.astype(model.g_params.dtype))
+        fake = nn.forward(model.g_spec, model.g_params.tensors,
+                          z.astype(model.g_params.dtype))
     else:
         fake = nn.as_batch(d_spec, fake_batch, dtype)
 
@@ -204,18 +205,18 @@ def critic_grads(model: GanModel, grads, real_batch, rng, lam,
     masks = nn.dropout_masks(d_spec, n, rng)
     x_hat = nn.penalty_batch(d_spec, x_hat, dtype)
     caches = []
-    out = nn._forward(d_spec, params, np.concatenate([fake, real, x_hat]),
-                      {i: np.concatenate([m, m, m], dtype=dtype)
-                       for i, m in masks.items()},
-                      caches)
+    out = nn.forward(d_spec, params, np.concatenate([fake, real, x_hat]),
+                     {i: np.concatenate([m, m, m], dtype=dtype)
+                      for i, m in masks.items()},
+                     caches)
     check_finite(out[2 * n:], "network output")
     hat = slice(2 * n, None)
-    gp_val, inject = nn._penalty(d_spec, params, caches, out[hat].shape, hat,
-                                 lam, grads)
+    gp_val, inject = nn.penalty(d_spec, params, caches, out[hat].shape, hat,
+                                lam, grads)
     sign = np.zeros_like(out)
     sign[:n] = 1.0 / n
     sign[n:2 * n] = -1.0 / n
-    nn._backward(d_spec, params, caches, sign, grads=grads, inject=inject)
+    nn.backward(d_spec, params, caches, sign, grads=grads, inject=inject)
 
     mean_f = float(out[:n].mean())
     mean_r = float(out[n:2 * n].mean())
@@ -244,22 +245,22 @@ def generator_step(model: GanModel, adam: nn.AdamState, rng, n):
     g_params, d_params = model.g_params.tensors, model.d_params.tensors
     z = rng.standard_normal((n, model.noise_dim))
     g_caches = []
-    fake = nn._forward(model.g_spec, g_params,
-                       z.astype(model.g_params.dtype), caches=g_caches)
+    fake = nn.forward(model.g_spec, g_params,
+                      z.astype(model.g_params.dtype), caches=g_caches)
     masks = nn.dropout_masks(model.d_spec, n, rng)
     dtype = model.d_params.dtype
     d_caches = []
-    out = nn._forward(model.d_spec, d_params, fake,
-                      {i: m.astype(dtype) for i, m in masks.items()},
-                      d_caches)
+    out = nn.forward(model.d_spec, d_params, fake,
+                     {i: m.astype(dtype) for i, m in masks.items()},
+                     d_caches)
     loss_g = -(np.sum(out) * (1.0 / out.size))
     # checked before the update, so a non-finite loss leaves G and its
     # optimizer state as they were
     check_finite(loss_g, "generator loss")
-    g_fake = nn._backward(model.d_spec, d_params, d_caches,
-                          np.full(out.shape, -1.0 / out.size, dtype))
+    g_fake = nn.backward(model.d_spec, d_params, d_caches,
+                         np.full(out.shape, -1.0 / out.size, dtype))
     grads = adam.zero_grads()
-    nn._backward(model.g_spec, g_params, g_caches, g_fake, grads=grads)
+    nn.backward(model.g_spec, g_params, g_caches, g_fake, grads=grads)
     nn.adam_step(model.g_params, grads, adam)
     return float(loss_g)
 
@@ -364,8 +365,8 @@ def synthesize(generator: GanModel, n, plan: PreprocessPlan, seed, schema,
         if j == parts - 1:
             k += odd
         z = rng.standard_normal((k, generator.noise_dim))
-        out = nn._forward(generator.g_spec, generator.g_params.tensors,
-                          z.astype(generator.g_params.dtype))
+        out = nn.forward(generator.g_spec, generator.g_params.tensors,
+                         z.astype(generator.g_params.dtype))
         check_finite(out, "network output")
         outs.append(np.clip(out, 0.0, 1.0))
     matrix = np.vstack(outs) if outs else np.zeros((0, generator.feature_dim))

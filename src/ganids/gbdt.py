@@ -41,6 +41,11 @@ Siblings: the histogram is built for the smaller child only; the larger
 child's is the parent's minus it (LightGBM's histogram subtraction). Counts
 are exact; g and h differ from a direct build only by rounding.
 
+The level grower, `_HistContext.build_tree`, is the one caller of
+`histograms` and `scan`, the root being a level of one node. The tests'
+one-node references (histogram, split search, split gain, tree shape) are
+in tests/reference.py.
+
 Per-row state: the bin matrix is Fortran-ordered, one contiguous column
 per feature, so the row partition reads one contiguous column, and its
 type is the narrowest unsigned one that holds every bin id (uint8 at the
@@ -345,12 +350,6 @@ class TreeNode:
     def is_leaf(self):
         return self.feature < 0
 
-    def structure(self):
-        if self.is_leaf:
-            return ("leaf", round(self.value, 12))
-        return ("split", self.feature, self.bin_threshold,
-                self.left.structure(), self.right.structure())
-
 
 def _leaf(gsum, hsum, p: BoostParams):
     """The leaf that adds the optimal value for its rows' g and h sums,
@@ -362,12 +361,6 @@ def _leaf(gsum, hsum, p: BoostParams):
     if not math.isfinite(value):
         raise NonFiniteValue(f"a boosting leaf value of {value}")
     return TreeNode(value=value)
-
-
-def split_gain(gl, hl, gr, hr, lam):
-    """Second-order gain of a candidate split."""
-    g, h = gl + gr, hl + hr
-    return gl * gl / (hl + lam) + gr * gr / (hr + lam) - g * g / (h + lam)
 
 
 # Elements of gathered bins one scan batch may hold: a level is scanned
@@ -425,10 +418,6 @@ class _HistContext:
             hist[i] = np.bincount(keys, weights.ravel(), minlength=k * size)
         return hist.reshape(3, k, size).transpose(1, 0, 2)
 
-    def histogram(self, rows, g, h):
-        """(3, n_slots + 1) histogram of one node."""
-        return self.histograms(rows, g, h, [len(rows)])[0]
-
     def scan(self, hist, n_rows, g_tot, h_tot):
         """Best (gain, feature, bin) of each of k nodes, or None, from their
         k (3, n_slots + 1) histograms, row counts and g and h sums. Among
@@ -483,13 +472,6 @@ class _HistContext:
                             int(self.cand_bin[i])) if top[j, 0] > 0 else None)
         return out
 
-    def best_split(self, rows, g, h, hist=None):
-        """Best (gain, feature, bin) of one node, or None; hist, when given,
-        is the histogram of rows."""
-        if hist is None:
-            hist = self.histogram(rows, g, h)
-        return self.scan([hist], [len(rows)], [g.sum()], [h.sum()])[0]
-
     def _splittable(self, n_rows, depth):
         p = self.params
         return depth < p.max_depth and n_rows >= 2 * p.min_leaf
@@ -511,7 +493,7 @@ class _HistContext:
         gh = np.stack([g, h])
         # per open node: node, start of its run, row count, g sum, h sum
         level = [(root, 0, len(rows), g_sum, h_sum)]
-        hist = [self.histogram(rows, g, h)]  # per open node
+        hist = list(self.histograms(rows, g, h, [len(rows)]))  # per open node
         depth = 0
         while True:
             _, _, counts, g_sums, h_sums = zip(*level)

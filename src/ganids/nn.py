@@ -4,27 +4,27 @@ The five layer kinds here are exactly what the generator/critic pair needs:
 fully-connected, 1-D convolution (stride 1, zero same-padding), leaky ReLU,
 tanh and inverted dropout.
 
-A sequence is (B, L, C), channels last, in both implementations below: a
-flat width d entering a conv is d positions of one channel, a conv's kernel
-is (out, k, in) and its output is its (B*L, out) matmul result reshaped, and
-an fc layer reads a sequence flattened in (length, channel) order, which is
-its memory order.
+A sequence is (B, L, C), channels last: a flat width d entering a conv is d
+positions of one channel, a conv's kernel is (out, k, in) and its output is
+its (B*L, out) matmul result reshaped, and an fc layer reads a sequence
+flattened in (length, channel) order, which is its memory order.
 
-Two implementations run a network. Training, synthesis and the gradient
-penalty run layer-wise kernels on plain arrays (`_forward`, `_backward` and
-`_penalty`, below), with a hand-written backward pass, a closed-form double
-backward for the penalty and no graph. The kernels and Adam compute in the
-dtype of the parameter set they are given, and every array they allocate
-takes that dtype: the GAN runs them in float32, the tests in float64. A
-set's arrays are views into one flat vector, in sorted-name order, and
-gradients (added into a zeroed set), Adam and the model file all use it.
-Adam updates that vector in place and is the one writer of parameters; the
-kernels only read them.
-`forward`/`forward_var` compose the layers from the generic primitives of
+Training, synthesis and the gradient penalty run the layer-wise kernels
+`forward`, `backward` and `penalty` on plain arrays, with a hand-written
+backward pass, a closed-form double backward for the penalty and no graph.
+The kernels and Adam compute in the dtype of the parameter set they are
+given, and every array they allocate takes that dtype: the GAN runs them in
+float32, the tests in float64. A set's arrays are views into one flat
+vector, in sorted-name order, and gradients (added into a zeroed set), Adam
+and the model file all use it. Adam updates that vector in place and is the
+one writer of parameters; the kernels only read them.
+
+`forward_var` composes the same layers from the generic primitives of
 `autodiff` (an fc layer is `matmul` plus `add`, dropout a `mul`), and
-`grad_params`/`grad_input` differentiate them by the chain rule alone; only
-the tests call these, in float64, as the reference the kernels are checked
-against.
+`gradient_penalty` is the penalty with its parameter gradients as one call.
+No program path calls either; the benchmark's tracer wraps them by name,
+and the tests differentiate `forward_var` by the engine's chain rule, in
+float64, as the reference the kernels are checked against.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var
 from .errors import ShapeMismatch, check_finite
 
 
@@ -219,19 +218,7 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamSet:
 
 
 # ---------------------------------------------------------------------------
-# forward
-
-
-class Tape:
-    """Graph handles for one recorded forward pass."""
-
-    def __init__(self, input_var, param_vars, output, relu_signs=None):
-        self.input = input_var
-        self.params = param_vars
-        self.output = output
-        # sign pattern at each leaky-relu input; finite-difference oracles use
-        # this to reject probes that step across a kink
-        self.relu_signs = relu_signs or []
+# batches, dropout masks and the graph forward pass
 
 
 def dropout_masks(spec: NetworkSpec, batch_size: int, rng) -> dict:
@@ -257,27 +244,7 @@ def as_batch(spec: NetworkSpec, batch, dtype=np.float64):
     return check_finite(batch, "input batch")
 
 
-def forward(spec: NetworkSpec, params: ParamSet, batch, train=False,
-            rng=None, masks=None):
-    """Run the network; returns (output Var flattened to (B, out), Tape).
-
-    Eval mode skips dropout entirely. In train mode dropout masks come from
-    `masks` (so one mask can be shared across several passes) or from `rng`.
-    """
-    batch = as_batch(spec, batch)
-    if train and masks is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        masks = dropout_masks(spec, batch.shape[0], rng)
-
-    x = Var(batch, requires_grad=True)
-    param_vars = {name: ad.leaf(arr) for name, arr in params.tensors.items()}
-    h, relu_signs = forward_var(spec, param_vars, x, train=train, masks=masks)
-    check_finite(h.data, "network output")
-    return h, Tape(x, param_vars, h, relu_signs)
-
-
-def forward_var(spec: NetworkSpec, param_vars: dict, x: Var, train=False,
+def forward_var(spec: NetworkSpec, param_vars: dict, x: ad.Var, train=False,
                 masks=None):
     """Forward pass over existing graph nodes; lets networks compose.
 
@@ -310,18 +277,6 @@ def forward_var(spec: NetworkSpec, param_vars: dict, x: Var, train=False,
     return h, relu_signs
 
 
-def grad_params(loss, tape: Tape, create_graph=False) -> dict:
-    names = list(tape.params)
-    gs = ad.grad(loss, [tape.params[n] for n in names], create_graph=create_graph)
-    return {n: g for n, g in zip(names, gs)}
-
-
-def grad_input(scalar, tape: Tape, create_graph=False):
-    """Gradient of a scalar with respect to the recorded input batch."""
-    (g,) = ad.grad(scalar, [tape.input], create_graph=create_graph)
-    return g
-
-
 def gradient_penalty(spec: NetworkSpec, params: ParamSet, x_hat, lam,
                      masks=None, train=False):
     """The penalty lambda * mean_batch (||grad_x D(x)||_2 - 1)^2 and its
@@ -334,13 +289,13 @@ def gradient_penalty(spec: NetworkSpec, params: ParamSet, x_hat, lam,
         masks = {i: m.astype(dtype, copy=False) for i, m in masks.items()}
     tensors = params.tensors
     caches = []
-    out = _forward(spec, tensors, x_hat, masks if train else None, caches)
+    out = forward(spec, tensors, x_hat, masks if train else None, caches)
     check_finite(out, "network output")
     grads = params.zeros()
-    value, inject = _penalty(spec, tensors, caches, out.shape, slice(None),
-                             lam, grads)
-    _backward(spec, tensors, caches, np.zeros_like(out), grads=grads,
-              inject=inject)
+    value, inject = penalty(spec, tensors, caches, out.shape, slice(None),
+                            lam, grads)
+    backward(spec, tensors, caches, np.zeros_like(out), grads=grads,
+             inject=inject)
     return value, grads.tensors
 
 
@@ -370,10 +325,10 @@ def penalty_batch(spec: NetworkSpec, x_hat, dtype=np.float64):
 # A pass holds an array only while something still reads it. The forward
 # pass drops a conv's input once its windows are unfolded. The caches live
 # from the forward pass to the last backward pass over them, which consumes
-# the list: `_backward` sets each entry to None as it reads it and frees a
+# the list: `backward` sets each entry to None as it reads it and frees a
 # layer's cache before it allocates that layer's input cotangent, so a
 # conv's windows and their cotangent are never held at once. A caller that
-# walks the caches again passes a copy, `list(caches)`, as `_penalty` does
+# walks the caches again passes a copy, `list(caches)`, as `penalty` does
 # for its first-order pass.
 #
 # Biases and the leaky ReLU, dropout and tanh factors are applied in place,
@@ -405,7 +360,7 @@ def _seq(h):
     return h.reshape(h.shape[0], h.shape[1], 1) if h.ndim == 2 else h
 
 
-def _forward(spec, params, x, masks=None, caches=None):
+def forward(spec, params, x, masks=None, caches=None):
     """Forward pass on arrays: (B, input_width) -> (B, out).
 
     Dropout multiplies by `masks[i]`, and is skipped when `masks` is None.
@@ -477,8 +432,8 @@ def _cols(h, k):
     return h if k == 1 else ad._unfold_data(h, k, (k - 1) // 2)
 
 
-def _backward(spec, params, caches, g, rows=slice(None), grads=None,
-              record=None, inject=None):
+def backward(spec, params, caches, g, rows=slice(None), grads=None,
+             record=None, inject=None):
     """First-order backward pass from the output cotangent `g` (B', out)
     over the cached rows `rows`.
 
@@ -487,7 +442,7 @@ def _backward(spec, params, caches, g, rows=slice(None), grads=None,
     None; without, skips the parameter gradients and returns the input
     cotangent (B', input_width). A dict `record`
     receives the output cotangent of each fc, conv1d and tanh layer, the
-    ones `_penalty` reads; `inject` is (rows, {i: array}) added to layer
+    ones `penalty` reads; `inject` is (rows, {i: array}) added to layer
     i's input cotangent on those rows.
 
     Consumes `caches`: each entry is set to None once read, and a layer's
@@ -549,22 +504,22 @@ def _backward(spec, params, caches, g, rows=slice(None), grads=None,
     return g
 
 
-def _penalty(spec, params, caches, out_shape, rows, lam, grads):
+def penalty(spec, params, caches, out_shape, rows, lam, grads):
     """The penalty lam * mean (||grad_x sum D(x)||_2 - 1)^2 over the cached
     rows `rows`, whose output has `out_shape`.
 
     Adds the penalty's weight terms to `grads` and returns (value, inject),
     `inject` being (rows, {i: term}) with the terms its tanh layers add to
-    the forward pass's cotangent, for `_backward(..., inject=inject)` to
+    the forward pass's cotangent, for `backward(..., inject=inject)` to
     carry down (see above). Every array `v` passes through is the sweep's
     own, so it is scaled in place throughout.
 
     Leaves `caches` whole: its first-order pass walks a copy, because its
-    sweep and the caller's final `_backward` still read them.
+    sweep and the caller's final `backward` still read them.
     """
     record = {}
-    gin = _backward(spec, params, list(caches),
-                    np.ones(out_shape, grads.dtype), rows, record=record)
+    gin = backward(spec, params, list(caches),
+                   np.ones(out_shape, grads.dtype), rows, record=record)
     n = len(gin)
     norm = np.sqrt(np.sum(gin * gin, axis=1))
     value = float(np.sum(np.square(norm - 1.0)) * (1.0 / n) * lam)

@@ -14,14 +14,14 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import archive, boruta, gbdt, imbalance, metrics
 from . import gan as gan_mod
 from .data import (DatasetSchema, EmptyDataset, FieldTypeError, concat, decode,
-                   load_dataset, load_schema, preprocess, select_columns,
-                   split_stratified)
+                   load_dataset, load_schema, plain, preprocess,
+                   select_columns, split_stratified)
 from .errors import ConfigInvalid, InputError
 
 
@@ -97,8 +97,8 @@ class PipelineConfig:
         return load_schema(self.schema)
 
     def config_hash(self):
-        return hashlib.sha256(
-            json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()
+        text = json.dumps(self, sort_keys=True, default=plain)
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass
@@ -119,8 +119,9 @@ def default_synth_count(n_normal, n_class, gamma):
 
 
 def _write_json(path, obj):
+    """`obj` as indented JSON, its dataclasses as objects of their fields."""
     with open(path, "w") as f:
-        json.dump(obj, f, indent=1, sort_keys=True)
+        json.dump(obj, f, indent=1, sort_keys=True, default=plain)
 
 
 def _write_csv(path, header, rows):
@@ -151,7 +152,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "models").mkdir(exist_ok=True)
-    manifest = {"config": asdict(config),
+    manifest = {"config": config,
                 "config_hash": config.config_hash(),
                 "stages": {}}
     t_start = time.perf_counter()
@@ -199,7 +200,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         del train_raw
         test, _ = preprocess(test_raw, plan)
         del test_raw
-        _write_json(out_dir / "plan.json", asdict(plan))
+        _write_json(out_dir / "plan.json", plan)
 
     with stage("filter"):
         filtered = imbalance.filter_minority(train, config.gamma)
@@ -250,7 +251,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             decision = boruta.boruta_select(
                 train_aug, config.boruta_rounds, BORUTA_ALPHA, bp,
                 seed=config.seed + 5)
-            _write_json(out_dir / "feature_decision.json", asdict(decision))
+            _write_json(out_dir / "feature_decision.json", decision)
             _write_csv(out_dir / "feature_decision.csv",
                        ["feature", "status", "hits", "rounds"],
                        [(n, s, decision.hits[n], decision.rounds)
@@ -307,7 +308,7 @@ def run_ablation(config: PipelineConfig) -> metrics.AblationReport:
     report = metrics.ablation_report(
         tw, to, {"with": art_with.eval_report, "without": art_without.eval_report})
     base.mkdir(parents=True, exist_ok=True)
-    _write_json(base / "ablation.json", asdict(report))
+    _write_json(base / "ablation.json", report)
     rows = [(c, e["steps_with"], e["steps_without"], e.get("speedup", ""))
             for c, e in report.per_class.items()]
     _write_csv(base / "ablation.csv",

@@ -1,6 +1,8 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from ganids import gbdt, nn
 from ganids.data import Column, Dataset, DatasetSchema, fit_plan
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_schema(n_features, classes, normal=None):
@@ -157,6 +161,16 @@ def float64_model(model):
 
 def rel_err(a, b, floor=1e-6):
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def tracer_targets():
+    """The (module, attribute, span name) triples that the benchmark's
+    tracer, perfbench/tracer.py, wraps."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer._TARGETS
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from conftest import (ELEMENTWISE_FIRST, encoded_dataset, float64_model,
                       unit_plan)
 
@@ -69,10 +70,11 @@ def critic_grads(model, real, rng, lam=LAM):
 
 def test_build_gan_shapes():
     model = gan.build_gan(41, 0)
-    out, _ = nn.forward(model.g_spec, model.g_params, np.zeros((3, 41)))
-    assert out.data.shape == (3, 41)
-    d_out, _ = nn.forward(model.d_spec, model.d_params, out.data)
-    assert d_out.data.shape == (3, 1)
+    out = nn.forward(model.g_spec, model.g_params.tensors,
+                     np.zeros((3, 41), gan.DTYPE))
+    assert out.shape == (3, 41)
+    d_out = nn.forward(model.d_spec, model.d_params.tensors, out)
+    assert d_out.shape == (3, 1)
 
 
 def test_build_gan_rejects_zero_dim():
@@ -83,8 +85,8 @@ def test_build_gan_rejects_zero_dim():
 def test_critic_output_bounded_by_tanh():
     model = gan.build_gan(8, 0)
     x = np.random.default_rng(0).standard_normal((64, 8)) * 5
-    out, _ = nn.forward(model.d_spec, model.d_params, x)
-    assert np.all(np.abs(out.data) <= 1.0)
+    out = nn.forward(model.d_spec, model.d_params.tensors, x.astype(gan.DTYPE))
+    assert np.all(np.abs(out) <= 1.0)
 
 
 def test_critic_step_zero_lambda_fake_equals_real():
@@ -116,22 +118,22 @@ def _critic_grads_reference(model, real, rng, lam):
     gradient."""
     n = real.shape[0]
     z = rng.standard_normal((n, model.noise_dim))
-    fake = nn.forward(model.g_spec, model.g_params, z)[0].data
+    fake = ref.graph_forward(model.g_spec, model.g_params, z)[0].data
     eps = rng.random((n, 1))
     x_hat = eps * real + (1.0 - eps) * fake
     masks = nn.dropout_masks(model.d_spec, n, rng)
-    out_f, tape_f = nn.forward(model.d_spec, model.d_params, fake,
-                               train=True, masks=masks)
-    out_r, tape_r = nn.forward(model.d_spec, model.d_params, real,
-                               train=True, masks=masks)
-    out_h, tape_h = nn.forward(model.d_spec, model.d_params, x_hat,
-                               train=True, masks=masks)
-    gin = nn.grad_input(ad.sum_(out_h), tape_h, create_graph=True)
+    out_f, tape_f = ref.graph_forward(model.d_spec, model.d_params, fake,
+                                      masks)
+    out_r, tape_r = ref.graph_forward(model.d_spec, model.d_params, real,
+                                      masks)
+    out_h, tape_h = ref.graph_forward(model.d_spec, model.d_params, x_hat,
+                                      masks)
+    gin = ref.grad_input(ad.sum_(out_h), tape_h, create_graph=True)
     norm = ad.sqrt(ad.sum_(ad.square(gin), axis=1))
     penalty = lam * ad.mean(ad.square(norm - 1.0))
-    g_p = nn.grad_params(penalty, tape_h)
-    g_f = nn.grad_params(ad.mean(out_f), tape_f)
-    g_r = nn.grad_params(ad.mean(out_r), tape_r)
+    g_p = ref.grad_params(penalty, tape_h)
+    g_f = ref.grad_params(ad.mean(out_f), tape_f)
+    g_r = ref.grad_params(ad.mean(out_r), tape_r)
     grads = {k: g_f[k].data - g_r[k].data + g_p[k].data
              for k in model.d_params.tensors}
     mean_f, mean_r = float(out_f.data.mean()), float(out_r.data.mean())
@@ -373,7 +375,7 @@ def test_pretrain_zero_steps():
 def test_pretrain_trains_under_the_config_it_is_given(monkeypatch):
     cfg = small_cfg(batch_size=8, max_steps=12, lam=3.0)
     sizes, lams = [], []
-    masks, penalty = nn.dropout_masks, nn._penalty
+    masks, penalty = nn.dropout_masks, nn.penalty
 
     def recording_masks(spec, batch_size, rng):
         # each critic and generator step draws one mask set for its batch
@@ -385,7 +387,7 @@ def test_pretrain_trains_under_the_config_it_is_given(monkeypatch):
         return penalty(spec, params, caches, shape, rows, lam, grads)
 
     monkeypatch.setattr(nn, "dropout_masks", recording_masks)
-    monkeypatch.setattr(nn, "_penalty", recording_penalty)
+    monkeypatch.setattr(nn, "penalty", recording_penalty)
     model, trace = gan.pretrain(gan.build_gan(4, 0), normal_dataset(), 0, cfg)
     assert len(sizes) > len(trace.records)  # generator steps ran too
     assert set(sizes) == {8}
@@ -505,7 +507,7 @@ def test_synthesize_matches_forward_and_builds_no_gradient_graph(monkeypatch):
     chunks = []
     for k in [64] * 5 + [56] * 5:
         z = rng.standard_normal((k, model.noise_dim))
-        out, _ = nn.forward(model.g_spec, model.g_params, z)
+        out, _ = ref.graph_forward(model.g_spec, model.g_params, z)
         chunks.append(np.clip(out.data, 0.0, 1.0))
     want = inverse_transform(np.vstack(chunks), plan)
 
@@ -542,8 +544,8 @@ for width in (11, 122):
     for n in (1, 2, 63, 64, 65, 125, 129, 600):
         got = gan.synthesize(model, n, plan, 5, schema, "attack").features
         z = np.random.default_rng(5).standard_normal((n, width))
-        out = nn._forward(model.g_spec, model.g_params.tensors,
-                          z.astype(gan.DTYPE))
+        out = nn.forward(model.g_spec, model.g_params.tensors,
+                         z.astype(gan.DTYPE))
         want = inverse_transform(np.clip(out, 0.0, 1.0), plan)
         print(got.tobytes() == want.tobytes(),
               hashlib.sha256(got.tobytes()).hexdigest())
@@ -665,9 +667,9 @@ def test_kernels_leave_input_cotangent_caches_and_params_unchanged(layers):
     masks = nn.dropout_masks(spec, 12, rng)
     arrays = [x, *masks.values(), *_param_arrays(params)]
     before = _freeze(arrays)
-    nn._forward(spec, tensors, x, masks)
+    nn.forward(spec, tensors, x, masks)
     caches = []
-    out = nn._forward(spec, tensors, x, masks, caches)
+    out = nn.forward(spec, tensors, x, masks, caches)
     assert [a.tobytes() for a in arrays] == before
     cached = [a for _, c in caches if c is not None
               for a in (c if isinstance(c, tuple) else (c,))
@@ -677,9 +679,9 @@ def test_kernels_leave_input_cotangent_caches_and_params_unchanged(layers):
     before = _freeze(arrays)
     rows = slice(4, None)
     grads = params.zeros()
-    _, inject = nn._penalty(spec, tensors, caches, out[rows].shape, rows,
-                            10.0, grads)
+    _, inject = nn.penalty(spec, tensors, caches, out[rows].shape, rows,
+                           10.0, grads)
     # a backward pass consumes its cache list, so the first one walks a copy
-    nn._backward(spec, tensors, list(caches), g, grads=grads, inject=inject)
-    nn._backward(spec, tensors, caches, g, record={})
+    nn.backward(spec, tensors, list(caches), g, grads=grads, inject=inject)
+    nn.backward(spec, tensors, caches, g, record={})
     assert [a.tobytes() for a in arrays] == before

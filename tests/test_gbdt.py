@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from conftest import bundle_layout, encoded_dataset, singleton_bundles
 
 from ganids import archive, gbdt
@@ -170,8 +171,8 @@ def _brute_force_best_gain(binned, n_bins, g, h, lam, min_leaf):
             nl = int(left.sum())
             if nl < min_leaf or n - nl < min_leaf:
                 continue
-            gain = gbdt.split_gain(g[left].sum(), h[left].sum(),
-                                   g[~left].sum(), h[~left].sum(), lam)
+            gain = ref.split_gain(g[left].sum(), h[left].sum(),
+                                  g[~left].sum(), h[~left].sum(), lam)
             if gain > 0 and (best is None or gain > best[0]):
                 best = (gain, f, t)
     return best
@@ -189,7 +190,7 @@ def test_split_search_matches_brute_force(seed):
     g = rng.standard_normal(n)
     h = rng.random(n) + 0.1
     rows = np.arange(n)
-    got = ctx.best_split(rows, g, h)
+    got = ref.best_split(ctx, rows, g, h)
     want = _brute_force_best_gain(binned, mapper.n_bins, g, h,
                                   params.lam_leaf, params.min_leaf)
     if want is None:
@@ -214,9 +215,9 @@ def _runner_up_gain(binned, n_bins, g, h, params, best):
             nl = int(left.sum())
             if nl < params.min_leaf or n - nl < params.min_leaf:
                 continue
-            gain = gbdt.split_gain(g[left].sum(), h[left].sum(),
-                                   g[~left].sum(), h[~left].sum(),
-                                   params.lam_leaf)
+            gain = ref.split_gain(g[left].sum(), h[left].sum(),
+                                  g[~left].sum(), h[~left].sum(),
+                                  params.lam_leaf)
             if second is None or gain > second:
                 second = gain
     return second
@@ -309,7 +310,7 @@ def _check_split_against_reference_loop(draw):
                               replace=False))
     g = rng.standard_normal(len(rows)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
     h = rng.random(len(rows)) + 0.05
-    got = ctx.best_split(rows, g, h)
+    got = ref.best_split(ctx, rows, g, h)
     want = _reference_best_split(bm, cols, params, rows, g, h)
     if want is None:
         assert got is None
@@ -350,7 +351,7 @@ def test_mirrored_columns_tie_at_large_gains(seed):
     rows = np.arange(200)
     g = rng.standard_normal(200) * 100.0
     h = rng.random(200) + 0.05
-    got = ctx.best_split(rows, g, h)
+    got = ref.best_split(ctx, rows, g, h)
     assert got[0] > 1e4 and got[1] == 0
     assert got[1:] == _reference_best_split(bm, cols, params, rows, g, h)[1:]
 
@@ -365,10 +366,10 @@ def test_sibling_histogram_by_subtraction_matches_direct(data):
     g = rng.standard_normal(n) * 10.0
     h = rng.random(n) + 0.05
     left = rng.random(n) < data.draw(st.floats(0.0, 1.0))
-    parent = ctx.histogram(rows, g, h)
-    small = ctx.histogram(rows[left], g[left], h[left])
+    parent = ref.histogram(ctx, rows, g, h)
+    small = ref.histogram(ctx, rows[left], g[left], h[left])
     sibling = parent - small
-    direct = ctx.histogram(rows[~left], g[~left], h[~left])
+    direct = ref.histogram(ctx, rows[~left], g[~left], h[~left])
     assert np.array_equal(sibling[0], direct[0])
     scale = np.abs(parent[1:]).max(initial=1.0)
     assert np.allclose(sibling[1:], direct[1:], rtol=1e-9, atol=1e-9 * scale)
@@ -409,7 +410,7 @@ def test_tree_with_sibling_subtraction_matches_reference(seed):
     ctx = gbdt._HistContext(binned, bm, params)
     got = ctx.build_tree(rows, g, h)
     want = _reference_tree(binned, bm, cols, params, rows, g, h)
-    assert got.structure() == want.structure()
+    assert ref.structure(got) == ref.structure(want)
 
 
 def _reference_recursive_tree(ctx, rows, g, h, depth=0, hist=None):
@@ -422,8 +423,8 @@ def _reference_recursive_tree(ctx, rows, g, h, depth=0, hist=None):
     if depth >= p.max_depth or len(rows) < 2 * p.min_leaf:
         return node
     if hist is None:
-        hist = ctx.histogram(rows, g, h)
-    best = ctx.best_split(rows, g, h, hist)
+        hist = ref.histogram(ctx, rows, g, h)
+    best = ref.best_split(ctx, rows, g, h, hist)
     if best is None:
         return node
     node.gain, node.feature, node.bin_threshold = best
@@ -433,7 +434,7 @@ def _reference_recursive_tree(ctx, rows, g, h, depth=0, hist=None):
     small = int(len(kids[1][0]) < len(kids[0][0]))
     if any(depth + 1 < p.max_depth and len(k[0]) >= 2 * p.min_leaf
            for k in kids):
-        hists[small] = ctx.histogram(*kids[small])
+        hists[small] = ref.histogram(ctx, *kids[small])
         hists[1 - small] = hist - hists[small]
     node.left = _reference_recursive_tree(ctx, *kids[0], depth + 1, hists[0])
     node.right = _reference_recursive_tree(ctx, *kids[1], depth + 1, hists[1])
@@ -464,7 +465,7 @@ def test_level_grower_matches_recursive_reference(data):
     with mock.patch.object(gbdt, "_SCAN_ELEMENTS", budget):
         got = ctx.build_tree(rows, g, h)
     want = _reference_recursive_tree(ctx, rows, g, h)
-    assert got.structure() == want.structure()
+    assert ref.structure(got) == ref.structure(want)
     for a, b in _node_pairs(got, want):
         assert a.gain == b.gain
         assert a.value == b.value
@@ -488,7 +489,7 @@ def test_level_grower_builds_left_child_directly_on_a_tie(seed):
     got = ctx.build_tree(rows, g, h)
     want = _reference_recursive_tree(ctx, rows, g, h)
     assert (got.feature, got.bin_threshold) == (0, 0)
-    assert got.structure() == want.structure()
+    assert ref.structure(got) == ref.structure(want)
     assert [a.gain for a, _ in _node_pairs(got, want)] \
         == [b.gain for _, b in _node_pairs(got, want)]
 
@@ -514,8 +515,9 @@ def test_scan_of_k_nodes_matches_single_node_splits(data):
         got = ctx.scan(hist, counts, [g[r].sum() for r in runs],
                        [h[r].sum() for r in runs])
     for i, r in enumerate(runs):
-        assert np.array_equal(hist[i], ctx.histogram(rows[r], g[r], h[r]))
-        assert got[i] == ctx.best_split(rows[r], g[r], h[r])
+        assert np.array_equal(hist[i],
+                              ref.histogram(ctx, rows[r], g[r], h[r]))
+        assert got[i] == ref.best_split(ctx, rows[r], g[r], h[r])
 
 
 def _reference_efb_bundle(binned, n_bins):
@@ -697,7 +699,7 @@ def test_bundle_offsets_past_255_keep_training_lossless(monkeypatch):
                          params)
     for r_got, r_off in zip(got.trees, unbundled.trees):
         for t_got, t_off in zip(r_got, r_off):
-            assert t_got.structure() == t_off.structure()
+            assert ref.structure(t_got) == ref.structure(t_off)
 
 
 def test_max_bins_300_fit_matches_int32_binning(monkeypatch):
@@ -821,7 +823,7 @@ def test_efb_training_is_lossless(monkeypatch):
     e_off = gbdt.fit(ds_off, params)
     for r_on, r_off in zip(e_on.trees, e_off.trees):
         for t_on, t_off in zip(r_on, r_off):
-            assert t_on.structure() == t_off.structure()
+            assert ref.structure(t_on) == ref.structure(t_off)
 
 
 def _leaves_with_rows(node, binned, rows):

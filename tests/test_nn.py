@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from conftest import ELEMENTWISE_FIRST, fd_param_grad, rel_err
 
 from ganids import autodiff as ad
@@ -23,63 +24,90 @@ def set_params(spec, **tensors):
     return nn.ParamSet(full)
 
 
+def outputs(spec, params, batch):
+    """The network's output on `batch` by the kernel and by the engine."""
+    batch = np.asarray(batch, dtype=np.float64)
+    return [nn.forward(spec, params.tensors, batch),
+            ref.graph_forward(spec, params, batch)[0].data]
+
+
+def kernel_grads(spec, params, batch, cotangent):
+    """The kernels' parameter gradients by name and input gradient for the
+    output cotangent `cotangent(output)`."""
+    batch = np.asarray(batch, dtype=np.float64)
+    caches = []
+    g = cotangent(nn.forward(spec, params.tensors, batch, caches=caches))
+    grads = params.zeros()
+    nn.backward(spec, params.tensors, list(caches), g, grads=grads)
+    return grads.tensors, nn.backward(spec, params.tensors, caches, g)
+
+
 def test_identity_fc_layer():
     spec = fc_spec(2, 2)
     params = set_params(spec, **{"l0.w": np.eye(2)})
-    out, _ = nn.forward(spec, params, [[0.5, -0.5]])
-    assert np.allclose(out.data, [[0.5, -0.5]])
+    for out in outputs(spec, params, [[0.5, -0.5]]):
+        assert np.allclose(out, [[0.5, -0.5]])
 
 
 def test_leaky_relu_layer_values():
     spec = nn.NetworkSpec(2, (nn.LeakyRelu(0.2),))
-    out, _ = nn.forward(spec, nn.ParamSet({}), [[-1.0, 2.0]])
-    assert np.allclose(out.data, [[-0.2, 2.0]])
+    for out in outputs(spec, nn.ParamSet({}), [[-1.0, 2.0]]):
+        assert np.allclose(out, [[-0.2, 2.0]])
 
 
 def test_conv_hand_oracle():
     # kernel [1,1,1], zero same-padding on [1,2,3,4] -> [3,6,9,7]
     spec = nn.NetworkSpec(4, (nn.Conv1d(1, 3),))
     params = set_params(spec, **{"l0.w": np.ones((1, 3, 1))})
-    out, _ = nn.forward(spec, params, [[1.0, 2.0, 3.0, 4.0]])
-    assert np.allclose(out.data, [[3.0, 6.0, 9.0, 7.0]])
+    for out in outputs(spec, params, [[1.0, 2.0, 3.0, 4.0]]):
+        assert np.allclose(out, [[3.0, 6.0, 9.0, 7.0]])
 
 
 def test_linear_loss_gradient_is_input():
     # D(x) = w.x, loss = D(x), x = (1,2) -> dloss/dw = (1,2)
     spec = fc_spec(2, 1)
     params = set_params(spec, **{"l0.w": [[0.3], [0.7]]})
-    out, tape = nn.forward(spec, params, [[1.0, 2.0]])
-    grads = nn.grad_params(ad.sum_(out), tape)
-    assert np.allclose(grads["l0.w"].data, [[1.0], [2.0]])
-    assert np.allclose(grads["l0.b"].data, [1.0])
+    out, tape = ref.graph_forward(spec, params, [[1.0, 2.0]])
+    grads = ref.grad_params(ad.sum_(out), tape)
+    kernel, _ = kernel_grads(spec, params, [[1.0, 2.0]], np.ones_like)
+    for w, b in [(grads["l0.w"].data, grads["l0.b"].data),
+                 (kernel["l0.w"], kernel["l0.b"])]:
+        assert np.allclose(w, [[1.0], [2.0]])
+        assert np.allclose(b, [1.0])
 
 
 def test_squared_error_gradient():
     # loss = (w*x - y)^2, w=1, x=2, y=1 -> dloss/dw = 2*(2-1)*2 = 4
     spec = fc_spec(1, 1)
     params = set_params(spec, **{"l0.w": [[1.0]]})
-    out, tape = nn.forward(spec, params, [[2.0]])
+    out, tape = ref.graph_forward(spec, params, [[2.0]])
     loss = ad.sum_(ad.square(out - 1.0))
-    grads = nn.grad_params(loss, tape)
+    grads = ref.grad_params(loss, tape)
     assert np.isclose(grads["l0.w"].item(), 4.0)
+    kernel, _ = kernel_grads(spec, params, [[2.0]], lambda y: 2.0 * (y - 1.0))
+    assert np.isclose(kernel["l0.w"].item(), 4.0)
 
 
 def test_grad_wrt_input_linear_critic():
     spec = fc_spec(3, 1)
     w = np.array([[0.5], [-1.0], [2.0]])
     params = set_params(spec, **{"l0.w": w})
-    out, tape = nn.forward(spec, params, np.ones((4, 3)))
-    g = nn.grad_input(ad.sum_(out), tape)
-    assert np.allclose(g.data, np.tile(w.ravel(), (4, 1)))
+    out, tape = ref.graph_forward(spec, params, np.ones((4, 3)))
+    g = ref.grad_input(ad.sum_(out), tape)
+    _, kernel = kernel_grads(spec, params, np.ones((4, 3)), np.ones_like)
+    for got in (g.data, kernel):
+        assert np.allclose(got, np.tile(w.ravel(), (4, 1)))
 
 
 def test_grad_wrt_input_tanh_at_zero():
     spec = nn.NetworkSpec(3, (nn.FullyConnected(1), nn.Tanh()))
     w = np.array([[0.5], [-1.0], [2.0]])
     params = set_params(spec, **{"l0.w": w})
-    out, tape = nn.forward(spec, params, np.zeros((2, 3)))
-    g = nn.grad_input(ad.sum_(out), tape)
-    assert np.allclose(g.data, np.tile(w.ravel(), (2, 1)))
+    out, tape = ref.graph_forward(spec, params, np.zeros((2, 3)))
+    g = ref.grad_input(ad.sum_(out), tape)
+    _, kernel = kernel_grads(spec, params, np.zeros((2, 3)), np.ones_like)
+    for got in (g.data, kernel):
+        assert np.allclose(got, np.tile(w.ravel(), (2, 1)))
 
 
 def _fd_check(spec, seed, batch_size, n_probes=12, tol=1e-5):
@@ -88,11 +116,11 @@ def _fd_check(spec, seed, batch_size, n_probes=12, tol=1e-5):
     batch = rng.standard_normal((batch_size, spec.input_width))
 
     def loss_fn(p):
-        out, tape = nn.forward(spec, p, batch)
+        out, tape = ref.graph_forward(spec, p, batch)
         return float(np.sum(out.data)), tape.relu_signs
 
-    out, tape = nn.forward(spec, params, batch)
-    grads = nn.grad_params(ad.sum_(out), tape)
+    out, tape = ref.graph_forward(spec, params, batch)
+    grads = ref.grad_params(ad.sum_(out), tape)
     names = sorted(params.tensors)
     checked = 0
     for _ in range(n_probes * 4):
@@ -162,8 +190,8 @@ def test_gradient_penalty_fd_oracle():
     _, grads = nn.gradient_penalty(spec, params, x_hat, 10.0)
 
     def loss_fn(p):
-        out, tape = nn.forward(spec, p, x_hat)
-        gin = nn.grad_input(ad.sum_(out), tape, create_graph=True)
+        out, tape = ref.graph_forward(spec, p, x_hat)
+        gin = ref.grad_input(ad.sum_(out), tape, create_graph=True)
         norm = ad.sqrt(ad.sum_(ad.square(gin), axis=1))
         pen = 10.0 * ad.mean(ad.square(norm - 1.0))
         return pen.item(), tape.relu_signs
@@ -188,18 +216,21 @@ def test_eval_forward_is_pure():
                               nn.Dropout(0.4), nn.FullyConnected(1)))
     params = nn.init_params(spec, 7)
     batch = np.random.default_rng(7).standard_normal((3, 4))
-    a, _ = nn.forward(spec, params, batch)
-    b, _ = nn.forward(spec, params, batch)
-    assert np.array_equal(a.data, b.data)
+    a = nn.forward(spec, params.tensors, batch)
+    b = nn.forward(spec, params.tensors, batch)
+    assert np.array_equal(a, b)
 
 
 def test_dropout_train_scales_by_keep_probability():
+    # train mode's dropout is the masks drawn from an rng: 0, or 1 / keep
     spec = nn.NetworkSpec(3, (nn.Dropout(0.4),))
-    rng = np.random.default_rng(8)
-    masks = nn.dropout_masks(spec, 2, rng)
-    out, _ = nn.forward(spec, nn.ParamSet({}), np.ones((2, 3)), train=True,
-                        masks=masks)
-    assert set(np.unique(out.data)) <= {0.0, 1.0 / 0.6}
+    masks = nn.dropout_masks(spec, 2, np.random.default_rng(8))
+    again = nn.dropout_masks(spec, 2, np.random.default_rng(8))
+    assert list(masks) == [0] and np.array_equal(masks[0], again[0])
+    assert masks[0].shape == (2, 3)
+    assert set(np.unique(masks[0])) <= {0.0, 1.0 / 0.6}
+    out = nn.forward(spec, {}, np.ones((2, 3)), masks)
+    assert np.array_equal(out, masks[0])
 
 
 def test_param_count_generator_architecture():
@@ -213,16 +244,17 @@ def test_param_count_generator_architecture():
     assert total == 72 + 256 + 6176 + 33
 
 
-def test_forward_rejects_bad_width():
+def test_as_batch_rejects_bad_width():
+    # the check the critic step runs on the real rows it is given
     spec = fc_spec(3, 1)
     with pytest.raises(ShapeMismatch):
-        nn.forward(spec, nn.init_params(spec, 0), np.ones((2, 4)))
+        nn.as_batch(spec, np.ones((2, 4)))
 
 
-def test_forward_rejects_nonfinite_input():
+def test_as_batch_rejects_nonfinite_input():
     spec = fc_spec(2, 1)
     with pytest.raises(NonFiniteValue):
-        nn.forward(spec, nn.init_params(spec, 0), [[np.nan, 1.0]])
+        nn.as_batch(spec, [[np.nan, 1.0]])
 
 
 def test_adam_first_step_magnitude():
@@ -362,7 +394,7 @@ def test_kernel_forward_equals_the_engine_bit_for_bit(spec):
         want, _ = nn.forward_var(spec, pv, ad.leaf(x), train=masks is not None,
                                  masks=masks)
         for caches in (None, []):
-            got = nn._forward(spec, params.tensors, x, masks, caches)
+            got = nn.forward(spec, params.tensors, x, masks, caches)
             assert np.array_equal(got, want.data)
 
 
@@ -373,7 +405,7 @@ def _kernel_case(spec, seed=3):
     x = rng.random((8, spec.input_width))
     masks = nn.dropout_masks(spec, len(x), rng)
     caches = []
-    out = nn._forward(spec, params.tensors, x, masks, caches)
+    out = nn.forward(spec, params.tensors, x, masks, caches)
     return params, caches, rng.standard_normal(out.shape)
 
 
@@ -389,8 +421,8 @@ def test_backward_consumes_the_caches_it_walks(spec, grads):
     for walked in (caches, untouched):
         into = params.zeros() if grads else None
         rows = slice(2, None)
-        got = nn._backward(spec, params.tensors, walked, g[rows], rows,
-                           grads=into, record={})
+        got = nn.backward(spec, params.tensors, walked, g[rows], rows,
+                          grads=into, record={})
         runs.append(into.flat.tobytes() if grads else got.tobytes())
         assert walked == [None] * (len(spec.layers) + 1)
     assert runs[0] == runs[1]
@@ -403,7 +435,7 @@ def test_penalty_leaves_its_caches_whole(spec):
     params, caches, _ = _kernel_case(spec)
     before = list(caches)
     rows = slice(3, None)
-    nn._penalty(spec, params.tensors, caches, (5, 1), rows, 10.0,
-                params.zeros())
+    nn.penalty(spec, params.tensors, caches, (5, 1), rows, 10.0,
+               params.zeros())
     assert len(caches) == len(before)
     assert all(a is b for a, b in zip(caches, before))

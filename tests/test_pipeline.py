@@ -1,12 +1,13 @@
 """End-to-end pipeline tests on the bundled demo dataset."""
 
+import hashlib
 import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from ganids import archive, gan, gbdt, pipeline
+from ganids import archive, boruta, gan, gbdt, metrics, pipeline
 from ganids import autodiff as ad
 from ganids.data import (PreprocessPlan, load_dataset, load_schema,
                          preprocess)
@@ -119,6 +120,36 @@ def test_config_json_roundtrip(demo, tmp_path):
     p.write_text(json.dumps(asdict(cfg)))
     clone = pipeline.PipelineConfig.from_json(p)
     assert clone.config_hash() == cfg.config_hash()
+
+
+def _plan(demo, out_dir):
+    raw = load_dataset([demo["csv"]], load_schema(str(demo["schema"])))
+    return preprocess(raw)[1]
+
+
+@pytest.mark.parametrize("make", [
+    lambda demo, out: fast_config(demo, out, boruta_rounds=2),
+    _plan,
+    lambda demo, out: boruta.FeatureDecision(
+        {"f0": "accepted", "f1": "rejected", "f2": "tentative"},
+        {"f0": 4, "f1": 0, "f2": 2}, 4, 0.05),
+    lambda demo, out: metrics.AblationReport(
+        {"dos": {"steps_with": 8, "steps_without": 12,
+                 "stop_with": "criterion", "stop_without": "max_steps",
+                 "speedup": 1.5}},
+        {"accuracy": -0.0125, "macro_f1": 1 / 3}),
+], ids=["PipelineConfig", "PreprocessPlan", "FeatureDecision",
+        "AblationReport"])
+def test_json_files_are_the_json_of_asdict(make, demo, tmp_path):
+    # the one encoder, json's default hook data.plain, against asdict
+    value = make(demo, tmp_path / "run")
+    path = tmp_path / "value.json"
+    pipeline._write_json(path, value)
+    assert path.read_text() == json.dumps(asdict(value), indent=1,
+                                          sort_keys=True)
+    if isinstance(value, pipeline.PipelineConfig):
+        text = json.dumps(asdict(value), sort_keys=True)
+        assert value.config_hash() == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_config_rejects_unknown_field(tmp_path):

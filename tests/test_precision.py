@@ -87,8 +87,8 @@ def test_float32_steps_match_their_float64_cast(dim, seed):
     # the forward kernel, both networks, on the same float32 input
     for spec, p32, p64 in [(m32.g_spec, m32.g_params, m64.g_params),
                            (m32.d_spec, m32.d_params, m64.d_params)]:
-        _close(nn._forward(spec, p32.tensors, x),
-               nn._forward(spec, p64.tensors, x.astype(np.float64)))
+        _close(nn.forward(spec, p32.tensors, x),
+               nn.forward(spec, p64.tensors, x.astype(np.float64)))
 
     real = np.random.default_rng(seed + 9).random((16, dim))
     got = _critic_grads(m32, real, np.random.default_rng(seed))
@@ -134,7 +134,7 @@ def test_a_float32_model_computes_in_float32_throughout(monkeypatch):
             return out
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_forward", "_backward", "_penalty", "adam_step"):
+    for name in ("forward", "backward", "penalty", "adam_step"):
         recording(nn, name)
     for name in ("_unfold_data", "_fold_data"):
         recording(ad, name)
@@ -153,7 +153,7 @@ def test_a_float32_model_computes_in_float32_throughout(monkeypatch):
                    class_name="attack")
 
     assert {name for name, _ in seen} == {
-        "_forward", "_backward", "_penalty", "adam_step", "_unfold_data",
+        "forward", "backward", "penalty", "adam_step", "_unfold_data",
         "_fold_data"}
     for name, arrays in seen:
         floats = [a for a in arrays if a.dtype.kind == "f"]

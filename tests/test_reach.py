@@ -16,19 +16,28 @@ line, so that an edit elsewhere in a file does not move a key.
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+from conftest import ROOT, tracer_targets
+
 from ganids.demo import write_demo_dataset
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+SRC = ROOT / "src"
+
+# the groups of UNENTERED, by the reader that keeps each
+ENGINE = ("the autodiff engine that perfbench/tracer.py's names run on, and "
+          "the tests' reference (C1, C2, test_autodiff.py, test_nn.py, "
+          "test_gan.py)")
+TRACER = "perfbench/tracer.py, which wraps these by name"
+PERFBENCH = "perfbench/ (checks.py and worker.py)"
+PROBE = "scripts/identity_probe.py, the only reader of a GAN archive"
 
 # entered by no command; each group names the reader that keeps it
 UNENTERED = {
-    "the test references: the autodiff graph engine, the `nn` graph helpers "
-    "and the brute-force split search (C1, C2, C9, test_autodiff.py, "
-    "test_nn.py, test_gbdt.py)": [
+    ENGINE: [
         "ganids.autodiff:Var.__add__",
         "ganids.autodiff:Var.__matmul__",
         "ganids.autodiff:Var.__mul__",
@@ -68,15 +77,8 @@ UNENTERED = {
         "ganids.autodiff:tanh.<locals>.vjp",
         "ganids.autodiff:transpose",
         "ganids.autodiff:transpose.<locals>.<lambda>",
-        "ganids.gbdt:TreeNode.structure",
-        "ganids.gbdt:_HistContext.best_split",
-        "ganids.gbdt:split_gain",
-        "ganids.nn:Tape.__init__",
-        "ganids.nn:forward",
-        "ganids.nn:grad_input",
-        "ganids.nn:grad_params",
     ],
-    "perfbench/tracer.py, which wraps these by name": [
+    TRACER: [
         "ganids.autodiff:Var.__init__",
         "ganids.autodiff:fold1d",
         "ganids.autodiff:fold1d.<locals>.<lambda>",
@@ -86,14 +88,20 @@ UNENTERED = {
         "ganids.nn:forward_var",
         "ganids.nn:gradient_penalty",
     ],
-    "perfbench/ (checks.py and worker.py)": [
+    PERFBENCH: [
         "ganids.gbdt:Ensemble.predict_proba",
         "ganids.data:PreprocessPlan.from_dict",
     ],
-    "scripts/identity_probe.py, the only reader of a GAN archive": [
+    PROBE: [
         "ganids.archive:load_gan",
         "ganids.archive:_param_set",
     ],
+}
+
+# the files that read each group outside the tracer by name
+READER_FILES = {
+    PERFBENCH: ["perfbench/checks.py", "perfbench/worker.py"],
+    PROBE: ["scripts/identity_probe.py"],
 }
 
 # runs each command of argv lists under the hook, and prints the exit codes
@@ -244,3 +252,28 @@ def test_src_holds_only_what_a_session_runs_or_a_listed_reader_reads(
     listed = [key for keys in UNENTERED.values() for key in keys]
     assert len(listed) == len(set(listed)), "a function listed twice"
     assert sorted(_functions() - entered) == sorted(listed)
+
+
+def test_the_engine_group_holds_only_the_engine():
+    assert all(key.startswith("ganids.autodiff:")
+               for key in UNENTERED[ENGINE])
+
+
+def test_the_tracer_group_holds_only_what_the_tracer_wraps():
+    # Var's constructor, wrapped outside the table, a wrapped (module,
+    # attribute), or a lambda inside one
+    wrapped = {f"ganids.{module}:{attr}" for module, attr, _ in
+               tracer_targets()}
+    for key in UNENTERED[TRACER]:
+        name = key.split(".<locals>.", 1)[0]
+        assert key == "ganids.autodiff:Var.__init__" or name in wrapped, key
+
+
+def test_each_reader_group_is_named_by_its_reader():
+    # a private helper is read through the public entry of its group
+    for group, files in READER_FILES.items():
+        text = "\n".join((ROOT / f).read_text() for f in files)
+        for key in UNENTERED[group]:
+            name = key.rsplit(":", 1)[1].rsplit(".", 1)[-1]
+            assert name.startswith("_") \
+                or re.search(rf"\b{name}\b", text), (group, key)

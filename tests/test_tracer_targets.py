@@ -2,27 +2,16 @@
 must exist, or a traced benchmark run fails when it installs the tracer."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 
-from conftest import encoded_dataset
+from conftest import encoded_dataset, tracer_targets
 
 from ganids import gan, nn
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-def _targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer._TARGETS
-
 
 def test_every_traced_name_resolves():
-    targets = _targets()
+    targets = tracer_targets()
     assert targets
     for module, attr, _ in targets:
         assert callable(getattr(importlib.import_module(f"ganids.{module}"),
