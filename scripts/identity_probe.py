@@ -10,8 +10,9 @@ temporary directory that is removed at the end. Prints one JSON line:
 
 - `eval_hash`: each run directory's manifest `eval_hash`;
 - `files`: the SHA-256 of every `models/*.bin`, `trace_*.csv`,
-  `plan.json`, `census.json`, `feature_decision.json` and `ablation.json`,
-  by path under the temporary directory;
+  `plan.json`, `census.json`, `census.csv`, `eval.csv`,
+  `eval_confusion.csv`, `feature_decision.json` and `ablation.json`, by
+  path under the temporary directory;
 - `content`: the SHA-256 of what each archive holds, read back: per GAN
   archive, the bytes of each network's parameter vector (`path:g`,
   `path:d`); per ensemble archive, the bytes of its `predict_proba` on the
@@ -40,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PATTERNS = ("models/*.bin", "trace_*.csv", "plan.json", "census.json",
+            "census.csv", "eval.csv", "eval_confusion.csv",
             "feature_decision.json", "ablation.json")
 SYNTH_ROWS = (1, 65, 130, 599)
 

@@ -9,9 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import archive, imbalance, metrics, pipeline
-from .data import (EmptyDataset, PlanMismatch, load_dataset, load_schema,
-                   preprocess, select_columns)
+from . import archive, imbalance, pipeline
+from .data import EmptyDataset, PlanMismatch, load_dataset, load_schema
 from .errors import ConfigInvalid, InputError
 
 
@@ -34,11 +33,9 @@ def _on_rows(args, fn, *extra):
 
 def cmd_census(args):
     census = _on_rows(args, imbalance.class_census)
-    out = {"counts": census.counts, "ratios": census.display_ratios()}
-    print(json.dumps(out, indent=1))
+    print(json.dumps(census.report(), indent=1))
     if args.out:
-        pipeline._write_csv(Path(args.out), ["class", "samples", "imbalance_ratio"],
-                            census.rows())
+        pipeline.write_csv(Path(args.out), *census.table())
 
 
 def cmd_filter(args):
@@ -67,28 +64,15 @@ def cmd_ablate(args):
         extra = f"  speedup {speed:.2f}" if speed else ""
         print(f"{name}: {e['steps_with']} steps with pretraining, "
               f"{e['steps_without']} without{extra}")
-    if report.metric_deltas:
-        print("metric deltas:", json.dumps(report.metric_deltas))
-
-
-def _score(raw, ens, model_path):
-    """The report of ens, the model at model_path, on the raw rows."""
-    # class ids index the class list, so a model scores only under its own
-    if ens.classes != raw.schema.classes:
-        raise PlanMismatch(f"{model_path}: the model's classes "
-                           f"{ens.classes} are not the schema's "
-                           f"{raw.schema.classes}")
-    try:
-        enc, _ = preprocess(raw, ens.plan)
-    except PlanMismatch as e:
-        raise PlanMismatch(f"{model_path}: {e}") from e
-    # a model trained on selected features reads only those columns
-    pred = ens.predict(select_columns(enc, ens.feature_names).features)
-    return metrics.evaluate(pred, enc.labels, len(ens.classes))
+    print("metric deltas:", json.dumps(report.metric_deltas))
 
 
 def cmd_evaluate(args):
-    rep = _on_rows(args, _score, archive.load_ensemble(args.model), args.model)
+    ens = archive.load_ensemble(args.model)
+    try:
+        rep = _on_rows(args, pipeline.score, ens)
+    except PlanMismatch as e:  # the model does not fit the rows
+        raise PlanMismatch(f"{args.model}: {e}") from e
     print(json.dumps(rep.to_dict(), indent=1))
 
 

@@ -132,14 +132,16 @@ class DatasetSchema:
         return self.classes.index(name)
 
     @staticmethod
-    def from_json(path):
+    def from_json(path, spec=None):
+        """The schema in the JSON file at path; SchemaInvalid, naming spec
+        (by default the path), for a file that holds none."""
         try:
             with open(path) as f:
                 return decode(DatasetSchema, json.load(f))
         except OSError as e:
             raise IoFailure(str(e)) from e
         except (ValueError, TypeError) as e:
-            raise SchemaInvalid(f"{path}: not a dataset schema "
+            raise SchemaInvalid(f"{spec or path}: not a dataset schema "
                                 f"({type(e).__name__}: {e})") from e
 
 
@@ -149,7 +151,7 @@ def builtin_schema(name):
     path = resources.files("ganids.data_files").joinpath(f"{name}_schema.json")
     if not (name.isidentifier() and path.is_file()):
         raise SchemaInvalid(f"builtin:{name}: no such builtin schema")
-    return decode(DatasetSchema, json.loads(path.read_text()))
+    return DatasetSchema.from_json(path, f"builtin:{name}")
 
 
 def load_schema(spec) -> DatasetSchema:

@@ -18,6 +18,7 @@ from .data import Dataset, EmptyDataset
 from .errors import ConfigInvalid, InputError
 
 DEFAULT_GAMMA = 10.0
+RATIO_DECIMALS = 3  # of each imbalance ratio a report shows
 
 
 class MissingNormalClass(InputError, ValueError):
@@ -40,16 +41,21 @@ class ClassCensus:
     normal_class: str
     ratios: dict          # attack class name -> n_normal / n_class
 
-    def display_ratios(self, decimals=3):
-        return {k: round(v, decimals) for k, v in self.ratios.items()}
+    def display_ratios(self):
+        return {k: round(v, RATIO_DECIMALS) for k, v in self.ratios.items()}
 
-    def rows(self):
-        """Report rows: (class, samples, imbalance ratio or None)."""
-        out = [(self.normal_class, self.counts[self.normal_class], None)]
-        for name, n in self.counts.items():
-            if name != self.normal_class:
-                out.append((name, n, round(self.ratios[name], 3) if n else None))
-        return out
+    def report(self):
+        """census.json, as `ganids census` also prints it."""
+        return {"counts": self.counts, "ratios": self.display_ratios()}
+
+    def table(self):
+        """census.csv's header and rows: (class, samples, imbalance ratio),
+        the normal class first with a ratio of None."""
+        shown = self.display_ratios()
+        rows = [(self.normal_class, self.counts[self.normal_class], None)]
+        rows += [(name, n, shown[name]) for name, n in self.counts.items()
+                 if name != self.normal_class]
+        return ["class", "samples", "imbalance_ratio"], rows
 
 
 @dataclass

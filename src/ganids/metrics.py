@@ -76,9 +76,10 @@ class AblationReport:
 
 
 def ablation_report(traces_with: dict, traces_without: dict,
-                    reports: dict = None) -> AblationReport:
-    """traces_* map class name -> TrainTrace; reports (optional) maps variant
-    name -> EvalReport for accuracy/F1 deltas."""
+                    report_with: EvalReport,
+                    report_without: EvalReport) -> AblationReport:
+    """traces_* map class name -> TrainTrace; the two reports give the
+    accuracy and macro-F1 deltas of the run with pretraining."""
     if set(traces_with) != set(traces_without):
         raise KeyMismatch(
             f"classes differ: {sorted(traces_with)} vs {sorted(traces_without)}")
@@ -95,9 +96,8 @@ def ablation_report(traces_with: dict, traces_without: dict,
         if with_t.steps_to_stop:
             entry["speedup"] = without_t.steps_to_stop / with_t.steps_to_stop
         rep.per_class[name] = entry
-    if reports and "with" in reports and "without" in reports:
-        rep.metric_deltas = {
-            "accuracy": reports["with"].accuracy - reports["without"].accuracy,
-            "macro_f1": reports["with"].macro_f1 - reports["without"].macro_f1,
-        }
+    rep.metric_deltas = {
+        "accuracy": report_with.accuracy - report_without.accuracy,
+        "macro_f1": report_with.macro_f1 - report_without.macro_f1,
+    }
     return rep

@@ -19,9 +19,9 @@ from pathlib import Path
 
 from . import archive, boruta, gbdt, imbalance, metrics
 from . import gan as gan_mod
-from .data import (DatasetSchema, EmptyDataset, FieldTypeError, concat, decode,
-                   load_dataset, load_schema, plain, preprocess,
-                   select_columns, split_stratified)
+from .data import (DatasetSchema, EmptyDataset, FieldTypeError, PlanMismatch,
+                   concat, decode, load_dataset, load_schema, plain,
+                   preprocess, select_columns, split_stratified)
 from .errors import ConfigInvalid, InputError
 
 
@@ -124,7 +124,7 @@ def _write_json(path, obj):
         json.dump(obj, f, indent=1, sort_keys=True, default=plain)
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
@@ -132,19 +132,34 @@ def _write_csv(path, header, rows):
 
 
 def _write_trace(path, trace):
-    _write_csv(path, ["step", "loss_d", "loss_g", "wasserstein", "gp"],
-               trace.rows())
+    write_csv(path, ["step", "loss_d", "loss_g", "wasserstein", "gp"],
+              trace.rows())
 
 
 def _write_eval(out_dir, name, report):
     _write_json(out_dir / f"{name}.json", report.to_dict())
     k = report.confusion.shape[0]
-    _write_csv(out_dir / f"{name}_confusion.csv",
-               [f"pred_{j}" for j in range(k)], report.confusion.tolist())
+    write_csv(out_dir / f"{name}_confusion.csv",
+              [f"pred_{j}" for j in range(k)], report.confusion.tolist())
     rows = [(k, report.support[k], report.precision[k], report.recall[k],
              report.f1[k]) for k in range(len(report.f1))]
-    _write_csv(out_dir / f"{name}.csv",
-               ["class", "support", "precision", "recall", "f1"], rows)
+    write_csv(out_dir / f"{name}.csv",
+              ["class", "support", "precision", "recall", "f1"], rows)
+
+
+def score(raw, ensemble) -> metrics.EvalReport:
+    """The report of the ensemble on the raw rows, encoded with the plan the
+    model carries: how `ganids run` scores its test split and `ganids
+    evaluate` a CSV."""
+    # class ids index the class list, so a model scores only under its own
+    if ensemble.classes != raw.schema.classes:
+        raise PlanMismatch(f"the model's classes {ensemble.classes} are not "
+                           f"the schema's {raw.schema.classes}")
+    enc, _ = preprocess(raw, ensemble.plan)
+    # a model trained on selected features reads only those columns
+    pred = ensemble.predict(
+        select_columns(enc, ensemble.feature_names).features)
+    return metrics.evaluate(pred, enc.labels, len(ensemble.classes))
 
 
 def run_pipeline(config: PipelineConfig) -> RunArtifacts:
@@ -178,15 +193,12 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
 
     with stage("census"):
         census = imbalance.class_census(raw)
-        _write_json(out_dir / "census.json", {
-            "counts": census.counts,
-            "ratios": census.display_ratios(),
-        })
-        _write_csv(out_dir / "census.csv",
-                   ["class", "samples", "imbalance_ratio"], census.rows())
+        _write_json(out_dir / "census.json", census.report())
+        write_csv(out_dir / "census.csv", *census.table())
 
     # each table is dropped once its last reader is done, so that the
-    # training rows are held once from the encoding on
+    # training rows are held once from the encoding on, and the test rows
+    # stay raw until the model scores them
     with stage("split"):
         train_raw, test_raw = split_stratified(raw, config.train_fraction,
                                                SPLIT_SEED)
@@ -198,8 +210,6 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     with stage("encode"):
         train, plan = preprocess(train_raw)
         del train_raw
-        test, _ = preprocess(test_raw, plan)
-        del test_raw
         _write_json(out_dir / "plan.json", plan)
 
     with stage("filter"):
@@ -252,10 +262,10 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
                 train_aug, config.boruta_rounds, BORUTA_ALPHA, bp,
                 seed=config.seed + 5)
             _write_json(out_dir / "feature_decision.json", decision)
-            _write_csv(out_dir / "feature_decision.csv",
-                       ["feature", "status", "hits", "rounds"],
-                       [(n, s, decision.hits[n], decision.rounds)
-                        for n, s in decision.status.items()])
+            write_csv(out_dir / "feature_decision.csv",
+                      ["feature", "status", "hits", "rounds"],
+                      [(n, s, decision.hits[n], decision.rounds)
+                       for n, s in decision.status.items()])
             # accepted and tentative features; all of them if every one
             # is rejected
             keep = [n for n in train_aug.feature_names
@@ -272,11 +282,9 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     with stage("evaluate"):
         # test-set purity: evaluation rows are real by construction, so a
         # synthetic one is a bug, not the input's fault
-        if test.synthetic.any():
+        if test_raw.synthetic.any():
             raise RuntimeError("synthetic rows reached the test set")
-        pred = ensemble.predict(
-            select_columns(test, ensemble.feature_names).features)
-        report = metrics.evaluate(pred, test.labels, len(schema.classes))
+        report = score(test_raw, ensemble)
         _write_eval(out_dir, "eval", report)
 
     manifest["wall_time_s"] = round(time.perf_counter() - t_start, 3)
@@ -305,12 +313,12 @@ def run_ablation(config: PipelineConfig) -> metrics.AblationReport:
     art_without = run_pipeline(cfg_without)
     tw = {k: v for k, v in art_with.traces.items() if k != "pretrain"}
     to = {k: v for k, v in art_without.traces.items() if k != "pretrain"}
-    report = metrics.ablation_report(
-        tw, to, {"with": art_with.eval_report, "without": art_without.eval_report})
+    report = metrics.ablation_report(tw, to, art_with.eval_report,
+                                     art_without.eval_report)
     base.mkdir(parents=True, exist_ok=True)
     _write_json(base / "ablation.json", report)
     rows = [(c, e["steps_with"], e["steps_without"], e.get("speedup", ""))
             for c, e in report.per_class.items()]
-    _write_csv(base / "ablation.csv",
-               ["class", "steps_with_pretrain", "steps_without", "speedup"], rows)
+    write_csv(base / "ablation.csv",
+              ["class", "steps_with_pretrain", "steps_without", "speedup"], rows)
     return report

@@ -107,22 +107,64 @@ def test_evaluate_scores_a_model_trained_on_boruta_selected_features(
     status = json.loads((tmp_path / "run" / "feature_decision.json")
                         .read_text())["status"]
     assert "rejected" in status.values()
-    # the run's test split as a CSV: split the row numbers as the run split
-    # the rows
-    raw = load_dataset([demo["csv"]], load_schema(str(demo["schema"])))
-    rows = replace(raw, features=np.arange(len(raw), dtype=float)[:, None],
-                   levels=None, encoded=True, feature_names=["row"])
-    _, test = split_stratified(rows, cfg.train_fraction, pipeline.SPLIT_SEED)
-    lines = demo["csv"].read_text().splitlines()  # no header line
-    test_csv = tmp_path / "test.csv"
-    test_csv.write_text("".join(lines[int(i)] + "\n"
-                                for i in test.features[:, 0]))
+    test_csv = _write_test_split(demo, cfg, tmp_path / "test.csv")
     # the model file alone encodes the input: no plan file is read
     (tmp_path / "run" / "plan.json").unlink()
     assert cli.main(["evaluate", "--model", str(art.ensemble_path),
                      "--schema", str(demo["schema"]), str(test_csv)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["macro_f1"] == art.eval_report.macro_f1
+
+
+def test_evaluate_prints_the_report_the_run_wrote_for_its_test_split(
+        demo, tmp_path, capsys):
+    cfg = pipeline.PipelineConfig(
+        dataset_paths=[str(demo["csv"])], schema=str(demo["schema"]),
+        out_dir=str(tmp_path / "run"), skip_augment=True,
+        boost=gbdt.BoostParams(rounds=3, min_leaf=5, max_depth=4))
+    art = pipeline.run_pipeline(cfg)
+    test_csv = _write_test_split(demo, cfg, tmp_path / "test.csv")
+    assert cli.main(["evaluate", "--model", str(art.ensemble_path),
+                     "--schema", str(demo["schema"]), str(test_csv)]) == 0
+    assert json.loads(capsys.readouterr().out) == \
+        json.loads((tmp_path / "run" / "eval.json").read_text())
+
+
+def test_run_reports_a_test_row_that_overflows_at_stage_evaluate(
+        demo, tmp_path, capsys):
+    # the demo's f0 spans about 0.9 in the training split, so a test value
+    # of 1.7e308 overflows once divided by that span
+    cfg_path = tmp_path / "config.json"
+    cfg = {"dataset_paths": [str(tmp_path / "data.csv")],
+           "schema": str(demo["schema"]), "out_dir": str(tmp_path / "run"),
+           "skip_augment": True, "boost": {"rounds": 3}}
+    cfg_path.write_text(json.dumps(cfg))
+    lines = demo["csv"].read_text().splitlines()
+    row = _test_rows(demo, pipeline.PipelineConfig.from_dict(cfg))[0]
+    lines[row] = "1.7e308," + lines[row].split(",", 1)[1]
+    (tmp_path / "data.csv").write_text("".join(f"{x}\n" for x in lines))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: stage evaluate: encoding produced non-finite values\n"
+    assert (tmp_path / "run" / "models" / "ensemble.bin").exists()
+
+
+def _test_rows(demo, cfg):
+    """The numbers of the demo CSV's lines that the run of cfg tests on:
+    the row numbers split as the run splits the rows."""
+    raw = load_dataset([demo["csv"]], load_schema(str(demo["schema"])))
+    rows = replace(raw, features=np.arange(len(raw), dtype=float)[:, None],
+                   levels=None, encoded=True, feature_names=["row"])
+    _, test = split_stratified(rows, cfg.train_fraction, pipeline.SPLIT_SEED)
+    return [int(i) for i in test.features[:, 0]]
+
+
+def _write_test_split(demo, cfg, path):
+    """The lines of the demo CSV that the run of cfg tested on, written to
+    path."""
+    lines = demo["csv"].read_text().splitlines()  # no header line
+    path.write_text("".join(lines[i] + "\n" for i in _test_rows(demo, cfg)))
+    return path
 
 
 # each case keeps the id it was first collected under, so adding or

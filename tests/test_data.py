@@ -578,6 +578,22 @@ def test_schema_json_roundtrip(tmp_path):
     assert clone == schema
 
 
+@pytest.mark.parametrize("text", ["{", '{"columns": []}'],
+                         ids=["not JSON", "no label column"])
+def test_a_broken_schema_is_refused_naming_its_spec(tmp_path, monkeypatch,
+                                                    text):
+    (tmp_path / "broken_schema.json").write_text(text)
+    with pytest.raises(dio.SchemaInvalid,
+                       match=rf"^{re.escape(str(tmp_path))}/broken_schema"
+                             r"\.json: not a dataset schema \("):
+        dio.load_schema(str(tmp_path / "broken_schema.json"))
+    # a shipped schema is read the same way, and named by its builtin: spec
+    monkeypatch.setattr(dio.resources, "files", lambda package: tmp_path)
+    with pytest.raises(dio.SchemaInvalid,
+                       match=r"^builtin:broken: not a dataset schema \("):
+        dio.load_schema("builtin:broken")
+
+
 def test_load_schema_reads_paths_and_builtins(tmp_path):
     import json
     schema = simple_schema()

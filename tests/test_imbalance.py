@@ -134,6 +134,14 @@ def test_filter_rejects_nonpositive_gamma():
 
 def test_census_report_rows():
     ds = dataset_with_counts([100, 3], ["normal", "rare"], "normal")
-    rows = imbalance.class_census(ds).rows()
+    header, rows = imbalance.class_census(ds).table()
+    assert header == ["class", "samples", "imbalance_ratio"]
     assert rows[0] == ("normal", 100, None)
     assert rows[1] == ("rare", 3, 33.333)
+
+
+def test_census_report_holds_the_counts_and_the_shown_ratios():
+    ds = dataset_with_counts([100, 3, 7], ["normal", "rare", "odd"], "normal")
+    assert imbalance.class_census(ds).report() == {
+        "counts": {"normal": 100, "rare": 3, "odd": 7},
+        "ratios": {"rare": 33.333, "odd": 14.286}}

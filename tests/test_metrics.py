@@ -92,16 +92,24 @@ def _trace(steps, reason="criterion"):
                        for s in range(1, steps + 1)], reason)
 
 
+def _report():
+    pred, truth = binary_case()
+    return metrics.evaluate(pred, truth, 2)
+
+
 def test_ablation_speedup_examples():
-    rep = metrics.ablation_report({"r2l": _trace(400)}, {"r2l": _trace(1000)})
+    rep = metrics.ablation_report({"r2l": _trace(400)}, {"r2l": _trace(1000)},
+                                  _report(), _report())
     assert rep.per_class["r2l"]["speedup"] == 2.5
-    rep = metrics.ablation_report({"u2r": _trace(100)}, {"u2r": _trace(100)})
+    rep = metrics.ablation_report({"u2r": _trace(100)}, {"u2r": _trace(100)},
+                                  _report(), _report())
     assert rep.per_class["u2r"]["speedup"] == 1.0
 
 
 def test_ablation_key_mismatch():
     with pytest.raises(metrics.KeyMismatch):
-        metrics.ablation_report({"a": _trace(1)}, {"b": _trace(1)})
+        metrics.ablation_report({"a": _trace(1)}, {"b": _trace(1)},
+                                _report(), _report())
 
 
 def test_ablation_metric_deltas():
@@ -109,7 +117,7 @@ def test_ablation_metric_deltas():
     rep_with = metrics.evaluate(truth, truth, 2)
     rep_without = metrics.evaluate(pred, truth, 2)
     rep = metrics.ablation_report({"a": _trace(10)}, {"a": _trace(20)},
-                                  {"with": rep_with, "without": rep_without})
+                                  rep_with, rep_without)
     assert rep.metric_deltas["accuracy"] == rep_with.accuracy - rep_without.accuracy
     assert rep.metric_deltas["macro_f1"] == rep_with.macro_f1 - rep_without.macro_f1
 
